@@ -130,14 +130,14 @@ fn main() {
     );
 
     // Small-pending crossover: the wheel pays a constant per-op cost
-    // (hash into a slot, occasional cascade/scan for the next occupied
-    // slot) that the heap's O(log n) undercuts while the resident set is
-    // small — log2(92) ≈ 6.5 sift steps on a cache-hot array beat the
-    // wheel's slot walk. Sweep the resident size to pin where the lines
-    // cross, and record the row at pending = 92 — `two_tcps`' measured
-    // peak_pending — so the end-to-end ~0.8x there keeps its
-    // scheduler-level explanation gated (see DESIGN.md §3.2, "Scheduler
-    // performance", small-pending crossover).
+    // (hash into a slot, find the lowest occupied level, occasionally
+    // cascade) that the heap's O(log n) on a cache-hot array undercuts
+    // while the resident set is very small. Sweep the resident size to
+    // pin where the lines cross (between 16 and 92 events), and record
+    // the row at pending = 92 — `two_tcps`' measured peak_pending, the
+    // smallest any workload here runs at — so a wheel change that pushes
+    // the crossover back above it is gated (see DESIGN.md §3.2,
+    // "Scheduler performance", small-pending crossover).
     let sweep_ops: u64 = if quick { 200_000 } else { 2_000_000 };
     let mut small_row = None;
     for pending in [16usize, 92, 256, 1024, 4096] {

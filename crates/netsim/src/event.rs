@@ -11,8 +11,9 @@
 //! Both produce the **same** pop order — ascending `(at, seq)` — which is
 //! the determinism contract the whole simulator rests on. The property
 //! tests at the bottom of this file drive both backends with identical
-//! random schedules (including far-future RTO-style deadlines and bursts
-//! of events in one wheel tick) and require identical pop sequences.
+//! random schedules (deadlines at every scale from one wheel tick to past
+//! the wheel span, RTO-shaped timers, pops that cross occupied slot
+//! boundaries) and require identical pop sequences.
 
 use crate::cbr::CbrId;
 use crate::link::LinkId;
@@ -231,6 +232,24 @@ impl EventQueue {
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
     }
+
+    /// Events the timer wheel's cascades have moved down a level (the
+    /// heap has none): bounded by `(levels - 1) × scheduled`, so a count
+    /// far above `scheduled` means a slot is being re-walked.
+    pub fn reinserts(&self) -> u64 {
+        match &self.backend {
+            BackendImpl::Wheel(w) => w.reinserts(),
+            BackendImpl::Heap(_) => 0,
+        }
+    }
+
+    /// Check the wheel's structural invariants (no-op on the heap).
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        if let BackendImpl::Wheel(w) = &self.backend {
+            w.check_invariants();
+        }
+    }
 }
 
 /// Scheduler-only micro-benchmark: hold `pending` events resident and do
@@ -378,71 +397,114 @@ mod tests {
         PopUntil { delta: u64 },
     }
 
+    /// 1 µs … 100 s with every decade equally likely, so each wheel level
+    /// (65 µs, 4.19 ms, 268 ms, 17 s, 18 min slots) gets its share.
+    fn log_uniform_ns() -> impl Strategy<Value = u64> {
+        (3.0f64..11.0).prop_map(|e| 10f64.powf(e) as u64)
+    }
+
     fn op_strategy() -> BoxedStrategy<Op> {
         prop_oneof![
-            // Mostly near-term deltas (sub-tick to a few ms)...
+            // Near-term deltas (sub-tick to a few ms)...
             (0u64..5_000_000).prop_map(|delta| Op::Push { delta }),
             // ...same-tick bursts (several events inside one 1.024 µs tick),
             (0u64..1_024).prop_map(|delta| Op::Push { delta }),
-            // ...far-future RTO-style deadlines (up to 60 s and beyond the
-            // wheel span at ~19 h),
+            // ...every scale in between,
+            log_uniform_ns().prop_map(|delta| Op::Push { delta }),
+            // ...RTO-shaped deadlines (min RTO, its backoffs, the initial
+            // RTO) with ±1 ms of jitter, which park in level-3/4 slots the
+            // cursor later walks into,
+            (prop::sample::select(vec![200u64, 400, 1_000, 3_000]), 0u64..2_000_000)
+                .prop_map(|(ms, jitter)| Op::Push { delta: ms * 1_000_000 - 1_000_000 + jitter }),
+            // ...far-future deadlines (up to and beyond the wheel span at
+            // ~19 h),
             (0u64..80_000_000_000_000).prop_map(|delta| Op::Push { delta }),
-            // ...and pops that advance simulated time.
+            // ...and pops that advance simulated time, by a few ms or far
+            // enough to cross occupied coarse-slot boundaries.
             (0u64..10_000_000).prop_map(|delta| Op::PopUntil { delta }),
+            log_uniform_ns().prop_map(|delta| Op::PopUntil { delta }),
         ]
         .boxed()
     }
 
+    /// Where the schedule starts: zero, anywhere in the first minutes, or
+    /// a few ticks below a multiple of the wheel span (2^36 ticks ≈ 19.5
+    /// h), where an event two ticks ahead differs from the cursor above
+    /// the top level and so routes through the overflow list.
+    fn start_strategy() -> BoxedStrategy<u64> {
+        const SPAN_NS: u64 = 1 << 46;
+        prop_oneof![
+            Just(0u64),
+            log_uniform_ns(),
+            (1u64..4, 0u64..6_000).prop_map(|(k, below)| k * SPAN_NS - below),
+        ]
+        .boxed()
+    }
+
+    /// Pop both queues up to `horizon`, requiring identical `(at, seq)`
+    /// sequences; returns the last pop time (or `now` if none).
+    fn pop_both(
+        wheel: &mut EventQueue,
+        heap: &mut EventQueue,
+        horizon: SimTime,
+        mut now: u64,
+    ) -> Result<u64, TestCaseError> {
+        loop {
+            let a = wheel.pop_before(horizon);
+            let b = heap.pop_before(horizon);
+            wheel.check_invariants();
+            prop_assert_eq!(
+                a.as_ref().map(|e| (e.at, e.seq)),
+                b.as_ref().map(|e| (e.at, e.seq))
+            );
+            match a {
+                Some(e) => now = now.max(e.at.as_nanos()),
+                None => return Ok(now),
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
         /// Differential test: the wheel pops the exact same (at, seq)
         /// sequence as the reference heap under arbitrary interleavings of
-        /// pushes and horizon-bounded pops.
+        /// pushes and horizon-bounded pops, and keeps its structural
+        /// invariants after every operation.
         #[test]
-        fn wheel_matches_heap_pop_order(ops in prop::collection::vec(op_strategy(), 1..200)) {
+        fn wheel_matches_heap_pop_order(
+            start in start_strategy(),
+            ops in prop::collection::vec(op_strategy(), 1..300),
+        ) {
             let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
             let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
             // Simulated "now": pushes are never scheduled in the past,
-            // matching the simulator's contract.
-            let mut now = 0u64;
+            // matching the simulator's contract. An empty pop parks the
+            // wheel's cursor at the start time.
+            let mut now = pop_both(&mut wheel, &mut heap, SimTime(start), start)?;
             for op in ops {
                 match op {
                     Op::Push { delta } => {
                         let at = SimTime(now + delta);
                         wheel.push(at, EventKind::ConnStart { conn: 0 });
                         heap.push(at, EventKind::ConnStart { conn: 0 });
+                        wheel.check_invariants();
                     }
                     Op::PopUntil { delta } => {
                         let horizon = SimTime(now + delta);
-                        loop {
-                            let a = wheel.pop_before(horizon);
-                            let b = heap.pop_before(horizon);
-                            prop_assert_eq!(
-                                a.as_ref().map(|e| (e.at, e.seq)),
-                                b.as_ref().map(|e| (e.at, e.seq))
-                            );
-                            match a {
-                                Some(e) => now = now.max(e.at.as_nanos()),
-                                None => break,
-                            }
-                        }
+                        now = pop_both(&mut wheel, &mut heap, horizon, now)?;
                         now = now.max(horizon.as_nanos());
                     }
                 }
             }
             // Drain both fully; the tails must agree too.
-            loop {
-                let a = wheel.pop_before(SimTime::MAX);
-                let b = heap.pop_before(SimTime::MAX);
-                prop_assert_eq!(
-                    a.as_ref().map(|e| (e.at, e.seq)),
-                    b.as_ref().map(|e| (e.at, e.seq))
-                );
-                if a.is_none() {
-                    break;
-                }
-            }
+            pop_both(&mut wheel, &mut heap, SimTime::MAX, now)?;
             prop_assert_eq!(wheel.len(), 0);
             prop_assert_eq!(heap.len(), 0);
+            // An event moves down at most once per level below the top.
+            let bound = (crate::wheel::LEVELS as u64 - 1) * wheel.scheduled();
+            prop_assert!(wheel.reinserts() <= bound);
+            prop_assert_eq!(heap.reinserts(), 0);
         }
     }
 
@@ -457,11 +519,12 @@ mod tests {
         assert!(sz <= 72, "Event grew to {sz} bytes; keep it lean");
     }
 
-    /// Regression pinned from a proptest shrink: two horizon-bounded pops
-    /// park the wheel cursor mid-slot, then two pushes land one event in the
-    /// cursor's own level-1 slot (one revolution ahead in rotation order)
-    /// and one in a later slot with an earlier tick. A candidate search that
-    /// stopped at the cursor's slot skipped the second event entirely.
+    /// Regression pinned from a proptest shrink against the first wheel
+    /// (which picked the level from the tick distance): two horizon-bounded
+    /// pops park the cursor mid-slot, then two pushes land one event in the
+    /// cursor's own level-1 slot and one in a later slot with an earlier
+    /// tick, which that wheel's candidate search skipped. Under the XOR
+    /// rule the first of them files at level 2 instead.
     #[test]
     fn cursor_slot_does_not_shadow_later_slots() {
         let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
@@ -472,16 +535,37 @@ mod tests {
             wheel.push(at, EventKind::ConnStart { conn: 0 });
             heap.push(at, EventKind::ConnStart { conn: 0 });
         }
-        loop {
-            let a = wheel.pop_before(SimTime::MAX);
-            let b = heap.pop_before(SimTime::MAX);
-            assert_eq!(
-                a.as_ref().map(|e| (e.at, e.seq)),
-                b.as_ref().map(|e| (e.at, e.seq))
-            );
-            if a.is_none() {
-                break;
-            }
+        pop_both(&mut wheel, &mut heap, SimTime::MAX, 0).expect("identical drains");
+    }
+
+    /// A cursor parked two ticks below a multiple of 2^36 ticks: events a
+    /// few ticks ahead differ from it above the top level and wait in the
+    /// overflow list, yet must fire in order with their neighbours — also
+    /// when an empty pop carries the cursor across the boundary first and
+    /// a later push then files in the wheel proper.
+    #[test]
+    fn near_events_across_the_wheel_span_boundary_stay_ordered() {
+        const TICK: u64 = 1 << 10;
+        const SPAN: u64 = TICK << 36;
+        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
+        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let push_both = |wheel: &mut EventQueue, heap: &mut EventQueue, at: u64| {
+            wheel.push(SimTime(at), EventKind::ConnStart { conn: 0 });
+            heap.push(SimTime(at), EventKind::ConnStart { conn: 0 });
+            wheel.check_invariants();
+        };
+        assert!(wheel.pop_before(SimTime(SPAN - 2 * TICK)).is_none());
+        for at in [SPAN + 5 * TICK, SPAN - TICK] {
+            push_both(&mut wheel, &mut heap, at);
         }
+        for q in [&mut wheel, &mut heap] {
+            assert_eq!(q.pop_before(SimTime(SPAN - 1)).map(|e| e.at), Some(SimTime(SPAN - TICK)));
+            // Nothing due by +2 ticks: the cursor crosses with the +5 event
+            // still held in the overflow list.
+            assert!(q.pop_before(SimTime(SPAN + 2 * TICK)).is_none());
+        }
+        wheel.check_invariants();
+        push_both(&mut wheel, &mut heap, SPAN + 70 * TICK);
+        pop_both(&mut wheel, &mut heap, SimTime::MAX, 0).expect("identical drains");
     }
 }

@@ -54,6 +54,11 @@ pub struct SimPerf {
     /// tracked by the owning structures rather than a global allocator
     /// hook.
     pub hot_allocs: u64,
+    /// Events the timer wheel's cascades moved down a level (always 0 on
+    /// the heap backend). Each event descends at most once per level, so
+    /// this stays within a small multiple of `events_scheduled`; a count
+    /// far above that means the scheduler is re-walking a slot.
+    pub queue_reinserts: u64,
 }
 
 impl_det_digest!(SimPerf {
@@ -74,6 +79,8 @@ impl_det_digest!(SimPerf {
     // scoreboards legitimately count different things), so it stays out
     // of the cross-feature determinism digest, like `wall`.
     hot_allocs,
+    // Backend-specific like `hot_allocs`: the heap never re-inserts.
+    queue_reinserts,
 });
 
 /// The workspace's **single audited wall-clock read**.
@@ -137,6 +144,7 @@ mod tests {
             stalled_at: None,
             quiesced_at: None,
             hot_allocs: 0,
+            queue_reinserts: 0,
         };
         assert!(p.is_consistent());
         assert!(p.events_per_wall_sec() > 0.0);

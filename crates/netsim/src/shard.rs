@@ -344,6 +344,7 @@ impl ShardedSimulator {
             merged.peak_pending += p.peak_pending;
             merged.faults_applied += p.faults_applied;
             merged.hot_allocs += p.hot_allocs;
+            merged.queue_reinserts += p.queue_reinserts;
         }
         merged
     }

@@ -625,6 +625,7 @@ impl Simulator {
             stalled_at: self.stalled_at,
             quiesced_at: self.quiesced_at,
             hot_allocs: self.hot_allocs(),
+            queue_reinserts: self.queue.reinserts(),
         }
     }
 

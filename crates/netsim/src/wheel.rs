@@ -7,30 +7,48 @@
 //! heap, which is what keeps runs bit-for-bit deterministic (the
 //! differential property test in `event.rs` pins this down).
 //!
-//! Layout, following the classic hashed hierarchical wheel (Varghese &
-//! Lauck) as used by production timer subsystems (Linux, s2n-quic):
+//! Layout, following the hierarchical wheel of Varghese & Lauck with the
+//! level rule of the Linux and tokio timer subsystems:
 //!
-//! * time is bucketed into ticks of `2^GRAN_BITS` ns (1.024 µs);
-//! * `LEVELS` levels of 64 slots each; level `L` spans `64^(L+1)` ticks,
-//!   so the whole wheel covers ≈ 19.5 hours of simulated time, with a
-//!   far-future overflow list beyond that (RTO backoff caps at seconds,
-//!   so the overflow is effectively never used by real workloads);
+//! * time is bucketed into ticks of `2^GRAN_BITS` ns (1.024 µs), and a
+//!   tick is read as `LEVELS` groups of `SLOT_BITS` bits, one per level;
+//! * an event of tick `t` is filed by **XOR prefix**: at the level of the
+//!   highest group in which `t` differs from the cursor `origin`, in the
+//!   slot named by `t`'s own bits of that group. `t == origin` goes to
+//!   the drain bucket; a difference above the top group (≈ 19.5 hours of
+//!   simulated time) goes to an unsorted overflow list, which RTO backoff
+//!   capped at seconds never reaches in real workloads;
 //! * events live in a **slab** of nodes with an intrusive free list —
 //!   after warm-up the steady state allocates nothing per event;
-//! * each level keeps a 64-bit occupancy bitmap, so finding the next
-//!   non-empty slot is a rotate + trailing-zeros, never a scan;
-//! * slots hold unsorted intrusive lists; when the cursor reaches a
-//!   level-0 slot (which corresponds to exactly one tick) the slot is
-//!   drained into a scratch bucket and sorted **descending** by
-//!   `(at, seq)` so pops are `Vec::pop` from the back. Events pushed
+//! * each level keeps a 64-bit occupancy bitmap and slots hold unsorted
+//!   intrusive lists. When the cursor reaches a level-0 slot (exactly one
+//!   tick) the slot is drained into a scratch bucket sorted **descending**
+//!   by `(at, seq)` so pops are `Vec::pop` from the back. Events pushed
 //!   into the current tick while it drains are inserted in order.
 //!
-//! Exactness argument: a level-0 slot within the active 64-tick window
-//! maps to a single tick value, so sorting one bucket recovers the exact
-//! global order — earlier ticks were already drained, later ticks sort
-//! after, and the wheel never advances its cursor past an occupied slot
-//! (higher-level slots whose range starts at or before the next level-0
-//! candidate are cascaded down first).
+//! Three invariants follow from the rule, for every pending `t ≥ origin`:
+//!
+//! 1. **The cursor's own slot is empty at every level.** An event of
+//!    level `L` differs from `origin` in group `L`, so it never shares the
+//!    cursor's slot there, and nothing the cursor sits in needs a look.
+//! 2. **No level holds two revolutions.** The groups above `L` are equal
+//!    and `t > origin`, so `t`'s slot index at `L` is *greater* than the
+//!    cursor's: the next slot of a level is `trailing_zeros` of its
+//!    bitmap, with no rotation and no wrap.
+//! 3. **Every event of level `L` fires before every event of level
+//!    `L + 1`**, and every wheel event before every overflow event: the
+//!    lower level shares a longer prefix with `origin`.
+//!
+//! So advancing is: take the first slot of the lowest non-empty level; if
+//! its range starts past the horizon, park the cursor at the horizon
+//! (which is below every occupied slot's range start, so every event
+//! keeps its level); otherwise move the cursor to the range start and
+//! re-file the slot's events, which now share that group with the cursor
+//! and land on lower levels or in the drain bucket. The cursor only ever
+//! moves to such a range start or to a horizon below all of them, which
+//! is what preserves the invariants — and exactness: a drained level-0
+//! slot is a single tick, earlier ticks are gone and later ones sort
+//! after it.
 
 use crate::event::{Event, EventKind};
 use crate::time::SimTime;
@@ -42,22 +60,11 @@ const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of levels; the wheel spans `64^LEVELS` ticks.
-const LEVELS: usize = 6;
+pub(crate) const LEVELS: usize = 6;
 /// Null index in the node slab.
 const NIL: u32 = u32::MAX;
-
-/// Ticks covered by one slot of `level`.
-const fn slot_width(level: usize) -> u64 {
-    1 << (SLOT_BITS as u64 * level as u64)
-}
-
-/// Ticks covered by the whole of `level` (64 slots).
-const fn level_span(level: usize) -> u64 {
-    1 << (SLOT_BITS as u64 * (level as u64 + 1))
-}
-
-/// Total ticks the wheel can hold relative to its cursor.
-const WHEEL_SPAN: u64 = level_span(LEVELS - 1);
+/// log2 of the ticks the wheel can tell apart from its cursor.
+const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -79,15 +86,18 @@ pub(crate) struct TimerWheel {
     /// Head of the slab free list.
     free: u32,
     /// Current tick: `cur` holds the events of exactly this tick, and
-    /// every event in the wheel has tick ≥ `origin`.
+    /// every other pending event has a later one.
     origin: u64,
     /// Drain bucket for the current tick, sorted descending by
     /// `(at, seq)` so the next event to fire is at the back.
     cur: Vec<(SimTime, u64, EventKind)>,
-    /// Events beyond the wheel span, kept unsorted (rare).
+    /// Events whose tick differs from `origin` above the top level, kept
+    /// unsorted (rare).
     overflow: Vec<(SimTime, u64, EventKind)>,
     /// Total events pending.
     len: usize,
+    /// Events a cascade moved from a slot to a lower level.
+    reinserts: u64,
 }
 
 fn tick_of(at: SimTime) -> u64 {
@@ -105,6 +115,7 @@ impl TimerWheel {
             cur: Vec::with_capacity(64),
             overflow: Vec::new(),
             len: 0,
+            reinserts: 0,
         }
     }
 
@@ -112,9 +123,24 @@ impl TimerWheel {
         self.len
     }
 
+    /// Events moved down a level by a cascade so far. Each event descends
+    /// at most `LEVELS - 1` times, so this is O(pushes) however the pops
+    /// are spaced.
+    pub fn reinserts(&self) -> u64 {
+        self.reinserts
+    }
+
     pub fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         self.len += 1;
-        self.insert(at, seq, kind);
+        debug_assert!(tick_of(at) >= self.origin, "event scheduled before the wheel cursor");
+        if tick_of(at) <= self.origin {
+            // Lands in the tick currently draining: insert in descending
+            // (at, seq) position so pop order stays exact.
+            let idx = self.cur.partition_point(|&(a, s, _)| (a, s) > (at, seq));
+            self.cur.insert(idx, (at, seq, kind));
+        } else {
+            self.file(at, seq, kind);
+        }
     }
 
     /// Pop the earliest event if it fires at or before `horizon`.
@@ -134,26 +160,17 @@ impl TimerWheel {
         }
     }
 
-    /// Route one event to the drain bucket, a wheel slot, or the
-    /// overflow list, based on its tick distance from the cursor.
-    fn insert(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+    /// File an event of a tick after `origin` in the wheel slot (or the
+    /// overflow list) its XOR prefix with the cursor names.
+    fn file(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         let t = tick_of(at);
-        debug_assert!(t >= self.origin, "event scheduled before the wheel cursor");
-        let delta = t.saturating_sub(self.origin);
-        if delta == 0 {
-            // Lands in the tick currently draining: insert in descending
-            // (at, seq) position so pop order stays exact.
-            let idx = self.cur.partition_point(|&(a, s, _)| (a, s) > (at, seq));
-            self.cur.insert(idx, (at, seq, kind));
-            return;
-        }
-        if delta >= WHEEL_SPAN {
+        let diff = t ^ self.origin;
+        debug_assert!(diff != 0);
+        if diff >> WHEEL_BITS != 0 {
             self.overflow.push((at, seq, kind));
             return;
         }
-        let level = (0..LEVELS)
-            .find(|&l| delta < level_span(l))
-            .expect("delta < WHEEL_SPAN");
+        let level = (diff.ilog2() / SLOT_BITS) as usize;
         let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         let head = self.slots[level][slot];
         let node = Node { at, seq, kind, next: head };
@@ -170,61 +187,14 @@ impl TimerWheel {
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Unlink a slot's list, returning its head (slot marked empty).
-    fn take_slot(&mut self, level: usize, slot: usize) -> u32 {
-        let head = self.slots[level][slot];
-        self.slots[level][slot] = NIL;
-        self.occupied[level] &= !(1 << slot);
-        head
-    }
-
-    /// The minimum tick of any level-0 event. Exact: within the live
-    /// window every level-0 slot holds exactly one tick value, and bit
-    /// `(origin + delta) mod 64` is at rotated position `delta`.
-    fn level0_candidate(&self) -> Option<u64> {
-        let occ = self.occupied[0];
-        if occ == 0 {
-            return None;
+    /// Place an event the cursor has just moved up to: the drain bucket
+    /// (unsorted — the caller sorts once) or a slot nearer the cursor.
+    fn refile(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+        if tick_of(at) == self.origin {
+            self.cur.push((at, seq, kind));
+        } else {
+            self.file(at, seq, kind);
         }
-        let o = (self.origin & (SLOTS as u64 - 1)) as u32;
-        let delta = occ.rotate_right(o).trailing_zeros() as u64;
-        Some(self.origin + delta)
-    }
-
-    /// A lower bound on the event ticks in `level` (≥ 1): the range start
-    /// of its first occupied slot at or after the cursor. For the slot the
-    /// cursor currently sits in the range start lies in the past and the
-    /// slot may even hold events a full wheel revolution ahead, so that
-    /// one slot is resolved exactly by walking its (short) node list.
-    fn level_candidate(&self, level: usize) -> Option<u64> {
-        let occ = self.occupied[level];
-        if occ == 0 {
-            return None;
-        }
-        let width = slot_width(level);
-        let shift = SLOT_BITS * level as u32;
-        let o_slot = ((self.origin >> shift) & (SLOTS as u64 - 1)) as u32;
-        let rotated = occ.rotate_right(o_slot);
-        let mut best = u64::MAX;
-        if rotated & 1 == 1 {
-            // The cursor's own slot: resolve it exactly. Note its minimum
-            // can be *later* than the next occupied slot's range start (it
-            // may hold events a revolution ahead), so the other slots are
-            // still considered below.
-            let mut idx = self.slots[level][o_slot as usize];
-            while idx != NIL {
-                let n = &self.nodes[idx as usize];
-                best = best.min(tick_of(n.at));
-                idx = n.next;
-            }
-            debug_assert!(best >= self.origin);
-        }
-        let rest = rotated & !1;
-        if rest != 0 {
-            let slot_delta = rest.trailing_zeros() as u64;
-            best = best.min((self.origin & !(width - 1)) + slot_delta * width);
-        }
-        Some(best)
     }
 
     /// Advance the cursor to the next occupied tick ≤ `h_tick` and load
@@ -232,96 +202,92 @@ impl TimerWheel {
     /// cursor at `h_tick` at most) when no event fires by the horizon.
     fn advance(&mut self, h_tick: u64) -> bool {
         debug_assert!(self.cur.is_empty());
-        loop {
-            let c0 = self.level0_candidate();
-            // The most promising higher-level slot, as (candidate, level).
-            let mut upper: Option<(u64, usize)> = None;
-            for level in 1..LEVELS {
-                if let Some(c) = self.level_candidate(level) {
-                    if upper.is_none_or(|(b, _)| c < b) {
-                        upper = Some((c, level));
-                    }
+        while self.cur.is_empty() {
+            if let Some(level) = self.occupied.iter().position(|&occ| occ != 0) {
+                let slot = self.occupied[level].trailing_zeros() as usize;
+                let shift = SLOT_BITS * level as u32;
+                // The slot's first tick: the cursor's prefix above this
+                // level, the slot's index, zeros below.
+                let prefix = (self.origin >> shift) & !(SLOTS as u64 - 1);
+                let start = (prefix | slot as u64) << shift;
+                if start > h_tick {
+                    self.origin = self.origin.max(h_tick);
+                    return false;
                 }
-            }
-            let overflow_min = self.overflow.iter().map(|&(at, _, _)| tick_of(at)).min();
-
-            // The earliest any pending event can fire (every candidate is
-            // a lower bound; c0 and overflow_min are exact).
-            let floor = [c0, upper.map(|(b, _)| b), overflow_min]
-                .into_iter()
-                .flatten()
-                .min();
-
-            if !self.cur.is_empty() {
-                // A cascade below dropped events of tick == origin into the
-                // bucket. Done once no other slot can contribute that tick.
-                if floor.is_none_or(|f| f > self.origin) {
-                    return true;
+                self.origin = start;
+                let mut node = self.slots[level][slot];
+                self.slots[level][slot] = NIL;
+                self.occupied[level] &= !(1 << slot);
+                let mut moved = 0;
+                while node != NIL {
+                    let Node { at, seq, kind, next } = self.nodes[node as usize];
+                    self.nodes[node as usize].next = self.free;
+                    self.free = node;
+                    self.refile(at, seq, kind);
+                    moved += 1;
+                    node = next;
                 }
-            }
-            let Some(floor) = floor else {
-                // Queue is empty: park the cursor at the horizon so later
-                // pushes (which are ≥ now) stay ahead of it.
+                // What did not reach the drain bucket went down a level.
+                self.reinserts += moved - self.cur.len() as u64;
+            } else if h_tick >> WHEEL_BITS <= self.origin >> WHEEL_BITS {
+                // Nothing in the wheel, and every overflow event is past
+                // the horizon: park the cursor there so later pushes
+                // (which are ≥ now) stay ahead of it.
                 self.origin = self.origin.max(h_tick);
                 return false;
-            };
-            if floor > h_tick {
-                self.origin = self.origin.max(h_tick);
-                return false;
-            }
-
-            if let Some(m) = overflow_min {
-                if m <= floor {
-                    // Pull the far future closer: move the cursor to the
-                    // overflow's first tick and re-route what now fits.
-                    self.origin = self.origin.max(m);
-                    let pending = std::mem::take(&mut self.overflow);
-                    for (at, seq, kind) in pending {
-                        self.insert(at, seq, kind);
-                    }
-                    continue;
+            } else {
+                // The horizon leaves the span the empty wheel can tell
+                // apart: move to the overflow's first tick (or the
+                // horizon, if that comes first) and re-file what now fits.
+                let first = self.overflow.iter().map(|&(at, _, _)| tick_of(at)).min();
+                self.origin = first.map_or(h_tick, |m| m.min(h_tick));
+                for (at, seq, kind) in std::mem::take(&mut self.overflow) {
+                    self.refile(at, seq, kind);
                 }
             }
-            if let Some((base, level)) = upper {
-                if c0.is_none_or(|c| base <= c) {
-                    // A coarser slot starts at or before the level-0
-                    // candidate: cascade it down before firing anything.
-                    // (Events landing at tick == base go straight to the
-                    // drain bucket via `insert`.)
-                    self.origin = self.origin.max(base);
-                    let slot = ((base >> (SLOT_BITS * level as u32))
-                        & (SLOTS as u64 - 1)) as usize;
-                    let mut node = self.take_slot(level, slot);
-                    while node != NIL {
-                        let Node { at, seq, kind, next } = self.nodes[node as usize];
-                        self.nodes[node as usize].next = self.free;
-                        self.free = node;
-                        self.insert(at, seq, kind);
-                        node = next;
-                    }
-                    continue;
-                }
-            }
-
-            // The level-0 candidate is the true next tick: drain it,
-            // merging with any same-tick events a cascade already placed.
-            let tick = c0.expect("floor ≤ h_tick and no earlier coarse slot");
-            debug_assert!(self.cur.is_empty() || tick == self.origin);
-            self.origin = tick;
-            let slot = (tick & (SLOTS as u64 - 1)) as usize;
-            let mut node = self.take_slot(0, slot);
-            while node != NIL {
-                let Node { at, seq, kind, next } = self.nodes[node as usize];
-                self.nodes[node as usize].next = self.free;
-                self.free = node;
-                debug_assert_eq!(tick_of(at), tick);
-                self.cur.push((at, seq, kind));
-                node = next;
-            }
-            // Descending, so the earliest (at, seq) pops from the back.
-            self.cur.sort_unstable_by_key(|&(a, s, _)| std::cmp::Reverse((a, s)));
-            return true;
         }
+        // Descending, so the earliest (at, seq) pops from the back.
+        self.cur.sort_unstable_by_key(|&(a, s, _)| std::cmp::Reverse((a, s)));
+        true
+    }
+}
+
+#[cfg(test)]
+impl TimerWheel {
+    /// Assert the three structural facts `advance` relies on: every slab
+    /// event sits in the slot its XOR prefix with the cursor names (so the
+    /// cursor's own slot is empty at every level), the bitmaps match the
+    /// lists, and `len` is the slab, bucket and overflow population.
+    pub fn check_invariants(&self) {
+        let mut in_slots = 0;
+        for level in 0..LEVELS {
+            let shift = SLOT_BITS * level as u32;
+            let own = (self.origin >> shift) & (SLOTS as u64 - 1);
+            assert_eq!(self.occupied[level] >> own & 1, 0, "cursor's own slot, level {level}");
+            for slot in 0..SLOTS {
+                let mut node = self.slots[level][slot];
+                assert_eq!(node != NIL, self.occupied[level] >> slot & 1 == 1);
+                while node != NIL {
+                    let n = &self.nodes[node as usize];
+                    let diff = tick_of(n.at) ^ self.origin;
+                    assert!(tick_of(n.at) > self.origin && diff >> WHEEL_BITS == 0);
+                    assert_eq!((diff.ilog2() / SLOT_BITS) as usize, level);
+                    assert_eq!((tick_of(n.at) >> shift) & (SLOTS as u64 - 1), slot as u64);
+                    in_slots += 1;
+                    node = n.next;
+                }
+            }
+        }
+        let (mut free, mut node) = (0, self.free);
+        while node != NIL {
+            free += 1;
+            node = self.nodes[node as usize].next;
+        }
+        assert_eq!(in_slots, self.nodes.len() - free, "slab nodes neither filed nor free");
+        assert!(self.cur.iter().all(|&(at, _, _)| tick_of(at) == self.origin));
+        let span = self.origin >> WHEEL_BITS;
+        assert!(self.overflow.iter().all(|&(at, _, _)| tick_of(at) >> WHEEL_BITS > span));
+        assert_eq!(self.len, in_slots + self.cur.len() + self.overflow.len());
     }
 }
 
@@ -397,6 +363,42 @@ mod tests {
         w.push(SimTime(120), 3, EventKind::ConnStart { conn: 3 });
         let rest = drain(&mut w);
         assert_eq!(rest, vec![(120, 3), (150, 2), (200, 1)]);
+    }
+
+    /// The cliff this rule removed: lazy RTO timers parked a few hundred
+    /// ms out used to sit in the cursor's own coarse slot and be walked on
+    /// every `advance` of a busy packet stream. Under the XOR rule an event
+    /// only ever moves down, at most once per level.
+    #[test]
+    fn parked_timers_are_not_rewalked_across_coarse_slot_boundaries() {
+        const PARK: u64 = 300_000_000;
+        let mut w = TimerWheel::new();
+        // conn 0: 1 000 timers parked 300 ms out, re-armed when they fire;
+        // conn 1: a 2 µs-spaced stream crossing the 268 ms and 537 ms
+        // boundaries of the level-3 slots.
+        for i in 0..1_000u64 {
+            w.push(SimTime(PARK + i * 1_000), i, EventKind::ConnStart { conn: 0 });
+        }
+        w.push(SimTime(0), 1_000, EventKind::ConnStart { conn: 1 });
+        let (mut pushes, mut last) = (1_001u64, SimTime(0));
+        while let Some(e) = w.pop_before(SimTime::from_millis(600)) {
+            assert!(e.at >= last, "pop order");
+            last = e.at;
+            let EventKind::ConnStart { conn } = e.kind else { unreachable!() };
+            let delta = if conn == 1 { 2_000 } else { PARK };
+            w.push(SimTime(e.at.as_nanos() + delta), pushes, e.kind);
+            pushes += 1;
+            if pushes % 4_096 == 0 {
+                w.check_invariants();
+            }
+        }
+        w.check_invariants();
+        assert!(pushes > 300_000, "the stream ran: {pushes} pushes");
+        assert!(
+            w.reinserts() <= (LEVELS as u64 - 1) * pushes,
+            "{} re-inserts for {pushes} pushes",
+            w.reinserts()
+        );
     }
 
     #[test]
