@@ -164,9 +164,10 @@ fn main() {
     let parallel = run_batch(&jobs);
     assert_eq!(serial, parallel, "MPTCP_JOBS=1 and MPTCP_JOBS=4 runs must be bit-identical");
 
-    // Persist the digests so CI can `diff` them across feature builds: the
-    // bitmap and `btree-scoreboard` flow-state layouts must produce the
-    // same history down to the event count (DESIGN.md §3.2e).
+    // Persist the digests so CI can `diff` them against the committed
+    // `tests/golden/chaos_digest_quick8.txt`: a change that claims to
+    // preserve behaviour must reproduce every history down to the event
+    // count (DESIGN.md §6).
     {
         use std::fmt::Write as _;
         let dir = mptcp_bench::report::trace_dir();
@@ -178,7 +179,7 @@ fn main() {
                 .expect("format digest line");
         }
         std::fs::write(&path, body).expect("write chaos digest");
-        println!("  digest file for cross-feature comparison: {}", path.display());
+        println!("  digest file for the golden-file comparison: {}", path.display());
     }
 
     let mut t = Table::new(&["scenario", "events", "faults", "delivered", "reinject", "dups", "done"]);

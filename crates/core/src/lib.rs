@@ -28,6 +28,14 @@
 //! search** proved correct in the paper's appendix; an exhaustive
 //! exponential-time oracle is kept in the crate for property testing.
 //!
+//! ## Shared transport state
+//!
+//! The two senders also share the per-subflow retransmission timer
+//! ([`RtoEstimator`]: RFC 6298 estimation, backoff, the potentially-failed
+//! threshold) and the per-connection backup-failover machine
+//! ([`Failover`]). Neither does I/O or reads a clock; the caller passes
+//! samples and its own notion of "now".
+//!
 //! ## Quick example
 //!
 //! ```
@@ -53,10 +61,12 @@ mod balia;
 mod coupled;
 mod cubic;
 mod ewtcp;
+mod failover;
 mod lia;
 mod olia;
 mod reno;
 mod rfc6356;
+mod rto;
 mod semicoupled;
 mod snapshot;
 mod wvegas;
@@ -75,19 +85,22 @@ pub use stateful::{AckAction, CcDriver, PureAdapter, StatefulCc};
 /// becomes eligible for reinjection on the remaining subflows. The first
 /// ACK that shows progress clears the state ("fast revive").
 ///
-/// Shared by the packet-level simulator (`mptcp-netsim`) and the userspace
-/// stack (`mptcp-proto`) so both layers agree on when a path counts as
-/// dead — the paper's §6 failure handling hinges on this threshold being
-/// small enough that a WiFi blackout fails over within a couple of RTOs.
+/// Compared in one place, [`RtoEstimator::potentially_failed`], which the
+/// packet-level simulator (`mptcp-netsim`) and the userspace stack
+/// (`mptcp-proto`) both embed — the paper's §6 failure handling hinges on
+/// this threshold being small enough that a WiFi blackout fails over
+/// within a couple of RTOs.
 pub const POTENTIALLY_FAILED_RTO_BACKOFFS: u32 = 2;
 pub use balia::Balia;
 pub use coupled::Coupled;
 pub use cubic::Cubic;
 pub use ewtcp::Ewtcp;
+pub use failover::{Failover, FailoverEdge};
 pub use lia::{lia_increase_exhaustive, lia_increase_linear, Mptcp};
 pub use olia::{Olia, OliaFluid};
 pub use reno::UncoupledReno;
 pub use rfc6356::Rfc6356;
+pub use rto::RtoEstimator;
 pub use semicoupled::{semicoupled_equilibrium, SemiCoupled};
 pub use snapshot::{active_count, total_window, SubflowSnapshot};
 pub use wvegas::Wvegas;

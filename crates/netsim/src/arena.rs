@@ -326,13 +326,8 @@ mod tests {
         // gutted into the pool and the fresh slots draw from it.
         let (b2, _) = a.acquire_hot(2, 3, true, 8);
         assert_eq!(b2 as usize, 2, "fresh slots are appended past the husks");
-        // The reference BTreeSet scoreboards own no ring storage, so only
-        // the bitmap build can observe the pool round-trip.
-        #[cfg(not(feature = "btree-scoreboard"))]
-        {
-            let (hits, _misses) = a.pool_stats();
-            assert!(hits > 0, "fresh slots must draw cannibalized ring storage from the pool");
-        }
+        let (hits, _misses) = a.pool.stats();
+        assert!(hits > 0, "fresh slots must draw cannibalized ring storage from the pool");
     }
 
     #[test]
@@ -369,12 +364,5 @@ mod tests {
         assert_eq!(b2, b_mid, "largest-below fallback picks the 16-envelope window");
         assert_eq!(a.hot_len(), len, "fallback reuse must not grow the columns");
         assert_eq!(a.reuses(), 3);
-    }
-
-    #[cfg(not(feature = "btree-scoreboard"))]
-    impl FlowArena {
-        fn pool_stats(&self) -> (u64, u64) {
-            self.pool.stats()
-        }
     }
 }

@@ -29,28 +29,18 @@ use crate::tcp::SackRanges;
 /// Selects the data structure behind the simulator's event queue.
 ///
 /// Both backends are observationally identical (bit-for-bit identical runs
-/// for a fixed seed); they differ only in speed. The default is the timer
-/// wheel unless the crate is built with the `heap-queue` feature, which
-/// flips the default back to the binary heap (useful for A/B timing runs
-/// and as an escape hatch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// for a fixed seed); they differ only in speed. Every simulation runs on
+/// the timer wheel unless a test or bench asks
+/// [`crate::Simulator::with_backend`] for the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueBackend {
     /// Hierarchical timer wheel: O(1) amortized, allocation-free steady
     /// state. The default.
+    #[default]
     TimerWheel,
     /// `std::collections::BinaryHeap` future-event list: O(log n), the
     /// seed implementation, kept as the reference for differential tests.
     BinaryHeap,
-}
-
-impl Default for QueueBackend {
-    fn default() -> Self {
-        if cfg!(feature = "heap-queue") {
-            QueueBackend::BinaryHeap
-        } else {
-            QueueBackend::TimerWheel
-        }
-    }
 }
 
 impl QueueBackend {
@@ -360,17 +350,6 @@ mod tests {
             assert!(q.pop_before(at).is_some(), "{}", backend.name());
             assert!(q.pop_before(SimTime::MAX).is_none());
         }
-    }
-
-    #[test]
-    fn default_backend_tracks_feature_flag() {
-        let expect = if cfg!(feature = "heap-queue") {
-            QueueBackend::BinaryHeap
-        } else {
-            QueueBackend::TimerWheel
-        };
-        assert_eq!(QueueBackend::default(), expect);
-        assert_eq!(EventQueue::default().backend(), expect);
     }
 
     #[test]

@@ -12,18 +12,25 @@
 //!   and optional Bernoulli random loss (for modelling lossy wireless);
 //! * a **TCP NewReno sender/receiver** per subflow: slow start, congestion
 //!   avoidance, fast retransmit on three duplicate ACKs, NewReno partial-ACK
-//!   recovery, and RTO with exponential backoff and RFC 6298-style
-//!   SRTT/RTTVAR estimation;
+//!   recovery, and the RFC 6298 retransmission timer
+//!   ([`mptcp_cc::RtoEstimator`], the copy `mptcp-proto` runs too);
 //! * **multipath connections** that stripe one data stream across several
 //!   subflows "as space in the subflow windows becomes available" (§2),
 //!   with the window dynamics delegated to any
-//!   [`MultipathCc`](mptcp_cc::MultipathCc) implementation from `mptcp-cc`;
+//!   [`MultipathCc`](mptcp_cc::MultipathCc) implementation from `mptcp-cc`
+//!   and backup-priority failover decided by [`mptcp_cc::Failover`];
 //! * **constant-bit-rate sources** with optional Markov on/off bursting,
 //!   used for the §3 dynamic-load experiments (Fig. 9).
 //!
 //! Following the smoltcp design ethos, everything is a plain poll/event
 //! state machine — no async runtime, no clever type-level tricks, and no
 //! hidden allocation on the per-packet hot path beyond the event queue.
+//!
+//! There is one build configuration. The structures the hot path replaced
+//! — the `BinaryHeap` event queue and the B-tree scoreboards — stay
+//! compiled as the references differential tests and micro-benchmarks
+//! compare against ([`Simulator::with_backend`], [`queue_churn`],
+//! [`scoreboard_churn`]); no cargo feature selects them.
 //!
 //! ## Model scope
 //!
@@ -93,4 +100,4 @@ pub use sim::{ConnId, ConnectionSpec, Simulator, SubflowSpec};
 pub use stats::{ConnectionStats, SubflowStats};
 pub use tcp::TcpParams;
 pub use time::SimTime;
-pub use trace::{Recorder, Sample, TraceWriter};
+pub use trace::TraceWriter;

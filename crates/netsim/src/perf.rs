@@ -75,9 +75,9 @@ impl_det_digest!(SimPerf {
     // Wall-clock measurement: legitimately differs run to run and must not
     // perturb the determinism digest.
     wall,
-    // Capacity growth is backend-specific (the bitmap and B-tree
-    // scoreboards legitimately count different things), so it stays out
-    // of the cross-feature determinism digest, like `wall`.
+    // Allocation accounting describes the host-side storage, not the
+    // simulated history, so it stays out of the determinism digest, like
+    // `wall`.
     hot_allocs,
     // Backend-specific like `hot_allocs`: the heap never re-inserts.
     queue_reinserts,

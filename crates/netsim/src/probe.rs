@@ -2,8 +2,9 @@
 //! series plus congestion-event transitions, sampled from inside the event
 //! loop.
 //!
-//! [`crate::Recorder`] answers the paper's *figure* questions (goodput per
-//! interval); the probe subsystem answers *diagnosis* questions: what did
+//! Diffing [`crate::ConnectionStats`] between `run_until` steps answers
+//! the paper's *figure* questions (goodput per interval); the probe
+//! subsystem answers *diagnosis* questions: what did
 //! cwnd/ssthresh/srtt/rto actually do over time, when did recovery modes
 //! switch, how deep were the queues, and which drop cause dominated. It is
 //! the measurement substrate for the fluid-model differential oracle in

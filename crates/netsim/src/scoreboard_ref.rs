@@ -4,17 +4,19 @@
 //!
 //! These are the *semantic ground truth* for the differential proptests in
 //! `tcp.rs`: the bitmap scoreboards must produce bit-identical outcomes
-//! when driven through identical ACK/SACK/loss sequences. The
-//! `btree-scoreboard` cargo feature flips the crate-wide default back to
-//! these (mirroring how `heap-queue` flips the event-queue backend), so a
-//! whole simulation — including the chaos digests — can be replayed on the
-//! old structures for cross-checking.
+//! when driven through identical ACK/SACK/loss sequences. The sender
+//! board is also the `ScoreboardKind::BTree` side of
+//! [`crate::scoreboard_churn`]; no simulation runs on either.
 //!
 //! This file deliberately is **not** marked `lint:hot-path`: B-tree
 //! containers are its whole point.
 
-use crate::scoreboard::{OooBuf, Scoreboard};
-use crate::tcp::{SackRanges, MAX_SACK_RANGES};
+use crate::scoreboard::Scoreboard;
+#[cfg(test)]
+use crate::{
+    scoreboard::OooBuf,
+    tcp::{SackRanges, MAX_SACK_RANGES},
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The pre-rewrite sender scoreboard: ordered sets with per-node heap
@@ -144,16 +146,16 @@ impl Scoreboard for BTreeScoreboard {
     }
 }
 
-/// The pre-rewrite receiver reassembly buffer. Only the differential tests
-/// and the `btree-scoreboard` feature construct it (the sender-side board
-/// also serves `scoreboard_churn` in default builds).
-#[cfg_attr(not(any(test, feature = "btree-scoreboard")), allow(dead_code))]
+/// The pre-rewrite receiver reassembly buffer; only the differential tests
+/// construct it.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub(crate) struct BTreeOoo {
     ooo: BTreeSet<u64>,
     inserts: u64,
 }
 
+#[cfg(test)]
 impl OooBuf for BTreeOoo {
     fn reset_for_reuse(&mut self) {
         self.ooo.clear();

@@ -15,10 +15,13 @@ use crate::perf::SimPerf;
 use crate::probe::{
     CcPhase, LinkPoint, ProbeLog, ProbeSpec, ProbeState, SubflowPoint, Transition, TransitionKind,
 };
+use crate::scoreboard::MAX_CAP;
 use crate::stats::{ConnectionStats, SubflowStats};
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
 use crate::time::SimTime;
-use mptcp_cc::{AlgorithmKind, CcDriver, MultipathCc, PureAdapter, SubflowSnapshot};
+use mptcp_cc::{
+    AlgorithmKind, CcDriver, Failover, FailoverEdge, MultipathCc, PureAdapter, SubflowSnapshot,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -284,18 +287,8 @@ struct Connection {
     /// Capacity-growth events of the scratch buffers above (allocation
     /// accounting for [`SimPerf::hot_allocs`]).
     scratch_allocs: u64,
-    /// Failover state machine: whether backup subflows currently carry
-    /// data (every usable primary has failed).
-    backup_active: bool,
-    /// When the first unanswered primary RTO fired with no healthy
-    /// primary recovery since — the failover clock. Cleared by primary
-    /// cumulative ACK progress.
-    primary_down_since: Option<SimTime>,
-    /// Latency of the most recent backup activation: time from the
-    /// failover clock starting to data moving onto the backups.
-    failover_latency: Option<SimTime>,
-    /// Times the failover state machine engaged the backups.
-    backup_activations: u64,
+    /// Backup-failover state machine, clocked in nanoseconds.
+    failover: Failover,
     /// Addresses advertised to this connection at runtime
     /// ([`FaultAction::AddrAdd`] / [`Simulator::admin_open_subflow`]).
     addr_advertised: u64,
@@ -386,11 +379,11 @@ fn subflow_stats(tx: &SubflowSender, rx: &SubflowReceiver, cold: &ColdSubflow) -
         fast_recoveries: tx.stats.fast_recoveries,
         cwnd: tx.cwnd,
         ssthresh: tx.ssthresh,
-        srtt: tx.srtt.unwrap_or(0.0),
-        rto: tx.rto_secs(),
+        srtt: tx.timer.srtt().unwrap_or(0.0),
+        rto: tx.timer.rto(),
         in_flight: tx.pipe(),
-        rto_backoffs: tx.backoffs,
-        potentially_failed: tx.potentially_failed(),
+        rto_backoffs: tx.timer.backoffs(),
+        potentially_failed: tx.timer.potentially_failed(),
         backup: cold.backup,
         closed: cold.closed,
     }
@@ -654,7 +647,9 @@ impl Simulator {
     /// start time.
     ///
     /// # Panics
-    /// Panics if the spec has no subflows or references unknown links.
+    /// Panics if the spec has no subflows, references unknown links, or
+    /// sets a finite `TcpParams::max_cwnd` above the 2^20-packet flight
+    /// the SACK scoreboard can track.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
         assert!(!spec.subflows.is_empty(), "connection needs at least one subflow");
         let packet_size = spec.packet_size;
@@ -707,6 +702,11 @@ impl Simulator {
         gid: ConnId,
         delays: &[SubflowTiming],
     ) -> ConnId {
+        let cap = spec.tcp.max_cwnd;
+        assert!(
+            !(cap.is_finite() && cap > MAX_CAP as f64),
+            "max_cwnd {cap} exceeds the {MAX_CAP}-packet flight the scoreboard can track"
+        );
         let n = spec.subflows.len();
         let wrap = spec.force_adapter || self.force_adapter_all;
         let cc = match spec.cc {
@@ -771,10 +771,7 @@ impl Simulator {
             acked_dsn_scratch: Vec::new(),
             stranded_scratch: Vec::new(),
             scratch_allocs: 0,
-            backup_active: false,
-            primary_down_since: None,
-            failover_latency: None,
-            backup_activations: 0,
+            failover: Failover::default(),
             addr_advertised: 0,
             subflows_joined: 0,
             subflows_closed: 0,
@@ -1061,12 +1058,12 @@ impl Simulator {
             dup_data_arrivals: c.dup_data_arrivals,
             reinjections_sent: c.reinjections_sent,
             reinject_pending: c.reinject_queue.len() as u64,
-            backup_active: c.backup_active,
-            backup_activations: c.backup_activations,
+            backup_active: c.failover.backup_active(),
+            backup_activations: c.failover.activations(),
             addr_advertised: c.addr_advertised,
             subflows_joined: c.subflows_joined,
             subflows_closed: c.subflows_closed,
-            failover_latency: c.failover_latency,
+            failover_latency: c.failover.latency().map(SimTime),
         }
     }
 
@@ -1188,9 +1185,9 @@ impl Simulator {
                     sub,
                     cwnd: tx.cwnd,
                     ssthresh: tx.ssthresh,
-                    srtt: tx.srtt.unwrap_or(0.0),
-                    rto: tx.rto_secs(),
-                    backoffs: tx.backoffs,
+                    srtt: tx.timer.srtt().unwrap_or(0.0),
+                    rto: tx.timer.rto(),
+                    backoffs: tx.timer.backoffs(),
                     in_flight: tx.pipe(),
                     phase,
                 });
@@ -1550,7 +1547,7 @@ impl Simulator {
             let colds = &cold[c.subs()];
             c.acked_dsn_scratch.clear();
             let (was_recovering, was_failed) = if watching {
-                (txs[sub].in_recovery, txs[sub].potentially_failed())
+                (txs[sub].in_recovery, txs[sub].timer.potentially_failed())
             } else {
                 (false, false)
             };
@@ -1567,7 +1564,7 @@ impl Simulator {
                 if was_recovering && !txs[sub].in_recovery {
                     transitions[1] = Some(TransitionKind::ExitRecovery);
                 }
-                if was_failed && !txs[sub].potentially_failed() {
+                if was_failed && !txs[sub].timer.potentially_failed() {
                     transitions[2] = Some(TransitionKind::Revived);
                 }
             }
@@ -1656,13 +1653,10 @@ impl Simulator {
         for kind in transitions.into_iter().flatten() {
             self.record_transition(conn, sub, kind);
         }
-        // ACK progress on a primary subflow closes an open failover
-        // episode before it engages the backups (with them engaged, the
-        // stand-down in `update_failover` clears the clock instead).
-        if progressed && !self.conns[conn].backup_active {
+        if progressed {
             let base = self.conns[conn].sub_base as usize;
             if !self.flows.cold[base + sub].backup {
-                self.conns[conn].primary_down_since = None;
+                self.conns[conn].failover.on_primary_progress();
             }
         }
         // Data-level acknowledgment accounting: each dsn counts once,
@@ -1745,21 +1739,16 @@ impl Simulator {
             c.refresh_snapshots(txs, colds);
             let level = c.cc.clamped_window_after_loss(sub, &c.snap_buf, self.now.as_secs_f64());
             let floor = c.cc.min_window();
-            let was_failed = txs[sub].potentially_failed();
+            let was_failed = txs[sub].timer.potentially_failed();
             if !txs[sub].on_rto(floor) {
                 rto_deadline[hot + sub] = None;
                 return; // spurious
             }
             txs[sub].set_ssthresh(level);
-            // Failover clock: the first unanswered RTO on a primary
-            // subflow, while the backups are cold and no earlier episode
-            // is still open, marks when the primaries started failing —
-            // the paper's failover latency is measured from this instant
-            // to data moving onto the backups.
-            if !colds[sub].backup && !c.backup_active && c.primary_down_since.is_none() {
-                c.primary_down_since = Some(self.now);
+            if !colds[sub].backup {
+                c.failover.on_primary_timeout(self.now.as_nanos());
             }
-            !was_failed && txs[sub].potentially_failed()
+            !was_failed && txs[sub].timer.potentially_failed()
         };
         if self.probe_watches(conn) {
             self.record_transition(conn, sub, TransitionKind::RtoFired);
@@ -1848,14 +1837,10 @@ impl Simulator {
         self.enqueue_packet(pkt);
     }
 
-    /// Advance the graceful-degradation state machine (active → degraded →
-    /// failover → recovered): backup subflows stay cold until **every**
-    /// primary is unusable — administratively closed or potentially failed
-    /// (≥ [`mptcp_cc::POTENTIALLY_FAILED_RTO_BACKOFFS`] unanswered RTO
-    /// backoffs) — then engage, stamping the failover latency against the
-    /// clock started by the first unanswered primary RTO; they stand down
-    /// the moment a primary is usable again. Runs at the head of every
-    /// `pump`, so the decision always precedes data scheduling.
+    /// Tell the connection's [`Failover`] machine which priorities still
+    /// have a usable subflow — open and not potentially failed — and log
+    /// the edge it takes, if any. Runs at the head of every `pump`, so the
+    /// decision always precedes data scheduling.
     fn update_failover(&mut self, conn: ConnId) {
         let c = &self.conns[conn];
         let base = c.sub_base as usize;
@@ -1866,7 +1851,7 @@ impl Simulator {
         let mut usable_backup = false;
         for i in 0..n {
             let cold = &self.flows.cold[base + i];
-            let usable = !cold.closed && !self.flows.tx[hot + i].potentially_failed();
+            let usable = !cold.closed && !self.flows.tx[hot + i].timer.potentially_failed();
             if cold.backup {
                 if first_backup.is_none() {
                     first_backup = Some(i);
@@ -1877,26 +1862,15 @@ impl Simulator {
             }
         }
         let Some(first_backup) = first_backup else { return };
-        if usable_primary {
-            if self.conns[conn].backup_active {
-                let c = &mut self.conns[conn];
-                c.backup_active = false;
-                c.primary_down_since = None;
-                if self.probe_watches(conn) {
-                    self.record_transition(conn, first_backup, TransitionKind::BackupStoodDown);
-                }
-            }
-        } else if usable_backup && !self.conns[conn].backup_active {
-            let c = &mut self.conns[conn];
-            c.backup_active = true;
-            c.backup_activations += 1;
-            // No clock running means the primaries were closed by explicit
-            // signaling rather than discovered dead by timers: failover is
-            // immediate.
-            c.failover_latency =
-                Some(self.now.saturating_sub(c.primary_down_since.unwrap_or(self.now)));
+        let now = self.now.as_nanos();
+        let edge = self.conns[conn].failover.update(now, usable_primary, usable_backup);
+        if let Some(edge) = edge {
             if self.probe_watches(conn) {
-                self.record_transition(conn, first_backup, TransitionKind::BackupActivated);
+                let kind = match edge {
+                    FailoverEdge::BackupActivated => TransitionKind::BackupActivated,
+                    FailoverEdge::BackupStoodDown => TransitionKind::BackupStoodDown,
+                };
+                self.record_transition(conn, first_backup, kind);
             }
         }
     }
@@ -1934,8 +1908,8 @@ impl Simulator {
                     let tx = &self.flows.tx[hot + idx];
                     self.conns[conn].has_data()
                         && !cold.closed
-                        && (!cold.backup || self.conns[conn].backup_active)
-                        && !tx.potentially_failed()
+                        && (!cold.backup || self.conns[conn].failover.backup_active())
+                        && !tx.timer.potentially_failed()
                         && tx.can_send_new()
                 };
                 if !can {
@@ -1990,8 +1964,8 @@ impl Simulator {
                     let cold = &self.flows.cold[base + idx];
                     let tx = &self.flows.tx[hot + idx];
                     if !cold.closed
-                        && (!cold.backup || c.backup_active)
-                        && !tx.potentially_failed()
+                        && (!cold.backup || c.failover.backup_active())
+                        && !tx.timer.potentially_failed()
                         && tx.can_send_new()
                     {
                         chosen = Some(idx);
@@ -2299,12 +2273,18 @@ mod tests {
         sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp));
     }
 
+    #[test]
+    #[should_panic(expected = "exceeds the 1048576-packet flight")]
+    fn window_cap_beyond_the_scoreboard_span_rejected() {
+        let (mut sim, l) = one_link_sim(10.0, 10, 25);
+        let tcp = TcpParams { max_cwnd: 2e6, ..TcpParams::default() };
+        sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]).tcp(tcp));
+    }
+
     /// The headline zero-alloc claim: once scratch buffers, the metadata
     /// ring, and the ACK pool have warmed up, a steady-state run — losses,
     /// retransmissions, SACK churn and all — performs no further hot-path
-    /// allocation. Only meaningful on the bitmap scoreboards: the B-tree
-    /// reference allocates a node per insert by design.
-    #[cfg(not(feature = "btree-scoreboard"))]
+    /// allocation.
     #[test]
     fn steady_state_run_is_allocation_free() {
         let mut sim = Simulator::new(42);

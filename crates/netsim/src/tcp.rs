@@ -16,17 +16,19 @@
 //!
 //! The scoreboard sets themselves live behind the
 //! [`Scoreboard`]/[`OooBuf`] traits in [`crate::scoreboard`]: rotating
-//! bitmaps by default, the original B-tree bookkeeping behind the
-//! `btree-scoreboard` feature, with differential proptests below driving
-//! both through identical sequences.
+//! bitmaps, with the original B-tree bookkeeping kept as the reference the
+//! differential proptests below drive through identical sequences. The
+//! retransmission timer is [`mptcp_cc::RtoEstimator`], the copy the
+//! protocol endpoint runs too.
 
 // lint:hot-path — per-ACK state must stay on the bitmap scoreboards; the
 // B-tree reference implementation lives in scoreboard_ref.rs.
 // lint:shard-state — subflow sender/receiver state is per-shard and moves
 // onto worker threads in the sharded engine; it must stay Send.
 
-use crate::scoreboard::{DefaultOoo, DefaultScoreboard, OooBuf, RingPool, Scoreboard};
+use crate::scoreboard::{BitmapOoo, BitmapScoreboard, OooBuf, RingPool, Scoreboard, MAX_CAP};
 use crate::time::SimTime;
+use mptcp_cc::RtoEstimator;
 use std::collections::VecDeque;
 
 /// Maximum SACK ranges carried per ACK (real TCP fits 3–4 in options).
@@ -89,7 +91,7 @@ struct SentMeta {
 /// Receiver-side reassembly state of one subflow (kept with the sender for
 /// simulation convenience; content-wise it is the remote endpoint's state).
 #[derive(Debug, Default)]
-pub(crate) struct SubflowReceiver<B: OooBuf = DefaultOoo> {
+pub(crate) struct SubflowReceiver<B: OooBuf = BitmapOoo> {
     /// Next subflow sequence number expected in order.
     pub next_expected: u64,
     /// Out-of-order packets held for reassembly.
@@ -183,12 +185,12 @@ pub(crate) struct SenderCounters {
 ///
 /// Field order is deliberate (`repr(C)` keeps the compiler from
 /// rearranging it): the scalars every ACK reads and writes — window,
-/// sequence edges, RTT estimator — sit first, packed into the leading
-/// cache line; the scoreboard and send metadata follow; rarely-touched
-/// counters and static parameters trail at the end.
+/// sequence edges, retransmission timer — sit first, packed into the
+/// leading cache lines; the scoreboard and send metadata follow;
+/// rarely-touched counters and static parameters trail at the end.
 #[derive(Debug)]
 #[repr(C)]
-pub(crate) struct SubflowSender<SB: Scoreboard = DefaultScoreboard> {
+pub(crate) struct SubflowSender<SB: Scoreboard = BitmapScoreboard> {
     // --- hot: read/written on every ACK ---
     /// Congestion window, packets (fractional growth accumulates).
     pub cwnd: f64,
@@ -198,12 +200,8 @@ pub(crate) struct SubflowSender<SB: Scoreboard = DefaultScoreboard> {
     pub next_seq: u64,
     /// Oldest unacknowledged sequence number.
     pub una: u64,
-    /// Smoothed RTT (seconds), if any sample has been taken.
-    pub srtt: Option<f64>,
-    /// RTT variance (seconds).
-    pub rttvar: f64,
-    /// Current RTO (seconds), including backoff.
-    pub rto: f64,
+    /// RTT estimate, RTO with backoff, potentially-failed state (seconds).
+    pub timer: RtoEstimator,
     /// Monotone count of sequences ever newly SACKed.
     sack_events: u64,
     /// In loss recovery (one window decrease per recovery episode).
@@ -216,8 +214,6 @@ pub(crate) struct SubflowSender<SB: Scoreboard = DefaultScoreboard> {
     /// Whether a timer is conceptually armed (the simulator tracks the
     /// actual deadline and uses lazy re-scheduling).
     pub rto_armed: bool,
-    /// Consecutive RTO backoffs without progress.
-    pub backoffs: u32,
     /// Recovery ends when `una` reaches this point.
     pub recovery_point: u64,
     /// Static estimate of the path's two-way propagation delay, used for
@@ -246,6 +242,15 @@ pub(crate) struct SubflowSender<SB: Scoreboard = DefaultScoreboard> {
 /// verbatim until the first loss.
 pub const MIN_SSTHRESH_PKTS: f64 = 2.0;
 
+/// The retransmission timer of a subflow that has sent nothing yet.
+fn fresh_timer(params: &TcpParams) -> RtoEstimator {
+    RtoEstimator::new(
+        params.initial_rto.as_secs_f64(),
+        params.min_rto.as_secs_f64(),
+        params.max_rto.as_secs_f64(),
+    )
+}
+
 impl<SB: Scoreboard> SubflowSender<SB> {
     pub fn new(params: TcpParams, rtt_hint: f64) -> Self {
         Self {
@@ -254,14 +259,11 @@ impl<SB: Scoreboard> SubflowSender<SB> {
             ssthresh: params.initial_ssthresh.max(MIN_SSTHRESH_PKTS),
             next_seq: 0,
             una: 0,
-            srtt: None,
-            rttvar: 0.0,
-            rto: params.initial_rto.as_secs_f64(),
+            timer: fresh_timer(&params),
             sack_events: 0,
             in_recovery: false,
             rto_recovery: false,
             rto_armed: false,
-            backoffs: 0,
             recovery_point: 0,
             rtt_hint,
             meta: VecDeque::new(),
@@ -291,14 +293,11 @@ impl<SB: Scoreboard> SubflowSender<SB> {
         self.ssthresh = params.initial_ssthresh.max(MIN_SSTHRESH_PKTS);
         self.next_seq = 0;
         self.una = 0;
-        self.srtt = None;
-        self.rttvar = 0.0;
-        self.rto = params.initial_rto.as_secs_f64();
+        self.timer = fresh_timer(&params);
         self.sack_events = 0;
         self.in_recovery = false;
         self.rto_recovery = false;
         self.rto_armed = false;
-        self.backoffs = 0;
         self.recovery_point = 0;
         self.rtt_hint = rtt_hint;
         self.meta.clear();
@@ -321,7 +320,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// The RTT the congestion controller should see: the smoothed estimate,
     /// or the propagation-delay hint before the first sample.
     pub fn cc_rtt(&self) -> f64 {
-        self.srtt.unwrap_or(self.rtt_hint)
+        self.timer.srtt().unwrap_or(self.rtt_hint)
     }
 
     /// RFC 6675-style pipe: packets believed to be in the network.
@@ -335,9 +334,12 @@ impl<SB: Scoreboard> SubflowSender<SB> {
 
     /// Whether the window permits sending one more new packet (holes are
     /// always retransmitted first; see [`SubflowSender::next_retransmit`]).
+    /// The flight is also bounded at [`MAX_CAP`] packets, the span the
+    /// scoreboard rings can represent.
     pub fn can_send_new(&self) -> bool {
         self.board.lost_is_empty()
             && self.pipe() + 1.0 <= self.cwnd.min(self.params.max_cwnd) + 1e-9
+            && self.next_seq - self.una < MAX_CAP
     }
 
     /// The next lost sequence to retransmit, if the window allows it.
@@ -374,14 +376,6 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     pub fn dsn_of(&self, seq: u64) -> Option<u64> {
         let idx = seq.checked_sub(self.meta_base)?;
         self.meta.get(idx as usize).map(|m| m.dsn)
-    }
-
-    /// Whether this subflow counts as potentially failed: at least
-    /// [`mptcp_cc::POTENTIALLY_FAILED_RTO_BACKOFFS`] consecutive RTO
-    /// backoffs with no ACK progress. Derived state — the first ACK that
-    /// shows progress resets `backoffs` and revives the subflow.
-    pub fn potentially_failed(&self) -> bool {
-        self.backoffs >= mptcp_cc::POTENTIALLY_FAILED_RTO_BACKOFFS
     }
 
     /// Collect into `out` the outstanding `(seq, dsn)` pairs whose data has
@@ -421,36 +415,9 @@ impl<SB: Scoreboard> SubflowSender<SB> {
         self.rto_armed = false;
     }
 
-    /// Current RTO as simulation time.
+    /// Current (clamped) RTO as simulation time.
     pub fn rto_interval(&self) -> SimTime {
-        SimTime::from_secs_f64(self.rto_secs())
-    }
-
-    /// The clamped RTO in seconds, without the `SimTime` round-trip —
-    /// telemetry sampling reads this every probe tick.
-    pub fn rto_secs(&self) -> f64 {
-        self.rto.clamp(self.params.min_rto.as_secs_f64(), self.params.max_rto.as_secs_f64())
-    }
-
-    /// RFC 6298 estimator update with a fresh RTT sample (seconds).
-    fn rtt_sample(&mut self, sample: f64) {
-        let srtt = match self.srtt {
-            None => {
-                self.rttvar = sample / 2.0;
-                sample
-            }
-            Some(prev) => {
-                self.rttvar = 0.75 * self.rttvar + 0.25 * (prev - sample).abs();
-                0.875 * prev + 0.125 * sample
-            }
-        };
-        self.srtt = Some(srtt);
-        // A valid sample recomputes the RTO from fresh srtt/rttvar,
-        // discarding any backed-off value (RFC 6298 §5.7). It does NOT
-        // touch `backoffs`: only forward ACK progress proves the path is
-        // alive (a sample can only arrive on such an ACK, but keeping the
-        // reset in one place makes the revive rule auditable).
-        self.rto = srtt + (4.0 * self.rttvar).max(0.001);
+        SimTime::from_secs_f64(self.timer.rto())
     }
 
     /// Process an incoming ACK: cumulative point `cum` plus SACK ranges.
@@ -478,7 +445,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
                     if !m.retransmitted {
                         let sample = (now.saturating_sub(m.sent_at)).as_secs_f64();
                         if sample > 0.0 {
-                            self.rtt_sample(sample);
+                            self.timer.on_sample(sample);
                         }
                     }
                 }
@@ -520,7 +487,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
         // RTO backoff run so a potentially-failed subflow revives on the
         // first ACK after an outage ends.
         if progressed {
-            self.backoffs = 0;
+            self.timer.on_progress();
         }
         // Loss detection (IsLost): a hole is lost once DupThresh packets
         // above it have been SACKed.
@@ -575,14 +542,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
             return false;
         }
         self.stats.timeouts += 1;
-        self.backoffs += 1;
-        // Exponential backoff doubles the *effective* (min_rto-clamped)
-        // timeout, per RFC 6298 §5.5. Doubling the raw value lets a small
-        // sampled rto (e.g. 60 ms on a LAN) sit below min_rto for several
-        // backoffs, so consecutive timeouts all fire at min_rto with no
-        // backoff at all.
-        self.rto = (self.rto.max(self.params.min_rto.as_secs_f64()) * 2.0)
-            .min(self.params.max_rto.as_secs_f64());
+        self.timer.on_timeout();
         // Everything unsacked is presumed lost; the network is drained.
         self.board.rto_collapse(self.una, self.next_seq);
         self.in_recovery = true;
@@ -651,7 +611,6 @@ impl<SB: Scoreboard> SubflowSender<SB> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoreboard::BitmapScoreboard;
     use crate::scoreboard_ref::BTreeScoreboard;
 
     const NO_SACKS: SackRanges = [None; MAX_SACK_RANGES];
@@ -767,7 +726,7 @@ mod tests {
         let out = tx.on_ack(2, &NO_SACKS, SimTime::from_millis(50), &mut Vec::new());
         assert_eq!(out.newly_acked, 2);
         assert_eq!(tx.una, 2);
-        let srtt = tx.srtt.expect("sample taken");
+        let srtt = tx.timer.srtt().expect("sample taken");
         assert!((srtt - 0.050).abs() < 1e-9);
         assert!(tx.fully_acked());
         assert_eq!(out.rearm_rto, Some(false));
@@ -855,10 +814,10 @@ mod tests {
         for _ in 0..10 {
             tx.on_send_new(SimTime::ZERO, 0);
         }
-        let before_rto = tx.rto;
+        let before_rto = tx.timer.rto();
         assert!(tx.on_rto(1.0));
         assert!((tx.cwnd - 1.0).abs() < 1e-12);
-        assert!(tx.rto > before_rto, "exponential backoff");
+        assert!(tx.timer.rto() > before_rto, "exponential backoff");
         assert_eq!(tx.stats.timeouts, 1);
         // Window 1: exactly one retransmission allowed now.
         assert_eq!(tx.next_retransmit(), Some(0));
@@ -878,7 +837,7 @@ mod tests {
         tx.on_send_new(SimTime::ZERO, 0);
         tx.on_retransmit(0, SimTime::from_millis(10));
         tx.on_ack(1, &NO_SACKS, SimTime::from_millis(15), &mut Vec::new());
-        assert!(tx.srtt.is_none(), "no sample from a retransmitted packet");
+        assert!(tx.timer.srtt().is_none(), "no sample from a retransmitted packet");
     }
 
     #[test]
@@ -963,63 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_the_effective_min_clamped_rto() {
-        // A LAN-grade RTT sample leaves the raw rto (srtt + 4·rttvar) well
-        // below min_rto. The first backoff must still double the *effective*
-        // timeout: doubling only the raw value keeps rto_interval() pinned
-        // at min_rto for several consecutive timeouts — no backoff at all.
-        let mut tx = sender();
-        tx.cwnd = 4.0;
-        for dsn in 0..4 {
-            tx.on_send_new(SimTime::ZERO, dsn);
-        }
-        tx.on_ack(1, &NO_SACKS, SimTime::from_millis(20), &mut Vec::new());
-        let min_rto = tx.params.min_rto;
-        assert_eq!(tx.rto_interval(), min_rto, "sampled rto clamps up to min_rto");
-        assert!(tx.on_rto(1.0));
-        assert!(
-            tx.rto_interval().as_secs_f64() >= 2.0 * min_rto.as_secs_f64(),
-            "one backoff must at least double the effective timeout: {:?}",
-            tx.rto_interval()
-        );
-        assert!(tx.on_rto(1.0));
-        assert!(
-            tx.rto_interval().as_secs_f64() >= 4.0 * min_rto.as_secs_f64(),
-            "second backoff doubles again"
-        );
-    }
-
-    #[test]
-    fn fresh_sample_after_backoff_recomputes_rto_from_estimator() {
-        // RFC 6298 §5.7: once retransmission stops, the next valid sample
-        // recomputes rto from srtt/rttvar — the backed-off value is not
-        // inherited. Karn's rule means the sample must come from a packet
-        // sent after the timeouts.
-        let mut tx = sender();
-        tx.cwnd = 4.0;
-        for dsn in 0..4 {
-            tx.on_send_new(SimTime::ZERO, dsn);
-        }
-        tx.on_ack(1, &NO_SACKS, SimTime::from_millis(20), &mut Vec::new());
-        assert!(tx.on_rto(1.0));
-        assert!(tx.on_rto(1.0));
-        let backed_off = tx.rto_interval();
-        assert!(backed_off.as_secs_f64() >= 4.0 * tx.params.min_rto.as_secs_f64());
-        // The outage ends: everything outstanding is acked (no sample —
-        // all retransmitted under Karn), then a fresh round trip completes.
-        tx.on_ack(4, &NO_SACKS, SimTime::from_secs(2), &mut Vec::new());
-        assert_eq!(tx.backoffs, 0, "forward progress clears the backoff run");
-        tx.on_send_new(SimTime::from_secs(3), 4);
-        tx.on_ack(5, &NO_SACKS, SimTime::from_secs(3) + SimTime::from_millis(30), &mut Vec::new());
-        assert_eq!(
-            tx.rto_interval(),
-            tx.params.min_rto,
-            "post-recovery rto returns to the sampled (min_rto-clamped) range"
-        );
-    }
-
-    #[test]
-    fn ack_progress_revives_a_potentially_failed_subflow() {
+    fn sack_only_progress_revives_a_potentially_failed_subflow() {
         let mut tx = sender();
         tx.cwnd = 4.0;
         for dsn in 0..4 {
@@ -1027,10 +930,10 @@ mod tests {
         }
         assert!(tx.on_rto(1.0));
         assert!(tx.on_rto(1.0));
-        assert!(tx.potentially_failed(), "two consecutive backoffs");
-        // SACK-only progress also revives (the path demonstrably works).
+        assert!(tx.timer.potentially_failed(), "two consecutive timeouts");
+        // No cumulative advance, but the path demonstrably works.
         tx.on_ack(0, &sacks(&[(1, 2)]), SimTime::from_millis(10), &mut Vec::new());
-        assert!(!tx.potentially_failed(), "first ACK after restore revives");
+        assert!(!tx.timer.potentially_failed(), "first ACK after restore revives");
     }
 
     #[test]
@@ -1076,7 +979,6 @@ mod tests {
         pipe: u64,
         rto: u64,
         srtt: Option<u64>,
-        rttvar: u64,
         sack_events: u64,
         flags: (bool, bool, bool),
         recovery_point: u64,
@@ -1097,13 +999,12 @@ mod tests {
             una: tx.una,
             next_seq: tx.next_seq,
             pipe: tx.pipe().to_bits(),
-            rto: tx.rto.to_bits(),
-            srtt: tx.srtt.map(f64::to_bits),
-            rttvar: tx.rttvar.to_bits(),
+            rto: tx.timer.rto().to_bits(),
+            srtt: tx.timer.srtt().map(f64::to_bits),
             sack_events: tx.sack_events,
             flags: (tx.in_recovery, tx.rto_recovery, tx.rto_armed),
             recovery_point: tx.recovery_point,
-            backoffs: tx.backoffs,
+            backoffs: tx.timer.backoffs(),
             sacked_len: tx.board.sacked_len(),
             lost_len: tx.board.lost_len(),
             retransmits: tx.stats.retransmits,

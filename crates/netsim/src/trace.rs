@@ -1,151 +1,8 @@
-//! Time-series measurement: periodic sampling of connection and link
-//! state, for the paper's timeline figures (Fig. 10, Fig. 15, Fig. 17).
-//!
-//! [`Recorder`] wraps the "run a step, diff the counters" pattern every
-//! timeline experiment needs: give it a sampling interval and the objects
-//! to watch, then call [`Recorder::advance_to`] instead of
-//! [`Simulator::run_until`]; it chops the run into sampling intervals and
-//! records one [`Sample`] per interval.
+//! Export of the probe's time series ([`crate::ProbeLog`]) as JSON Lines,
+//! for the paper's timeline figures (Fig. 10, Fig. 15, Fig. 17).
 
-use crate::link::LinkId;
 use crate::probe::ProbeLog;
-use crate::sim::{ConnId, Simulator};
-use crate::time::SimTime;
 use std::io::{self, Write};
-
-/// One sampling interval's measurements.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// End of the interval.
-    pub at: SimTime,
-    /// Per-watched-connection: goodput during the interval in bits/s,
-    /// per subflow.
-    pub conn_subflow_bps: Vec<Vec<f64>>,
-    /// Per-watched-connection congestion windows at the sample point.
-    pub conn_cwnd: Vec<Vec<f64>>,
-    /// Per-watched-link loss rate over the interval.
-    pub link_loss: Vec<f64>,
-}
-
-impl Sample {
-    /// Total goodput of watched connection `i` during the interval.
-    pub fn conn_bps(&self, i: usize) -> f64 {
-        self.conn_subflow_bps[i].iter().sum()
-    }
-}
-
-/// A periodic sampler over a [`Simulator`].
-#[derive(Debug)]
-pub struct Recorder {
-    interval: SimTime,
-    conns: Vec<ConnId>,
-    links: Vec<LinkId>,
-    /// Last cumulative delivered counts per conn/subflow.
-    last_delivered: Vec<Vec<u64>>,
-    /// Last cumulative (offered, dropped) per link.
-    last_link: Vec<(u64, u64)>,
-    samples: Vec<Sample>,
-    next_sample: SimTime,
-}
-
-impl Recorder {
-    /// Create a recorder sampling every `interval`, watching the given
-    /// connections and links. Must be created before the region of
-    /// interest; the first interval starts at the simulator's current time.
-    pub fn new(
-        sim: &Simulator,
-        interval: SimTime,
-        conns: Vec<ConnId>,
-        links: Vec<LinkId>,
-    ) -> Self {
-        assert!(interval > SimTime::ZERO, "sampling interval must be positive");
-        let last_delivered = conns
-            .iter()
-            .map(|&c| {
-                sim.connection_stats(c).subflows.iter().map(|s| s.delivered_pkts).collect()
-            })
-            .collect();
-        let last_link = links
-            .iter()
-            .map(|&l| {
-                let st = sim.link_stats(l);
-                (st.offered, st.dropped())
-            })
-            .collect();
-        let next_sample = sim.now() + interval;
-        Self {
-            interval,
-            conns,
-            links,
-            last_delivered,
-            last_link,
-            samples: Vec::new(),
-            next_sample,
-        }
-    }
-
-    /// Run the simulator to `horizon`, taking samples on every interval
-    /// boundary along the way.
-    pub fn advance_to(&mut self, sim: &mut Simulator, horizon: SimTime) {
-        while self.next_sample <= horizon {
-            let at = self.next_sample;
-            sim.run_until(at);
-            self.take_sample(sim, at);
-            self.next_sample = at + self.interval;
-        }
-        sim.run_until(horizon);
-    }
-
-    fn take_sample(&mut self, sim: &Simulator, at: SimTime) {
-        let secs = self.interval.as_secs_f64();
-        let mut conn_subflow_bps = Vec::with_capacity(self.conns.len());
-        let mut conn_cwnd = Vec::with_capacity(self.conns.len());
-        for (i, &c) in self.conns.iter().enumerate() {
-            let st = sim.connection_stats(c);
-            let mut bps = Vec::with_capacity(st.subflows.len());
-            let mut cw = Vec::with_capacity(st.subflows.len());
-            for (j, sf) in st.subflows.iter().enumerate() {
-                let prev = self.last_delivered[i][j];
-                bps.push((sf.delivered_pkts - prev) as f64 * st.packet_size as f64 * 8.0 / secs);
-                cw.push(sf.cwnd);
-                self.last_delivered[i][j] = sf.delivered_pkts;
-            }
-            conn_subflow_bps.push(bps);
-            conn_cwnd.push(cw);
-        }
-        let mut link_loss = Vec::with_capacity(self.links.len());
-        for (i, &l) in self.links.iter().enumerate() {
-            let st = sim.link_stats(l);
-            let (po, pd) = self.last_link[i];
-            let offered = st.offered - po;
-            let dropped = st.dropped() - pd;
-            link_loss.push(if offered == 0 { 0.0 } else { dropped as f64 / offered as f64 });
-            self.last_link[i] = (st.offered, st.dropped());
-        }
-        self.samples.push(Sample { at, conn_subflow_bps, conn_cwnd, link_loss });
-    }
-
-    /// The samples collected so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Mean goodput of connection `i` (bits/s) over all samples from
-    /// `from` onward.
-    pub fn mean_conn_bps(&self, i: usize, from: SimTime) -> f64 {
-        let picked: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.at >= from)
-            .map(|s| s.conn_bps(i))
-            .collect();
-        if picked.is_empty() {
-            0.0
-        } else {
-            picked.iter().sum::<f64>() / picked.len() as f64
-        }
-    }
-}
 
 /// Writes a [`ProbeLog`] as JSON Lines: one self-describing object per
 /// line, `kind` ∈ `{"subflow", "link", "transition"}`, times in seconds.
@@ -232,55 +89,8 @@ fn json_f64(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::probe::{ProbeSpec, TransitionKind};
-    use crate::{ConnectionSpec, LinkSpec};
+    use crate::{ConnectionSpec, LinkSpec, SimTime, Simulator};
     use mptcp_cc::AlgorithmKind;
-
-    #[test]
-    fn recorder_samples_at_interval_boundaries() {
-        let mut sim = Simulator::new(1);
-        let l = sim.add_link(LinkSpec::mbps(10.0, SimTime::from_millis(10), 25));
-        let c = sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Uncoupled).path(vec![l]));
-        let mut rec = Recorder::new(&sim, SimTime::from_secs(1), vec![c], vec![l]);
-        rec.advance_to(&mut sim, SimTime::from_secs(10));
-        assert_eq!(rec.samples().len(), 10);
-        assert_eq!(rec.samples()[0].at, SimTime::from_secs(1));
-        assert_eq!(rec.samples()[9].at, SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn samples_reflect_steady_state_goodput() {
-        let mut sim = Simulator::new(2);
-        let l = sim.add_link(LinkSpec::mbps(10.0, SimTime::from_millis(10), 25));
-        let c = sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]));
-        let mut rec = Recorder::new(&sim, SimTime::from_secs(1), vec![c], vec![l]);
-        rec.advance_to(&mut sim, SimTime::from_secs(20));
-        let mean = rec.mean_conn_bps(0, SimTime::from_secs(5));
-        assert!(mean > 8.5e6, "steady-state goodput {mean}");
-        // Early samples (slow start) deliver less than late ones.
-        let first = rec.samples()[0].conn_bps(0);
-        assert!(first < mean, "slow start should be visible in sample 1");
-    }
-
-    #[test]
-    fn link_loss_is_per_interval_not_cumulative() {
-        let mut sim = Simulator::new(3);
-        let l = sim.add_link(LinkSpec::mbps(10.0, SimTime::from_millis(10), 5));
-        sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Uncoupled).path(vec![l]));
-        let mut rec = Recorder::new(&sim, SimTime::from_secs(2), vec![], vec![l]);
-        rec.advance_to(&mut sim, SimTime::from_secs(20));
-        // Some interval must show loss (tiny buffer), and all rates are
-        // valid probabilities.
-        let losses: Vec<f64> = rec.samples().iter().map(|s| s.link_loss[0]).collect();
-        assert!(losses.iter().any(|&p| p > 0.0));
-        assert!(losses.iter().all(|&p| (0.0..=1.0).contains(&p)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_interval_rejected() {
-        let sim = Simulator::new(0);
-        let _ = Recorder::new(&sim, SimTime::ZERO, vec![], vec![]);
-    }
 
     #[test]
     fn probe_samples_subflows_links_and_transitions() {

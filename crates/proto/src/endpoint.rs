@@ -23,7 +23,7 @@
 use crate::path::{PathEndpoint, PathEvent, PathFlags, PathManager};
 use crate::segment::{MptcpOption, SegFlags, Segment};
 use crate::Micros;
-use mptcp_cc::{AlgorithmKind, CcDriver, SubflowSnapshot};
+use mptcp_cc::{AlgorithmKind, CcDriver, Failover, RtoEstimator, SubflowSnapshot};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -203,17 +203,15 @@ struct Subflow {
     recovery_point: u32,
     cwnd_bytes: f64,
     ssthresh_bytes: f64,
-    srtt_us: Option<f64>,
-    rttvar_us: f64,
-    rto_us: Micros,
+    /// RTT estimate, RTO with backoff and the potentially-failed state
+    /// (in seconds; this file converts at the edge). A potentially failed
+    /// subflow keeps probing with retransmissions but receives no new
+    /// data mappings until an ACK shows progress.
+    timer: RtoEstimator,
     rto_deadline: Option<Micros>,
     /// Peer's advertised window as last seen on this subflow (meaning
     /// depends on the receive mode).
     peer_window: u32,
-    /// Consecutive RTOs with no forward progress. Two or more marks the
-    /// subflow "potentially failed": it keeps probing with retransmissions
-    /// but receives no new data mappings until an ACK arrives.
-    rto_backoffs: u32,
     retransmits: u64,
     timeouts: u64,
     // --- receiver (subflow level) ---
@@ -224,6 +222,12 @@ struct Subflow {
     /// Bytes held in the receive buffer attributed to this subflow
     /// (PerSubflow mode accounting).
     held_bytes: usize,
+}
+
+/// The retransmission timer of a subflow incarnation that has sent nothing
+/// yet: 1 s initial RTO, 60 s ceiling (RFC 6298).
+fn fresh_timer(cfg: &EndpointConfig) -> RtoEstimator {
+    RtoEstimator::new(1.0, cfg.min_rto as f64 / 1e6, 60.0)
 }
 
 impl Subflow {
@@ -244,12 +248,9 @@ impl Subflow {
             recovery_point: 0,
             cwnd_bytes: cfg.initial_cwnd * cfg.mss as f64,
             ssthresh_bytes: f64::INFINITY,
-            srtt_us: None,
-            rttvar_us: 0.0,
-            rto_us: 1_000_000,
+            timer: fresh_timer(cfg),
             rto_deadline: None,
             peer_window: u32::MAX,
-            rto_backoffs: 0,
             retransmits: 0,
             timeouts: 0,
             rcv_next: 0,
@@ -263,19 +264,9 @@ impl Subflow {
         self.snd_next.wrapping_sub(self.snd_una)
     }
 
-    fn rtt_sample(&mut self, sample_us: f64, min_rto: Micros) {
-        match self.srtt_us {
-            None => {
-                self.srtt_us = Some(sample_us);
-                self.rttvar_us = sample_us / 2.0;
-            }
-            Some(s) => {
-                self.rttvar_us = 0.75 * self.rttvar_us + 0.25 * (s - sample_us).abs();
-                self.srtt_us = Some(0.875 * s + 0.125 * sample_us);
-            }
-        }
-        let rto = self.srtt_us.unwrap() + 4.0 * self.rttvar_us;
-        self.rto_us = (rto as Micros).max(min_rto);
+    /// The (clamped) retransmission timeout, µs.
+    fn rto_us(&self) -> Micros {
+        (self.timer.rto() * 1e6).round() as Micros
     }
 
     /// Record an incoming subflow byte range; returns whether `rcv_next`
@@ -362,16 +353,8 @@ pub struct Endpoint {
     // active → degraded → failover → recovered) ---
     /// Endpoint table, subflow limit and advertisement retransmit state.
     path: PathManager,
-    /// Data is currently carried by backup subflows (failover state).
-    backup_active: bool,
-    /// When the primaries stopped making progress: stamped at the first
-    /// unanswered primary RTO, cleared by any primary cumulative ACK.
-    primary_down_since: Option<Micros>,
-    /// Most recent failover latency (µs from `primary_down_since` to the
-    /// first poll that moved data onto a backup).
-    failover_latency_us: Option<Micros>,
-    /// Times the failover state machine activated the backups.
-    backup_activations: u64,
+    /// Backup-failover state machine, clocked in µs.
+    failover: Failover,
     /// Subflows that completed a join handshake.
     subflows_joined: u64,
     /// Subflows torn down by the path manager.
@@ -427,10 +410,7 @@ impl Endpoint {
             persist_deadline: None,
             persist_probes: 0,
             path,
-            backup_active: false,
-            primary_down_since: None,
-            failover_latency_us: None,
-            backup_activations: 0,
+            failover: Failover::default(),
             subflows_joined: 0,
             subflows_closed: 0,
             total_received: 0,
@@ -539,7 +519,7 @@ impl Endpoint {
     /// Whether data is currently carried by backup subflows (the failover
     /// state of the graceful-degradation machine).
     pub fn backup_active(&self) -> bool {
-        self.backup_active
+        self.failover.backup_active()
     }
 
     /// Mark subflow `sub` as backup priority before it joins: its `MP_JOIN`
@@ -622,11 +602,10 @@ impl Endpoint {
         s.want_join = false;
         s.closed = true;
         s.rto_deadline = None;
-        s.rto_backoffs = 0;
+        s.timer = fresh_timer(&self.cfg);
         s.dup_acks = 0;
         s.in_recovery = false;
         s.ack_pending = false;
-        s.rto_us = 1_000_000;
         s.cwnd_bytes = self.cfg.initial_cwnd * self.cfg.mss as f64;
         s.ssthresh_bytes = f64::INFINITY;
         if was_established {
@@ -660,22 +639,22 @@ impl Endpoint {
             reinjections_queued: self.reinject_queue.len(),
             reinjections_total: self.reinjected.len(),
             persist_probes: self.persist_probes,
-            backup_activations: self.backup_activations,
+            backup_activations: self.failover.activations(),
             addr_advertised: self.path.addr_advertised(),
             subflows_joined: self.subflows_joined,
             subflows_closed: self.subflows_closed,
-            failover_latency_us: self.failover_latency_us,
+            failover_latency_us: self.failover.latency(),
             subflows: self
                 .subs
                 .iter()
                 .map(|s| SubflowStats {
                     established: s.established,
                     cwnd_bytes: s.cwnd_bytes,
-                    srtt_us: s.srtt_us,
+                    srtt_us: s.timer.srtt().map(|secs| secs * 1e6),
                     bytes_in_flight: s.bytes_in_flight(),
                     retransmits: s.retransmits,
                     timeouts: s.timeouts,
-                    potentially_failed: s.rto_backoffs >= mptcp_cc::POTENTIALLY_FAILED_RTO_BACKOFFS,
+                    potentially_failed: s.timer.potentially_failed(),
                     backup: s.backup,
                     closed: s.closed,
                     data_bytes_sent: s.data_bytes_sent,
@@ -907,16 +886,12 @@ impl Endpoint {
             let newly = ack.wrapping_sub(s.snd_una);
             s.snd_una = ack;
             s.dup_acks = 0;
-            s.rto_backoffs = 0;
-            if let Some(us) = sample {
-                s.rtt_sample(us, self.cfg.min_rto);
-            } else if let Some(srtt) = s.srtt_us {
+            s.timer.on_progress();
+            match sample {
+                Some(us) => s.timer.on_sample(us / 1e6),
                 // Cumulative progress collapses exponential RTO backoff even
-                // when Karn's rule yields no sample (RFC 6298 §5.7): without
-                // this, a subflow recovering from a long outage retransmits
-                // its stranded window one segment per backed-off RTO (up to
-                // 60 s each) and the connection is wedged for minutes.
-                s.rto_us = ((srtt + 4.0 * s.rttvar_us) as Micros).max(self.cfg.min_rto);
+                // when Karn's rule yields no sample (RFC 6298 §5.7).
+                None => s.timer.collapse_backoff(),
             }
             let retransmit_head = if s.in_recovery {
                 if s.snd_una >= s.recovery_point {
@@ -977,7 +952,7 @@ impl Endpoint {
             }
             let s = &mut self.subs[sub];
             s.rto_deadline =
-                if s.inflight.is_empty() { None } else { Some(now + s.rto_us) };
+                if s.inflight.is_empty() { None } else { Some(now + s.rto_us()) };
             if retransmit_head {
                 self.retransmit_first_unacked(now, sub);
             }
@@ -986,11 +961,8 @@ impl Endpoint {
             if self.is_fallback() && sub == 0 {
                 self.on_data_ack(ack as u64);
             }
-            // A primary making forward progress resets the failure clock
-            // (the failover state machine's "recovered" edge is taken in
-            // poll_data once the primary is usable again).
             if !self.subs[sub].backup {
-                self.primary_down_since = None;
+                self.failover.on_primary_progress();
             }
         } else if ack == s.snd_una
             && seg.payload.is_empty()
@@ -1181,7 +1153,7 @@ impl Endpoint {
             return;
         }
         match self.persist_deadline {
-            None => self.persist_deadline = Some(now + self.subs[sub].rto_us),
+            None => self.persist_deadline = Some(now + self.subs[sub].rto_us()),
             Some(d) if d <= now => {
                 self.persist_deadline = None;
                 self.persist_probes += 1;
@@ -1333,28 +1305,18 @@ impl Endpoint {
                 continue;
             }
             s.timeouts += 1;
-            s.rto_backoffs += 1;
-            s.rto_us = (s.rto_us * 2).min(60_000_000);
-            s.rto_deadline = Some(now + s.rto_us);
-            // Failure clock for the failover state machine: stamped at the
-            // first unanswered primary RTO, cleared by primary progress.
-            let is_primary = !s.backup;
-            if is_primary && !self.backup_active && self.primary_down_since.is_none() {
-                self.primary_down_since = Some(now);
+            s.timer.on_timeout();
+            s.rto_deadline = Some(now + s.rto_us());
+            if !s.backup {
+                self.failover.on_primary_timeout(now);
             }
             // Collapse to one MSS, slow-start back (standard RTO response).
-            // The threshold level comes from the controller: halving for
-            // the pure rules (as before), the per-controller loss rule for
-            // stateful ones — which is also their loss-epoch hook (CUBIC's
+            // The threshold level is the controller's loss rule — for
+            // stateful controllers also their loss-epoch hook (CUBIC's
             // w_max, OLIA's counters must see RTO losses too).
             let mss = self.cfg.mss as f64;
-            let level_pkts = match &mut self.cc {
-                CcDriver::Pure(_) => self.subs[sub].cwnd_bytes / mss / 2.0,
-                CcDriver::Stateful(cc) => {
-                    let snaps = snapshots_of(&self.subs, mss);
-                    cc.clamped_window_after_loss(sub, &snaps, now as f64 / 1e6)
-                }
-            };
+            let snaps = self.snapshots();
+            let level_pkts = self.cc.clamped_window_after_loss(sub, &snaps, now as f64 / 1e6);
             let s = &mut self.subs[sub];
             s.ssthresh_bytes = (level_pkts * mss).max(2.0 * mss);
             s.cwnd_bytes = mss;
@@ -1443,31 +1405,19 @@ impl Endpoint {
             // A subflow in repeated RTO backoff is "potentially failed":
             // it keeps probing via its own retransmissions, but gets no
             // new data mappings and no reinjections until it recovers.
-            let healthy = |s: &Subflow| {
-                s.established
-                    && !s.closed
-                    && s.rto_backoffs < mptcp_cc::POTENTIALLY_FAILED_RTO_BACKOFFS
-            };
-            let primaries: Vec<usize> = (0..self.subs.len())
-                .filter(|&i| !self.subs[i].backup && healthy(&self.subs[i]))
-                .collect();
-            if !primaries.is_empty() {
-                // Recovered: a primary is usable, warm backups stand down.
-                self.backup_active = false;
-                primaries
-            } else {
-                // Failover: every non-backup subflow is potentially failed
-                // or closed, so data moves onto the warm backups.
-                let backups: Vec<usize> = (0..self.subs.len())
-                    .filter(|&i| self.subs[i].backup && healthy(&self.subs[i]))
-                    .collect();
-                if !backups.is_empty() && !self.backup_active {
-                    self.backup_active = true;
-                    self.backup_activations += 1;
-                    self.failover_latency_us =
-                        Some(now - self.primary_down_since.unwrap_or(now));
-                }
+            let (backups, primaries): (Vec<usize>, Vec<usize>) = (0..self.subs.len())
+                .filter(|&i| {
+                    let s = &self.subs[i];
+                    s.established && !s.closed && !s.timer.potentially_failed()
+                })
+                .partition(|&i| self.subs[i].backup);
+            // Data stays on the primaries while one is usable and moves
+            // onto the warm backups when none is.
+            self.failover.update(now, !primaries.is_empty(), !backups.is_empty());
+            if primaries.is_empty() {
                 backups
+            } else {
+                primaries
             }
         };
         if usable.is_empty() {
@@ -1565,7 +1515,7 @@ impl Endpoint {
                 is_fin: true,
             });
             if s.rto_deadline.is_none() {
-                s.rto_deadline = Some(now + s.rto_us);
+                s.rto_deadline = Some(now + s.rto_us());
             }
             out.push((
                 sub,
@@ -1607,7 +1557,7 @@ impl Endpoint {
             is_fin,
         });
         if s.rto_deadline.is_none() {
-            s.rto_deadline = Some(now + s.rto_us);
+            s.rto_deadline = Some(now + s.rto_us());
         }
         let mut options = Vec::new();
         if mp {
@@ -1670,7 +1620,7 @@ fn snapshots_of(subs: &[Subflow], mss: f64) -> Vec<SubflowSnapshot> {
         .map(|s| {
             SubflowSnapshot::new(
                 (s.cwnd_bytes / mss).max(1e-6),
-                s.srtt_us.unwrap_or(100_000.0) / 1e6,
+                s.timer.srtt().unwrap_or(0.1),
             )
             .active(!s.closed)
         })
@@ -1922,6 +1872,30 @@ mod tests {
         assert!(seen_fin_again, "FIN must be retransmitted");
         assert!(c.send_complete(), "FIN data-acked");
         assert!(s.at_eof());
+    }
+
+    #[test]
+    fn rto_threshold_follows_the_controllers_loss_rule() {
+        // COUPLED's decrease is w_r − w_total/2, not w_r/2: the RTO must
+        // ask the controller, as fast retransmit does.
+        let cfg = EndpointConfig { algorithm: AlgorithmKind::Coupled, ..Default::default() };
+        let (mut c, mut s) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
+        for t in 1..6 {
+            exchange(t * 1000, &mut c, &mut s);
+        }
+        let mss = cfg.mss as f64;
+        c.subs[0].cwnd_bytes = 20.0 * mss;
+        c.subs[1].cwnd_bytes = 10.0 * mss;
+        // One segment, never delivered: only subflow 0 has data in flight.
+        assert_eq!(c.write(&vec![1u8; cfg.mss]), cfg.mss);
+        let sent = c.poll(6_000);
+        assert_eq!(sent.iter().filter(|(_, seg)| !seg.payload.is_empty()).count(), 1);
+        let deadline = c.subs[0].rto_deadline.expect("timer armed by the send");
+        c.poll(deadline);
+        let st = c.stats();
+        assert_eq!((st.subflows[0].timeouts, st.subflows[1].timeouts), (1, 0));
+        assert_eq!(c.subs[0].ssthresh_bytes, 5.0 * mss, "20 − (20 + 10)/2 packets");
+        assert_eq!(c.subs[0].cwnd_bytes, mss, "window collapses to one MSS");
     }
 
     #[test]

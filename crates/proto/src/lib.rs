@@ -30,6 +30,10 @@
 //!
 //! Congestion control is pluggable via [`mptcp_cc::MultipathCc`]; the
 //! endpoint drives it with the same ACK/loss events the simulator uses.
+//! Each subflow's retransmission timer is [`mptcp_cc::RtoEstimator`] and
+//! backup failover is [`mptcp_cc::Failover`], the objects the simulator's
+//! sender embeds: the endpoint converts its µs clock at that edge and
+//! keeps no timer or failover rule of its own.
 //!
 //! Everything is poll-based (smoltcp-style): [`endpoint::Endpoint::poll`]
 //! returns segments to transmit, [`endpoint::Endpoint::on_segment`] ingests

@@ -279,11 +279,14 @@ mod tests {
         assert_eq!(plan.actions()[3].0, SimTime::from_secs_f64(9.0 * 60.0));
     }
 
-    /// Drive the paper walk as a fault plan under two different outer
-    /// stepping granularities and return the recorder samples.
-    fn walk_samples(outer_step: SimTime) -> Vec<mptcp_netsim::Sample> {
+    /// One 15 s reading of the paper walk: per-subflow cumulative
+    /// `(delivered_pkts, cwnd bits)` and the WiFi link's `(offered, dropped)`.
+    type WalkSample = (SimTime, Vec<(u64, u64)>, (u64, u64));
+
+    /// Drive the paper walk as a fault plan in `outer_step` slices of
+    /// `run_until`, reading the counters on every 15 s boundary.
+    fn walk_samples(outer_step: SimTime) -> Vec<WalkSample> {
         use mptcp_cc::AlgorithmKind;
-        use mptcp_netsim::Recorder;
         use mptcp_topology::{AccessLink, WirelessClient};
 
         let mut sim = Simulator::new(81);
@@ -291,14 +294,25 @@ mod tests {
         let conn = w.add_multipath(&mut sim, AlgorithmKind::Mptcp, SimTime::ZERO);
         let plan = MobilityTrace::paper_walk(w.link1, w.link2).to_fault_plan();
         sim.install_fault_plan(&plan);
-        let mut rec = Recorder::new(&sim, SimTime::from_secs(15), vec![conn], vec![w.link1]);
+        let every = SimTime::from_secs(15).as_nanos();
         let horizon = SimTime::from_secs(11 * 60);
+        let mut samples = Vec::new();
         let mut now = SimTime::ZERO;
         while now < horizon {
             now = (now + outer_step).min(horizon);
-            rec.advance_to(&mut sim, now);
+            sim.run_until(now);
+            if now.as_nanos() % every == 0 {
+                let subflows = sim
+                    .connection_stats(conn)
+                    .subflows
+                    .iter()
+                    .map(|s| (s.delivered_pkts, s.cwnd.to_bits()))
+                    .collect();
+                let wifi = sim.link_stats(w.link1);
+                samples.push((now, subflows, (wifi.offered, wifi.dropped())));
+            }
         }
-        rec.samples().to_vec()
+        samples
     }
 
     #[test]
@@ -390,12 +404,10 @@ mod tests {
         // physics: 100 ms steps and 1 s steps must agree bit-for-bit.
         let fine = walk_samples(SimTime::from_millis(100));
         let coarse = walk_samples(SimTime::from_secs(1));
+        assert_eq!(fine.len(), 44, "one reading per 15 s of the 11-minute walk");
         assert_eq!(fine.len(), coarse.len());
         for (a, b) in fine.iter().zip(&coarse) {
-            assert_eq!(a.at, b.at);
-            assert_eq!(a.conn_subflow_bps, b.conn_subflow_bps, "goodput differs at {:?}", a.at);
-            assert_eq!(a.conn_cwnd, b.conn_cwnd, "cwnd differs at {:?}", a.at);
-            assert_eq!(a.link_loss, b.link_loss, "loss differs at {:?}", a.at);
+            assert_eq!(a, b, "counters differ at {:?}", a.0);
         }
     }
 }
