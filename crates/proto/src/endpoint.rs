@@ -281,6 +281,10 @@ impl Subflow {
             return false; // old duplicate
         }
         let start = start.max(self.rcv_next);
+        if start == self.rcv_next && self.rcv_ranges.is_empty() {
+            self.rcv_next = end; // in order, nothing held: no node to insert
+            return true;
+        }
         self.rcv_ranges
             .entry(start)
             .and_modify(|e| *e = (*e).max(end))
@@ -332,6 +336,10 @@ pub struct Endpoint {
     recv_ooo: BTreeMap<u64, (usize, Vec<u8>)>,
     /// Retransmissions produced during ACK processing, flushed by `poll`.
     pending_out: Vec<(usize, Segment)>,
+    /// Scratch: the subflows `poll_data` may map data onto this poll.
+    usable: Vec<usize>,
+    /// Scratch: congestion-control snapshots of every subflow.
+    snap_buf: Vec<SubflowSnapshot>,
     /// In-order data not yet read by the application.
     recv_app: VecDeque<u8>,
     /// FIFO attribution of buffered bytes to subflows (PerSubflow mode).
@@ -404,6 +412,8 @@ impl Endpoint {
             rcv_data_next: 0,
             recv_ooo: BTreeMap::new(),
             pending_out: Vec::new(),
+            usable: Vec::new(),
+            snap_buf: Vec::new(),
             recv_app: VecDeque::new(),
             recv_attribution: VecDeque::new(),
             peer_fin: None,
@@ -439,33 +449,45 @@ impl Endpoint {
 
     /// Read in-order received data into `buf`; returns bytes read.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let window_before: Vec<u32> =
-            (0..self.subs.len()).map(|i| self.advertised_window(i)).collect();
         let n = buf.len().min(self.recv_app.len());
-        for b in buf.iter_mut().take(n) {
-            *b = self.recv_app.pop_front().expect("length checked");
-        }
-        // Release attribution FIFO (PerSubflow accounting).
-        let mut remaining = n;
-        while remaining > 0 {
-            let Some((sub, len)) = self.recv_attribution.front_mut() else { break };
-            let take = remaining.min(*len);
-            *len -= take;
-            remaining -= take;
-            self.subs[*sub].held_bytes -= take;
-            if *len == 0 {
-                self.recv_attribution.pop_front();
-            }
+        if n == 0 {
+            return 0;
         }
         // Window update: if reading reopened a window that had closed below
         // one MSS, tell the peer — otherwise a sender blocked on a zero
         // window would deadlock (TCP's window-update rule).
-        if n > 0 {
-            let mss = self.cfg.mss as u32;
-            for (i, &before) in window_before.iter().enumerate() {
-                if self.subs[i].established && before < mss && self.advertised_window(i) >= mss {
-                    self.subs[i].ack_pending = true;
-                }
+        let mss = self.cfg.mss as u32;
+        let reopened = |before: u32, after: u32| before < mss && after >= mss;
+        let per_subflow = self.cfg.recv_mode == RecvBufferMode::PerSubflow;
+        // `Shared` advertises one window on every subflow.
+        let shared_before = self.advertised_window(0);
+        let (head, tail) = ring_halves(&self.recv_app, 0, n);
+        buf[..head.len()].copy_from_slice(head);
+        buf[head.len()..n].copy_from_slice(tail);
+        self.recv_app.drain(..n);
+        // Release attribution FIFO (PerSubflow accounting). A subflow's
+        // window only grows here, so it crosses one MSS in at most one step.
+        let mut remaining = n;
+        while remaining > 0 {
+            let Some((sub, len)) = self.recv_attribution.front_mut() else { break };
+            let (sub, take) = (*sub, remaining.min(*len));
+            *len -= take;
+            if *len == 0 {
+                self.recv_attribution.pop_front();
+            }
+            remaining -= take;
+            let before = self.advertised_window(sub);
+            self.subs[sub].held_bytes -= take;
+            if per_subflow
+                && self.subs[sub].established
+                && reopened(before, self.advertised_window(sub))
+            {
+                self.subs[sub].ack_pending = true;
+            }
+        }
+        if !per_subflow && reopened(shared_before, self.advertised_window(0)) {
+            for s in self.subs.iter_mut().filter(|s| s.established) {
+                s.ack_pending = true;
             }
         }
         n
@@ -801,9 +823,16 @@ impl Endpoint {
                 if sub == 0 && !seg.flags.ack {
                     // First-subflow SYN: capability negotiation.
                     self.mp_enabled = Some(capable);
-                    self.subs[0].established = true;
-                    self.subs[0].ack_pending = true; // triggers SYN-ACK in poll
-                    self.subs[0].syn_sent = false; // we owe a SYN-ACK
+                    // The SYN carries the peer's ISN as this path delivers
+                    // it (`WireFault::RewriteIsn` shifts it). Learn it,
+                    // forward only like the join below: the ACKs returned
+                    // must map back into what the peer sent, or it ignores
+                    // them as acknowledging unsent bytes.
+                    let s = &mut self.subs[0];
+                    s.rcv_next = s.rcv_next.max(seg.subflow_seq);
+                    s.established = true;
+                    s.ack_pending = true; // triggers SYN-ACK in poll
+                    s.syn_sent = false; // we owe a SYN-ACK
                 } else if !seg.flags.ack {
                     // Additional-subflow SYN: must join with the right token
                     // and multipath must be enabled.
@@ -866,8 +895,11 @@ impl Endpoint {
 
     fn on_subflow_ack(&mut self, now: Micros, sub: usize, seg: &Segment) {
         let s = &mut self.subs[sub];
-        s.peer_window = seg.window;
         let ack = seg.subflow_ack;
+        if ack > s.snd_next {
+            return; // acknowledges bytes never sent (RFC 9293 §3.10.7.4)
+        }
+        s.peer_window = seg.window;
         if ack > s.snd_una {
             // Cumulative advance: RTT sample (Karn) from the newest fully
             // acked segment, drop acked segments, exit/continue recovery.
@@ -913,8 +945,8 @@ impl Endpoint {
                         if s.cwnd_bytes < s.ssthresh_bytes {
                             s.cwnd_bytes += newly as f64; // slow start
                         } else {
-                            let snaps = snapshots_of(&self.subs, mss);
-                            let inc_pkts = cc.increase_per_ack(sub, &snaps);
+                            refresh_snapshots(&mut self.snap_buf, &self.subs, mss);
+                            let inc_pkts = cc.increase_per_ack(sub, &self.snap_buf);
                             self.subs[sub].cwnd_bytes += inc_pkts * acked_pkts * mss;
                         }
                     }
@@ -930,10 +962,10 @@ impl Endpoint {
                         let mut remaining = acked_pkts;
                         while remaining > 0.0 {
                             let step = remaining.min(1.0);
-                            let snaps = snapshots_of(&self.subs, mss);
+                            refresh_snapshots(&mut self.snap_buf, &self.subs, mss);
                             let s = &mut self.subs[sub];
                             let in_ss = s.cwnd_bytes < s.ssthresh_bytes;
-                            let act = cc.on_ack(sub, &snaps, now_s, in_ss);
+                            let act = cc.on_ack(sub, &self.snap_buf, now_s, in_ss);
                             s.cwnd_bytes += act.grow * step * mss;
                             if act.grow < 0.0 && s.cwnd_bytes < floor_bytes {
                                 // Delay-based shrinks must not dig below
@@ -972,9 +1004,8 @@ impl Endpoint {
             if s.dup_acks == 3 && !s.in_recovery {
                 // Fast retransmit + coupled multiplicative decrease (the
                 // loss-epoch hook for stateful controllers).
-                let snaps = self.snapshots();
                 let mss = self.cfg.mss as f64;
-                let new_pkts = self.cc.clamped_window_after_loss(sub, &snaps, now as f64 / 1e6);
+                let new_pkts = self.window_after_loss(now, sub);
                 let s = &mut self.subs[sub];
                 s.in_recovery = true;
                 s.recovery_point = s.snd_next;
@@ -986,14 +1017,17 @@ impl Endpoint {
     }
 
     fn on_data_ack(&mut self, dack: u64) {
+        // The FIN occupies one data sequence number once it is mapped.
+        if dack > self.snd_data_next + u64::from(self.fin_seq.is_some()) {
+            return; // acknowledges data never sent (RFC 8684 §3.3.2)
+        }
         if dack > self.data_acked {
             self.data_acked = dack;
         }
         // Release send-buffer bytes the peer has at the data level.
-        while self.snd_data_base < self.data_acked && !self.send_buf.is_empty() {
-            self.send_buf.pop_front();
-            self.snd_data_base += 1;
-        }
+        let acked = (self.data_acked - self.snd_data_base).min(self.send_buf.len() as u64);
+        self.send_buf.drain(..acked as usize);
+        self.snd_data_base += acked;
         // Drop reinjections that are no longer needed (a FIN occupies one
         // data sequence number).
         self.reinject_queue
@@ -1111,13 +1145,52 @@ impl Endpoint {
     /// Retransmission interval for SYN / SYN-ACK segments.
     const SYN_RTO: Micros = 500_000;
 
-    /// The earliest timer deadline, if any (for event-driven harnesses).
+    /// The earliest time at which [`Endpoint::poll`] has something to do
+    /// that no arriving segment or application call will prompt (for
+    /// event-driven harnesses): a queued retransmission or owed ACK, a SYN
+    /// or advertisement (re)transmission, a retransmission or persist
+    /// timer. A value at or before the caller's clock (0 included) means
+    /// "poll now"; `None` means only [`Endpoint::on_segment`],
+    /// [`Endpoint::write`] or [`Endpoint::close`] can create work.
     pub fn next_deadline(&self) -> Option<Micros> {
+        let owed = self.subs.iter().any(|s| s.established && s.ack_pending);
+        if owed || !self.pending_out.is_empty() {
+            return Some(0);
+        }
+        let syns = (0..self.subs.len()).filter_map(|i| self.syn_due_at(i));
+        let adverts = self.path_carrier().and_then(|_| self.path.next_deadline());
         self.subs
             .iter()
             .filter_map(|s| s.rto_deadline)
             .chain(self.persist_deadline)
+            .chain(syns)
+            .chain(adverts)
             .min()
+    }
+
+    /// When `poll_handshake` owes subflow `i` its next SYN (client: first
+    /// transmission at once, then every `SYN_RTO` until answered — a lost
+    /// handshake segment must not wedge the subflow) or SYN-ACK (server).
+    fn syn_due_at(&self, i: usize) -> Option<Micros> {
+        let s = &self.subs[i];
+        let due = match self.role {
+            // Joins wait until multipath is confirmed.
+            Role::Client => {
+                !s.established
+                    && (i == 0 || (self.mp_enabled == Some(true) && s.want_join && !s.closed))
+            }
+            Role::Server => s.established && !s.syn_sent,
+        };
+        due.then(|| if s.syn_sent { s.syn_sent_at + Self::SYN_RTO } else { 0 })
+    }
+
+    /// The subflow that carries due path-manager signaling: the first open
+    /// one, once multipath is confirmed and something is pending.
+    fn path_carrier(&self) -> Option<usize> {
+        if self.mp_enabled != Some(true) || !self.path.has_pending() {
+            return None;
+        }
+        self.subs.iter().position(|s| s.established && !s.closed)
     }
 
     /// Zero-window persist timer. After `poll_data`, if the connection
@@ -1174,15 +1247,11 @@ impl Endpoint {
     }
 
     fn poll_handshake(&mut self, now: Micros, out: &mut Vec<(usize, Segment)>) {
-        // A SYN is (re)sent when never sent, or when unanswered for
-        // SYN_RTO (a lost handshake segment must not wedge the subflow).
-        let needs_syn = |s: &Subflow| {
-            !s.established && (!s.syn_sent || now >= s.syn_sent_at + Self::SYN_RTO)
-        };
+        let due = |ep: &Self, i: usize| ep.syn_due_at(i).is_some_and(|t| t <= now);
         match self.role {
             Role::Client => {
                 // First subflow SYN.
-                if needs_syn(&self.subs[0]) {
+                if due(self, 0) {
                     self.subs[0].syn_sent = true;
                     self.subs[0].syn_sent_at = now;
                     out.push((
@@ -1198,28 +1267,23 @@ impl Endpoint {
                 // Joins once multipath is confirmed. A join SYN carries the
                 // subflow's resumed sequence number as its ISN so a rejoin
                 // after teardown cannot alias the old incarnation.
-                if self.mp_enabled == Some(true) {
-                    for i in 1..self.subs.len() {
-                        if self.subs[i].want_join
-                            && !self.subs[i].closed
-                            && needs_syn(&self.subs[i])
-                        {
-                            self.subs[i].syn_sent = true;
-                            self.subs[i].syn_sent_at = now;
-                            out.push((
-                                i,
-                                Segment {
-                                    flags: SegFlags { syn: true, ..Default::default() },
-                                    subflow_seq: self.subs[i].snd_next,
-                                    options: vec![MptcpOption::MpJoin {
-                                        token: self.key,
-                                        backup: self.subs[i].backup,
-                                    }],
-                                    window: self.advertised_window(i),
-                                    ..Segment::new()
-                                },
-                            ));
-                        }
+                for i in 1..self.subs.len() {
+                    if due(self, i) {
+                        self.subs[i].syn_sent = true;
+                        self.subs[i].syn_sent_at = now;
+                        out.push((
+                            i,
+                            Segment {
+                                flags: SegFlags { syn: true, ..Default::default() },
+                                subflow_seq: self.subs[i].snd_next,
+                                options: vec![MptcpOption::MpJoin {
+                                    token: self.key,
+                                    backup: self.subs[i].backup,
+                                }],
+                                window: self.advertised_window(i),
+                                ..Segment::new()
+                            },
+                        ));
                     }
                 }
             }
@@ -1227,7 +1291,7 @@ impl Endpoint {
                 // SYN-ACK replies are produced in poll_acks (ack_pending on
                 // a just-established subflow that hasn't SYN-ACKed yet).
                 for i in 0..self.subs.len() {
-                    if self.subs[i].established && !self.subs[i].syn_sent {
+                    if due(self, i) {
                         self.subs[i].syn_sent = true;
                         self.subs[i].syn_sent_at = now;
                         let mut options = Vec::new();
@@ -1264,11 +1328,8 @@ impl Endpoint {
     /// [`crate::path::ADVERT_RTO`] retransmit), carried on a pure ACK on
     /// the first open subflow.
     fn poll_path(&mut self, now: Micros, out: &mut Vec<(usize, Segment)>) {
-        if self.mp_enabled != Some(true) || !self.path.has_pending() {
-            return;
-        }
-        let Some(sub) = self.subs.iter().position(|s| s.established && !s.closed) else {
-            return; // no carrier yet; advertisements stay queued
+        let Some(sub) = self.path_carrier() else {
+            return; // nothing pending, or no carrier yet: advertisements stay queued
         };
         let mut options = self.path.due_options(now);
         if options.is_empty() {
@@ -1315,8 +1376,7 @@ impl Endpoint {
             // stateful controllers also their loss-epoch hook (CUBIC's
             // w_max, OLIA's counters must see RTO losses too).
             let mss = self.cfg.mss as f64;
-            let snaps = self.snapshots();
-            let level_pkts = self.cc.clamped_window_after_loss(sub, &snaps, now as f64 / 1e6);
+            let level_pkts = self.window_after_loss(now, sub);
             let s = &mut self.subs[sub];
             s.ssthresh_bytes = (level_pkts * mss).max(2.0 * mss);
             s.cwnd_bytes = mss;
@@ -1354,9 +1414,9 @@ impl Endpoint {
     /// Retransmit from ACK-processing context: buffered until the next
     /// `poll`, which keeps segment emission on a single channel.
     fn retransmit_first_unacked(&mut self, now: Micros, sub: usize) {
-        let mut scratch = Vec::new();
-        self.retransmit_first_unacked_into(now, sub, &mut scratch);
-        self.pending_out.extend(scratch);
+        let mut pending = std::mem::take(&mut self.pending_out);
+        self.retransmit_first_unacked_into(now, sub, &mut pending);
+        self.pending_out = pending;
     }
 
     fn retransmit_first_unacked_into(
@@ -1399,30 +1459,36 @@ impl Endpoint {
         if self.mp_enabled.is_none() {
             return; // handshake not finished
         }
-        let usable: Vec<usize> = if self.is_fallback() {
-            vec![0]
+        let mut usable = std::mem::take(&mut self.usable);
+        usable.clear();
+        if self.is_fallback() {
+            usable.push(0);
         } else {
             // A subflow in repeated RTO backoff is "potentially failed":
             // it keeps probing via its own retransmissions, but gets no
             // new data mappings and no reinjections until it recovers.
-            let (backups, primaries): (Vec<usize>, Vec<usize>) = (0..self.subs.len())
-                .filter(|&i| {
-                    let s = &self.subs[i];
-                    s.established && !s.closed && !s.timer.potentially_failed()
-                })
-                .partition(|&i| self.subs[i].backup);
+            let healthy =
+                |s: &Subflow| s.established && !s.closed && !s.timer.potentially_failed();
+            let primary = self.subs.iter().any(|s| healthy(s) && !s.backup);
+            let backup = self.subs.iter().any(|s| healthy(s) && s.backup);
             // Data stays on the primaries while one is usable and moves
             // onto the warm backups when none is.
-            self.failover.update(now, !primaries.is_empty(), !backups.is_empty());
-            if primaries.is_empty() {
-                backups
-            } else {
-                primaries
-            }
-        };
-        if usable.is_empty() {
-            return;
+            self.failover.update(now, primary, backup);
+            let on_backups = !primary;
+            usable.extend(
+                (0..self.subs.len())
+                    .filter(|&i| healthy(&self.subs[i]) && self.subs[i].backup == on_backups),
+            );
         }
+        if !usable.is_empty() {
+            self.map_data(now, &usable, out);
+        }
+        self.usable = usable;
+    }
+
+    /// Map queued reinjections, new data and the FIN onto the `usable`
+    /// subflows, as far as their windows allow.
+    fn map_data(&mut self, now: Micros, usable: &[usize], out: &mut Vec<(usize, Segment)>) {
         // Reinjections take priority: send each on the least-loaded usable
         // subflow with window space.
         while let Some((dseq, data, is_fin)) = self.reinject_queue.pop_front() {
@@ -1441,7 +1507,7 @@ impl Endpoint {
         // New data, striped round-robin over subflows with window space.
         loop {
             let mut progressed = false;
-            for &sub in &usable {
+            for &sub in usable {
                 let mss = self.cfg.mss;
                 let s = &self.subs[sub];
                 let cwnd_space =
@@ -1476,8 +1542,10 @@ impl Endpoint {
                     continue;
                 }
                 let off = (self.snd_data_next - self.snd_data_base) as usize;
-                let data: Vec<u8> =
-                    self.send_buf.iter().skip(off).take(len).copied().collect();
+                let (head, tail) = ring_halves(&self.send_buf, off, len);
+                let mut data = Vec::with_capacity(len);
+                data.extend_from_slice(head);
+                data.extend_from_slice(tail);
                 let dseq = self.snd_data_next;
                 self.snd_data_next += len as u64;
                 self.transmit_mapped(now, sub, dseq, data, false, out);
@@ -1605,32 +1673,47 @@ impl Endpoint {
         }
     }
 
-    fn snapshots(&self) -> Vec<SubflowSnapshot> {
-        snapshots_of(&self.subs, self.cfg.mss as f64)
+    /// The controller's post-loss window for `sub`, in packets (for
+    /// stateful controllers also their loss-epoch hook).
+    fn window_after_loss(&mut self, now: Micros, sub: usize) -> f64 {
+        refresh_snapshots(&mut self.snap_buf, &self.subs, self.cfg.mss as f64);
+        self.cc.clamped_window_after_loss(sub, &self.snap_buf, now as f64 / 1e6)
     }
 }
 
-/// Congestion-control snapshots of every subflow. A free function (not a
-/// method) so ACK processing can call it while the controller field is
-/// mutably borrowed. Closed subflows are marked inactive: they must not
-/// count toward live-path weights (EWTCP's equal split, OLIA/BALIA's path
-/// sums).
-fn snapshots_of(subs: &[Subflow], mss: f64) -> Vec<SubflowSnapshot> {
-    subs.iter()
-        .map(|s| {
-            SubflowSnapshot::new(
-                (s.cwnd_bytes / mss).max(1e-6),
-                s.timer.srtt().unwrap_or(0.1),
-            )
+/// Refill `buf` with the congestion-control snapshot of every subflow. A
+/// free function over the fields (not a method) so ACK processing can call
+/// it while the controller field is mutably borrowed. Closed subflows are
+/// marked inactive: they must not count toward live-path weights (EWTCP's
+/// equal split, OLIA/BALIA's path sums).
+fn refresh_snapshots(buf: &mut Vec<SubflowSnapshot>, subs: &[Subflow], mss: f64) {
+    buf.clear();
+    buf.extend(subs.iter().map(|s| {
+        SubflowSnapshot::new((s.cwnd_bytes / mss).max(1e-6), s.timer.srtt().unwrap_or(0.1))
             .active(!s.closed)
-        })
-        .collect()
+    }));
 }
 
+/// The one or two contiguous slices that cover `ring[off..off + len]`.
+fn ring_halves(ring: &VecDeque<u8>, off: usize, len: usize) -> (&[u8], &[u8]) {
+    let (front, back) = ring.as_slices();
+    if off >= front.len() {
+        let off = off - front.len();
+        (&back[off..off + len], &[])
+    } else {
+        let k = len.min(front.len() - off);
+        (&front[off..off + k], &back[..len - k])
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Harness;
+    use crate::path::ADVERT_RTO;
+    use crate::wire::{Wire, WireFault};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pair() -> (Endpoint, Endpoint) {
         let cfg = EndpointConfig::default();
@@ -1947,6 +2030,249 @@ mod tests {
         assert_eq!(ss.recv_buffered, 0, "read drained the buffer");
         assert_eq!(cs.subflows.len(), 2);
         assert!(cs.subflows.iter().all(|f| f.established && !f.potentially_failed));
+    }
+
+    /// A pure ACK as a peer would send it on subflow 0.
+    fn pure_ack(subflow_ack: u32, data_ack: u64) -> Segment {
+        Segment {
+            subflow_ack,
+            flags: SegFlags { ack: true, ..Default::default() },
+            window: 64 * 1024,
+            options: vec![MptcpOption::Dss { data_seq: None, data_ack: Some(data_ack) }],
+            ..Segment::new()
+        }
+    }
+
+    /// Finish a 40 kB transfer of `5`s after a forged ACK was injected.
+    fn finish_40k(c: &mut Endpoint, s: &mut Endpoint) {
+        let mut buf = [0u8; 4096];
+        let mut got = 0;
+        for t in 5..2000 {
+            exchange(t * 1000, c, s);
+            loop {
+                let n = s.read(&mut buf);
+                if n == 0 {
+                    break;
+                }
+                assert!(buf[..n].iter().all(|&b| b == 5));
+                got += n;
+            }
+        }
+        assert_eq!(got, 40_000, "every written byte must still arrive");
+        assert_eq!(c.peer_data_acked(), 40_000);
+    }
+
+    #[test]
+    fn data_ack_for_unsent_data_is_ignored() {
+        for forged in [30_000, u64::MAX] {
+            let (mut c, mut s) = pair();
+            for t in 1..4 {
+                exchange(t * 1000, &mut c, &mut s);
+            }
+            assert_eq!(c.write(&vec![5u8; 40_000]), 40_000);
+            let sent = c.poll(4_000);
+            assert!(c.stats().data_sent < 30_000, "the initial windows map a few segments");
+            // Obeying this would discard send-buffer bytes never transmitted.
+            c.on_segment(4_500, 0, pure_ack(0, forged));
+            assert_eq!(c.peer_data_acked(), 0);
+            assert_eq!(c.stats().send_buffered, 40_000, "nothing was acknowledged");
+            for (sub, seg) in sent {
+                s.on_segment(4_500, sub, seg);
+            }
+            finish_40k(&mut c, &mut s);
+        }
+    }
+
+    #[test]
+    fn subflow_ack_for_unsent_bytes_is_ignored() {
+        let (mut c, mut s) = pair();
+        for t in 1..4 {
+            exchange(t * 1000, &mut c, &mut s);
+        }
+        assert_eq!(c.write(&vec![5u8; 40_000]), 40_000);
+        let sent = c.poll(4_000);
+        let before = c.stats().subflows[0];
+        assert!(before.bytes_in_flight > 0);
+        // Obeying this would move `snd_una` past `snd_next`.
+        c.on_segment(4_500, 0, pure_ack(before.bytes_in_flight + 10_000, 0));
+        assert_eq!(c.stats().subflows[0], before, "the segment must leave the sender untouched");
+        for (sub, seg) in sent {
+            s.on_segment(4_500, sub, seg);
+        }
+        finish_40k(&mut c, &mut s);
+    }
+
+    /// The clock jumps straight to the next wire delivery or
+    /// `next_deadline`; nothing polls in between. One-way delay is fixed, so
+    /// the wire is a FIFO. The first SYN, `ADD_ADDR`, data segment and FIN
+    /// are dropped: the first two come back on the fixed `SYN_RTO` and
+    /// `ADVERT_RTO`, the hole by duplicate ACKs, and the FIN, alone in
+    /// flight, only when the harness wakes at its retransmission timer.
+    #[test]
+    fn event_driven_stepping_survives_a_lost_syn_advert_and_data_segment() {
+        const DELAY: Micros = 4_000;
+        let cfg = EndpointConfig::default();
+        let (mut c, mut s) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
+        c.defer_join(1);
+        s.advertise_addr(1, false);
+        let data: Vec<u8> = (0..60_000).map(|i| (i % 251) as u8).collect();
+        let mut wire: VecDeque<(Micros, bool, usize, Segment)> = VecDeque::new();
+        let mut dropped = [false; 4];
+        let (mut now, mut written, mut closed, mut instants) = (0, 0, false, 0);
+        let mut got = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            instants += 1;
+            assert!(instants < 1_000, "not converging: {now} µs, {} bytes read", got.len());
+            while wire.front().is_some_and(|f| f.0 <= now) {
+                let (_, to_server, sub, seg) = wire.pop_front().expect("peeked");
+                if to_server { &mut s } else { &mut c }.on_segment(now, sub, seg);
+            }
+            if written < data.len() {
+                written += c.write(&data[written..]);
+            } else if !closed {
+                c.close();
+                closed = true;
+            }
+            for to_server in [true, false] {
+                for (sub, seg) in if to_server { &mut c } else { &mut s }.poll(now) {
+                    let advert = |o: &MptcpOption| {
+                        matches!(o, MptcpOption::AddAddr { echo: false, .. })
+                    };
+                    let kind = if seg.flags.syn && !seg.flags.ack {
+                        0
+                    } else if seg.options.iter().any(advert) {
+                        1
+                    } else if !seg.payload.is_empty() {
+                        2
+                    } else if seg.flags.fin {
+                        3
+                    } else {
+                        wire.push_back((now + DELAY, to_server, sub, seg));
+                        continue;
+                    };
+                    if std::mem::replace(&mut dropped[kind], true) {
+                        wire.push_back((now + DELAY, to_server, sub, seg));
+                    }
+                }
+            }
+            loop {
+                let n = s.read(&mut buf);
+                if n == 0 {
+                    break;
+                }
+                got.extend_from_slice(&buf[..n]);
+            }
+            if closed && s.at_eof() && c.send_complete() {
+                break;
+            }
+            let next = wire
+                .front()
+                .map(|f| f.0)
+                .into_iter()
+                .chain(c.next_deadline())
+                .chain(s.next_deadline())
+                .min()
+                .expect("wedged: nothing in flight and neither endpoint has a deadline");
+            now = now.max(next);
+        }
+        assert_eq!(got, data);
+        assert_eq!(dropped, [true; 4], "each loss must have happened");
+        assert!(c.subflow_established(1), "the re-advertised address must have been joined");
+        let st = c.stats();
+        assert!(st.subflows[0].retransmits >= 1, "the hole must have been retransmitted");
+        assert!(st.subflows.iter().any(|f| f.timeouts >= 1), "the lost FIN needed its RTO");
+        assert!(now > Endpoint::SYN_RTO + ADVERT_RTO, "both fixed timers must have fired");
+        assert!(instants < 100, "{instants} instants; a 100 µs tick would take {}", now / 100);
+    }
+
+    fn random_bytes(rng: &mut StdRng, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.gen()).collect()
+    }
+
+    /// Buffers of 3 001 bytes (not a multiple of the MSS) and a stream 66
+    /// times that: both rings cross their wrap point again and again, with
+    /// write and read sizes that line up with nothing.
+    #[test]
+    fn rings_wrap_byte_exact_in_both_buffer_modes() {
+        for mode in [RecvBufferMode::Shared, RecvBufferMode::PerSubflow] {
+            let cfg = EndpointConfig {
+                send_buf: 3_001,
+                recv_buf: 3_001,
+                recv_mode: mode,
+                ..Default::default()
+            };
+            let wire = |delay, seed| {
+                Wire::new(delay, seed)
+                    .with_fault(WireFault::Loss(0.02))
+                    .with_fault(WireFault::Jitter(1_000))
+            };
+            let mut h = Harness::new(cfg, vec![wire(2_000, 1), wire(3_000, 2)], 7);
+            let mut rng = StdRng::seed_from_u64(19);
+            let data = random_bytes(&mut rng, 200_000);
+            let (mut written, mut closed) = (0, false);
+            let mut got = Vec::with_capacity(data.len());
+            let mut buf = [0u8; 1_500];
+            while !(closed && h.server.at_eof() && h.client.send_complete()) {
+                assert!(h.now < 600_000_000, "{mode:?} stalled after {} bytes", got.len());
+                if written < data.len() {
+                    let chunk = rng.gen_range(1..=2_000usize).min(data.len() - written);
+                    written += h.client.write(&data[written..written + chunk]);
+                } else if !closed {
+                    h.client.close();
+                    closed = true;
+                }
+                h.step();
+                loop {
+                    let k = rng.gen_range(1..=buf.len());
+                    let n = h.server.read(&mut buf[..k]);
+                    if n == 0 {
+                        break;
+                    }
+                    got.extend_from_slice(&buf[..n]);
+                }
+            }
+            assert!(got == data, "{mode:?}: received stream differs from the sent one");
+            assert_eq!(h.client.snd_data_base, 200_000, "{mode:?}: send ring released it all");
+            assert_eq!(h.server.total_received, 200_000);
+            assert!(h.client.send_buf.capacity() < 10_000 && h.server.recv_app.capacity() < 10_000);
+        }
+    }
+
+    /// `read` against a `pop_front` loop on rings whose live bytes start
+    /// anywhere, straddling the end of the allocation or not.
+    #[test]
+    fn read_matches_a_byte_at_a_time_reference_on_rotated_rings() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut straddling = 0;
+        for _ in 0..300 {
+            let mut ring: VecDeque<u8> = VecDeque::with_capacity(rng.gen_range(1..4_000));
+            // Move the head: an emptied deque would rewind it, so one byte
+            // stays in until the data is behind it.
+            let rotate = rng.gen_range(1..=ring.capacity());
+            ring.extend(std::iter::repeat(0).take(rotate));
+            ring.drain(..rotate - 1);
+            let len = rng.gen_range(0..ring.capacity());
+            ring.extend(random_bytes(&mut rng, len));
+            ring.pop_front();
+            straddling += usize::from(!ring.as_slices().1.is_empty());
+
+            let mut e = Endpoint::server(EndpointConfig::default(), 1, 7);
+            e.recv_app = ring.clone();
+            e.recv_attribution.push_back((0, ring.len()));
+            e.subs[0].held_bytes = ring.len();
+            let mut reference = ring;
+            while !reference.is_empty() {
+                let mut buf = vec![0xAA; rng.gen_range(1..=1_500)];
+                let n = e.read(&mut buf);
+                let want: Vec<u8> = (0..buf.len()).map_while(|_| reference.pop_front()).collect();
+                assert_eq!(buf[..n], want[..]);
+                assert!(buf[n..].iter().all(|&b| b == 0xAA), "bytes past the count were written");
+            }
+            assert_eq!(e.read(&mut [0; 8]), 0);
+            assert_eq!(e.subs[0].held_bytes, 0);
+        }
+        assert!(straddling > 100, "only {straddling} of 300 rings had two halves");
     }
 
     #[test]

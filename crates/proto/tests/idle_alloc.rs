@@ -1,0 +1,119 @@
+//! The idle-tick contract: a tick on which nothing arrives, neither
+//! endpoint has a segment to send and the application reads nothing makes
+//! no heap allocation. Fixed-tick harnesses spend almost all their ticks
+//! that way (98.7% of `proto_bulk`'s polls return nothing).
+//!
+//! This file is its own crate, so its counting allocator does not touch
+//! the library's `#![forbid(unsafe_code)]`. Keep it to one `#[test]`: the
+//! count is per thread, but a second test would share the allocator.
+
+use mptcp_proto::{Endpoint, EndpointConfig, Micros, Wire, WireFault};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. `const`-built
+    /// and without a destructor, so reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator
+// state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods of this impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+#[test]
+fn an_idle_tick_allocates_nothing() {
+    const TICK: Micros = 100;
+    let cfg = EndpointConfig::default();
+    let (mut client, mut server) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
+    let mut wires = [
+        Wire::new(5_000, 1).with_fault(WireFault::Loss(0.01)),
+        Wire::new(20_000, 2).with_fault(WireFault::Loss(0.01)).with_fault(WireFault::Jitter(2_000)),
+    ];
+    let data: Vec<u8> = (0..2_000_000).map(|i| (i % 251) as u8).collect();
+    let mut buf = vec![0u8; 16 * 1024];
+    let (mut now, mut written, mut read, mut closed) = (0, 0, 0, false);
+    let (mut idle_ticks, mut busy_ticks, mut idle_allocs) = (0u64, 0u64, 0u64);
+
+    while !(closed && server.at_eof() && client.send_complete()) {
+        assert!(now < 120_000_000, "transfer stalled with {read} bytes read");
+        if written < data.len() {
+            written += client.write(&data[written..]);
+        } else if !closed {
+            client.close();
+            closed = true;
+        }
+        now += TICK;
+
+        // One tick in `Harness::step`'s order, then the application's read.
+        let before = allocs();
+        let mut moved = 0;
+        for (i, wire) in wires.iter_mut().enumerate() {
+            for seg in wire.recv_a(now) {
+                client.on_segment(now, i, seg);
+                moved += 1;
+            }
+            for seg in wire.recv_b(now) {
+                server.on_segment(now, i, seg);
+                moved += 1;
+            }
+        }
+        for (sub, seg) in client.poll(now) {
+            wires[sub].send_a(now, seg);
+            moved += 1;
+        }
+        for (sub, seg) in server.poll(now) {
+            wires[sub].send_b(now, seg);
+            moved += 1;
+        }
+        let n = server.read(&mut buf);
+        let spent = allocs() - before;
+
+        read += n;
+        let joined = (0..2).all(|i| client.subflow_established(i) && server.subflow_established(i));
+        if joined && moved == 0 && n == 0 {
+            idle_ticks += 1;
+            idle_allocs += spent;
+        } else {
+            busy_ticks += 1;
+        }
+    }
+    assert_eq!(read, data.len());
+    assert!(busy_ticks > 1_000 && idle_ticks > 10 * busy_ticks, "{idle_ticks} idle, {busy_ticks} busy");
+    assert_eq!(idle_allocs, 0, "{idle_allocs} allocations over {idle_ticks} idle ticks");
+}
