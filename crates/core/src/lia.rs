@@ -138,24 +138,22 @@ pub fn lia_increase_linear(r: usize, subs: &[SubflowSnapshot]) -> f64 {
     }
     // Sort indices by w/RTT² ascending (same order as √w/RTT). This runs
     // on every ACK of a live connection, so small path counts (the
-    // overwhelmingly common case) use a stack-allocated index array.
+    // overwhelmingly common case) use stack arrays, and each key is
+    // computed once, not twice per comparison.
     const STACK: usize = 16;
-    let mut stack_buf = [0usize; STACK];
-    let mut heap_buf;
-    let order: &mut [usize] = if n <= STACK {
-        for (i, slot) in stack_buf[..n].iter_mut().enumerate() {
-            *slot = i;
-        }
-        &mut stack_buf[..n]
+    let (mut key_stack, mut order_stack) = ([0.0_f64; STACK], [0usize; STACK]);
+    let (mut key_heap, mut order_heap);
+    let (keys, order): (&mut [f64], &mut [usize]) = if n <= STACK {
+        (&mut key_stack[..n], &mut order_stack[..n])
     } else {
-        heap_buf = (0..n).collect::<Vec<usize>>();
-        &mut heap_buf
+        (key_heap, order_heap) = (vec![0.0; n], vec![0; n]);
+        (&mut key_heap, &mut order_heap)
     };
-    order.sort_unstable_by(|&a, &b| {
-        let ka = subs[a].cwnd / (subs[a].rtt * subs[a].rtt);
-        let kb = subs[b].cwnd / (subs[b].rtt * subs[b].rtt);
-        ka.total_cmp(&kb)
-    });
+    for (i, s) in subs.iter().enumerate() {
+        keys[i] = s.cwnd / (s.rtt * s.rtt);
+        order[i] = i;
+    }
+    order.sort_unstable_by(|&a, &b| keys[a].total_cmp(&keys[b]));
     let pos_r = order.iter().position(|&i| i == r).expect("r is in the order");
 
     let mut best = f64::INFINITY;
@@ -163,8 +161,7 @@ pub fn lia_increase_linear(r: usize, subs: &[SubflowSnapshot]) -> f64 {
     for (pos, &u) in order.iter().enumerate() {
         prefix_sum += subs[u].cwnd / subs[u].rtt;
         if pos >= pos_r {
-            let num = subs[u].cwnd / (subs[u].rtt * subs[u].rtt);
-            best = best.min(num / (prefix_sum * prefix_sum));
+            best = best.min(keys[u] / (prefix_sum * prefix_sum));
         }
     }
     best

@@ -5,34 +5,65 @@
 //! `lint:hot-path`/`lint:shard-state` files: `as` truncates and saturates
 //! silently, and a clipped sequence number or subflow id corrupts the
 //! deterministic history without tripping anything. These helpers are the
-//! sanctioned route: each one states its domain invariant, enforces it
-//! under `debug_assert!`, and keeps the release-mode behavior explicit.
+//! sanctioned route: each one states its domain invariant and enforces it
+//! with `assert!` — in release builds too, where a compare and a
+//! never-taken branch cost nothing next to a silently forked history.
 //!
 //! The helpers live in one unmarked file on purpose — the invariant text
-//! and the debug assertion sit next to the cast, so the marked call sites
-//! stay clean without per-site allow annotations.
+//! and the assertion sit next to the cast, so the marked call sites stay
+//! clean without per-site allow annotations.
 
 /// A slab/pool index (`ack_pool`, `subflows`, …) narrowed to the `u32`
 /// stored in packet headers and ids.
 ///
 /// Invariant: the simulator's pools are bounded far below `u32::MAX`
 /// entries (a million-host run still keeps per-shard pools in the
-/// thousands); debug builds assert it, release builds truncate like `as`.
+/// thousands).
 #[inline]
 pub(crate) fn slab_u32(n: usize) -> u32 {
-    debug_assert!(u32::try_from(n).is_ok(), "slab index {n} exceeds u32");
+    assert!(u32::try_from(n).is_ok(), "slab index {n} exceeds u32");
     n as u32
 }
 
-/// An inline path length narrowed to the `u8` length field of
-/// `LinkPath::Inline`.
+/// A path length or hop position narrowed to `u8`: the length field of
+/// `LinkPath::Inline` and `Packet`'s hop counter.
 ///
-/// Invariant: callers only take the inline arm when the hop count is at
-/// most `INLINE_PATH` (currently 4), which fits `u8` with room to spare.
+/// Invariant: the inline arm is only taken for at most `INLINE_PATH`
+/// (currently 8) hops, and `packet::assert_packable` admits no path longer
+/// than 255.
 #[inline]
 pub(crate) fn path_u8(n: usize) -> u8 {
-    debug_assert!(u8::try_from(n).is_ok(), "inline path length {n} exceeds u8");
+    assert!(u8::try_from(n).is_ok(), "path position {n} exceeds u8");
     n as u8
+}
+
+/// A subflow index narrowed to `Packet`'s `u8`.
+///
+/// Invariant: `packet::assert_packable` admits at most 256 subflows per
+/// connection.
+#[inline]
+pub(crate) fn sub_u8(sub: usize) -> u8 {
+    assert!(u8::try_from(sub).is_ok(), "subflow index {sub} exceeds u8");
+    sub as u8
+}
+
+/// A connection or CBR-source id narrowed to the 31 bits `Packet` keeps
+/// beside its CBR flag.
+///
+/// Invariant: `packet::assert_packable` admits no id of 2^31 or above.
+#[inline]
+pub(crate) fn owner_u31(id: usize) -> u32 {
+    assert!(id < 1 << 31, "sender id {id} exceeds 31 bits");
+    id as u32
+}
+
+/// A packet size in bytes narrowed to `Packet`'s `u16`.
+///
+/// Invariant: `packet::assert_packable` admits no size above 65 535.
+#[inline]
+pub(crate) fn size_u16(bytes: u32) -> u16 {
+    assert!(u16::try_from(bytes).is_ok(), "packet size {bytes} exceeds u16");
+    bytes as u16
 }
 
 /// A warmed-capacity envelope (packets) collapsed to its power-of-two
@@ -45,19 +76,17 @@ pub(crate) fn path_u8(n: usize) -> u8 {
 pub(crate) fn env_class_u8(env: u64) -> u8 {
     let e = env.max(1);
     let c = if e.is_power_of_two() { e.ilog2() } else { e.ilog2() + 1 };
-    debug_assert!(c <= 64);
+    assert!(c <= 64);
     c as u8
 }
 
 /// A finite, non-negative `f64` quantity (window sizes, scaled budgets)
-/// converted to `u64`.
+/// converted to `u64`, saturating at `u64::MAX` like `as`.
 ///
-/// Invariant: the source is finite and non-negative. Release builds keep
-/// `as`-cast semantics — saturation at the ends, NaN to 0 — which is the
-/// documented fallback if the invariant is ever violated in the field.
+/// Invariant: the source is finite and non-negative.
 #[inline]
 pub(crate) fn f64_to_u64(x: f64) -> u64 {
-    debug_assert!(x.is_finite() && x >= 0.0, "f64→u64 cast of {x}");
+    assert!(x.is_finite() && x >= 0.0, "f64→u64 cast of {x}");
     x as u64
 }
 
@@ -69,7 +98,10 @@ mod tests {
     fn in_range_values_pass_through() {
         assert_eq!(slab_u32(0), 0);
         assert_eq!(slab_u32(70_000), 70_000);
-        assert_eq!(path_u8(4), 4);
+        assert_eq!(path_u8(255), 255);
+        assert_eq!(sub_u8(255), 255);
+        assert_eq!(owner_u31((1 << 31) - 1), (1 << 31) - 1);
+        assert_eq!(size_u16(65_535), 65_535);
         assert_eq!(f64_to_u64(1024.9), 1024);
         assert_eq!(f64_to_u64(0.0), 0);
     }
@@ -87,15 +119,20 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "exceeds u8")]
-    #[cfg(debug_assertions)]
-    fn out_of_range_is_caught_in_debug_builds() {
+    fn out_of_range_is_caught_in_every_build() {
         let _ = path_u8(300);
     }
 
     #[test]
+    #[should_panic(expected = "exceeds u32")]
+    #[cfg(target_pointer_width = "64")]
+    fn slab_index_past_u32_is_caught_in_every_build() {
+        let _ = slab_u32(1 << 32);
+    }
+
+    #[test]
     #[should_panic(expected = "f64→u64 cast")]
-    #[cfg(debug_assertions)]
-    fn non_finite_floats_are_caught_in_debug_builds() {
+    fn non_finite_floats_are_caught_in_every_build() {
         let _ = f64_to_u64(f64::NAN);
     }
 }

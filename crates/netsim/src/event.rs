@@ -76,8 +76,8 @@ pub(crate) enum EventKind {
     /// at delivery time) lives in the simulator's [`AckInfo`] pool; `ack`
     /// is its slot index, freed when the event is dispatched. Carrying the
     /// 4-byte slot instead of the ~100-byte `AckInfo` inline keeps every
-    /// queued `Event` small, which matters because the timer wheel copies
-    /// events between slabs as time advances.
+    /// queued `Event` small: the wheel's slab holds one node per pending
+    /// event, and a node is as large as the largest variant here.
     AckArrive { conn: ConnId, sub: usize, ack: u32 },
     /// A retransmission-timer event. Timers are lazy: at most one event is
     /// pending per subflow, and a firing that arrives before the current
@@ -420,6 +420,13 @@ mod tests {
         .boxed()
     }
 
+    /// Push the same event on both queues and check the wheel's structure.
+    fn push_both(wheel: &mut EventQueue, heap: &mut EventQueue, at: u64) {
+        wheel.push(SimTime(at), EventKind::ConnStart { conn: 0 });
+        heap.push(SimTime(at), EventKind::ConnStart { conn: 0 });
+        wheel.check_invariants();
+    }
+
     /// Pop both queues up to `horizon`, requiring identical `(at, seq)`
     /// sequences; returns the last pop time (or `now` if none).
     fn pop_both(
@@ -487,15 +494,41 @@ mod tests {
         }
     }
 
-    /// The wheel copies events between slabs as time advances, so `Event`
-    /// size is a real throughput knob. `AckArrive` must carry its pool
-    /// slot, never an inline `AckInfo` (which alone is bigger than this
-    /// whole bound).
+    /// Every pending event is a slab node of this size, so it sets the
+    /// queue's cache footprint. `AckArrive` must carry its pool slot, never
+    /// an inline `AckInfo` (which alone is bigger than this whole bound),
+    /// and `Arrive` a 16-byte packed `Packet`.
     #[test]
     fn queued_events_stay_small() {
         assert!(std::mem::size_of::<AckInfo>() > 64, "payload belongs in the pool");
         let sz = std::mem::size_of::<Event>();
-        assert!(sz <= 72, "Event grew to {sz} bytes; keep it lean");
+        assert!(sz <= 40, "Event grew to {sz} bytes; keep it lean");
+    }
+
+    /// One tick holding more events than std's small-sort cut-over (20), at
+    /// mixed and tied ns offsets, with pushes into the tick while it
+    /// drains: the bucket's packed keys must order exactly as `(at, seq)`.
+    #[test]
+    fn crowded_tick_with_pushes_while_draining_matches_heap() {
+        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
+        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        const TICK_START: u64 = 5_000 << 10;
+        for i in 0..64u64 {
+            push_both(&mut wheel, &mut heap, TICK_START + ((i * 389 % 1024) & !3));
+        }
+        let mut popped = 0u64;
+        loop {
+            let (a, b) = (wheel.pop_before(SimTime::MAX), heap.pop_before(SimTime::MAX));
+            wheel.check_invariants();
+            assert_eq!(a.as_ref().map(|e| (e.at, e.seq)), b.as_ref().map(|e| (e.at, e.seq)));
+            let Some(e) = a else { break };
+            popped += 1;
+            if popped % 2 == 0 {
+                push_both(&mut wheel, &mut heap, e.at.as_nanos() + popped % 7 * 5);
+            }
+        }
+        // 64 up front and one more after every second pop: N = 64 + ⌊N/2⌋.
+        assert_eq!(popped, 127);
     }
 
     /// Regression pinned from a proptest shrink against the first wheel
@@ -528,11 +561,6 @@ mod tests {
         const SPAN: u64 = TICK << 36;
         let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
         let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let push_both = |wheel: &mut EventQueue, heap: &mut EventQueue, at: u64| {
-            wheel.push(SimTime(at), EventKind::ConnStart { conn: 0 });
-            heap.push(SimTime(at), EventKind::ConnStart { conn: 0 });
-            wheel.check_invariants();
-        };
         assert!(wheel.pop_before(SimTime(SPAN - 2 * TICK)).is_none());
         for at in [SPAN + 5 * TICK, SPAN - TICK] {
             push_both(&mut wheel, &mut heap, at);

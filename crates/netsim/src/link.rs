@@ -197,11 +197,17 @@ pub(crate) struct Link {
     pub ge: Option<GeState>,
     /// Counters.
     pub stats: LinkStats,
+    /// The last serialization time computed, keyed by what it was computed
+    /// from — `(bytes, rate_bps.to_bits())` — so a rate change by any route
+    /// is a key miss and nothing has to invalidate it.
+    tx_memo: ((u32, u64), SimTime),
 }
 
 impl Link {
     pub(crate) fn new(spec: LinkSpec) -> Self {
+        let bytes = crate::packet::DEFAULT_PACKET_SIZE;
         Self {
+            tx_memo: ((bytes, spec.rate_bps.to_bits()), spec.tx_time(bytes)),
             spec,
             nominal_rate_bps: spec.rate_bps,
             nominal_queue_pkts: spec.queue_pkts,
@@ -212,6 +218,16 @@ impl Link {
             ge: None,
             stats: LinkStats::default(),
         }
+    }
+
+    /// `spec.tx_time(bytes)`. A link serializes runs of equal-sized packets
+    /// at one rate, so the division and rounding are paid once per run.
+    pub(crate) fn tx_time(&mut self, bytes: u32) -> SimTime {
+        let key = (bytes, self.spec.rate_bps.to_bits());
+        if self.tx_memo.0 != key {
+            self.tx_memo = (key, self.spec.tx_time(bytes));
+        }
+        self.tx_memo.1
     }
 }
 
@@ -230,6 +246,18 @@ mod tests {
     fn tx_time_of_1500_bytes_at_12mbps_is_1ms() {
         let l = LinkSpec::mbps(12.0, SimTime::ZERO, 100);
         assert_eq!(l.tx_time(1500), SimTime::from_millis(1));
+    }
+
+    #[test]
+    fn remembered_tx_time_follows_rate_and_size_changes() {
+        let mut l = Link::new(LinkSpec::mbps(12.0, SimTime::ZERO, 100));
+        let steps = [(1500, 12e6), (1500, 12e6), (40, 12e6), (1500, 3.3e6), (40, 3.3e6)];
+        for (bytes, rate_bps) in steps {
+            // A mid-run rate change writes the spec directly, as
+            // `set_link_rate_bps`, `Brownout` and `RestoreRate` do.
+            l.spec.rate_bps = rate_bps;
+            assert_eq!(l.tx_time(bytes), l.spec.tx_time(bytes), "{bytes} B at {rate_bps} b/s");
+        }
     }
 
     #[test]

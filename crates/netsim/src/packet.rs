@@ -1,5 +1,6 @@
 //! Packets as they move through the simulated network.
 
+use crate::cast;
 use crate::cbr::CbrId;
 use crate::sim::ConnId;
 
@@ -27,17 +28,74 @@ pub enum PacketOwner {
     },
 }
 
-/// A packet in flight. Packets are small plain values; their forward path
-/// is looked up from the owner so that the per-packet state stays compact.
+/// Bit of [`Packet::id`] that marks the id as a CBR source's.
+const CBR_BIT: u32 = 1 << 31;
+
+/// A packet in flight: 16 bytes, of which link queues, the event slab and
+/// shard mailboxes hold tens of thousands. The forward path is looked up
+/// from the owner, and [`PacketOwner`] is the unpacked view of `seq`, `id`
+/// and `sub`. The narrow fields bound what a world can hold —
+/// [`assert_packable`] rejects at admission a source that would not fit.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
-    /// Originating sender.
-    pub owner: PacketOwner,
+    /// Subflow sequence number (0 for CBR).
+    seq: u64,
+    /// Connection id, or CBR source id with [`CBR_BIT`] set.
+    id: u32,
     /// Size on the wire, bytes.
-    pub size: u32,
+    size: u16,
+    /// Subflow index within the connection (0 for CBR).
+    sub: u8,
     /// Index of the *next* hop in the owner's path the packet must enter
-    /// (0 before the first link). Incremented as the packet advances.
-    pub hop: usize,
+    /// (0 before the first link).
+    hop: u8,
+}
+
+impl Packet {
+    /// A packet of `size` bytes about to enter the first link of its path.
+    pub fn new(owner: PacketOwner, size: u32) -> Self {
+        let (seq, id, sub) = match owner {
+            PacketOwner::Subflow { conn, sub, seq } => {
+                (seq, cast::owner_u31(conn), cast::sub_u8(sub))
+            }
+            PacketOwner::Cbr { src } => (0, cast::owner_u31(src) | CBR_BIT, 0),
+        };
+        Packet { seq, id, size: cast::size_u16(size), sub, hop: 0 }
+    }
+
+    /// Originating sender.
+    pub fn owner(&self) -> PacketOwner {
+        if self.id & CBR_BIT != 0 {
+            PacketOwner::Cbr { src: (self.id & !CBR_BIT) as usize }
+        } else {
+            PacketOwner::Subflow { conn: self.id as usize, sub: self.sub as usize, seq: self.seq }
+        }
+    }
+
+    /// Size on the wire, bytes.
+    pub fn size(&self) -> u32 {
+        self.size as u32
+    }
+
+    /// Index of the next hop of the owner's path the packet must enter.
+    pub fn hop(&self) -> usize {
+        self.hop as usize
+    }
+
+    /// The packet left the link at [`Self::hop`].
+    pub fn advance(&mut self) {
+        self.hop = cast::path_u8(self.hop() + 1);
+    }
+}
+
+/// Reject — once, where a connection or CBR source is admitted, in release
+/// builds too — a sender whose packets [`Packet`] cannot carry: `id` is the
+/// connection's world-level id or the CBR source's, `hops` its longest path.
+pub(crate) fn assert_packable(id: usize, subflows: usize, hops: usize, size: u32) {
+    assert!(id < CBR_BIT as usize, "sender id {id} does not fit a packet's 31 bits");
+    assert!(subflows <= 1 << 8, "{subflows} subflows: a packet can name 256");
+    assert!(hops <= u8::MAX as usize, "a path of {hops} hops: a packet can count 255");
+    assert!(size <= u16::MAX as u32, "packet size {size} exceeds 65535 bytes");
 }
 
 #[cfg(test)]
@@ -47,7 +105,7 @@ mod tests {
     #[test]
     fn packet_is_small() {
         // Per-packet state stays compact: the event queue holds many.
-        assert!(std::mem::size_of::<Packet>() <= 48);
+        assert_eq!(std::mem::size_of::<Packet>(), 16);
     }
 
     #[test]
@@ -56,5 +114,51 @@ mod tests {
         let b = PacketOwner::Subflow { conn: 1, sub: 0, seq: 5 };
         assert_eq!(a, b);
         assert_ne!(a, PacketOwner::Cbr { src: 0 });
+    }
+
+    const MAX_ID: usize = (1 << 31) - 1;
+
+    #[test]
+    fn packed_fields_round_trip_at_their_maxima() {
+        for owner in [
+            PacketOwner::Subflow { conn: MAX_ID, sub: 255, seq: u64::MAX },
+            PacketOwner::Subflow { conn: 0, sub: 0, seq: 0 },
+            PacketOwner::Cbr { src: MAX_ID },
+            PacketOwner::Cbr { src: 0 },
+        ] {
+            let mut pkt = Packet::new(owner, 65_535);
+            assert_eq!((pkt.owner(), pkt.size(), pkt.hop()), (owner, 65_535, 0));
+            for hop in 1..=255 {
+                pkt.advance();
+                assert_eq!(pkt.hop(), hop);
+            }
+            assert_eq!((pkt.owner(), pkt.size()), (owner, 65_535));
+        }
+        assert_packable(MAX_ID, 256, 255, 65_535);
+    }
+
+    /// One past each maximum panics, in release builds too, both where the
+    /// field is packed and at admission.
+    #[test]
+    fn one_past_each_maximum_is_rejected() {
+        fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
+            std::panic::catch_unwind(f).is_err()
+        }
+        for (owner, size) in [
+            (PacketOwner::Subflow { conn: MAX_ID + 1, sub: 0, seq: 0 }, 1500),
+            (PacketOwner::Subflow { conn: 0, sub: 256, seq: 0 }, 1500),
+            (PacketOwner::Cbr { src: MAX_ID + 1 }, 1500),
+            (PacketOwner::Cbr { src: 0 }, 65_536),
+        ] {
+            assert!(panics(|| _ = Packet::new(owner, size)), "{owner:?}, {size} bytes");
+        }
+        assert!(panics(|| {
+            let mut pkt = Packet::new(PacketOwner::Cbr { src: 0 }, 1500);
+            (0..256).for_each(|_| pkt.advance());
+        }));
+        assert!(panics(|| assert_packable(MAX_ID + 1, 1, 1, 1500)));
+        assert!(panics(|| assert_packable(0, 257, 1, 1500)));
+        assert!(panics(|| assert_packable(0, 1, 256, 1500)));
+        assert!(panics(|| assert_packable(0, 1, 1, 65_536)));
     }
 }

@@ -647,9 +647,10 @@ impl Simulator {
     /// start time.
     ///
     /// # Panics
-    /// Panics if the spec has no subflows, references unknown links, or
+    /// Panics if the spec has no subflows, references unknown links,
     /// sets a finite `TcpParams::max_cwnd` above the 2^20-packet flight
-    /// the SACK scoreboard can track.
+    /// the SACK scoreboard can track, or exceeds what a packet header
+    /// holds: 2^31 connections, 256 subflows, 255 hops, 65 535 bytes.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
         assert!(!spec.subflows.is_empty(), "connection needs at least one subflow");
         let packet_size = spec.packet_size;
@@ -708,6 +709,8 @@ impl Simulator {
             "max_cwnd {cap} exceeds the {MAX_CAP}-packet flight the scoreboard can track"
         );
         let n = spec.subflows.len();
+        let hops = spec.subflows.iter().map(|sf| sf.path.len()).max().unwrap_or(0);
+        crate::packet::assert_packable(gid, n, hops, spec.packet_size);
         let wrap = spec.force_adapter || self.force_adapter_all;
         let cc = match spec.cc {
             CcChoice::Kind(kind) if wrap && !kind.is_stateful() => {
@@ -788,14 +791,16 @@ impl Simulator {
     /// Add a CBR source; returns its id.
     ///
     /// # Panics
-    /// Panics if the spec references unknown links.
+    /// Panics if the spec references unknown links, or exceeds what a
+    /// packet header holds: 2^31 sources, 255 hops, 65 535 bytes.
     pub fn add_cbr(&mut self, spec: CbrSpec) -> CbrId {
         for &l in &spec.path {
             assert!(l < self.links.len(), "unknown link {l}");
         }
+        let id = self.cbrs.len();
+        crate::packet::assert_packable(id, 1, spec.path.len(), spec.packet_size);
         let start = spec.start.max(self.now);
         self.cbrs.push(CbrSource::new(spec));
-        let id = self.cbrs.len() - 1;
         self.queue.push(start, EventKind::CbrToggle { src: id });
         id
     }
@@ -1280,25 +1285,25 @@ impl Simulator {
     }
 
     fn path_link(&self, pkt: &Packet) -> LinkId {
-        match pkt.owner {
+        match pkt.owner() {
             PacketOwner::Subflow { conn, sub, .. } => match &self.shard {
                 // Sharded: the hop table yields this shard's local link id
                 // (the router below guarantees we only ever look up hops
                 // that live here).
-                Some(ctx) => ctx.map.hop(conn, sub, pkt.hop).1 as LinkId,
+                Some(ctx) => ctx.map.hop(conn, sub, pkt.hop()).1 as LinkId,
                 None => {
                     // Cold rows are stable across hot-window recycling, so
                     // straggler packets of retired flows still route.
                     let c = &self.conns[conn];
-                    self.flows.cold[c.sub_base as usize + sub].path[pkt.hop]
+                    self.flows.cold[c.sub_base as usize + sub].path[pkt.hop()]
                 }
             },
-            PacketOwner::Cbr { src } => self.cbrs[src].path[pkt.hop],
+            PacketOwner::Cbr { src } => self.cbrs[src].path[pkt.hop()],
         }
     }
 
     fn path_len(&self, pkt: &Packet) -> usize {
-        match pkt.owner {
+        match pkt.owner() {
             PacketOwner::Subflow { conn, sub, .. } => match &self.shard {
                 Some(ctx) => ctx.map.path_len(conn, sub),
                 None => {
@@ -1352,7 +1357,7 @@ impl Simulator {
         } else {
             l.busy = true;
             l.in_service = Some(pkt);
-            let done = self.now + l.spec.tx_time(pkt.size);
+            let done = self.now + l.tx_time(pkt.size());
             self.queue.push(done, EventKind::TxDone { link: link_id });
         }
     }
@@ -1363,17 +1368,17 @@ impl Simulator {
             // lint:allow(panic-free, reason = "a TxDone with an idle link means the event history itself is corrupt; continuing would silently fork determinism, so this must fail loudly")
             let pkt = l.in_service.take().expect("TxDone with no packet in service");
             l.stats.transmitted += 1;
-            l.stats.bytes += pkt.size as u64;
+            l.stats.bytes += pkt.size() as u64;
             if let Some(next) = l.queue.pop_front() {
                 l.in_service = Some(next);
-                let done = self.now + l.spec.tx_time(next.size);
+                let done = self.now + l.tx_time(next.size());
                 self.queue.push(done, EventKind::TxDone { link });
             } else {
                 l.busy = false;
             }
             (pkt, l.spec.delay)
         };
-        pkt.hop += 1;
+        pkt.advance();
         let at = self.now + delay;
         // Sharded routing decision: after the hop advance the packet's
         // next stop is either the link at `hop` or, past the last link,
@@ -1384,9 +1389,9 @@ impl Simulator {
         // links), so cross-shard arrivals always land in a later epoch
         // than the one being processed — the causality invariant.
         if let Some(ctx) = &mut self.shard {
-            if let PacketOwner::Subflow { conn, sub, .. } = pkt.owner {
-                let dst = if pkt.hop < ctx.map.path_len(conn, sub) {
-                    ctx.map.hop(conn, sub, pkt.hop).0
+            if let PacketOwner::Subflow { conn, sub, .. } = pkt.owner() {
+                let dst = if pkt.hop() < ctx.map.path_len(conn, sub) {
+                    ctx.map.hop(conn, sub, pkt.hop()).0
                 } else {
                     ctx.map.owner_of(conn)
                 };
@@ -1400,14 +1405,14 @@ impl Simulator {
     }
 
     fn on_arrive(&mut self, pkt: Packet) {
-        if pkt.hop < self.path_len(&pkt) {
+        if pkt.hop() < self.path_len(&pkt) {
             self.enqueue_packet(pkt);
             return;
         }
         // Delivered to the destination. From here on everything is local:
         // the packet-carried (possibly world-level) connection id is
         // translated once, and the ACK event carries the local id.
-        match pkt.owner {
+        match pkt.owner() {
             PacketOwner::Subflow { conn, sub, seq } => {
                 let conn = self.local_conn(conn);
                 if self.conns[conn].retired {
@@ -1827,14 +1832,11 @@ impl Simulator {
             let hot = self.conns[conn].hot_base as usize;
             self.flows.tx[hot + sub].on_retransmit(seq, self.now);
         }
-        let pkt = Packet {
-            // Packets carry the world-level id so they survive crossing
-            // shard boundaries (equal to `conn` standalone).
-            owner: PacketOwner::Subflow { conn: self.conns[conn].gid, sub, seq },
-            size: self.conns[conn].packet_size,
-            hop: 0,
-        };
-        self.enqueue_packet(pkt);
+        let c = &self.conns[conn];
+        // Packets carry the world-level id so they survive crossing
+        // shard boundaries (equal to `conn` standalone).
+        let owner = PacketOwner::Subflow { conn: c.gid, sub, seq };
+        self.enqueue_packet(Packet::new(owner, c.packet_size));
     }
 
     /// Tell the connection's [`Failover`] machine which priorities still
@@ -2112,8 +2114,7 @@ impl Simulator {
             return;
         }
         self.cbrs[src].sent += 1;
-        let pkt = Packet { owner: PacketOwner::Cbr { src }, size, hop: 0 };
-        self.enqueue_packet(pkt);
+        self.enqueue_packet(Packet::new(PacketOwner::Cbr { src }, size));
         self.queue.push(self.now + interval, EventKind::CbrSend { src, gen });
     }
 }
@@ -2279,6 +2280,22 @@ mod tests {
         let (mut sim, l) = one_link_sim(10.0, 10, 25);
         let tcp = TcpParams { max_cwnd: 2e6, ..TcpParams::default() };
         sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]).tcp(tcp));
+    }
+
+    /// What a 16-byte packet cannot carry is refused where the sender is
+    /// admitted, in release builds too — not when its first packet packs.
+    #[test]
+    #[should_panic(expected = "a packet can count 255")]
+    fn path_longer_than_a_packet_can_count_rejected() {
+        let (mut sim, l) = one_link_sim(10.0, 10, 25);
+        sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l; 256]));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65535 bytes")]
+    fn cbr_packet_size_beyond_u16_rejected() {
+        let (mut sim, l) = one_link_sim(10.0, 10, 25);
+        sim.add_cbr(CbrSpec { packet_size: 65_536, ..CbrSpec::constant(vec![l], 1e6) });
     }
 
     /// The headline zero-alloc claim: once scratch buffers, the metadata

@@ -19,12 +19,16 @@
 //!   simulated time) goes to an unsorted overflow list, which RTO backoff
 //!   capped at seconds never reaches in real workloads;
 //! * events live in a **slab** of nodes with an intrusive free list —
-//!   after warm-up the steady state allocates nothing per event;
+//!   after warm-up the steady state allocates nothing per event. An event
+//!   is written once, at `push`, and read once, at `pop_before`; moving
+//!   it between slots in between only relinks its node;
 //! * each level keeps a 64-bit occupancy bitmap and slots hold unsorted
 //!   intrusive lists. When the cursor reaches a level-0 slot (exactly one
-//!   tick) the slot is drained into a scratch bucket sorted **descending**
-//!   by `(at, seq)` so pops are `Vec::pop` from the back. Events pushed
-//!   into the current tick while it drains are inserted in order.
+//!   tick) its nodes are listed in a scratch bucket as `(key, node)`, the
+//!   key being the ns within the tick above a 54-bit `seq`, and sorted
+//!   **descending** so pops are `Vec::pop` from the back, in `(at, seq)`
+//!   order. Events pushed into the current tick while it drains are
+//!   inserted in order.
 //!
 //! Three invariants follow from the rule, for every pending `t ≥ origin`:
 //!
@@ -65,6 +69,9 @@ pub(crate) const LEVELS: usize = 6;
 const NIL: u32 = u32::MAX;
 /// log2 of the ticks the wheel can tell apart from its cursor.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Low bits of a drain-bucket key that hold `seq`; the `GRAN_BITS` of ns
+/// within the tick sit above them. 2^54 events is 57 years at 10 M/s.
+const SEQ_BITS: u32 = 64 - GRAN_BITS;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -88,12 +95,12 @@ pub(crate) struct TimerWheel {
     /// Current tick: `cur` holds the events of exactly this tick, and
     /// every other pending event has a later one.
     origin: u64,
-    /// Drain bucket for the current tick, sorted descending by
-    /// `(at, seq)` so the next event to fire is at the back.
-    cur: Vec<(SimTime, u64, EventKind)>,
-    /// Events whose tick differs from `origin` above the top level, kept
+    /// Drain bucket for the current tick: `(key, node)` sorted descending
+    /// by key so the next event to fire is at the back.
+    cur: Vec<(u64, u32)>,
+    /// Nodes whose tick differs from `origin` above the top level, kept
     /// unsorted (rare).
-    overflow: Vec<(SimTime, u64, EventKind)>,
+    overflow: Vec<u32>,
     /// Total events pending.
     len: usize,
     /// Events a cascade moved from a slot to a lower level.
@@ -102,6 +109,11 @@ pub(crate) struct TimerWheel {
 
 fn tick_of(at: SimTime) -> u64 {
     at.as_nanos() >> GRAN_BITS
+}
+
+/// Sort key of an event among the events of its own tick.
+fn key_of(at: SimTime, seq: u64) -> u64 {
+    (at.as_nanos() & ((1 << GRAN_BITS) - 1)) << SEQ_BITS | seq
 }
 
 impl TimerWheel {
@@ -131,49 +143,10 @@ impl TimerWheel {
     }
 
     pub fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
-        self.len += 1;
+        assert!(seq >> SEQ_BITS == 0, "event seq {seq} does not fit the drain bucket's key");
         debug_assert!(tick_of(at) >= self.origin, "event scheduled before the wheel cursor");
-        if tick_of(at) <= self.origin {
-            // Lands in the tick currently draining: insert in descending
-            // (at, seq) position so pop order stays exact.
-            let idx = self.cur.partition_point(|&(a, s, _)| (a, s) > (at, seq));
-            self.cur.insert(idx, (at, seq, kind));
-        } else {
-            self.file(at, seq, kind);
-        }
-    }
-
-    /// Pop the earliest event if it fires at or before `horizon`.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<Event> {
-        loop {
-            if let Some(&(at, _seq, _)) = self.cur.last() {
-                if at <= horizon {
-                    let (at, seq, kind) = self.cur.pop().expect("just peeked");
-                    self.len -= 1;
-                    return Some(Event { at, seq, kind });
-                }
-                return None;
-            }
-            if !self.advance(tick_of(horizon)) {
-                return None;
-            }
-        }
-    }
-
-    /// File an event of a tick after `origin` in the wheel slot (or the
-    /// overflow list) its XOR prefix with the cursor names.
-    fn file(&mut self, at: SimTime, seq: u64, kind: EventKind) {
-        let t = tick_of(at);
-        let diff = t ^ self.origin;
-        debug_assert!(diff != 0);
-        if diff >> WHEEL_BITS != 0 {
-            self.overflow.push((at, seq, kind));
-            return;
-        }
-        let level = (diff.ilog2() / SLOT_BITS) as usize;
-        let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let head = self.slots[level][slot];
-        let node = Node { at, seq, kind, next: head };
+        self.len += 1;
+        let node = Node { at, seq, kind, next: NIL };
         let idx = if self.free != NIL {
             let idx = self.free;
             self.free = self.nodes[idx as usize].next;
@@ -183,22 +156,59 @@ impl TimerWheel {
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
-        self.slots[level][slot] = idx;
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Place an event the cursor has just moved up to: the drain bucket
-    /// (unsorted — the caller sorts once) or a slot nearer the cursor.
-    fn refile(&mut self, at: SimTime, seq: u64, kind: EventKind) {
-        if tick_of(at) == self.origin {
-            self.cur.push((at, seq, kind));
+        if tick_of(at) <= self.origin {
+            // Lands in the tick currently draining: insert in descending
+            // key position so pop order stays exact.
+            let key = key_of(at, seq);
+            let pos = self.cur.partition_point(|&(k, _)| k > key);
+            self.cur.insert(pos, (key, idx));
         } else {
-            self.file(at, seq, kind);
+            self.file(idx);
         }
     }
 
-    /// Advance the cursor to the next occupied tick ≤ `h_tick` and load
-    /// its events into the drain bucket. Returns `false` (leaving the
+    /// Pop the earliest event if it fires at or before `horizon`.
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<Event> {
+        loop {
+            if let Some(&(_, idx)) = self.cur.last() {
+                let Node { at, seq, kind, .. } = self.nodes[idx as usize];
+                if at > horizon {
+                    return None;
+                }
+                self.cur.pop();
+                self.nodes[idx as usize].next = self.free;
+                self.free = idx;
+                self.len -= 1;
+                return Some(Event { at, seq, kind });
+            }
+            if !self.advance(tick_of(horizon)) {
+                return None;
+            }
+        }
+    }
+
+    /// Link node `idx`, of tick `origin` or later, where its XOR prefix with
+    /// the cursor says: the drain bucket (unsorted — `advance` sorts once),
+    /// a wheel slot, or the overflow list.
+    fn file(&mut self, idx: u32) {
+        let Node { at, seq, .. } = self.nodes[idx as usize];
+        let t = tick_of(at);
+        let diff = t ^ self.origin;
+        if diff == 0 {
+            self.cur.push((key_of(at, seq), idx));
+        } else if diff >> WHEEL_BITS != 0 {
+            self.overflow.push(idx);
+        } else {
+            let level = (diff.ilog2() / SLOT_BITS) as usize;
+            let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+            self.nodes[idx as usize].next = self.slots[level][slot];
+            self.slots[level][slot] = idx;
+            self.occupied[level] |= 1 << slot;
+        }
+    }
+
+    /// Advance the cursor to the next occupied tick ≤ `h_tick` and list
+    /// its events in the drain bucket. Returns `false` (leaving the
     /// cursor at `h_tick` at most) when no event fires by the horizon.
     fn advance(&mut self, h_tick: u64) -> bool {
         debug_assert!(self.cur.is_empty());
@@ -220,10 +230,8 @@ impl TimerWheel {
                 self.occupied[level] &= !(1 << slot);
                 let mut moved = 0;
                 while node != NIL {
-                    let Node { at, seq, kind, next } = self.nodes[node as usize];
-                    self.nodes[node as usize].next = self.free;
-                    self.free = node;
-                    self.refile(at, seq, kind);
+                    let next = self.nodes[node as usize].next;
+                    self.file(node);
                     moved += 1;
                     node = next;
                 }
@@ -239,26 +247,30 @@ impl TimerWheel {
                 // The horizon leaves the span the empty wheel can tell
                 // apart: move to the overflow's first tick (or the
                 // horizon, if that comes first) and re-file what now fits.
-                let first = self.overflow.iter().map(|&(at, _, _)| tick_of(at)).min();
+                let first = self.overflow.iter().map(|&i| tick_of(self.nodes[i as usize].at)).min();
                 self.origin = first.map_or(h_tick, |m| m.min(h_tick));
-                for (at, seq, kind) in std::mem::take(&mut self.overflow) {
-                    self.refile(at, seq, kind);
+                for idx in std::mem::take(&mut self.overflow) {
+                    self.file(idx);
                 }
             }
         }
         // Descending, so the earliest (at, seq) pops from the back.
-        self.cur.sort_unstable_by_key(|&(a, s, _)| std::cmp::Reverse((a, s)));
+        self.cur.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
         true
     }
 }
 
 #[cfg(test)]
 impl TimerWheel {
-    /// Assert the three structural facts `advance` relies on: every slab
+    /// Assert the structural facts `advance` relies on: every slotted
     /// event sits in the slot its XOR prefix with the cursor names (so the
     /// cursor's own slot is empty at every level), the bitmaps match the
-    /// lists, and `len` is the slab, bucket and overflow population.
+    /// lists, the bucket is sorted by its nodes' keys, and every slab node
+    /// is held exactly once — by a slot, the bucket, the overflow list or
+    /// the free list — with `len` counting the first three.
     pub fn check_invariants(&self) {
+        // Each slab node must be reached by exactly one holder.
+        let mut holders = vec![0u8; self.nodes.len()];
         let mut in_slots = 0;
         for level in 0..LEVELS {
             let shift = SLOT_BITS * level as u32;
@@ -273,20 +285,29 @@ impl TimerWheel {
                     assert!(tick_of(n.at) > self.origin && diff >> WHEEL_BITS == 0);
                     assert_eq!((diff.ilog2() / SLOT_BITS) as usize, level);
                     assert_eq!((tick_of(n.at) >> shift) & (SLOTS as u64 - 1), slot as u64);
+                    holders[node as usize] += 1;
                     in_slots += 1;
                     node = n.next;
                 }
             }
         }
-        let (mut free, mut node) = (0, self.free);
+        let mut node = self.free;
         while node != NIL {
-            free += 1;
+            holders[node as usize] += 1;
             node = self.nodes[node as usize].next;
         }
-        assert_eq!(in_slots, self.nodes.len() - free, "slab nodes neither filed nor free");
-        assert!(self.cur.iter().all(|&(at, _, _)| tick_of(at) == self.origin));
+        assert!(self.cur.windows(2).all(|w| w[0].0 > w[1].0), "bucket out of order");
+        for &(key, i) in &self.cur {
+            let n = &self.nodes[i as usize];
+            assert!(tick_of(n.at) == self.origin && key == key_of(n.at, n.seq));
+            holders[i as usize] += 1;
+        }
         let span = self.origin >> WHEEL_BITS;
-        assert!(self.overflow.iter().all(|&(at, _, _)| tick_of(at) >> WHEEL_BITS > span));
+        for &i in &self.overflow {
+            assert!(tick_of(self.nodes[i as usize].at) >> WHEEL_BITS > span);
+            holders[i as usize] += 1;
+        }
+        assert!(holders.iter().all(|&h| h == 1), "a slab node held twice or by nothing");
         assert_eq!(self.len, in_slots + self.cur.len() + self.overflow.len());
     }
 }

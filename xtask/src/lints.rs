@@ -756,7 +756,7 @@ fn scan_fn_events(fd: &parse::FnDef, cx: &TreeCx, findings: &mut Vec<Finding>) {
                         format!(
                             "float-to-integer `as {target}` cast in a `{marker}` file: `as` saturates silently on overflow and maps NaN to 0"
                         ),
-                        "route through crates/netsim/src/cast.rs (`f64_to_u64` documents the saturation and debug_asserts finiteness), or annotate: // lint:allow(cast-audit, reason = \"…\")".into(),
+                        "route through crates/netsim/src/cast.rs (`f64_to_u64` asserts the source is finite and non-negative), or annotate: // lint:allow(cast-audit, reason = \"…\")".into(),
                     );
                 }
             }
