@@ -205,6 +205,16 @@ impl EventQueue {
         }
     }
 
+    /// A time no later than the next event `pop_before` would return, or
+    /// `None` when nothing is pending. Exact on the heap; on the wheel the
+    /// start of the slot holding it (see [`TimerWheel::earliest_bound`]).
+    pub fn earliest_bound(&self) -> Option<SimTime> {
+        match &self.backend {
+            BackendImpl::Wheel(w) => w.earliest_bound(),
+            BackendImpl::Heap(h) => h.peek().map(|e| e.at),
+        }
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.backend {
@@ -428,7 +438,8 @@ mod tests {
     }
 
     /// Pop both queues up to `horizon`, requiring identical `(at, seq)`
-    /// sequences; returns the last pop time (or `now` if none).
+    /// sequences and an earliest-event bound no later than each pop (exact
+    /// on the heap); returns the last pop time (or `now` if none).
     fn pop_both(
         wheel: &mut EventQueue,
         heap: &mut EventQueue,
@@ -436,9 +447,15 @@ mod tests {
         mut now: u64,
     ) -> Result<u64, TestCaseError> {
         loop {
+            let (wb, hb) = (wheel.earliest_bound(), heap.earliest_bound());
+            prop_assert_eq!(wb.is_none(), heap.len() == 0);
+            prop_assert!(wb <= hb);
             let a = wheel.pop_before(horizon);
             let b = heap.pop_before(horizon);
             wheel.check_invariants();
+            if let Some(e) = &b {
+                prop_assert_eq!(hb, Some(e.at));
+            }
             prop_assert_eq!(
                 a.as_ref().map(|e| (e.at, e.seq)),
                 b.as_ref().map(|e| (e.at, e.seq))

@@ -8,8 +8,8 @@
 //! connection lives in the shard that owns the first link of its first
 //! subflow (the *owner* shard), and the first link of **every** subflow
 //! must live there — the sender side of all subflows is one host. Packets
-//! carry world-level connection ids; each shard resolves them through a
-//! shared immutable [`WorldMap`].
+//! carry world-level connection ids; each shard resolves them through the
+//! shared [`WorldMap`], which holds the world's only copy of every route.
 //!
 //! ## Synchronization (conservative lookahead)
 //!
@@ -25,7 +25,10 @@
 //! matrix and drained — in ascending source-shard order — into the
 //! destination queues. Every cross-shard arrival lands in a strictly
 //! later epoch than the one that produced it, so no shard ever receives
-//! an event in its past.
+//! an event in its past. On one thread the barrier is a direct hand-over
+//! in the same order, and epochs in which no shard has an event are
+//! skipped (an empty epoch drains nothing, so skipping it changes no
+//! queue's history).
 //!
 //! ## Determinism
 //!
@@ -41,16 +44,19 @@ use crate::fault::FaultPlan;
 use crate::link::{LinkId, LinkSpec, LinkStats};
 use crate::packet::Packet;
 use crate::perf::SimPerf;
-use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowTiming};
+use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowSpec, SubflowTiming};
 use crate::stats::ConnectionStats;
 use crate::time::SimTime;
 use mptcp_cc::{DetDigest, DigestWriter};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Immutable placement and routing tables shared by every shard of a
-/// partitioned world (struct-of-arrays: dense ids indexing flat vectors).
-pub struct WorldMap {
+/// Placement and routing tables shared by every shard of a partitioned
+/// world (struct-of-arrays: dense ids indexing flat vectors). The only copy
+/// of each route: [`ShardedSimulator::add_connection`] appends to it, and
+/// a run hands the shards the current `Arc`, read-only while they run.
+#[derive(Clone)]
+pub(crate) struct WorldMap {
     /// Per global link id: `(owning shard, shard-local link id)`.
     link_home: Vec<(u32, u32)>,
     /// Per global connection id: owning shard.
@@ -72,6 +78,40 @@ pub struct WorldMap {
 }
 
 impl WorldMap {
+    fn new() -> Self {
+        Self {
+            link_home: Vec::new(),
+            conn_owner: Vec::new(),
+            conn_local: Vec::new(),
+            conn_sub_base: vec![0],
+            sub_hop_base: vec![0],
+            hops: Vec::new(),
+            lookahead: SimTime(u64::MAX),
+        }
+    }
+
+    /// Append one connection's subflow routes (global link ids, owner
+    /// shard `owner`) and lower the lookahead to cover them. A packet
+    /// crosses a boundary when it leaves the link at hop `i` for a link
+    /// (or final delivery) in a different shard; the crossing takes hop
+    /// `i`'s propagation delay, so the minimum over all such links bounds
+    /// how far any cross-shard arrival can lag the event that produced it.
+    fn push_conn(&mut self, subflows: &[SubflowSpec], owner: u32, local: u32, specs: &[LinkSpec]) {
+        for path in subflows.iter().map(|sf| &sf.path) {
+            for (i, &gl) in path.iter().enumerate() {
+                let next = path.get(i + 1).map_or(owner, |&nl| self.link_home[nl].0);
+                if self.link_home[gl].0 != next {
+                    self.lookahead = self.lookahead.min(specs[gl].delay);
+                }
+                self.hops.push(self.link_home[gl]);
+            }
+            self.sub_hop_base.push(crate::cast::slab_u32(self.hops.len()));
+        }
+        self.conn_sub_base.push(crate::cast::slab_u32(self.sub_hop_base.len() - 1));
+        self.conn_owner.push(owner);
+        self.conn_local.push(local);
+    }
+
     #[inline]
     fn gsub(&self, conn: ConnId, sub: usize) -> usize {
         self.conn_sub_base[conn] as usize + sub
@@ -110,22 +150,18 @@ impl WorldMap {
 /// detail: results are bit-identical for any `jobs`.
 pub struct ShardedSimulator {
     shards: Vec<Simulator>,
-    /// Per global link id: `(owning shard, shard-local id)`.
-    link_home: Vec<(u32, u32)>,
     /// Per global link id: the spec it was created with (delays feed ACK
     /// timing and the lookahead computation).
     link_specs: Vec<LinkSpec>,
-    /// Per global connection id: owning shard.
-    conn_owner: Vec<u32>,
-    /// Per global connection id: local id within the owner shard.
-    conn_local: Vec<u32>,
-    /// Per global connection id: the subflow paths in global link ids
-    /// (kept to build the world map).
-    conn_paths: Vec<Vec<Vec<LinkId>>>,
-    map: Option<Arc<WorldMap>>,
+    /// Placement, routes and lookahead. Shards hold clones of this `Arc`
+    /// from their first run on, so growing the world after a run copies
+    /// the map once (`Arc::make_mut`) and the next run hands the copy out.
+    map: Arc<WorldMap>,
     jobs: usize,
     now: SimTime,
     wall_nanos: u64,
+    /// Epochs executed over every run so far.
+    epochs: u64,
 }
 
 impl ShardedSimulator {
@@ -146,15 +182,12 @@ impl ShardedSimulator {
             .collect();
         Self {
             shards,
-            link_home: Vec::new(),
             link_specs: Vec::new(),
-            conn_owner: Vec::new(),
-            conn_local: Vec::new(),
-            conn_paths: Vec::new(),
-            map: None,
+            map: Arc::new(WorldMap::new()),
             jobs: 1,
             now: SimTime::ZERO,
             wall_nanos: 0,
+            epochs: 0,
         }
     }
 
@@ -213,15 +246,22 @@ impl ShardedSimulator {
         self.now
     }
 
+    /// Epochs executed by every [`Self::run_until`] so far. One thread
+    /// skips epochs in which no shard has an event, so this can be far
+    /// below the simulated span ÷ lookahead; more threads run every epoch.
+    pub fn epochs_run(&self) -> u64 {
+        self.epochs
+    }
+
     /// Add a link to `shard`; returns its world-level id (valid in every
     /// shard's connection paths).
     pub fn add_link(&mut self, shard: usize, spec: LinkSpec) -> LinkId {
         assert!(shard < self.shards.len(), "unknown shard {shard}");
         let local = self.shards[shard].add_link(spec);
-        self.link_home.push((shard as u32, local as u32));
+        let map = Arc::make_mut(&mut self.map);
+        map.link_home.push((shard as u32, crate::cast::slab_u32(local)));
         self.link_specs.push(spec);
-        self.map = None;
-        self.link_home.len() - 1
+        map.link_home.len() - 1
     }
 
     /// Add a connection whose subflow paths are world-level link ids;
@@ -241,7 +281,7 @@ impl ShardedSimulator {
             let mut fwd = SimTime::ZERO;
             let mut residence = SimTime::ZERO;
             for &l in &sf.path {
-                assert!(l < self.link_home.len(), "unknown link {l}");
+                assert!(l < self.link_specs.len(), "unknown link {l}");
                 let ls = self.link_specs[l];
                 fwd += ls.delay;
                 let drain = ls.tx_time(packet_size).as_nanos();
@@ -251,21 +291,26 @@ impl ShardedSimulator {
             let rtt_hint = (fwd + ack_delay).as_secs_f64().max(1e-4);
             delays.push(SubflowTiming { ack_delay, rtt_hint, straggler: residence + ack_delay });
         }
-        let owner = self.link_home[spec.subflows[0].path[0]].0;
+        let owner = self.map.link_home[spec.subflows[0].path[0]].0;
         for (i, sf) in spec.subflows.iter().enumerate() {
             assert_eq!(
-                self.link_home[sf.path[0]].0,
+                self.map.link_home[sf.path[0]].0,
                 owner,
                 "subflow {i}: first link must live in the owner shard {owner} \
                  (all subflows of a connection leave from one host)"
             );
         }
-        let gid = self.conn_owner.len();
-        self.conn_paths.push(spec.subflows.iter().map(|sf| sf.path.clone()).collect());
-        let local = self.shards[owner as usize].add_connection_sharded(spec, gid, &delays);
-        self.conn_owner.push(owner);
-        self.conn_local.push(local as u32);
-        self.map = None;
+        let gid = self.map.conn_owner.len();
+        let shard = &mut self.shards[owner as usize];
+        let local = shard.connection_count();
+        Arc::make_mut(&mut self.map).push_conn(
+            &spec.subflows,
+            owner,
+            crate::cast::slab_u32(local),
+            &self.link_specs,
+        );
+        let added = shard.add_connection_sharded(spec, gid, &delays);
+        debug_assert_eq!(added, local);
         gid
     }
 
@@ -279,8 +324,8 @@ impl ShardedSimulator {
         let mut per_shard: Vec<FaultPlan> = vec![FaultPlan::new(); self.shards.len()];
         for &(at, action) in plan.actions() {
             let gl = action.link();
-            assert!(gl < self.link_home.len(), "unknown link {gl}");
-            let (shard, local) = self.link_home[gl];
+            assert!(gl < self.link_count(), "unknown link {gl}");
+            let (shard, local) = self.map.link_home[gl];
             per_shard[shard as usize].push(at, action.with_link(local as LinkId));
         }
         for (shard, plan) in self.shards.iter_mut().zip(&per_shard) {
@@ -292,24 +337,24 @@ impl ShardedSimulator {
 
     /// A link's accumulated counters (world-level id).
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        let (shard, local) = self.link_home[link];
+        let (shard, local) = self.map.link_home[link];
         self.shards[shard as usize].link_stats(local as LinkId)
     }
 
     /// A link's current spec (world-level id).
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        let (shard, local) = self.link_home[link];
+        let (shard, local) = self.map.link_home[link];
         self.shards[shard as usize].link_spec(local as LinkId)
     }
 
     /// Number of links in the world.
     pub fn link_count(&self) -> usize {
-        self.link_home.len()
+        self.map.link_home.len()
     }
 
     /// Number of connections in the world.
     pub fn connection_count(&self) -> usize {
-        self.conn_owner.len()
+        self.map.conn_owner.len()
     }
 
     /// Zero all link counters in every shard (discard a warm-up period).
@@ -321,8 +366,7 @@ impl ShardedSimulator {
 
     /// A connection's statistics snapshot (world-level id).
     pub fn connection_stats(&self, conn: ConnId) -> ConnectionStats {
-        self.shards[self.conn_owner[conn] as usize]
-            .connection_stats(self.conn_local[conn] as ConnId)
+        self.shards[self.map.owner_of(conn) as usize].connection_stats(self.map.local_of(conn))
     }
 
     /// Merged performance counters: event counts summed over shards, wall
@@ -355,78 +399,13 @@ impl ShardedSimulator {
     /// for a fixed world — the property `chaos_smoke` gates in CI.
     pub fn det_digest(&self) -> u64 {
         let mut w = DigestWriter::new();
-        for gid in 0..self.conn_owner.len() {
+        for gid in 0..self.connection_count() {
             self.connection_stats(gid).det_digest(&mut w);
         }
         for shard in &self.shards {
             shard.perf().det_digest(&mut w);
         }
         w.finish()
-    }
-
-    /// Build (or rebuild, after world mutation) the shared map and give
-    /// every shard its routing context.
-    fn ensure_map(&mut self) {
-        if self.map.is_some() {
-            return;
-        }
-        let num_shards = self.shards.len();
-        let mut conn_sub_base = Vec::with_capacity(self.conn_paths.len() + 1);
-        let mut sub_hop_base = Vec::new();
-        let mut hops: Vec<(u32, u32)> = Vec::new();
-        conn_sub_base.push(0u32);
-        sub_hop_base.push(0u32);
-        for paths in &self.conn_paths {
-            for path in paths {
-                for &gl in path {
-                    hops.push(self.link_home[gl]);
-                }
-                sub_hop_base.push(hops.len() as u32);
-            }
-            conn_sub_base.push(sub_hop_base.len() as u32 - 1);
-        }
-        // Lookahead: a packet crosses a boundary when it leaves the link
-        // at hop `i` for a link (or final delivery) in a different shard;
-        // the crossing takes hop `i`'s propagation delay. The minimum over
-        // all such links bounds how far any cross-shard arrival can lag
-        // the event that produced it.
-        let mut lookahead = SimTime(u64::MAX);
-        let mut gsub = 0usize;
-        for (conn, paths) in self.conn_paths.iter().enumerate() {
-            let owner = self.conn_owner[conn];
-            for path in paths {
-                for (i, &gl) in path.iter().enumerate() {
-                    let here = self.link_home[gl].0;
-                    let next = match path.get(i + 1) {
-                        Some(&nl) => self.link_home[nl].0,
-                        None => owner,
-                    };
-                    if here != next {
-                        lookahead = lookahead.min(self.link_specs[gl].delay);
-                    }
-                }
-                gsub += 1;
-            }
-        }
-        debug_assert_eq!(gsub + 1, sub_hop_base.len());
-        let map = Arc::new(WorldMap {
-            link_home: self.link_home.clone(),
-            conn_owner: self.conn_owner.clone(),
-            conn_local: self.conn_local.clone(),
-            conn_sub_base,
-            sub_hop_base,
-            hops,
-            lookahead,
-        });
-        debug_assert!(map.link_home.len() == self.link_specs.len());
-        for (id, shard) in self.shards.iter_mut().enumerate() {
-            shard.set_shard_ctx(ShardCtx {
-                id: id as u32,
-                map: Arc::clone(&map),
-                outbox: (0..num_shards).map(|_| Vec::new()).collect(),
-            });
-        }
-        self.map = Some(map);
     }
 
     /// Run the whole world forward to `horizon` (inclusive), advancing
@@ -436,89 +415,126 @@ impl ShardedSimulator {
     pub fn run_until(&mut self, horizon: SimTime) {
         assert!(horizon >= self.now, "time cannot run backwards");
         let started = crate::perf::wall_clock();
-        self.ensure_map();
         let n = self.shards.len();
-        let lookahead = self.map.as_ref().expect("map built").lookahead.0.max(1);
+        // Every outbox was emptied at the last barrier of the previous run.
+        for (id, shard) in self.shards.iter_mut().enumerate() {
+            shard.set_shard_ctx(ShardCtx {
+                id: id as u32,
+                map: Arc::clone(&self.map),
+                outbox: (0..n).map(|_| Vec::new()).collect(),
+            });
+        }
+        let lookahead = self.map.lookahead.0.max(1);
         // Exclusive end of the run: `run_until(h)` processes events at
         // exactly `h`, matching the single-simulator contract.
         let hlimit = horizon.0.saturating_add(1);
-        let workers = self.jobs.min(n).max(1);
-        // Mailbox matrix: cell [src][dst] is written only by src's worker
-        // in the process phase and read only by dst's worker in the drain
-        // phase; the epoch barrier separates the two.
-        let mailboxes: MailboxMatrix =
-            (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
-        if workers == 1 {
-            let mut t = self.now.0;
-            loop {
-                let window_end = t.saturating_add(lookahead).min(hlimit);
-                for (src, shard) in self.shards.iter_mut().enumerate() {
-                    shard.run_epoch(SimTime(window_end - 1));
-                    flush_outbox(shard, src, &mailboxes);
-                }
-                let mut all_empty = true;
-                for (dst, shard) in self.shards.iter_mut().enumerate() {
-                    drain_mailboxes(shard, dst, &mailboxes);
-                    all_empty &= shard.pending_events() == 0;
-                }
-                t = window_end;
-                if all_empty || t >= hlimit {
-                    break;
-                }
-            }
+        self.epochs += if self.jobs.min(n) <= 1 {
+            self.run_one_thread(lookahead, hlimit)
         } else {
-            let chunk = n.div_ceil(workers);
-            let nworkers = n.div_ceil(chunk);
-            let barrier = Barrier::new(nworkers);
-            let empty: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-            let all_done = AtomicBool::new(false);
-            let start_t = self.now.0;
-            std::thread::scope(|scope| {
-                for (w, shards) in self.shards.chunks_mut(chunk).enumerate() {
-                    let base = w * chunk;
-                    let (mailboxes, barrier) = (&mailboxes, &barrier);
-                    let (empty, all_done) = (&empty, &all_done);
-                    scope.spawn(move || {
-                        let mut t = start_t;
-                        loop {
-                            let window_end = t.saturating_add(lookahead).min(hlimit);
-                            for (i, shard) in shards.iter_mut().enumerate() {
-                                shard.run_epoch(SimTime(window_end - 1));
-                                flush_outbox(shard, base + i, mailboxes);
-                            }
-                            // Barrier 1: every outbox is flushed before any
-                            // shard drains its mailbox column.
-                            barrier.wait();
-                            for (i, shard) in shards.iter_mut().enumerate() {
-                                drain_mailboxes(shard, base + i, mailboxes);
-                                empty[base + i]
-                                    .store(shard.pending_events() == 0, Ordering::SeqCst);
-                            }
-                            // Barrier 2: every flag is written and every
-                            // mailbox drained before the leader decides.
-                            if barrier.wait().is_leader() {
-                                all_done.store(
-                                    empty.iter().all(|e| e.load(Ordering::SeqCst)),
-                                    Ordering::SeqCst,
-                                );
-                            }
-                            // Barrier 3: the decision is published before
-                            // anyone reads it or starts the next epoch.
-                            barrier.wait();
-                            t = window_end;
-                            if all_done.load(Ordering::SeqCst) || t >= hlimit {
-                                break;
-                            }
-                        }
-                    });
-                }
-            });
-        }
+            self.run_threads(lookahead, hlimit)
+        };
         for shard in &mut self.shards {
             shard.finish_epochs_at(horizon);
         }
         self.now = horizon;
         self.wall_nanos += started.elapsed().as_nanos() as u64;
+    }
+
+    /// The epoch loop on the calling thread; returns the epochs executed.
+    /// Each source shard's outbox goes straight into the destination queue
+    /// in the order the mailbox drain uses (destination-major, ascending
+    /// source). Then `t` jumps to the epoch of the grid `now + i·lookahead`
+    /// holding the earliest pending event: the epochs jumped over would
+    /// have popped nothing and so handed nothing over, which leaves every
+    /// queue's `(at, seq)` history as the lockstep loop makes it.
+    fn run_one_thread(&mut self, lookahead: u64, hlimit: u64) -> u64 {
+        let start = self.now.0;
+        let n = self.shards.len();
+        let (mut t, mut epochs) = (start, 0);
+        loop {
+            let window_end = t.saturating_add(lookahead).min(hlimit);
+            for shard in &mut self.shards {
+                shard.run_epoch(SimTime(window_end - 1));
+            }
+            epochs += 1;
+            for dst in 0..n {
+                for src in 0..n {
+                    hand_over(&mut self.shards, src, dst);
+                }
+            }
+            let Some(next) = self.shards.iter().filter_map(Simulator::next_event_bound).min() else {
+                break;
+            };
+            // A wheel's bound is the start of the slot holding its next
+            // event and may lie below `window_end`: then take the lockstep
+            // step.
+            let aligned = start + next.0.saturating_sub(start) / lookahead * lookahead;
+            t = window_end.max(aligned);
+            if t >= hlimit {
+                break;
+            }
+        }
+        epochs
+    }
+
+    /// The epoch loop on `jobs` scoped threads, each owning a contiguous
+    /// run of shards, meeting at three barriers per epoch; returns the
+    /// epochs executed. Every epoch runs, empty or not.
+    fn run_threads(&mut self, lookahead: u64, hlimit: u64) -> u64 {
+        let n = self.shards.len();
+        // Mailbox matrix: cell [src][dst] is written only by src's worker
+        // in the process phase and read only by dst's worker in the drain
+        // phase; the epoch barrier separates the two.
+        let mailboxes: MailboxMatrix =
+            (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
+        let chunk = n.div_ceil(self.jobs.min(n));
+        let barrier = Barrier::new(n.div_ceil(chunk));
+        let empty: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let all_done = AtomicBool::new(false);
+        let epochs = AtomicU64::new(0);
+        let start_t = self.now.0;
+        std::thread::scope(|scope| {
+            for (w, shards) in self.shards.chunks_mut(chunk).enumerate() {
+                let base = w * chunk;
+                let (mailboxes, barrier) = (&mailboxes, &barrier);
+                let (empty, all_done, epochs) = (&empty, &all_done, &epochs);
+                scope.spawn(move || {
+                    let mut t = start_t;
+                    loop {
+                        let window_end = t.saturating_add(lookahead).min(hlimit);
+                        for (i, shard) in shards.iter_mut().enumerate() {
+                            shard.run_epoch(SimTime(window_end - 1));
+                            flush_outbox(shard, base + i, mailboxes);
+                        }
+                        // Barrier 1: every outbox is flushed before any
+                        // shard drains its mailbox column.
+                        barrier.wait();
+                        for (i, shard) in shards.iter_mut().enumerate() {
+                            drain_mailboxes(shard, base + i, mailboxes);
+                            empty[base + i]
+                                .store(shard.next_event_bound().is_none(), Ordering::SeqCst);
+                        }
+                        // Barrier 2: every flag is written and every
+                        // mailbox drained before the leader decides.
+                        if barrier.wait().is_leader() {
+                            all_done.store(
+                                empty.iter().all(|e| e.load(Ordering::SeqCst)),
+                                Ordering::SeqCst,
+                            );
+                            epochs.fetch_add(1, Ordering::SeqCst);
+                        }
+                        // Barrier 3: the decision is published before
+                        // anyone reads it or starts the next epoch.
+                        barrier.wait();
+                        t = window_end;
+                        if all_done.load(Ordering::SeqCst) || t >= hlimit {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        epochs.into_inner()
     }
 }
 
@@ -549,6 +565,19 @@ fn drain_mailboxes(shard: &mut Simulator, own: usize, mailboxes: &[Vec<Mailbox>]
             shard.inject_arrive(at, pkt);
         }
     }
+}
+
+/// The one-thread barrier: move `src`'s buffered arrivals for `dst` into
+/// `dst`'s queue, keeping the outbox's capacity.
+fn hand_over(shards: &mut [Simulator], src: usize, dst: usize) {
+    if shards[src].shard_outbox()[dst].is_empty() {
+        return;
+    }
+    let mut buf = std::mem::take(&mut shards[src].shard_outbox()[dst]);
+    for (at, pkt) in buf.drain(..) {
+        shards[dst].inject_arrive(at, pkt);
+    }
+    shards[src].shard_outbox()[dst] = buf;
 }
 
 #[cfg(test)]
@@ -619,8 +648,125 @@ mod tests {
         // run is one epoch per run_until call.
         let (mut sim, conns) = cross_world(5, 1);
         sim.run_until(SimTime::from_secs(10));
+        assert_eq!(sim.epochs_run(), 1);
         assert!(sim.connection_stats(conns[0]).data_delivered > 100);
         assert!(sim.perf().is_consistent());
+    }
+
+    /// A link and a connection admitted after a run (the map is shared with
+    /// the shards by then, so both copy it on write) route and deliver, and
+    /// every job count still makes the same history.
+    #[test]
+    fn a_world_grown_after_a_run_routes_the_newcomers() {
+        let run = |jobs: usize| {
+            let (mut sim, _) = cross_world(19, 2);
+            sim.set_jobs(jobs);
+            sim.run_until(SimTime::from_secs(3));
+            let c = sim.add_link(1, LinkSpec::mbps(10.0, SimTime::from_millis(5), 25));
+            let late = sim.add_connection(
+                ConnectionSpec::sized(AlgorithmKind::Mptcp, 500)
+                    .path(vec![0, c])
+                    .path(vec![1, 3])
+                    .start(SimTime::from_secs(4)),
+            );
+            // `c` lives in shard 1 and delivers to the owner, shard 0: its
+            // 5 ms delay is the new shortest crossing.
+            assert_eq!(sim.map.lookahead, SimTime::from_millis(5));
+            sim.run_until(SimTime::from_secs(12));
+            let st = sim.connection_stats(late);
+            assert!(st.finished_at.is_some() && st.data_delivered == 500, "{jobs}: {st:?}");
+            sim.det_digest()
+        };
+        assert_eq!(run(1), run(2));
+    }
+
+    /// The lookahead kept connection by connection equals one recomputed
+    /// from every route at once, and the hop table holds each route.
+    #[test]
+    fn the_kept_lookahead_equals_a_recomputation() {
+        let mut sim = ShardedSimulator::new(1, 3);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let links: Vec<LinkId> = (0..12)
+            .map(|i| {
+                let delay = SimTime::from_micros(10 + 7 * next(100) as u64);
+                sim.add_link(i % 3, LinkSpec::mbps(10.0, delay, 25))
+            })
+            .collect();
+        let mut routes: Vec<Vec<Vec<LinkId>>> = Vec::new();
+        for _ in 0..40 {
+            let first = links[next(links.len())];
+            let owner_links: Vec<LinkId> =
+                links.iter().copied().filter(|&l| l % 3 == first % 3).collect();
+            let paths: Vec<Vec<LinkId>> = (0..1 + next(3))
+                .map(|_| {
+                    let mut p = vec![owner_links[next(owner_links.len())]];
+                    p.extend((0..next(4)).map(|_| links[next(links.len())]));
+                    p
+                })
+                .collect();
+            let spec = paths
+                .iter()
+                .cloned()
+                .fold(ConnectionSpec::bulk(AlgorithmKind::Mptcp), ConnectionSpec::path);
+            sim.add_connection(spec);
+            routes.push(paths);
+        }
+        let home = |l: LinkId| sim.map.link_home[l];
+        let mut want = SimTime(u64::MAX);
+        for (conn, paths) in routes.iter().enumerate() {
+            let owner = home(paths[0][0]).0;
+            for (sub, path) in paths.iter().enumerate() {
+                assert_eq!(sim.map.path_len(conn, sub), path.len());
+                for (h, &l) in path.iter().enumerate() {
+                    assert_eq!(sim.map.hop(conn, sub, h), home(l));
+                    let next_shard = path.get(h + 1).map_or(owner, |&n| home(n).0);
+                    if home(l).0 != next_shard {
+                        want = want.min(sim.link_spec(l).delay);
+                    }
+                }
+            }
+        }
+        assert!(want < SimTime(u64::MAX), "some route must cross");
+        assert_eq!(sim.map.lookahead, want);
+    }
+
+    /// Flows far apart in time on a 100 µs lookahead: one thread runs only
+    /// the epochs that hold events, yet makes the history of the thread
+    /// pair that runs all of them.
+    #[test]
+    fn one_thread_skips_idle_epochs_without_changing_the_history() {
+        let horizon = SimTime::from_secs(10);
+        let run = |jobs: usize| {
+            let mut sim = ShardedSimulator::new(23, 2);
+            let us = SimTime::from_micros;
+            let a = sim.add_link(0, LinkSpec::mbps(10.0, us(100), 25));
+            let b = sim.add_link(1, LinkSpec::mbps(10.0, us(150), 25));
+            for i in 0..5 {
+                let start = SimTime::from_secs(2 * i);
+                let (p, q) = if i % 2 == 0 { (a, b) } else { (b, a) };
+                sim.add_connection(
+                    ConnectionSpec::sized(AlgorithmKind::Mptcp, 20).path(vec![p, q]).start(start),
+                );
+            }
+            sim.set_jobs(jobs);
+            sim.run_until(horizon);
+            for c in 0..sim.connection_count() {
+                assert_eq!(sim.connection_stats(c).data_delivered, 20, "jobs={jobs} conn {c}");
+            }
+            (sim.det_digest(), sim.epochs_run())
+        };
+        let (one, skipped) = run(1);
+        let (two, all) = run(2);
+        assert_eq!(one, two, "skipping changed the history");
+        let span = horizon.as_nanos() / SimTime::from_micros(100).as_nanos();
+        assert!(skipped * 20 < span, "{skipped} of {span} epochs ran on one thread");
+        assert!(all > skipped * 10, "two threads ran {all} epochs, one ran {skipped}");
     }
 
     #[test]

@@ -390,14 +390,14 @@ fn subflow_stats(tx: &SubflowSender, rx: &SubflowReceiver, cold: &ColdSubflow) -
 }
 
 /// Per-shard routing context installed by [`crate::ShardedSimulator`]:
-/// the immutable world map (global link/connection placement and path hop
-/// tables) plus this shard's cross-shard outbox buffers, one per
-/// destination shard. Outboxes are flushed into the shared mailbox matrix
-/// at the epoch barrier, never touched concurrently.
+/// the world map (global link/connection placement and path hop tables)
+/// plus this shard's cross-shard outbox buffers, one per destination
+/// shard. Outboxes are emptied at the epoch barrier, never touched
+/// concurrently.
 pub(crate) struct ShardCtx {
     /// This shard's index in the world.
     pub(crate) id: u32,
-    /// Shared immutable placement/routing tables.
+    /// Shared placement/routing tables, read-only during a run.
     pub(crate) map: std::sync::Arc<crate::shard::WorldMap>,
     /// Buffered cross-shard arrivals generated during the current epoch,
     /// indexed by destination shard.
@@ -675,14 +675,15 @@ impl Simulator {
             })
             .collect();
         let gid = self.conns.len();
-        self.add_connection_inner(spec, gid, &delays)
+        self.add_connection_inner(spec, gid, &delays, true)
     }
 
     /// Add a connection whose ACK delays and RTT hints were computed
     /// against the sharded world map instead of this shard's local link
     /// table (the spec's paths carry *global* link ids, which are neither
-    /// validated nor resolvable here). `gid` is the world-level id stamped
-    /// into packets.
+    /// validated nor resolvable here, so the cold rows keep no route:
+    /// sharded routing reads the world map). `gid` is the world-level id
+    /// stamped into packets.
     pub(crate) fn add_connection_sharded(
         &mut self,
         spec: ConnectionSpec,
@@ -691,17 +692,19 @@ impl Simulator {
     ) -> ConnId {
         assert!(!spec.subflows.is_empty(), "connection needs at least one subflow");
         assert_eq!(spec.subflows.len(), delays.len());
-        self.add_connection_inner(spec, gid, delays)
+        self.add_connection_inner(spec, gid, delays, false)
     }
 
     /// Shared tail of connection admission: `delays` holds one
     /// [`SubflowTiming`] per subflow, already computed against whichever
-    /// link table (local or world) owns the paths.
+    /// link table (local or world) owns the paths; `local_routes` says
+    /// whether the cold rows keep the paths (standalone) or not (sharded).
     fn add_connection_inner(
         &mut self,
         spec: ConnectionSpec,
         gid: ConnId,
         delays: &[SubflowTiming],
+        local_routes: bool,
     ) -> ConnId {
         let cap = spec.tcp.max_cwnd;
         assert!(
@@ -724,7 +727,7 @@ impl Simulator {
         for (sf, t) in spec.subflows.into_iter().zip(delays) {
             worst_straggler = worst_straggler.max(t.straggler);
             self.flows.push_cold(ColdSubflow {
-                path: LinkPath::from(sf.path),
+                path: LinkPath::from(if local_routes { sf.path } else { Vec::new() }),
                 ack_delay: t.ack_delay,
                 rtt_hint: t.rtt_hint,
                 params: spec.tcp,
@@ -2048,9 +2051,9 @@ impl Simulator {
         self.queue.push(at, EventKind::Arrive { pkt });
     }
 
-    /// Number of pending events in this shard's queue.
-    pub(crate) fn pending_events(&self) -> usize {
-        self.queue.len()
+    /// A time no later than this shard's next event (`None`: none pending).
+    pub(crate) fn next_event_bound(&self) -> Option<SimTime> {
+        self.queue.earliest_bound()
     }
 
     /// Advance the clock to the horizon at the end of a sharded run (the

@@ -156,57 +156,71 @@ impl FatTree {
         self.edge_of(h) / (self.k / 2)
     }
 
+    /// Number of shortest paths from host `src` to host `dst`: one under
+    /// the same edge switch, `k/2` within a pod, `(k/2)²` across pods.
+    ///
+    /// # Panics
+    /// Panics if `src == dst` or either host is out of range.
+    fn path_count(&self, src: usize, dst: usize) -> usize {
+        assert!(src != dst, "no path from a host to itself");
+        assert!(src < self.host_count() && dst < self.host_count());
+        let half = self.k / 2;
+        if self.edge_of(src) == self.edge_of(dst) {
+            1
+        } else if self.pod_of(src) == self.pod_of(dst) {
+            half
+        } else {
+            half * half
+        }
+    }
+
+    /// The `i`-th of [`Self::all_paths`]: within a pod path `i` goes up
+    /// through agg `i`; across pods through agg `i / (k/2)` and core
+    /// `i % (k/2)` of that agg's group. `i < path_count(src, dst)`.
+    fn path_at(&self, src: usize, dst: usize, i: usize) -> Vec<LinkId> {
+        let half = self.k / 2;
+        let (e_src, e_dst) = (self.edge_of(src), self.edge_of(dst));
+        let (p_src, p_dst) = (self.pod_of(src), self.pod_of(dst));
+        if e_src == e_dst {
+            vec![self.host_up[src], self.host_down[dst]]
+        } else if p_src == p_dst {
+            // Up to agg i of the pod, straight back down.
+            vec![
+                self.host_up[src],
+                self.edge_agg_up[e_src][i],
+                self.agg_edge_down[p_src * half + i][e_dst % half],
+                self.host_down[dst],
+            ]
+        } else {
+            // Up via agg j and core c of j's group, down the same way.
+            let (j, c) = (i / half, i % half);
+            vec![
+                self.host_up[src],
+                self.edge_agg_up[e_src][j],
+                self.agg_core_up[p_src * half + j][c],
+                self.core_agg_down[j * half + c][p_dst],
+                self.agg_edge_down[p_dst * half + j][e_dst % half],
+                self.host_down[dst],
+            ]
+        }
+    }
+
     /// All shortest paths from host `src` to host `dst`, as link sequences.
     ///
     /// # Panics
     /// Panics if `src == dst` or either host is out of range.
     pub fn all_paths(&self, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
-        assert!(src != dst, "no path from a host to itself");
-        assert!(src < self.host_count() && dst < self.host_count());
-        let half = self.k / 2;
-        let e_src = self.edge_of(src);
-        let e_dst = self.edge_of(dst);
-        if e_src == e_dst {
-            return vec![vec![self.host_up[src], self.host_down[dst]]];
-        }
-        let p_src = self.pod_of(src);
-        let p_dst = self.pod_of(dst);
-        let mut paths = Vec::new();
-        if p_src == p_dst {
-            // Up to any agg of the pod, straight back down.
-            for j in 0..half {
-                let a = p_src * half + j;
-                paths.push(vec![
-                    self.host_up[src],
-                    self.edge_agg_up[e_src][j],
-                    self.agg_edge_down[a][e_dst % half],
-                    self.host_down[dst],
-                ]);
-            }
-        } else {
-            // Up via agg j and core c of j's group, down the same way.
-            for j in 0..half {
-                let a_src = p_src * half + j;
-                let a_dst = p_dst * half + j;
-                for c in 0..half {
-                    let core = j * half + c;
-                    paths.push(vec![
-                        self.host_up[src],
-                        self.edge_agg_up[e_src][j],
-                        self.agg_core_up[a_src][c],
-                        self.core_agg_down[core][p_dst],
-                        self.agg_edge_down[a_dst][e_dst % half],
-                        self.host_down[dst],
-                    ]);
-                }
-            }
-        }
-        paths
+        (0..self.path_count(src, dst)).map(|i| self.path_at(src, dst, i)).collect()
     }
 
     /// The paper's multipath path selection: up to `n` distinct paths
     /// chosen at random ("for each pair of hosts we selected 8 paths at
     /// random", §4).
+    ///
+    /// Returns exactly what shuffling [`Self::all_paths`] with `rng` and
+    /// keeping the first `n` would, and leaves `rng` in the same state, but
+    /// shuffles path *indices*: the cost is O(path count) in `u32`s plus
+    /// the `n` paths kept, not O(path count) in paths.
     pub fn random_paths<R: Rng>(
         &self,
         src: usize,
@@ -214,18 +228,19 @@ impl FatTree {
         n: usize,
         rng: &mut R,
     ) -> Vec<Vec<LinkId>> {
-        let mut all = self.all_paths(src, dst);
-        all.shuffle(rng);
-        all.truncate(n.max(1));
-        all
+        let count = self.path_count(src, dst) as u32;
+        let mut picks: Vec<u32> = (0..count).collect();
+        picks.shuffle(rng);
+        picks.truncate(n.max(1));
+        picks.into_iter().map(|i| self.path_at(src, dst, i as usize)).collect()
     }
 
     /// The ECMP mimic: one shortest path chosen uniformly at random
     /// (§4: "we mimicked ECMP in our simulator by making each TCP source
     /// pick one of the shortest-hop paths at random").
     pub fn ecmp_path<R: Rng>(&self, src: usize, dst: usize, rng: &mut R) -> Vec<LinkId> {
-        let all = self.all_paths(src, dst);
-        all[rng.gen_range(0..all.len())].clone()
+        let i = rng.gen_range(0..self.path_count(src, dst));
+        self.path_at(src, dst, i)
     }
 
     /// All core-layer links (for loss-distribution plots, Fig. 13).
@@ -254,7 +269,7 @@ mod tests {
     use super::*;
     use mptcp_netsim::SimTime;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn build_k4() -> (Simulator, FatTree) {
         let mut sim = Simulator::new(0);
@@ -313,6 +328,89 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(t.random_paths(0, 4, 3, &mut rng).len(), 3);
         assert_eq!(t.random_paths(0, 1, 8, &mut rng).len(), 1, "only one path exists");
+    }
+
+    /// The enumeration `all_paths` had before `path_at`: nested loops over
+    /// aggs and cores building every path.
+    fn reference_all_paths(t: &FatTree, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
+        let half = t.k / 2;
+        let (e_src, e_dst) = (t.edge_of(src), t.edge_of(dst));
+        let (p_src, p_dst) = (t.pod_of(src), t.pod_of(dst));
+        if e_src == e_dst {
+            return vec![vec![t.host_up[src], t.host_down[dst]]];
+        }
+        let mut paths = Vec::new();
+        for j in 0..half {
+            if p_src == p_dst {
+                paths.push(vec![
+                    t.host_up[src],
+                    t.edge_agg_up[e_src][j],
+                    t.agg_edge_down[p_src * half + j][e_dst % half],
+                    t.host_down[dst],
+                ]);
+                continue;
+            }
+            for c in 0..half {
+                paths.push(vec![
+                    t.host_up[src],
+                    t.edge_agg_up[e_src][j],
+                    t.agg_core_up[p_src * half + j][c],
+                    t.core_agg_down[j * half + c][p_dst],
+                    t.agg_edge_down[p_dst * half + j][e_dst % half],
+                    t.host_down[dst],
+                ]);
+            }
+        }
+        paths
+    }
+
+    /// Every host pair of K=4; at K=8/16 each sampled source with a host
+    /// under its edge switch, one elsewhere in its pod and two far away.
+    fn pairs(t: &FatTree) -> Vec<(usize, usize)> {
+        let hosts = t.host_count();
+        let half = t.k / 2;
+        if t.k == 4 {
+            let all = (0..hosts).flat_map(|s| (0..hosts).map(move |d| (s, d)));
+            return all.filter(|(s, d)| s != d).collect();
+        }
+        (0..hosts)
+            .step_by(37)
+            .flat_map(|s| {
+                [s ^ 1, s ^ half, (s + hosts / 2) % hosts, (s * 7 + 13) % hosts].map(|d| (s, d))
+            })
+            .filter(|(s, d)| s != d)
+            .collect()
+    }
+
+    /// Index selection returns what shuffling every path did and leaves
+    /// the RNG at the same position, so every seeded experiment keeps its
+    /// traffic.
+    #[test]
+    fn index_selection_matches_shuffling_every_path() {
+        let spec = LinkSpec::mbps(100.0, SimTime::from_micros(10), 100);
+        for k in [4usize, 8, 16] {
+            let t = FatTree::build(&mut Simulator::new(0), k, spec);
+            for (i, (s, d)) in pairs(&t).into_iter().enumerate() {
+                let all = reference_all_paths(&t, s, d);
+                assert_eq!(t.all_paths(s, d), all, "k={k} {s}→{d}");
+                assert_eq!(t.path_count(s, d), all.len());
+                for n in [1usize, 2, 3, 8, 64] {
+                    let mut got_rng = StdRng::seed_from_u64((i * 5 + n) as u64);
+                    let mut want_rng = got_rng.clone();
+                    let mut want = all.clone();
+                    want.shuffle(&mut want_rng);
+                    want.truncate(n);
+                    let got = t.random_paths(s, d, n, &mut got_rng);
+                    assert_eq!(got, want, "k={k} {s}→{d} n={n}");
+                    assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "RNG, k={k} n={n}");
+                }
+                let mut got_rng = StdRng::seed_from_u64(i as u64);
+                let mut want_rng = got_rng.clone();
+                let want = all[want_rng.gen_range(0..all.len())].clone();
+                assert_eq!(t.ecmp_path(s, d, &mut got_rng), want, "ecmp k={k} {s}→{d}");
+                assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "ecmp RNG position");
+            }
+        }
     }
 
     #[test]
