@@ -2,9 +2,10 @@
 //!
 //! The struct-of-arrays flow arena exists so a simulator that opens and
 //! retires flows mid-run stays allocation-free in steady state: a retiring
-//! flow's hot subflow window, scoreboard rings and scratch vectors are
-//! recycled into the next admission instead of round-tripping through the
-//! allocator. This bench is the payoff measurement, on a FatTree k = 16
+//! flow's hot subflow window and scoreboard rings are recycled into the
+//! next admission instead of round-tripping through the allocator, and
+//! each shard has one set of per-call scratch buffers that every flow
+//! shares. This bench is the payoff measurement, on a FatTree k = 16
 //! (1024 hosts, 8 pod-sharded shards) under the
 //! [`ChurnSchedule`](mptcp_workload::ChurnSchedule) stress shape:
 //!

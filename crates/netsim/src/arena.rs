@@ -15,12 +15,16 @@
 //!   retires, its window goes on a size-keyed free list and a later
 //!   connection of the same shape reuses the slots in place via
 //!   `reset_for_reuse` — no allocator traffic, counters stay monotone.
-//! * **Cold rows** — [`ColdSubflow`]: the route, ACK-return delay,
-//!   backup/closed flags, per-subflow send counter and the TCP params
-//!   needed to re-arm a recycled sender. Cold rows are append-only and
-//!   their indices are *stable for the lifetime of the world*, so
-//!   straggler packets still in link queues keep routing correctly even
-//!   after the owning flow's hot window was recycled.
+//! * **Cold rows** — [`ColdSubflow`]: only what a subflow without a hot
+//!   window needs: ACK-return delay, RTT hint, backup/closed flags and
+//!   the per-subflow send counter. Cold rows are append-only and their
+//!   indices are *stable for the lifetime of the world*. The TCP params
+//!   that re-arm a recycled sender are the connection's, passed to
+//!   [`FlowArena::acquire_hot`].
+//! * **Routes** — a standalone simulator's [`LinkPath`] per cold row, in a
+//!   column of its own and as stable, so straggler packets still in link
+//!   queues keep routing after the owning flow's hot window was recycled.
+//!   A shard leaves it empty: sharded routing reads the world map.
 //! * **A pooled ring allocator** — when no free window of a compatible
 //!   shape exists, smaller free windows are cannibalized: their
 //!   scoreboard/reassembly bitmap storage is gutted into a [`RingPool`]
@@ -37,38 +41,34 @@
 // `sim.rs`. The free-list BTreeMap is likewise churn-path-only.
 
 use crate::link::LinkPath;
-use crate::scoreboard::RingPool;
+use crate::mem::{vec_bytes, MemBytes};
+use crate::scoreboard::{ring_hints, RingPool};
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 
 /// Sentinel hot base for a connection whose window is not resident (not
 /// yet started under flow lifecycle, or already retired).
 pub(crate) const NOT_RESIDENT: u32 = u32::MAX;
 
-/// Cold per-subflow state: everything the per-ACK path does *not* touch.
+/// Cold per-subflow state: what a subflow without a hot window needs.
 /// Rows are append-only and indexed by the connection's stable
 /// `sub_base`; they survive hot-window recycling so late packets still
-/// find their route and admin/path-management flags.
+/// find their admin/path-management flags.
 #[derive(Debug)]
 pub(crate) struct ColdSubflow {
-    /// Forward route (looked up per hop by packets, including stragglers
-    /// of retired flows — this is why cold rows are never recycled).
-    pub(crate) path: LinkPath,
     /// Fixed delay from delivery at the destination to the ACK reaching
     /// the sender (reverse propagation + any extra RTT).
     pub(crate) ack_delay: SimTime,
     /// RTT hint handed to a (re)initialized sender.
     pub(crate) rtt_hint: f64,
-    /// TCP parameters, kept so a recycled hot slot can be re-armed to
-    /// exactly the state `SubflowSender::new` would produce.
-    pub(crate) params: TcpParams,
+    /// Packets handed to the link layer on this subflow.
+    pub(crate) sent_pkts: u64,
     /// Backup priority (MP_JOIN `B` bit).
     pub(crate) backup: bool,
     /// Administratively closed (address withdrawn).
     pub(crate) closed: bool,
-    /// Packets handed to the link layer on this subflow.
-    pub(crate) sent_pkts: u64,
 }
 
 /// Struct-of-arrays storage for every subflow in the world: hot columns
@@ -91,6 +91,10 @@ pub(crate) struct FlowArena {
     pub(crate) gen: Vec<u32>,
     /// Cold rows, indexed by the stable `sub_base` space.
     pub(crate) cold: Vec<ColdSubflow>,
+    /// Forward routes, indexed like `cold` (standalone only: a shard
+    /// routes by the world map and leaves this empty). Looked up per hop
+    /// by packets, stragglers of retired flows included.
+    pub(crate) routes: Vec<LinkPath>,
     /// Free hot windows keyed by `(window size, envelope class)`: the
     /// class is the `⌈log2⌉` of the smallest warmed per-packet-metadata
     /// capacity across the window's lanes (see
@@ -129,6 +133,30 @@ impl FlowArena {
         self.reuses
     }
 
+    /// Add the arena's bytes to `m`: hot columns and free lists, the rings
+    /// and send metadata behind them, cold rows, routes and the ring pool.
+    pub(crate) fn mem_bytes(&self, m: &mut MemBytes) {
+        m.hot += vec_bytes(&self.tx)
+            + vec_bytes(&self.rx)
+            + vec_bytes(&self.rto_deadline)
+            + vec_bytes(&self.rto_event_at)
+            + vec_bytes(&self.gen);
+        m.hot += self
+            .free
+            .values()
+            .map(|bases| vec_bytes(bases) + size_of::<((u32, u8), Vec<u32>)>() as u64)
+            .sum::<u64>();
+        for tx in &self.tx {
+            let (rings, meta) = tx.heap_bytes();
+            m.rings += rings;
+            m.sent_meta += meta;
+        }
+        m.rings += self.rx.iter().map(SubflowReceiver::heap_bytes).sum::<u64>();
+        m.cold += vec_bytes(&self.cold);
+        m.routes += vec_bytes(&self.routes) + self.routes.iter().map(LinkPath::heap_bytes).sum::<u64>();
+        m.ring_pool += self.pool.heap_bytes();
+    }
+
     /// Append one cold row; returns its stable index.
     pub(crate) fn push_cold(&mut self, row: ColdSubflow) -> usize {
         self.cold.push(row);
@@ -136,10 +164,12 @@ impl FlowArena {
     }
 
     /// Acquire a hot window of `n` slots for the subflows whose cold rows
-    /// start at `cold_base`, returning `(hot_base, generation)`.
+    /// start at `cold_base`, armed with the connection's `params`, and
+    /// return `(hot_base, generation)`.
     /// `want_env` is the flow's expected per-lane flight envelope in
-    /// packets (its transfer size for sized flows, `u64::MAX` for bulk):
-    /// reuse prefers, in order, a same-width window whose warmed envelope
+    /// packets (its transfer size for sized flows, `u64::MAX` for bulk).
+    /// It sizes fresh slots' rings (see [`ring_hints`]), and reuse
+    /// prefers, in order, a same-width window whose warmed envelope
     /// already covers it, the *largest*-envelope same-width window below
     /// it (least growth for the new tenant to pay), then a wider window
     /// to split. Otherwise undersized free windows are cannibalized into
@@ -154,6 +184,7 @@ impl FlowArena {
         n: usize,
         count_growth: bool,
         want_env: u64,
+        params: &TcpParams,
     ) -> (u32, u32) {
         debug_assert!(n > 0 && cold_base + n <= self.cold.len());
         let want = crate::cast::slab_u32(n);
@@ -192,14 +223,14 @@ impl FlowArena {
                 self.free.entry((size - want, class)).or_default().push(base + want);
             }
             self.reuses += 1;
-            let gen = self.reset_window(base as usize, cold_base, n);
+            let gen = self.reset_window(base as usize, cold_base, n, params);
             return (base, gen);
         }
         // Nothing fits. Cannibalize undersized free windows: gut their
         // ring storage into the pool so the fresh slots below draw
         // recycled word-buffers instead of allocating. The gutted husk
-        // slots are retired for good (a gutted ring degenerates to the
-        // interval-fallback path, which would silently re-allocate).
+        // slots are retired for good (a gutted ring has no storage, and an
+        // insert into one panics rather than re-allocate).
         let mut gutted = 0usize;
         while gutted < n {
             let Some((&key, _)) = self.free.range(..(want, 0)).next_back() else { break };
@@ -219,10 +250,11 @@ impl FlowArena {
         }
         let base = crate::cast::slab_u32(self.tx.len());
         let cap = self.tx.capacity();
+        let (tx_hint, rx_hint) = ring_hints(params.max_cwnd, want_env);
         for i in 0..n {
-            let row = &self.cold[cold_base + i];
-            self.tx.push(SubflowSender::new_pooled(row.params, row.rtt_hint, &mut self.pool));
-            self.rx.push(SubflowReceiver::new_pooled(&mut self.pool));
+            let rtt_hint = self.cold[cold_base + i].rtt_hint;
+            self.tx.push(SubflowSender::new_pooled(params, rtt_hint, tx_hint, &mut self.pool));
+            self.rx.push(SubflowReceiver::new_pooled(rx_hint, &mut self.pool));
             self.rto_deadline.push(None);
             self.rto_event_at.push(None);
             self.gen.push(0);
@@ -238,10 +270,9 @@ impl FlowArena {
     /// to a freshly constructed one (pinned by the `reset_for_reuse`
     /// differential proptests in `tcp.rs`), storage and monotone
     /// allocation counters are kept, and the generation is bumped.
-    fn reset_window(&mut self, base: usize, cold_base: usize, n: usize) -> u32 {
+    fn reset_window(&mut self, base: usize, cold_base: usize, n: usize, params: &TcpParams) -> u32 {
         for i in 0..n {
-            let row = &self.cold[cold_base + i];
-            self.tx[base + i].reset_for_reuse(row.params, row.rtt_hint);
+            self.tx[base + i].reset_for_reuse(params, self.cold[cold_base + i].rtt_hint);
             self.rx[base + i].reset_for_reuse();
             self.rto_deadline[base + i] = None;
             self.rto_event_at[base + i] = None;
@@ -275,13 +306,11 @@ mod tests {
         let mut a = FlowArena::default();
         for _ in 0..n {
             a.push_cold(ColdSubflow {
-                path: LinkPath::from(vec![0]),
                 ack_delay: SimTime::from_millis(10),
                 rtt_hint: 0.02,
-                params: TcpParams::default(),
+                sent_pkts: 0,
                 backup: false,
                 closed: false,
-                sent_pkts: 0,
             });
         }
         a
@@ -290,12 +319,12 @@ mod tests {
     #[test]
     fn released_windows_are_reused_in_place_with_a_bumped_generation() {
         let mut a = arena_with_cold(4);
-        let (b0, g0) = a.acquire_hot(0, 2, true, 8);
-        let (b1, _g1) = a.acquire_hot(2, 2, true, 8);
+        let (b0, g0) = a.acquire_hot(0, 2, true, 8, &TcpParams::default());
+        let (b1, _g1) = a.acquire_hot(2, 2, true, 8, &TcpParams::default());
         assert_eq!((b0, b1), (0, 2), "fresh windows are appended in order");
         let len = a.hot_len();
         a.release_hot(b0, 2, g0, 8);
-        let (b2, g2) = a.acquire_hot(2, 2, true, 8);
+        let (b2, g2) = a.acquire_hot(2, 2, true, 8, &TcpParams::default());
         assert_eq!(b2, b0, "a same-shape acquisition must recycle the freed window");
         assert_eq!(g2, g0 + 1, "recycling must bump the generation");
         assert_eq!(a.hot_len(), len, "reuse must not grow the columns");
@@ -305,11 +334,11 @@ mod tests {
     #[test]
     fn larger_free_windows_are_split_not_skipped() {
         let mut a = arena_with_cold(5);
-        let (b0, g0) = a.acquire_hot(0, 4, true, 8);
+        let (b0, g0) = a.acquire_hot(0, 4, true, 8, &TcpParams::default());
         a.release_hot(b0, 4, g0, 8);
-        let (b1, _) = a.acquire_hot(0, 1, true, 8);
+        let (b1, _) = a.acquire_hot(0, 1, true, 8, &TcpParams::default());
         assert_eq!(b1, b0, "the head of the 4-window serves the 1-slot request");
-        let (b2, _) = a.acquire_hot(1, 3, true, 8);
+        let (b2, _) = a.acquire_hot(1, 3, true, 8, &TcpParams::default());
         assert_eq!(b2, b0 + 1, "the split tail serves the next request");
         assert_eq!(a.hot_len(), 4, "both served from recycled storage");
         assert_eq!(a.reuses(), 2);
@@ -318,25 +347,34 @@ mod tests {
     #[test]
     fn shape_mismatch_cannibalizes_small_windows_into_the_ring_pool() {
         let mut a = arena_with_cold(6);
-        let (b0, g0) = a.acquire_hot(0, 1, true, 8);
-        let (b1, g1) = a.acquire_hot(1, 1, true, 8);
+        let (b0, g0) = a.acquire_hot(0, 1, true, 8, &TcpParams::default());
+        let (b1, g1) = a.acquire_hot(1, 1, true, 8, &TcpParams::default());
         a.release_hot(b0, 1, g0, 8);
         a.release_hot(b1, 1, g1, 8);
         // A 3-wide request cannot reuse the two 1-wide windows: they are
         // gutted into the pool and the fresh slots draw from it.
-        let (b2, _) = a.acquire_hot(2, 3, true, 8);
+        let (b2, _) = a.acquire_hot(2, 3, true, 8, &TcpParams::default());
         assert_eq!(b2 as usize, 2, "fresh slots are appended past the husks");
         let (hits, _misses) = a.pool.stats();
         assert!(hits > 0, "fresh slots must draw cannibalized ring storage from the pool");
+    }
+
+    /// A cold row is kept for every subflow ever admitted, so it holds
+    /// only what a subflow without a hot window needs: no route, no
+    /// `TcpParams`.
+    #[test]
+    fn a_cold_row_fits_in_40_bytes() {
+        let size = size_of::<ColdSubflow>();
+        assert!(size <= 40, "ColdSubflow grew to {size} bytes");
     }
 
     #[test]
     fn cold_rows_are_stable_across_hot_churn() {
         let mut a = arena_with_cold(2);
         a.cold[1].sent_pkts = 77;
-        let (b, g) = a.acquire_hot(0, 2, false, 8);
+        let (b, g) = a.acquire_hot(0, 2, false, 8, &TcpParams::default());
         a.release_hot(b, 2, g, 8);
-        let _ = a.acquire_hot(0, 2, true, 8);
+        let _ = a.acquire_hot(0, 2, true, 8, &TcpParams::default());
         assert_eq!(a.cold[1].sent_pkts, 77, "cold rows must survive hot recycling");
         assert_eq!(a.cold.len(), 2);
     }
@@ -344,23 +382,23 @@ mod tests {
     #[test]
     fn acquisition_matches_flows_to_windows_sized_for_them() {
         let mut a = arena_with_cold(6);
-        let (b_small, g_small) = a.acquire_hot(0, 2, true, 4);
-        let (b_big, g_big) = a.acquire_hot(2, 2, true, 64);
-        let (b_mid, g_mid) = a.acquire_hot(4, 2, true, 16);
+        let (b_small, g_small) = a.acquire_hot(0, 2, true, 4, &TcpParams::default());
+        let (b_big, g_big) = a.acquire_hot(2, 2, true, 64, &TcpParams::default());
+        let (b_mid, g_mid) = a.acquire_hot(4, 2, true, 16, &TcpParams::default());
         a.release_hot(b_small, 2, g_small, 4);
         a.release_hot(b_big, 2, g_big, 64);
         a.release_hot(b_mid, 2, g_mid, 16);
         // A 40-packet flow needs class 6 (33..=64): only the big window
         // qualifies, even though the small ones were released later.
-        let (b0, _) = a.acquire_hot(0, 2, true, 40);
+        let (b0, _) = a.acquire_hot(0, 2, true, 40, &TcpParams::default());
         assert_eq!(b0, b_big, "the 64-envelope window serves the 40-packet flow");
         // A 3-packet flow takes the *smallest* sufficient envelope.
-        let (b1, _) = a.acquire_hot(2, 2, true, 3);
+        let (b1, _) = a.acquire_hot(2, 2, true, 3, &TcpParams::default());
         assert_eq!(b1, b_small, "the 4-envelope window serves the 3-packet flow");
         // Nothing sufficient left: fall back to the largest envelope
         // below the request rather than growing fresh columns.
         let len = a.hot_len();
-        let (b2, _) = a.acquire_hot(4, 2, true, 1000);
+        let (b2, _) = a.acquire_hot(4, 2, true, 1000, &TcpParams::default());
         assert_eq!(b2, b_mid, "largest-below fallback picks the 16-envelope window");
         assert_eq!(a.hot_len(), len, "fallback reuse must not grow the columns");
         assert_eq!(a.reuses(), 3);

@@ -243,6 +243,14 @@ impl EventQueue {
         }
     }
 
+    /// Heap bytes of the backend's storage.
+    pub fn heap_bytes(&self) -> u64 {
+        match &self.backend {
+            BackendImpl::Wheel(w) => w.heap_bytes(),
+            BackendImpl::Heap(h) => (h.capacity() * std::mem::size_of::<Event>()) as u64,
+        }
+    }
+
     /// Check the wheel's structural invariants (no-op on the heap).
     #[cfg(test)]
     fn check_invariants(&self) {
@@ -540,7 +548,7 @@ mod tests {
             assert_eq!(a.as_ref().map(|e| (e.at, e.seq)), b.as_ref().map(|e| (e.at, e.seq)));
             let Some(e) = a else { break };
             popped += 1;
-            if popped % 2 == 0 {
+            if popped.is_multiple_of(2) {
                 push_both(&mut wheel, &mut heap, e.at.as_nanos() + popped % 7 * 5);
             }
         }

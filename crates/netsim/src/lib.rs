@@ -69,6 +69,7 @@ mod cbr;
 mod event;
 mod fault;
 mod link;
+mod mem;
 mod packet;
 mod perf;
 mod probe;
@@ -86,6 +87,7 @@ pub use cbr::{CbrId, CbrSpec};
 pub use event::{queue_churn, QueueBackend};
 pub use fault::{FaultAction, FaultPlan, GeParams};
 pub use link::{LinkId, LinkSpec, LinkStats};
+pub use mem::MemBytes;
 pub use packet::DEFAULT_PACKET_SIZE;
 pub use perf::{wall_clock, SimPerf};
 // Re-exported so downstream crates digest sim state without naming the core

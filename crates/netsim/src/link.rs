@@ -48,6 +48,14 @@ impl LinkPath {
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
+
+    /// Heap bytes of a spilled route (none when inline).
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            LinkPath::Inline { .. } => 0,
+            LinkPath::Heap(v) => crate::mem::vec_bytes(v),
+        }
+    }
 }
 
 impl std::ops::Index<usize> for LinkPath {

@@ -47,12 +47,13 @@ pub struct SimPerf {
     /// quiesced (deadlocked) world that can never make progress again.
     pub quiesced_at: Option<SimTime>,
     /// Logical allocation events on the simulator's hot paths: scoreboard
-    /// ring growth and interval-fallback spills, send-metadata growth,
-    /// ACK-pool growth, and per-connection scratch growth. After warmup
-    /// this must stop moving — the steady-state ACK path is allocation-
-    /// free (asserted by tests). The crate forbids `unsafe`, so this is
-    /// tracked by the owning structures rather than a global allocator
-    /// hook.
+    /// ring growth, send-metadata growth, ACK-pool growth, growth of the
+    /// simulator's one set of per-call scratch buffers, and hot-column
+    /// growth under flow lifecycle. After warmup this must stop moving —
+    /// the steady-state ACK path is allocation-free (asserted by tests).
+    /// The owning structures count these events; bytes actually held are
+    /// [`crate::Simulator::mem_bytes`], which `tests/mem_account.rs`
+    /// checks against a counting global allocator.
     pub hot_allocs: u64,
     /// Events the timer wheel's cascades moved down a level (always 0 on
     /// the heap backend). Each event descends at most once per level, so

@@ -37,6 +37,26 @@ const DEFAULT_CAP: u64 = 1 << 10;
 /// packets a subflow may have in flight.
 pub(crate) const MAX_CAP: u64 = 1 << 20;
 
+/// Flows of at most this many packets get rings sized to the flow.
+const SIZED_FLOW_PKTS: u64 = 256;
+
+/// The window hints a fresh slot's rings are sized for, as
+/// `(sender, receiver)`. In general the sender's rings follow the window
+/// cap and the receiver's get [`DEFAULT_CAP`]. A subflow of an uncapped
+/// flow of `size_pkts ≤ 256` packets carries at most `size_pkts` new
+/// sequences plus reinjected copies, so all three rings get
+/// `max(256, 4·size_pkts)` bits — never more than `DEFAULT_CAP`, and a
+/// ring still grows if a flow outruns it. `size_pkts` is `u64::MAX` for
+/// bulk flows.
+pub(crate) fn ring_hints(max_cwnd: f64, size_pkts: u64) -> (f64, f64) {
+    if max_cwnd.is_infinite() && size_pkts <= SIZED_FLOW_PKTS {
+        let size = size_pkts as f64;
+        (size, size)
+    } else {
+        (max_cwnd, f64::INFINITY)
+    }
+}
+
 /// Sender-side SACK scoreboard: the set operations `SubflowSender` performs
 /// per ACK, abstracted so a bitmap and the reference `BTreeSet` bookkeeping
 /// can be driven through identical sequences and compared bit-for-bit.
@@ -97,17 +117,23 @@ pub(crate) trait Scoreboard: std::fmt::Debug {
     /// insert-count proxy for the reference impl). Feeds
     /// [`crate::SimPerf::hot_allocs`].
     fn alloc_events(&self) -> u64;
+    /// Heap bytes the sets hold (see [`crate::MemBytes::rings`]); the
+    /// B-tree reference reports none.
+    fn heap_bytes(&self) -> u64 {
+        0
+    }
 }
 
 /// Receiver-side out-of-order buffer: what `SubflowReceiver` needs.
 pub(crate) trait OooBuf: std::fmt::Debug + Default {
-    /// Fresh buffer drawing bitmap storage from `pool` when a retired
-    /// buffer fits (default: ignore the pool).
-    fn new_pooled(pool: &mut RingPool) -> Self
+    /// Fresh buffer sized for windows up to `max_window` packets, drawing
+    /// bitmap storage from `pool` when a retired buffer fits (default:
+    /// ignore both).
+    fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self
     where
         Self: Sized,
     {
-        let _ = pool;
+        let _ = (max_window, pool);
         Self::default()
     }
     /// Return to the empty state in place, keeping storage and the
@@ -131,6 +157,10 @@ pub(crate) trait OooBuf: std::fmt::Debug + Default {
     fn sack_ranges(&self) -> SackRanges;
     /// Allocation events so far (see [`Scoreboard::alloc_events`]).
     fn alloc_events(&self) -> u64;
+    /// Heap bytes held (see [`Scoreboard::heap_bytes`]).
+    fn heap_bytes(&self) -> u64 {
+        0
+    }
 }
 
 /// Pool of retired ring word-buffers: flow close → open recycles bitmap
@@ -177,6 +207,12 @@ impl RingPool {
                 None
             }
         }
+    }
+
+    /// Heap bytes of the parked buffers and the list holding them.
+    pub fn heap_bytes(&self) -> u64 {
+        let words: usize = self.bufs.iter().map(|b| b.len()).sum();
+        (words * 8) as u64 + crate::mem::vec_bytes(&self.bufs)
     }
 
     /// Buffers currently parked.
@@ -305,6 +341,11 @@ impl BitRing {
 
     pub fn alloc_events(&self) -> u64 {
         self.allocs
+    }
+
+    /// Heap bytes of the ring's words.
+    pub fn heap_bytes(&self) -> u64 {
+        self.words.len() as u64 * 8
     }
 
     #[inline]
@@ -683,6 +724,12 @@ impl BitmapScoreboard {
             self.retx.remove(i);
         }
     }
+
+    /// Capacities of the sacked and lost rings, in bits.
+    #[cfg(test)]
+    pub(crate) fn ring_bits(&self) -> [u64; 2] {
+        [self.sacked.cap(), self.lost.cap()]
+    }
 }
 
 impl Scoreboard for BitmapScoreboard {
@@ -803,6 +850,10 @@ impl Scoreboard for BitmapScoreboard {
     fn alloc_events(&self) -> u64 {
         self.sacked.alloc_events() + self.lost.alloc_events() + self.retx_allocs
     }
+
+    fn heap_bytes(&self) -> u64 {
+        self.sacked.heap_bytes() + self.lost.heap_bytes() + crate::mem::vec_bytes(&self.retx)
+    }
 }
 
 /// The allocation-free receiver out-of-order buffer.
@@ -817,10 +868,18 @@ impl Default for BitmapOoo {
     }
 }
 
+impl BitmapOoo {
+    /// Capacity of the reassembly ring, in bits.
+    #[cfg(test)]
+    pub(crate) fn ring_bits(&self) -> u64 {
+        self.ring.cap()
+    }
+}
+
 impl OooBuf for BitmapOoo {
-    fn new_pooled(pool: &mut RingPool) -> Self {
-        // Infinite hint → DEFAULT_CAP, matching `BitmapOoo::default()`.
-        Self { ring: BitRing::for_window_hint_pooled(f64::INFINITY, pool) }
+    fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self {
+        // An infinite hint gets DEFAULT_CAP, matching `BitmapOoo::default()`.
+        Self { ring: BitRing::for_window_hint_pooled(max_window, pool) }
     }
 
     fn reset_for_reuse(&mut self) {
@@ -879,6 +938,10 @@ impl OooBuf for BitmapOoo {
 
     fn alloc_events(&self) -> u64 {
         self.ring.alloc_events()
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        self.ring.heap_bytes()
     }
 }
 

@@ -42,6 +42,7 @@
 use crate::event::QueueBackend;
 use crate::fault::FaultPlan;
 use crate::link::{LinkId, LinkSpec, LinkStats};
+use crate::mem::{vec_bytes, MemBytes};
 use crate::packet::Packet;
 use crate::perf::SimPerf;
 use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowSpec, SubflowTiming};
@@ -110,6 +111,16 @@ impl WorldMap {
         self.conn_sub_base.push(crate::cast::slab_u32(self.sub_hop_base.len() - 1));
         self.conn_owner.push(owner);
         self.conn_local.push(local);
+    }
+
+    /// Heap bytes of the tables.
+    fn heap_bytes(&self) -> u64 {
+        vec_bytes(&self.link_home)
+            + vec_bytes(&self.conn_owner)
+            + vec_bytes(&self.conn_local)
+            + vec_bytes(&self.conn_sub_base)
+            + vec_bytes(&self.sub_hop_base)
+            + vec_bytes(&self.hops)
     }
 
     #[inline]
@@ -239,6 +250,18 @@ impl ShardedSimulator {
     /// Total recycled hot-window acquisitions across every shard's arena.
     pub fn arena_hot_reuses(&self) -> u64 {
         self.shards.iter().map(|s| s.arena_hot_reuses()).sum()
+    }
+
+    /// Bytes the world holds, by category: every shard's
+    /// [`Simulator::mem_bytes`] plus the world map and link specs, counted
+    /// once however many shards share the map.
+    pub fn mem_bytes(&self) -> MemBytes {
+        let mut m = MemBytes::default();
+        for shard in &self.shards {
+            m += shard.mem_bytes();
+        }
+        m.world_map += self.map.heap_bytes() + vec_bytes(&self.link_specs);
+        m
     }
 
     /// Current simulated time.

@@ -10,6 +10,7 @@ use crate::cbr::{CbrId, CbrSource, CbrSpec};
 use crate::event::{AckInfo, EventKind, EventQueue, QueueBackend};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{GeState, Link, LinkId, LinkPath, LinkSpec, LinkStats};
+use crate::mem::{deque_bytes, vec_bytes, MemBytes};
 use crate::packet::{Packet, PacketOwner, DEFAULT_PACKET_SIZE};
 use crate::perf::SimPerf;
 use crate::probe::{
@@ -25,6 +26,7 @@ use mptcp_cc::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+use std::mem::{size_of, size_of_val};
 
 /// Identifier of a connection within one [`Simulator`].
 pub type ConnId = usize;
@@ -213,6 +215,58 @@ struct ReinjectEntry {
     acked: bool,
 }
 
+/// A connection's reinjection state, created when a failed or closed
+/// subflow first strands data. Most connections never need one.
+#[derive(Debug, Default)]
+struct Reinjection {
+    /// Data sequence numbers stranded on a potentially-failed subflow,
+    /// waiting to be reinjected on a live one (each dsn is harvested at
+    /// most once — see `reg`).
+    queue: VecDeque<u64>,
+    /// Per-dsn delivery/ack dedupe for data that was ever queued for
+    /// reinjection. Data never reinjected has exactly one subflow copy and
+    /// needs no entry here.
+    reg: BTreeMap<u64, ReinjectEntry>,
+    /// Arrivals of a dsn whose data the receiver already had via another
+    /// subflow copy (the waste reinjection trades for robustness).
+    dup_arrivals: u64,
+    /// Reinjected copies handed to live subflows.
+    sent: u64,
+}
+
+/// Per-call scratch buffers, one set per simulator: every use refills a
+/// buffer before reading it, so no connection needs its own, and once
+/// warm they stop growing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Congestion-control snapshots of one connection's subflows.
+    snaps: Vec<SubflowSnapshot>,
+    /// Data sequence numbers one ACK newly acknowledged.
+    acked_dsns: Vec<u64>,
+    /// A failed subflow's stranded `(seq, dsn)` pairs (see
+    /// `SubflowSender::stranded`).
+    stranded: Vec<(u64, u64)>,
+    /// Capacity-growth events of the buffers above (allocation accounting
+    /// for [`SimPerf::hot_allocs`]).
+    allocs: u64,
+}
+
+impl Scratch {
+    /// Refill the snapshots from one connection's hot and cold windows.
+    fn refresh_snaps(&mut self, tx: &[SubflowSender], cold: &[ColdSubflow]) {
+        let cap = self.snaps.capacity();
+        self.snaps.clear();
+        self.snaps.extend(tx.iter().zip(cold).map(|(t, c)| snapshot_of(t, c.closed)));
+        if self.snaps.capacity() != cap {
+            self.allocs += 1;
+        }
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        vec_bytes(&self.snaps) + vec_bytes(&self.acked_dsns) + vec_bytes(&self.stranded)
+    }
+}
+
 /// Runtime state of a connection.
 ///
 /// Subflow state does not live here: every connection's subflows occupy a
@@ -223,6 +277,9 @@ struct ReinjectEntry {
 /// straggler-grace after the transfer completes.
 struct Connection {
     cc: CcDriver,
+    /// TCP parameters every subflow's sender is armed with, here once
+    /// rather than in every cold row or sender.
+    tcp: TcpParams,
     /// First index of this connection's *cold* subflow rows in the arena
     /// (stable for the lifetime of the world).
     sub_base: u32,
@@ -256,37 +313,15 @@ struct Connection {
     started: bool,
     finished_at: Option<SimTime>,
     rr_next: usize,
-    /// Scratch buffer for congestion-control snapshots, reused across ACKs
-    /// (this is on the per-packet hot path).
-    snap_buf: Vec<SubflowSnapshot>,
     /// Next connection-level data sequence number to hand to a subflow.
     next_dsn: u64,
-    /// Data sequence numbers stranded on a potentially-failed subflow,
-    /// waiting to be reinjected on a live one (each dsn is harvested at
-    /// most once — see `reinject_reg`).
-    reinject_queue: VecDeque<u64>,
-    /// Per-dsn delivery/ack dedupe for data that was ever queued for
-    /// reinjection. Data never reinjected has exactly one subflow copy and
-    /// needs no entry here.
-    reinject_reg: BTreeMap<u64, ReinjectEntry>,
+    /// Stranded data and its exactly-once registry, once any exists.
+    reinject: Option<Box<Reinjection>>,
     /// Distinct data packets that reached the receiver (each dsn counted
     /// once, however many copies arrived).
     data_delivered: u64,
     /// Distinct data packets acknowledged (each dsn counted once).
     data_acked: u64,
-    /// Arrivals of a dsn whose data the receiver already had via another
-    /// subflow copy (the waste reinjection trades for robustness).
-    dup_data_arrivals: u64,
-    /// Reinjected copies handed to live subflows.
-    reinjections_sent: u64,
-    /// Scratch for per-ACK newly-acknowledged dsns (hot path, reused).
-    acked_dsn_scratch: Vec<u64>,
-    /// Scratch for harvesting a failed subflow's stranded `(seq, dsn)`
-    /// pairs (reused; see `SubflowSender::stranded`).
-    stranded_scratch: Vec<(u64, u64)>,
-    /// Capacity-growth events of the scratch buffers above (allocation
-    /// accounting for [`SimPerf::hot_allocs`]).
-    scratch_allocs: u64,
     /// Backup-failover state machine, clocked in nanoseconds.
     failover: Failover,
     /// Addresses advertised to this connection at runtime
@@ -319,12 +354,6 @@ impl Connection {
     fn resident(&self) -> bool {
         self.hot_base != NOT_RESIDENT
     }
-
-    /// Refresh the snapshot scratch buffer from the live subflow state
-    /// (`tx`/`cold` are this connection's hot and cold arena windows).
-    fn refresh_snapshots(&mut self, tx: &[SubflowSender], cold: &[ColdSubflow]) {
-        refresh_snap_buf(&mut self.snap_buf, &mut self.scratch_allocs, tx, cold);
-    }
 }
 
 /// One subflow's congestion-control snapshot: clamped window and RTT, plus
@@ -334,36 +363,6 @@ impl Connection {
 /// path sums track churn.
 fn snapshot_of(tx: &SubflowSender, closed: bool) -> SubflowSnapshot {
     SubflowSnapshot::new(tx.cwnd.max(1e-9), tx.cc_rtt().max(1e-6)).active(!closed)
-}
-
-/// [`Connection::refresh_snapshots`] as a free function over the individual
-/// fields, so the ACK growth loop can refresh while the controller field is
-/// mutably borrowed (disjoint field borrows).
-/// Warm per-connection scratch storage donated by a retired connection
-/// and re-tenanted at the next admission (flow-lifecycle mode): the
-/// capacities these vectors grew during their previous tenancy carry
-/// over, so steady-state flow churn never re-pays their first growth
-/// (`scratch_allocs` stays flat).
-#[derive(Default)]
-pub(crate) struct ConnScratch {
-    snap_buf: Vec<SubflowSnapshot>,
-    acked_dsn: Vec<u64>,
-    stranded: Vec<(u64, u64)>,
-    reinject_queue: VecDeque<u64>,
-}
-
-fn refresh_snap_buf(
-    snap_buf: &mut Vec<SubflowSnapshot>,
-    scratch_allocs: &mut u64,
-    tx: &[SubflowSender],
-    cold: &[ColdSubflow],
-) {
-    let cap = snap_buf.capacity();
-    snap_buf.clear();
-    snap_buf.extend(tx.iter().zip(cold).map(|(t, c)| snapshot_of(t, c.closed)));
-    if snap_buf.capacity() != cap {
-        *scratch_allocs += 1;
-    }
 }
 
 /// One subflow's statistics, read from its live hot and cold state (shared
@@ -422,9 +421,8 @@ pub struct Simulator {
     /// Flow-lifecycle mode: defer hot-window acquisition to start and
     /// recycle the window one straggler-grace after the flow finishes.
     lifecycle: bool,
-    /// Warm scratch storage donated by retired connections, re-tenanted
-    /// at the next admission (lifecycle mode only).
-    scratch_pool: Vec<ConnScratch>,
+    /// Per-call scratch shared by every connection.
+    scratch: Scratch,
     /// Routing context installed by [`crate::ShardedSimulator`] when this
     /// simulator is one shard of a partitioned world; `None` standalone.
     shard: Option<Box<ShardCtx>>,
@@ -495,7 +493,7 @@ impl Simulator {
             conns: Vec::new(),
             flows: FlowArena::default(),
             lifecycle: false,
-            scratch_pool: Vec::new(),
+            scratch: Scratch::default(),
             shard: None,
             cbrs: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -589,6 +587,38 @@ impl Simulator {
         self.flows.reuses()
     }
 
+    /// Bytes this simulator holds, by category (see [`MemBytes`]).
+    /// Walks every slot, so it costs time proportional to the world; it
+    /// reads nothing the simulation depends on.
+    pub fn mem_bytes(&self) -> MemBytes {
+        let mut m = MemBytes::default();
+        self.flows.mem_bytes(&mut m);
+        m.connections = vec_bytes(&self.conns);
+        for c in &self.conns {
+            m.connections += match &c.cc {
+                CcDriver::Pure(cc) => size_of_val(&**cc),
+                CcDriver::Stateful(cc) => size_of_val(&**cc),
+            } as u64;
+            if let Some(r) = &c.reinject {
+                m.connections += (size_of::<Reinjection>()
+                    + r.reg.len() * size_of::<(u64, ReinjectEntry)>())
+                    as u64
+                    + deque_bytes(&r.queue);
+            }
+            m.final_stats += vec_bytes(&c.final_stats);
+        }
+        m.scratch = self.scratch.heap_bytes();
+        m.event_queue = self.queue.heap_bytes();
+        m.links = vec_bytes(&self.links) + self.links.iter().map(|l| deque_bytes(&l.queue)).sum::<u64>();
+        m.ack_pool = vec_bytes(&self.ack_pool) + vec_bytes(&self.ack_free);
+        if let Some(ctx) = &self.shard {
+            m.outboxes = size_of::<ShardCtx>() as u64
+                + vec_bytes(&ctx.outbox)
+                + ctx.outbox.iter().map(vec_bytes).sum::<u64>();
+        }
+        m
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -627,10 +657,9 @@ impl Simulator {
     /// recycling (`reset_for_reuse` keeps them), so this stays monotone
     /// and flat-in-steady-state under flow churn.
     fn hot_allocs(&self) -> u64 {
-        let conns: u64 = self.conns.iter().map(|c| c.scratch_allocs).sum();
         let tx: u64 = self.flows.tx.iter().map(|t| t.alloc_events()).sum();
         let rx: u64 = self.flows.rx.iter().map(|r| r.alloc_events()).sum();
-        self.ack_pool_allocs + conns + tx + rx + self.flows.alloc_events()
+        self.ack_pool_allocs + self.scratch.allocs + tx + rx + self.flows.alloc_events()
     }
 
     // ------------------------------------------------------------------
@@ -727,14 +756,15 @@ impl Simulator {
         for (sf, t) in spec.subflows.into_iter().zip(delays) {
             worst_straggler = worst_straggler.max(t.straggler);
             self.flows.push_cold(ColdSubflow {
-                path: LinkPath::from(if local_routes { sf.path } else { Vec::new() }),
                 ack_delay: t.ack_delay,
                 rtt_hint: t.rtt_hint,
-                params: spec.tcp,
+                sent_pkts: 0,
                 backup: sf.backup,
                 closed: false,
-                sent_pkts: 0,
             });
+            if local_routes {
+                self.flows.routes.push(LinkPath::from(sf.path));
+            }
         }
         // Flow lifecycle: hot state materializes at start (ConnStart) so
         // slots freed by earlier retirements can be recycled; otherwise
@@ -743,7 +773,13 @@ impl Simulator {
         let (hot_base, hot_gen) = if self.lifecycle {
             (NOT_RESIDENT, 0)
         } else {
-            self.flows.acquire_hot(sub_base as usize, n, false, spec.size_pkts.unwrap_or(u64::MAX))
+            self.flows.acquire_hot(
+                sub_base as usize,
+                n,
+                false,
+                spec.size_pkts.unwrap_or(u64::MAX),
+                &spec.tcp,
+            )
         };
         // Twice the worst subflow's straggler bound: nothing addressed to
         // this flow can still be in flight once the grace expires.
@@ -752,6 +788,7 @@ impl Simulator {
             + SimTime::from_millis(1);
         let conn = Connection {
             cc,
+            tcp: spec.tcp,
             sub_base,
             sub_count: crate::cast::slab_u32(n),
             hot_base,
@@ -760,7 +797,6 @@ impl Simulator {
             retire_grace,
             final_stats: if self.lifecycle { Vec::with_capacity(n) } else { Vec::new() },
             gid,
-            snap_buf: Vec::new(),
             packet_size: spec.packet_size,
             budget: spec.size_pkts,
             started_at: spec.start,
@@ -768,15 +804,9 @@ impl Simulator {
             finished_at: None,
             rr_next: 0,
             next_dsn: 0,
-            reinject_queue: VecDeque::new(),
-            reinject_reg: BTreeMap::new(),
+            reinject: None,
             data_delivered: 0,
             data_acked: 0,
-            dup_data_arrivals: 0,
-            reinjections_sent: 0,
-            acked_dsn_scratch: Vec::new(),
-            stranded_scratch: Vec::new(),
-            scratch_allocs: 0,
             failover: Failover::default(),
             addr_advertised: 0,
             subflows_joined: 0,
@@ -1050,7 +1080,7 @@ impl Simulator {
             c.subs()
                 .map(|s| {
                     let cold = &self.flows.cold[s];
-                    let tx = SubflowSender::new(cold.params, cold.rtt_hint);
+                    let tx = SubflowSender::new(&c.tcp, cold.rtt_hint);
                     subflow_stats(&tx, &SubflowReceiver::default(), cold)
                 })
                 .collect()
@@ -1063,9 +1093,9 @@ impl Simulator {
             data_sent: c.next_dsn,
             data_delivered: c.data_delivered,
             data_acked: c.data_acked,
-            dup_data_arrivals: c.dup_data_arrivals,
-            reinjections_sent: c.reinjections_sent,
-            reinject_pending: c.reinject_queue.len() as u64,
+            dup_data_arrivals: c.reinject.as_ref().map_or(0, |r| r.dup_arrivals),
+            reinjections_sent: c.reinject.as_ref().map_or(0, |r| r.sent),
+            reinject_pending: c.reinject.as_ref().map_or(0, |r| r.queue.len() as u64),
             backup_active: c.failover.backup_active(),
             backup_activations: c.failover.activations(),
             addr_advertised: c.addr_advertised,
@@ -1298,7 +1328,7 @@ impl Simulator {
                     // Cold rows are stable across hot-window recycling, so
                     // straggler packets of retired flows still route.
                     let c = &self.conns[conn];
-                    self.flows.cold[c.sub_base as usize + sub].path[pkt.hop()]
+                    self.flows.routes[c.sub_base as usize + sub][pkt.hop()]
                 }
             },
             PacketOwner::Cbr { src } => self.cbrs[src].path[pkt.hop()],
@@ -1311,7 +1341,7 @@ impl Simulator {
                 Some(ctx) => ctx.map.path_len(conn, sub),
                 None => {
                     let c = &self.conns[conn];
-                    self.flows.cold[c.sub_base as usize + sub].path.len()
+                    self.flows.routes[c.sub_base as usize + sub].len()
                 }
             },
             PacketOwner::Cbr { src } => self.cbrs[src].path.len(),
@@ -1438,9 +1468,13 @@ impl Simulator {
                         let dsn =
                             // lint:allow(panic-free, reason = "exactly-once accounting: !rx.contains(seq) just above implies the dsn metadata is still retained; losing it means data-level bookkeeping already diverged and must fail loudly")
                             tx[hot + sub].dsn_of(seq).expect("unacked first arrival keeps its metadata");
-                        match c.reinject_reg.get_mut(&dsn) {
-                            Some(e) if e.delivered => c.dup_data_arrivals += 1,
-                            Some(e) => {
+                        let reinjected = c.reinject.as_deref_mut().and_then(|r| {
+                            let e = r.reg.get_mut(&dsn)?;
+                            Some((e, &mut r.dup_arrivals))
+                        });
+                        match reinjected {
+                            Some((e, dups)) if e.delivered => *dups += 1,
+                            Some((e, _)) => {
                                 e.delivered = true;
                                 c.data_delivered += 1;
                             }
@@ -1480,17 +1514,10 @@ impl Simulator {
                 c.sub_count as usize,
                 true,
                 c.budget.unwrap_or(u64::MAX),
+                &c.tcp,
             );
             c.hot_base = hot_base;
             c.hot_gen = hot_gen;
-            // Re-tenant warm scratch storage from a retired flow (the
-            // admission-time vectors are empty, so nothing is dropped).
-            if let Some(scratch) = self.scratch_pool.pop() {
-                c.snap_buf = scratch.snap_buf;
-                c.acked_dsn_scratch = scratch.acked_dsn;
-                c.stranded_scratch = scratch.stranded;
-                c.reinject_queue = scratch.reinject_queue;
-            }
         }
         // A newly transmitting connection counts as progress (otherwise a
         // late-starting flow trips the watchdog on its first event).
@@ -1520,19 +1547,6 @@ impl Simulator {
         let env = c.hots().map(|h| self.flows.tx[h].meta_capacity()).min().unwrap_or(0);
         c.retired = true;
         c.hot_base = NOT_RESIDENT;
-        // Donate the warm scratch storage to the next admitted flow so
-        // churn never re-pays the first-growth allocations.
-        let mut scratch = ConnScratch {
-            snap_buf: std::mem::take(&mut c.snap_buf),
-            acked_dsn: std::mem::take(&mut c.acked_dsn_scratch),
-            stranded: std::mem::take(&mut c.stranded_scratch),
-            reinject_queue: std::mem::take(&mut c.reinject_queue),
-        };
-        scratch.snap_buf.clear();
-        scratch.acked_dsn.clear();
-        scratch.stranded.clear();
-        scratch.reinject_queue.clear();
-        self.scratch_pool.push(scratch);
         self.flows.release_hot(hot_base, n, gen, env);
     }
 
@@ -1547,23 +1561,24 @@ impl Simulator {
         let watching = self.probe_watches(conn);
         let mut transitions: [Option<TransitionKind>; 3] = [None; 3];
         let (arm, progressed) = {
-            // Split borrow: the connection record and the arena columns are
-            // distinct `Simulator` fields, so both can be held mutably.
+            // Split borrow: the connection record, the arena columns and the
+            // scratch are distinct `Simulator` fields, so all can be held
+            // mutably.
             let c = &mut self.conns[conn];
             let FlowArena { tx, cold, .. } = &mut self.flows;
+            let scratch = &mut self.scratch;
             let txs = &mut tx[c.hots()];
             let colds = &cold[c.subs()];
-            c.acked_dsn_scratch.clear();
+            scratch.acked_dsns.clear();
             let (was_recovering, was_failed) = if watching {
                 (txs[sub].in_recovery, txs[sub].timer.potentially_failed())
             } else {
                 (false, false)
             };
-            let scratch_cap = c.acked_dsn_scratch.capacity();
-            let outcome =
-                txs[sub].on_ack(ack.cum, &ack.sacks, self.now, &mut c.acked_dsn_scratch);
-            if c.acked_dsn_scratch.capacity() != scratch_cap {
-                c.scratch_allocs += 1;
+            let scratch_cap = scratch.acked_dsns.capacity();
+            let outcome = txs[sub].on_ack(ack.cum, &ack.sacks, self.now, &mut scratch.acked_dsns);
+            if scratch.acked_dsns.capacity() != scratch_cap {
+                scratch.allocs += 1;
             }
             if watching {
                 if outcome.entered_recovery {
@@ -1592,17 +1607,12 @@ impl Simulator {
                                 1.0
                             } else {
                                 if refreshed {
-                                    c.snap_buf[sub] = snapshot_of(&txs[sub], colds[sub].closed);
+                                    scratch.snaps[sub] = snapshot_of(&txs[sub], colds[sub].closed);
                                 } else {
-                                    refresh_snap_buf(
-                                        &mut c.snap_buf,
-                                        &mut c.scratch_allocs,
-                                        txs,
-                                        colds,
-                                    );
+                                    scratch.refresh_snaps(txs, colds);
                                     refreshed = true;
                                 }
-                                cc.increase_per_ack(sub, &c.snap_buf)
+                                cc.increase_per_ack(sub, &scratch.snaps)
                             };
                             txs[sub].grow(amount);
                         }
@@ -1615,18 +1625,13 @@ impl Simulator {
                         let now = self.now.as_secs_f64();
                         for _ in 0..outcome.newly_acked {
                             if refreshed {
-                                c.snap_buf[sub] = snapshot_of(&txs[sub], colds[sub].closed);
+                                scratch.snaps[sub] = snapshot_of(&txs[sub], colds[sub].closed);
                             } else {
-                                refresh_snap_buf(
-                                    &mut c.snap_buf,
-                                    &mut c.scratch_allocs,
-                                    txs,
-                                    colds,
-                                );
+                                scratch.refresh_snaps(txs, colds);
                                 refreshed = true;
                             }
                             let in_ss = txs[sub].in_slow_start();
-                            let act = cc.on_ack(sub, &c.snap_buf, now, in_ss);
+                            let act = cc.on_ack(sub, &scratch.snaps, now, in_ss);
                             txs[sub].grow(act.grow);
                             if act.grow < 0.0 && txs[sub].cwnd < floor {
                                 // `grow` has no lower bound of its own;
@@ -1650,9 +1655,9 @@ impl Simulator {
                 // One multiplicative decrease per loss episode, with the
                 // level chosen by the coupled algorithm (for stateful
                 // controllers this is also the loss-epoch hook).
-                c.refresh_snapshots(txs, colds);
+                scratch.refresh_snaps(txs, colds);
                 let level =
-                    c.cc.clamped_window_after_loss(sub, &c.snap_buf, self.now.as_secs_f64());
+                    c.cc.clamped_window_after_loss(sub, &scratch.snaps, self.now.as_secs_f64());
                 let floor = c.cc.min_window();
                 txs[sub].shrink_to(level, floor);
             }
@@ -1671,18 +1676,23 @@ impl Simulator {
         // across all subflow copies a reinjection may have created.
         {
             let c = &mut self.conns[conn];
-            let scratch = std::mem::take(&mut c.acked_dsn_scratch);
-            for &dsn in &scratch {
-                match c.reinject_reg.get_mut(&dsn) {
-                    Some(e) if e.acked => {}
-                    Some(e) => {
-                        e.acked = true;
-                        c.data_acked += 1;
+            let acked = &self.scratch.acked_dsns;
+            match c.reinject.as_deref_mut() {
+                // Never reinjected: every dsn has exactly one copy.
+                None => c.data_acked += acked.len() as u64,
+                Some(r) => {
+                    for dsn in acked {
+                        match r.reg.get_mut(dsn) {
+                            Some(e) if e.acked => {}
+                            Some(e) => {
+                                e.acked = true;
+                                c.data_acked += 1;
+                            }
+                            None => c.data_acked += 1,
+                        }
                     }
-                    None => c.data_acked += 1,
                 }
             }
-            c.acked_dsn_scratch = scratch;
         }
         match arm {
             Some(true) => self.schedule_rto(conn, sub),
@@ -1744,8 +1754,9 @@ impl Simulator {
             let colds = &cold[c.subs()];
             // The coupled decrease sets the slow-start threshold; the
             // window itself collapses to the probing floor.
-            c.refresh_snapshots(txs, colds);
-            let level = c.cc.clamped_window_after_loss(sub, &c.snap_buf, self.now.as_secs_f64());
+            self.scratch.refresh_snaps(txs, colds);
+            let level =
+                c.cc.clamped_window_after_loss(sub, &self.scratch.snaps, self.now.as_secs_f64());
             let floor = c.cc.min_window();
             let was_failed = txs[sub].timer.potentially_failed();
             if !txs[sub].on_rto(floor) {
@@ -1787,14 +1798,15 @@ impl Simulator {
         }
         let hot = c.hot_base as usize;
         let FlowArena { tx, rx, .. } = &mut self.flows;
-        let mut stranded = std::mem::take(&mut c.stranded_scratch);
-        let cap = stranded.capacity();
-        tx[hot + sub].stranded(&mut stranded);
-        if stranded.capacity() != cap {
-            c.scratch_allocs += 1;
+        let scratch = &mut self.scratch;
+        let cap = scratch.stranded.capacity();
+        tx[hot + sub].stranded(&mut scratch.stranded);
+        if scratch.stranded.capacity() != cap {
+            scratch.allocs += 1;
         }
-        for &(seq, dsn) in &stranded {
-            if c.reinject_reg.contains_key(&dsn) {
+        for &(seq, dsn) in &scratch.stranded {
+            let r = c.reinject.get_or_insert_with(Box::default);
+            if r.reg.contains_key(&dsn) {
                 continue;
             }
             // The copy may already sit in the remote reassembly buffer
@@ -1802,10 +1814,9 @@ impl Simulator {
             // ground truth so a reinjected copy's arrival is not counted
             // as a fresh delivery.
             let delivered = rx[hot + sub].contains(seq);
-            c.reinject_reg.insert(dsn, ReinjectEntry { delivered, acked: false });
-            c.reinject_queue.push_back(dsn);
+            r.reg.insert(dsn, ReinjectEntry { delivered, acked: false });
+            r.queue.push_back(dsn);
         }
-        c.stranded_scratch = stranded;
     }
 
     /// (Re)arm the conceptual RTO at `now + RTO` and make sure an event is
@@ -1953,15 +1964,15 @@ impl Simulator {
         loop {
             let (dsn, idx) = {
                 let c = &mut self.conns[conn];
-                loop {
-                    let Some(&dsn) = c.reinject_queue.front() else { return };
-                    if c.reinject_reg.get(&dsn).is_some_and(|e| e.acked) {
-                        c.reinject_queue.pop_front();
+                let Some(r) = c.reinject.as_deref_mut() else { return };
+                let dsn = loop {
+                    let Some(&dsn) = r.queue.front() else { return };
+                    if r.reg.get(&dsn).is_some_and(|e| e.acked) {
+                        r.queue.pop_front();
                         continue;
                     }
-                    break;
-                }
-                let dsn = c.reinject_queue[0];
+                    break dsn;
+                };
                 let n = c.sub_count as usize;
                 let mut chosen = None;
                 for i in 0..n {
@@ -1978,8 +1989,8 @@ impl Simulator {
                     }
                 }
                 let Some(idx) = chosen else { return };
-                c.reinject_queue.pop_front();
-                c.reinjections_sent += 1;
+                r.queue.pop_front();
+                r.sent += 1;
                 self.flows.cold[base + idx].sent_pkts += 1;
                 (dsn, idx)
             };
@@ -2003,7 +2014,9 @@ impl Simulator {
         // while a dead subflow still holds stranded sequence numbers.
         if c.budget == Some(0) && c.data_acked == c.next_dsn {
             c.finished_at = Some(self.now);
-            c.reinject_queue.clear();
+            if let Some(r) = c.reinject.as_deref_mut() {
+                r.queue.clear();
+            }
             let grace = c.retire_grace;
             if self.lifecycle && self.conns[conn].resident() {
                 // Retirement waits out the straggler grace so every copy
@@ -2332,11 +2345,10 @@ mod tests {
     /// the snapshots it saw (so a fresh controller can be replayed against
     /// the identical inputs).
     fn ewtcp_increase_seen(sim: &mut Simulator, conn: ConnId) -> (f64, Vec<SubflowSnapshot>) {
-        let c = &mut sim.conns[conn];
-        let (hots, subs) = (c.hots(), c.subs());
-        c.refresh_snapshots(&sim.flows.tx[hots], &sim.flows.cold[subs]);
+        let c = &sim.conns[conn];
+        sim.scratch.refresh_snaps(&sim.flows.tx[c.hots()], &sim.flows.cold[c.subs()]);
         let CcDriver::Pure(cc) = &c.cc else { panic!("EWTCP is a pure rule") };
-        (cc.increase_per_ack(0, &c.snap_buf), c.snap_buf.clone())
+        (cc.increase_per_ack(0, &sim.scratch.snaps), sim.scratch.snaps.clone())
     }
 
     /// Regression (pre-fix failure): `Ewtcp::equal_split(n)` froze its
@@ -2551,5 +2563,71 @@ mod tests {
             frozen,
             "a retired flow's stats must not move when its window is re-tenanted"
         );
+    }
+
+    /// `[sacked, lost, reassembly]` ring capacities, in bits, of hot slot
+    /// `slot`.
+    fn ring_bits(sim: &Simulator, slot: usize) -> [u64; 3] {
+        let [sacked, lost] = sim.flows.tx[slot].ring_bits();
+        [sacked, lost, sim.flows.rx[slot].ring_bits()]
+    }
+
+    /// A short uncapped flow's three rings are sized to it, never above
+    /// the 1024 bits a bulk flow's rings get; a capped flow's sender rings
+    /// follow its cap.
+    #[test]
+    fn rings_are_sized_to_a_short_flow_and_unchanged_otherwise() {
+        let (mut sim, l) = one_link_sim(10.0, 10, 25);
+        let capped = TcpParams { max_cwnd: 16.0, ..TcpParams::default() };
+        let specs = [
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20), [256, 256, 256]),
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 100), [512, 512, 512]),
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 256), [1024, 1024, 1024]),
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 257), [1024, 1024, 1024]),
+            (ConnectionSpec::bulk(AlgorithmKind::Mptcp), [1024, 1024, 1024]),
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20).tcp(capped), [256, 256, 1024]),
+        ];
+        for (spec, want) in specs {
+            let c = sim.add_connection(spec.path(vec![l]).path(vec![l]));
+            for slot in sim.conns[c].hots() {
+                assert_eq!(ring_bits(&sim, slot), want, "connection {c}");
+            }
+        }
+    }
+
+    /// A window a 20-packet flow left behind is re-tenanted by a longer
+    /// flow: its rings grow as far as that flow needs, and every packet
+    /// of it is delivered and acknowledged exactly once.
+    #[test]
+    fn a_short_flows_window_grows_for_a_longer_tenant() {
+        for size in [200, 3000] {
+            let mut sim = Simulator::new(4);
+            sim.set_flow_lifecycle(true);
+            // Slow start overflows a 300-packet queue with a window above
+            // 256 in flight, so a long tenant's losses are SACKed, and
+            // buffered, further above the cumulative point than 256.
+            let l1 = sim.add_link(LinkSpec::mbps(100.0, SimTime::from_micros(500), 300));
+            let l2 = sim.add_link(LinkSpec::mbps(80.0, SimTime::from_millis(1), 300));
+            let short = sim.add_connection(
+                ConnectionSpec::sized(AlgorithmKind::Mptcp, 20).path(vec![l1]).path(vec![l2]),
+            );
+            let long = sim.add_connection(
+                ConnectionSpec::sized(AlgorithmKind::Mptcp, size)
+                    .path(vec![l1])
+                    .path(vec![l2])
+                    .start(SimTime::from_secs(2)),
+            );
+            sim.run_until(SimTime::from_millis(1999));
+            assert!(sim.conns[short].retired, "the short flow retires before the long one starts");
+            assert_eq!(ring_bits(&sim, 0), [256; 3]);
+            sim.run_until(SimTime::from_secs(20));
+            assert_eq!((sim.arena_hot_slots(), sim.arena_hot_reuses()), (2, 1), "size {size}");
+            let st = sim.connection_stats(long);
+            assert!(st.finished_at.is_some(), "size {size}: {st:?}");
+            assert_eq!((st.data_delivered, st.data_acked, st.dup_data_arrivals), (size, size, 0));
+            assert_eq!(st.delivered_pkts(), size, "no subflow delivered a packet twice");
+            let grew = (0..2).flat_map(|slot| ring_bits(&sim, slot)).any(|bits| bits > 256);
+            assert_eq!(grew, size > 256, "size {size}: {:?}", [ring_bits(&sim, 0), ring_bits(&sim, 1)]);
+        }
     }
 }

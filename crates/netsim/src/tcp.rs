@@ -75,17 +75,40 @@ impl Default for TcpParams {
 /// Metadata the sender keeps per in-flight packet: RTT sampling (Karn's
 /// rule: never sample a retransmitted packet) plus the connection-level
 /// data sequence number the packet carries, so stranded data on a failed
-/// subflow can be identified and reinjected elsewhere.
+/// subflow can be identified and reinjected elsewhere. 16 bytes: the two
+/// flags ride in the top bits of the dsn word.
 #[derive(Debug, Clone, Copy)]
 struct SentMeta {
     sent_at: SimTime,
-    retransmitted: bool,
-    /// Connection-level data sequence number carried by this packet.
-    dsn: u64,
+    /// Connection-level data sequence number carried by this packet, with
+    /// [`Self::RETRANSMITTED`] and [`Self::DATA_ACKED`] above it.
+    dsn_flags: u64,
+}
+
+impl SentMeta {
+    /// The packet was retransmitted: its RTT sample is unreliable.
+    const RETRANSMITTED: u64 = 1 << 63;
     /// The dsn was reported received on *this* subflow (cum-acked or
     /// SACKed) — used to report each dsn's first acknowledgment exactly
     /// once per subflow.
-    data_acked: bool,
+    const DATA_ACKED: u64 = 1 << 62;
+
+    fn new(sent_at: SimTime, dsn: u64) -> Self {
+        assert!(dsn < Self::DATA_ACKED, "dsn {dsn} collides with the send-metadata flags");
+        Self { sent_at, dsn_flags: dsn }
+    }
+
+    fn dsn(self) -> u64 {
+        self.dsn_flags & (Self::DATA_ACKED - 1)
+    }
+
+    fn retransmitted(self) -> bool {
+        self.dsn_flags & Self::RETRANSMITTED != 0
+    }
+
+    fn data_acked(self) -> bool {
+        self.dsn_flags & Self::DATA_ACKED != 0
+    }
 }
 
 /// Receiver-side reassembly state of one subflow (kept with the sender for
@@ -130,15 +153,22 @@ impl<B: OooBuf> SubflowReceiver<B> {
         seq < self.next_expected || self.ooo.contains(seq)
     }
 
-    /// Allocation events in the reassembly buffer (ring growth /
-    /// fallback spills); feeds [`crate::SimPerf::hot_allocs`].
+    /// Allocation events in the reassembly buffer (ring growth); feeds
+    /// [`crate::SimPerf::hot_allocs`].
     pub fn alloc_events(&self) -> u64 {
         self.ooo.alloc_events()
     }
 
-    /// Fresh receiver drawing reassembly-ring storage from `pool`.
-    pub fn new_pooled(pool: &mut RingPool) -> Self {
-        Self { next_expected: 0, ooo: B::new_pooled(pool) }
+    /// Heap bytes of the reassembly ring (see [`crate::MemBytes::rings`]).
+    pub fn heap_bytes(&self) -> u64 {
+        self.ooo.heap_bytes()
+    }
+
+    /// Fresh receiver whose reassembly ring is sized for `max_window`
+    /// (see [`crate::scoreboard::ring_hints`]), drawing storage from
+    /// `pool`.
+    pub fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self {
+        Self { next_expected: 0, ooo: B::new_pooled(max_window, pool) }
     }
 
     /// Reset to the initial state in place: the reassembly ring keeps its
@@ -153,6 +183,14 @@ impl<B: OooBuf> SubflowReceiver<B> {
     pub fn gut_into(&mut self, pool: &mut RingPool) {
         self.next_expected = 0;
         self.ooo.gut_into(pool);
+    }
+}
+
+#[cfg(test)]
+impl SubflowReceiver {
+    /// Capacity of the reassembly ring, in bits.
+    pub(crate) fn ring_bits(&self) -> u64 {
+        self.ooo.ring_bits()
     }
 }
 
@@ -187,7 +225,9 @@ pub(crate) struct SenderCounters {
 /// rearranging it): the scalars every ACK reads and writes — window,
 /// sequence edges, retransmission timer — sit first, packed into the
 /// leading cache lines; the scoreboard and send metadata follow;
-/// rarely-touched counters and static parameters trail at the end.
+/// rarely-touched counters trail at the end. Of [`TcpParams`] the sender
+/// keeps only the two fields it reads after construction; the rest seed
+/// the window and timer, and the connection keeps them for re-arming.
 #[derive(Debug)]
 #[repr(C)]
 pub(crate) struct SubflowSender<SB: Scoreboard = BitmapScoreboard> {
@@ -196,6 +236,8 @@ pub(crate) struct SubflowSender<SB: Scoreboard = BitmapScoreboard> {
     pub cwnd: f64,
     /// Slow-start threshold, packets.
     pub ssthresh: f64,
+    /// Cap on the congestion window ([`TcpParams::max_cwnd`]).
+    max_cwnd: f64,
     /// Next new sequence number to send.
     pub next_seq: u64,
     /// Oldest unacknowledged sequence number.
@@ -214,6 +256,8 @@ pub(crate) struct SubflowSender<SB: Scoreboard = BitmapScoreboard> {
     /// Whether a timer is conceptually armed (the simulator tracks the
     /// actual deadline and uses lazy re-scheduling).
     pub rto_armed: bool,
+    /// DupThresh ([`TcpParams::dupack_threshold`]).
+    dupack_threshold: u32,
     /// Recovery ends when `una` reaches this point.
     pub recovery_point: u64,
     /// Static estimate of the path's two-way propagation delay, used for
@@ -229,7 +273,6 @@ pub(crate) struct SubflowSender<SB: Scoreboard = BitmapScoreboard> {
     meta_allocs: u64,
     /// Retransmit / timeout / recovery counters (stats reads only).
     pub stats: SenderCounters,
-    params: TcpParams,
 }
 
 /// Floor applied to every slow-start threshold, in packets.
@@ -252,34 +295,39 @@ fn fresh_timer(params: &TcpParams) -> RtoEstimator {
 }
 
 impl<SB: Scoreboard> SubflowSender<SB> {
-    pub fn new(params: TcpParams, rtt_hint: f64) -> Self {
+    pub fn new(params: &TcpParams, rtt_hint: f64) -> Self {
+        Self::with_board(params, rtt_hint, SB::with_window_hint(params.max_cwnd))
+    }
+
+    /// Like [`SubflowSender::new`], with scoreboard rings sized for
+    /// `max_window` (see [`crate::scoreboard::ring_hints`]) and drawn from
+    /// `pool`.
+    pub fn new_pooled(params: &TcpParams, rtt_hint: f64, max_window: f64, pool: &mut RingPool) -> Self {
+        Self::with_board(params, rtt_hint, SB::with_window_hint_pooled(max_window, pool))
+    }
+
+    fn with_board(params: &TcpParams, rtt_hint: f64, board: SB) -> Self {
         Self {
             cwnd: params.initial_cwnd,
             // NaN-safe: `f64::max` propagates the floor, not the NaN.
             ssthresh: params.initial_ssthresh.max(MIN_SSTHRESH_PKTS),
+            max_cwnd: params.max_cwnd,
             next_seq: 0,
             una: 0,
-            timer: fresh_timer(&params),
+            timer: fresh_timer(params),
             sack_events: 0,
             in_recovery: false,
             rto_recovery: false,
             rto_armed: false,
+            dupack_threshold: params.dupack_threshold,
             recovery_point: 0,
             rtt_hint,
             meta: VecDeque::new(),
             meta_base: 0,
-            board: SB::with_window_hint(params.max_cwnd),
+            board,
             meta_allocs: 0,
             stats: SenderCounters::default(),
-            params,
         }
-    }
-
-    /// Like [`SubflowSender::new`], drawing scoreboard storage from `pool`.
-    pub fn new_pooled(params: TcpParams, rtt_hint: f64, pool: &mut RingPool) -> Self {
-        let mut tx = Self::new(params, rtt_hint);
-        tx.board = SB::with_window_hint_pooled(params.max_cwnd, pool);
-        tx
     }
 
     /// Reset this sender to the state [`SubflowSender::new`] would produce
@@ -288,23 +336,24 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// new flow in a recycled arena slot is allocation-free; the monotone
     /// allocation counters (`meta_allocs`, scoreboard growth) keep
     /// counting across flows. Per-flow stats reset to zero.
-    pub fn reset_for_reuse(&mut self, params: TcpParams, rtt_hint: f64) {
+    pub fn reset_for_reuse(&mut self, params: &TcpParams, rtt_hint: f64) {
         self.cwnd = params.initial_cwnd;
         self.ssthresh = params.initial_ssthresh.max(MIN_SSTHRESH_PKTS);
+        self.max_cwnd = params.max_cwnd;
         self.next_seq = 0;
         self.una = 0;
-        self.timer = fresh_timer(&params);
+        self.timer = fresh_timer(params);
         self.sack_events = 0;
         self.in_recovery = false;
         self.rto_recovery = false;
         self.rto_armed = false;
+        self.dupack_threshold = params.dupack_threshold;
         self.recovery_point = 0;
         self.rtt_hint = rtt_hint;
         self.meta.clear();
         self.meta_base = 0;
         self.board.reset_for_reuse();
         self.stats = SenderCounters::default();
-        self.params = params;
     }
 
     /// Surrender scoreboard storage into `pool`; the husk must not send
@@ -338,14 +387,14 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// scoreboard rings can represent.
     pub fn can_send_new(&self) -> bool {
         self.board.lost_is_empty()
-            && self.pipe() + 1.0 <= self.cwnd.min(self.params.max_cwnd) + 1e-9
+            && self.pipe() + 1.0 <= self.cwnd.min(self.max_cwnd) + 1e-9
             && self.next_seq - self.una < MAX_CAP
     }
 
     /// The next lost sequence to retransmit, if the window allows it.
     /// Moves the sequence into the retransmitted set.
     pub fn next_retransmit(&mut self) -> Option<u64> {
-        if self.pipe() + 1.0 > self.cwnd.min(self.params.max_cwnd) + 1e-9 {
+        if self.pipe() + 1.0 > self.cwnd.min(self.max_cwnd) + 1e-9 {
             return None;
         }
         self.board.pop_lost_for_retx(self.sack_events)
@@ -362,7 +411,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
         if self.meta.len() == self.meta.capacity() {
             self.meta_allocs += 1;
         }
-        self.meta.push_back(SentMeta { sent_at: now, retransmitted: false, dsn, data_acked: false });
+        self.meta.push_back(SentMeta::new(now, dsn));
         let newly_armed = !self.rto_armed;
         if newly_armed {
             self.arm_rto();
@@ -375,7 +424,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// never-sent sequences).
     pub fn dsn_of(&self, seq: u64) -> Option<u64> {
         let idx = seq.checked_sub(self.meta_base)?;
-        self.meta.get(idx as usize).map(|m| m.dsn)
+        self.meta.get(idx as usize).map(|m| m.dsn())
     }
 
     /// Collect into `out` the outstanding `(seq, dsn)` pairs whose data has
@@ -390,8 +439,8 @@ impl<SB: Scoreboard> SubflowSender<SB> {
                 continue;
             }
             let Some(m) = self.meta.get((s - self.meta_base) as usize) else { continue };
-            if !m.data_acked {
-                out.push((s, m.dsn));
+            if !m.data_acked() {
+                out.push((s, m.dsn()));
             }
         }
     }
@@ -402,7 +451,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
         if seq >= self.meta_base {
             if let Some(m) = self.meta.get_mut((seq - self.meta_base) as usize) {
                 m.sent_at = now;
-                m.retransmitted = true;
+                m.dsn_flags |= SentMeta::RETRANSMITTED;
             }
         }
     }
@@ -442,7 +491,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
             if cum > self.meta_base {
                 let idx = (cum - 1 - self.meta_base) as usize;
                 if let Some(m) = self.meta.get(idx) {
-                    if !m.retransmitted {
+                    if !m.retransmitted() {
                         let sample = (now.saturating_sub(m.sent_at)).as_secs_f64();
                         if sample > 0.0 {
                             self.timer.on_sample(sample);
@@ -452,8 +501,8 @@ impl<SB: Scoreboard> SubflowSender<SB> {
             }
             while self.meta_base < cum {
                 if let Some(m) = self.meta.pop_front() {
-                    if !m.data_acked {
-                        newly_acked_dsns.push(m.dsn);
+                    if !m.data_acked() {
+                        newly_acked_dsns.push(m.dsn());
                     }
                 }
                 self.meta_base += 1;
@@ -475,9 +524,9 @@ impl<SB: Scoreboard> SubflowSender<SB> {
                     self.sack_events += 1;
                     progressed = true;
                     if let Some(m) = self.meta.get_mut((seq - self.meta_base) as usize) {
-                        if !m.data_acked {
-                            m.data_acked = true;
-                            newly_acked_dsns.push(m.dsn);
+                        if !m.data_acked() {
+                            m.dsn_flags |= SentMeta::DATA_ACKED;
+                            newly_acked_dsns.push(m.dsn());
                         }
                     }
                 }
@@ -512,7 +561,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// Mark holes with ≥ DupThresh SACKed packets above them as lost.
     /// Returns whether any sequence was newly marked.
     fn detect_losses(&mut self) -> bool {
-        let thresh = self.params.dupack_threshold as u64;
+        let thresh = u64::from(self.dupack_threshold);
         if self.board.sacked_len() < thresh {
             return false;
         }
@@ -551,7 +600,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
         self.cwnd = floor.max(1.0);
         // Karn: every outstanding packet's RTT sample is now unreliable.
         for m in &mut self.meta {
-            m.retransmitted = true;
+            m.dsn_flags |= SentMeta::RETRANSMITTED;
         }
         self.arm_rto();
         true
@@ -579,7 +628,7 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// Grow the window by `amount` packets (already computed by the caller
     /// from the slow-start rule or the coupled algorithm), honoring the cap.
     pub fn grow(&mut self, amount: f64) {
-        self.cwnd = (self.cwnd + amount).min(self.params.max_cwnd);
+        self.cwnd = (self.cwnd + amount).min(self.max_cwnd);
     }
 
     /// Shrink the window to `level` (a loss decrease), honoring `floor`.
@@ -592,6 +641,12 @@ impl<SB: Scoreboard> SubflowSender<SB> {
     /// scoreboard growth/spills. Feeds [`crate::SimPerf::hot_allocs`].
     pub fn alloc_events(&self) -> u64 {
         self.meta_allocs + self.board.alloc_events()
+    }
+
+    /// Heap bytes held: `(scoreboard rings, send metadata)` (see
+    /// [`crate::MemBytes`]).
+    pub fn heap_bytes(&self) -> (u64, u64) {
+        (self.board.heap_bytes(), crate::mem::deque_bytes(&self.meta))
     }
 
     /// Warmed capacity of the send-metadata ring, in packets. The arena
@@ -609,6 +664,14 @@ impl<SB: Scoreboard> SubflowSender<SB> {
 }
 
 #[cfg(test)]
+impl SubflowSender {
+    /// Capacities of the sacked and lost rings, in bits.
+    pub(crate) fn ring_bits(&self) -> [u64; 2] {
+        self.board.ring_bits()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::scoreboard_ref::BTreeScoreboard;
@@ -616,7 +679,7 @@ mod tests {
     const NO_SACKS: SackRanges = [None; MAX_SACK_RANGES];
 
     fn sender() -> SubflowSender {
-        SubflowSender::new(TcpParams::default(), 0.1)
+        SubflowSender::new(&TcpParams::default(), 0.1)
     }
 
     fn sacks(ranges: &[(u64, u64)]) -> SackRanges {
@@ -634,14 +697,14 @@ mod tests {
     #[test]
     fn initial_ssthresh_is_clamped_like_post_loss_ssthresh() {
         let params = TcpParams { initial_ssthresh: 0.5, ..TcpParams::default() };
-        let tx: SubflowSender = SubflowSender::new(params, 0.1);
+        let tx: SubflowSender = SubflowSender::new(&params, 0.1);
         assert!(
             tx.ssthresh >= MIN_SSTHRESH_PKTS,
             "initial ssthresh must honor the same floor as set_ssthresh, got {}",
             tx.ssthresh
         );
         let params = TcpParams { initial_ssthresh: f64::NAN, ..TcpParams::default() };
-        let tx: SubflowSender = SubflowSender::new(params, 0.1);
+        let tx: SubflowSender = SubflowSender::new(&params, 0.1);
         assert_eq!(tx.ssthresh.to_bits(), MIN_SSTHRESH_PKTS.to_bits());
     }
 
@@ -670,6 +733,14 @@ mod tests {
         assert!(tx.on_rto(0.0));
         tx.set_ssthresh(0.1);
         assert!(tx.ssthresh >= MIN_SSTHRESH_PKTS);
+    }
+
+    /// One sender per hot slot: of `TcpParams` it keeps the two fields it
+    /// reads after construction, not the 56-byte struct.
+    #[test]
+    fn a_sender_fits_in_368_bytes() {
+        let size = std::mem::size_of::<SubflowSender>();
+        assert!(size <= 368, "SubflowSender grew to {size} bytes");
     }
 
     #[test]
@@ -1017,12 +1088,12 @@ mod tests {
     /// driving both senders in lock-step and asserting bit-identical
     /// outcomes after every step.
     fn run_differential(script: &[(u8, u8, u8, u8)], params: TcpParams) {
-        let mut a: SubflowSender<BitmapScoreboard> = SubflowSender::new(params, 0.05);
-        let mut b: SubflowSender<BTreeScoreboard> = SubflowSender::new(params, 0.05);
+        let mut a: SubflowSender<BitmapScoreboard> = SubflowSender::new(&params, 0.05);
+        let mut b: SubflowSender<BTreeScoreboard> = SubflowSender::new(&params, 0.05);
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for (step, &(op, x, y, z)) in script.iter().enumerate() {
-            now = now + SimTime::from_micros(500 + x as u64 * 97);
+            now += SimTime::from_micros(500 + x as u64 * 97);
             match op % 4 {
                 0 => {
                     // Send up to x%8+1 new packets, window permitting.
@@ -1137,11 +1208,11 @@ mod tests {
     /// from the previous flow.
     fn assert_reuse_equals_fresh(first: &[(u8, u8, u8, u8)], second: &[(u8, u8, u8, u8)]) {
         let params = TcpParams::default();
-        let mut reused: SubflowSender<BitmapScoreboard> = SubflowSender::new(params, 0.05);
+        let mut reused: SubflowSender<BitmapScoreboard> = SubflowSender::new(&params, 0.05);
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for &(op, x, _, _) in first {
-            now = now + SimTime::from_micros(700);
+            now += SimTime::from_micros(700);
             match op % 3 {
                 0 => {
                     for _ in 0..(x % 8 + 1) {
@@ -1165,12 +1236,12 @@ mod tests {
                 }
             }
         }
-        reused.reset_for_reuse(params, 0.05);
-        let mut fresh: SubflowSender<BitmapScoreboard> = SubflowSender::new(params, 0.05);
+        reused.reset_for_reuse(&params, 0.05);
+        let mut fresh: SubflowSender<BitmapScoreboard> = SubflowSender::new(&params, 0.05);
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for (step, &(op, x, y, z)) in second.iter().enumerate() {
-            now = now + SimTime::from_micros(500 + x as u64 * 97);
+            now += SimTime::from_micros(500 + x as u64 * 97);
             match op % 4 {
                 0 => {
                     for _ in 0..(x % 8 + 1) {
@@ -1250,8 +1321,8 @@ mod tests {
         // every congestion epoch. The B-tree reference must agree bit-for-
         // bit the whole way, including across every ring-boundary crossing.
         let params = TcpParams { max_cwnd: 64.0, ..TcpParams::default() };
-        let mut a: SubflowSender<BitmapScoreboard> = SubflowSender::new(params, 0.01);
-        let mut b: SubflowSender<BTreeScoreboard> = SubflowSender::new(params, 0.01);
+        let mut a: SubflowSender<BitmapScoreboard> = SubflowSender::new(&params, 0.01);
+        let mut b: SubflowSender<BTreeScoreboard> = SubflowSender::new(&params, 0.01);
         a.cwnd = 64.0;
         b.cwnd = 64.0;
         let mut now = SimTime::ZERO;
@@ -1260,7 +1331,7 @@ mod tests {
             if epoch == 20 {
                 warmed_allocs = a.alloc_events();
             }
-            now = now + SimTime::from_millis(10);
+            now += SimTime::from_millis(10);
             // Fill the window.
             while a.can_send_new() {
                 assert!(b.can_send_new());
@@ -1284,7 +1355,7 @@ mod tests {
                     a.on_retransmit(seq, now);
                     b.on_retransmit(seq, now);
                 }
-                now = now + SimTime::from_millis(10);
+                now += SimTime::from_millis(10);
             }
             let da = a.on_ack(sent, &NO_SACKS, now, &mut Vec::new());
             let db = b.on_ack(sent, &NO_SACKS, now, &mut Vec::new());
@@ -1308,7 +1379,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut scratch = Vec::with_capacity(64);
         for _ in 0..10 {
-            now = now + SimTime::from_millis(1);
+            now += SimTime::from_millis(1);
             while tx.can_send_new() {
                 let dsn = tx.next_seq;
                 tx.on_send_new(now, dsn);
@@ -1318,7 +1389,7 @@ mod tests {
         }
         let warmed = tx.alloc_events();
         for _ in 0..1000 {
-            now = now + SimTime::from_millis(1);
+            now += SimTime::from_millis(1);
             while tx.can_send_new() {
                 let dsn = tx.next_seq;
                 tx.on_send_new(now, dsn);

@@ -142,6 +142,16 @@ impl TimerWheel {
         self.reinserts
     }
 
+    /// Bytes the wheel holds: itself (it lives in a box), its node slab,
+    /// drain bucket and overflow list.
+    pub fn heap_bytes(&self) -> u64 {
+        use crate::mem::vec_bytes;
+        std::mem::size_of::<Self>() as u64
+            + vec_bytes(&self.nodes)
+            + vec_bytes(&self.cur)
+            + vec_bytes(&self.overflow)
+    }
+
     pub fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         assert!(seq >> SEQ_BITS == 0, "event seq {seq} does not fit the drain bucket's key");
         debug_assert!(tick_of(at) >= self.origin, "event scheduled before the wheel cursor");

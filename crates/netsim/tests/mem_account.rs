@@ -1,0 +1,184 @@
+//! `mem_bytes()` against the allocator, on a scaled churn world: FatTree
+//! K=8 in eight pod shards, 4000 two-subflow flows of 4–20 packets (a
+//! burst resident at once, then a trickle that re-tenants what it left).
+//!
+//! This file is its own crate, so its counting allocator does not touch
+//! the library's `#![forbid(unsafe_code)]`. The count is per thread: the
+//! world is built and run on the test's thread (`jobs = 1`), and
+//! whatever another test thread allocates is not counted here.
+
+use mptcp_cc::AlgorithmKind;
+use mptcp_netsim::{ConnectionSpec, LinkId, LinkSpec, MemBytes, ShardedSimulator, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed. `const`-built
+    /// and without a destructor, so reading it never allocates.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(bytes: i64) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator
+// state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as i64));
+        // SAFETY: `ptr` came from `System` through the methods of this impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64);
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as i64 - layout.size() as i64);
+        // SAFETY: as `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+const K: usize = 8;
+const HALF: usize = K / 2;
+const HOSTS: usize = K * K * K / 4;
+const BURST: usize = 3000;
+const TRICKLE: usize = 1000;
+
+/// The FatTree's links in the order and pod placement of
+/// `mptcp_topology::FatTree::build_sharded`.
+struct FatTree {
+    host_up: Vec<LinkId>,
+    host_down: Vec<LinkId>,
+    /// `[edge][agg position]`.
+    edge_up: Vec<Vec<LinkId>>,
+    /// `[agg][edge position]`.
+    agg_down: Vec<Vec<LinkId>>,
+    /// `[agg][core position]`.
+    agg_up: Vec<Vec<LinkId>>,
+    /// `[core][pod]`.
+    core_down: Vec<Vec<LinkId>>,
+}
+
+impl FatTree {
+    fn build(sim: &mut ShardedSimulator) -> Self {
+        let link = LinkSpec::mbps(100.0, SimTime::from_micros(10), 100);
+        let shards = sim.num_shards();
+        let mut add = |pod: usize| sim.add_link(pod % shards, link);
+        let mut t = FatTree {
+            host_up: Vec::new(),
+            host_down: Vec::new(),
+            edge_up: vec![Vec::new(); K * HALF],
+            agg_down: vec![Vec::new(); K * HALF],
+            agg_up: vec![Vec::new(); K * HALF],
+            core_down: vec![Vec::new(); HALF * HALF],
+        };
+        for h in 0..HOSTS {
+            t.host_up.push(add(h / (HALF * HALF)));
+            t.host_down.push(add(h / (HALF * HALF)));
+        }
+        for e in 0..K * HALF {
+            for j in 0..HALF {
+                t.edge_up[e].push(add(e / HALF));
+                t.agg_down[e / HALF * HALF + j].push(add(e / HALF));
+            }
+        }
+        for a in 0..K * HALF {
+            for c in 0..HALF {
+                t.agg_up[a].push(add(a / HALF));
+                t.core_down[a % HALF * HALF + c].push(add(a / HALF));
+            }
+        }
+        t
+    }
+
+    /// The inter-pod path through agg position `j` and core position `c`.
+    fn path(&self, src: usize, dst: usize, j: usize, c: usize) -> Vec<LinkId> {
+        let (es, ed) = (src / HALF, dst / HALF);
+        vec![
+            self.host_up[src],
+            self.edge_up[es][j],
+            self.agg_up[es / HALF * HALF + j][c],
+            self.core_down[j * HALF + c][ed / HALF],
+            self.agg_down[ed / HALF * HALF + j][ed % HALF],
+            self.host_down[dst],
+        ]
+    }
+}
+
+/// Build and run the world; returns it with each flow's size.
+fn churn_world() -> (ShardedSimulator, Vec<u64>) {
+    let mut sim = ShardedSimulator::new(11, 8);
+    sim.set_flow_lifecycle(true);
+    let ft = FatTree::build(&mut sim);
+    let mut sizes = Vec::with_capacity(BURST + TRICKLE);
+    for i in 0..BURST + TRICKLE {
+        // Sources walk every host; destinations land half the fabric or
+        // more away, in another pod (the churn workload's placement).
+        let src = (i * 37) % HOSTS;
+        let dst = (src + HOSTS / 2 + (i * 31) % (HOSTS / 2 - 1) + 1) % HOSTS;
+        let start = if i < BURST {
+            SimTime::from_micros((i * 10_000 / BURST) as u64)
+        } else {
+            SimTime::from_millis(200) + SimTime::from_micros(10 * (i - BURST) as u64)
+        };
+        let size = 4 + (i as u64 * 7919) % 17;
+        let (j, c) = (i % HALF, i / HALF % HALF);
+        sim.add_connection(
+            ConnectionSpec::sized(AlgorithmKind::Mptcp, size)
+                .path(ft.path(src, dst, j, c))
+                .path(ft.path(src, dst, (j + 1) % HALF, (c + 1 + i % 3) % HALF))
+                .start(start),
+        );
+        sizes.push(size);
+    }
+    sim.run_until(SimTime::from_millis(600));
+    (sim, sizes)
+}
+
+#[test]
+fn mem_bytes_names_every_live_byte_of_a_churn_world() {
+    let before = live();
+    let (sim, sizes) = churn_world();
+    let held = live() - before - (sizes.capacity() * 8) as i64;
+    for (c, &size) in sizes.iter().enumerate() {
+        let st = sim.connection_stats(c);
+        assert!(st.finished_at.is_some() && st.data_delivered == size, "flow {c}: {st:?}");
+    }
+    assert!(sim.arena_hot_slots() < 2 * (BURST + TRICKLE), "the trickle re-tenanted no window");
+
+    let m = sim.mem_bytes();
+    let counted = m.total() as i64;
+    assert!(
+        (counted - held).abs() * 20 <= held,
+        "mem_bytes() counts {counted} bytes, the allocator holds {held}: {m:?}"
+    );
+
+    // Every flow has retired: what each keeps is its connection record,
+    // frozen stats, cold rows and its share of the world map.
+    let MemBytes { connections, final_stats, cold, routes, world_map, .. } = m;
+    let per_flow = (connections + final_stats + cold + routes + world_map) / sizes.len() as u64;
+    assert!(per_flow <= RETIRED_FLOW_BYTES, "a retired flow holds {per_flow} bytes: {m:?}");
+}
+
+/// Bytes a retired flow of this world holds: 706 measured, plus 10%.
+const RETIRED_FLOW_BYTES: u64 = 776;

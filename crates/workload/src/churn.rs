@@ -5,9 +5,9 @@
 //! struct-of-arrays flow arena is built for: a dense **burst** of short
 //! flows that are all simultaneously resident (the concurrency high-water
 //! that sizes the arena), followed by a steady **trickle** of late
-//! arrivals that must re-tenant the hot windows, scoreboard rings and
-//! scratch vectors the burst left behind — by the trickle phase, a
-//! steady-state simulator performs zero new hot-path allocations.
+//! arrivals that must re-tenant the hot windows and scoreboard rings the
+//! burst left behind — by the trickle phase, a steady-state simulator
+//! performs zero new hot-path allocations.
 //!
 //! Everything here is closed-form deterministic (no RNG): the schedule is
 //! part of a benchmark's identity, so two runs — or the jobs=1 and jobs=8
