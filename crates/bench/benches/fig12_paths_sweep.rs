@@ -23,7 +23,7 @@ fn main() {
         .chain(path_counts.iter().map(|&n| Routing::Multipath(AlgorithmKind::Mptcp, n)))
         .collect();
     let pcts = run_parallel(&jobs, |&routing| {
-        let res = run_fattree(8, Tp::Permutation, routing, 13, warmup, window);
+        let (res, _) = run_fattree(8, Tp::Permutation, routing, 13, warmup, window);
         100.0 * res.mean_host_mbps() / optimal
     });
     let single_pct = pcts[0];

@@ -28,7 +28,7 @@ fn main() {
         .iter()
         .map(|&(name, _)| name)
         .zip(run_parallel(&schemes, |&(_, routing)| {
-            run_fattree(8, Tp::Permutation, routing, 17, warmup, window)
+            run_fattree(8, Tp::Permutation, routing, 17, warmup, window).0
         }))
         .collect();
 

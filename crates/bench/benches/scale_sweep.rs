@@ -28,11 +28,11 @@
 //! rungs run in ascending size order, so each reading is dominated by the
 //! largest world built so far.
 
-use mptcp_bench::datacenter::{run_fattree_sharded, run_fattree_with, Routing, Tp};
+use mptcp_bench::datacenter::{run_fattree, run_fattree_sharded, Routing, Tp};
 use mptcp_bench::report::{merge_bench_sim, Record};
 use mptcp_bench::{banner, f1, f2, quick_mode, scaled, Table};
 use mptcp_cc::AlgorithmKind;
-use mptcp_netsim::{QueueBackend, SimTime};
+use mptcp_netsim::SimTime;
 
 /// The process's peak resident set size in bytes (`VmHWM`), or `None` off
 /// Linux or if the field is missing — the record then carries 0 and the
@@ -102,8 +102,7 @@ fn main() {
         [(4, SimTime::from_secs(2), SimTime::from_secs(6)), (8, SimTime::from_secs(1), SimTime::from_secs(2))]
     {
         let (warmup, window) = (scaled(warmup), scaled(window));
-        let (res, perf) =
-            run_fattree_with(k, Tp::Permutation, MPTCP8, 11, warmup, window, QueueBackend::TimerWheel);
+        let (res, perf) = run_fattree(k, Tp::Permutation, MPTCP8, 11, warmup, window);
         assert!(perf.is_consistent(), "perf counters out of balance: {perf:?}");
         let sim_s = (warmup + window).as_secs_f64();
         push(

@@ -2,18 +2,17 @@
 //!
 //! The paper's simulator is described as "high-speed"; this bench tracks
 //! event throughput so regressions in the hot path (event queue, link
-//! service, ACK processing) stay visible. Every scenario runs on **both**
-//! event-queue backends in the same process — the timer wheel and the
-//! reference binary heap — and the results land in `BENCH_sim.json`:
+//! service, ACK processing) stay visible. The results land in
+//! `BENCH_sim.json`:
 //!
 //! * `queue_churn` isolates the scheduler itself (pop + re-push with a
-//!   large resident event set), where the wheel's O(1) beats the heap's
+//!   large resident event set) and times the timer wheel against the
+//!   reference binary heap, where the wheel's O(1) beats the heap's
 //!   O(log n) directly;
-//! * `two_tcps` / `mptcp4` are end-to-end simulations, where per-event
-//!   TCP processing dilutes the queue's share of the wall time.
-//!
-//! The end-to-end runs also double as a determinism check: both backends
-//! must process the exact same number of events.
+//! * `scoreboard_churn` does the same for the bitmap scoreboard against
+//!   its B-tree reference;
+//! * `two_tcps` / `mptcp4` are end-to-end simulations on the wheel, where
+//!   per-event TCP processing dilutes the queue's share of the wall time.
 
 use mptcp_bench::report::{merge_bench_sim, read_bench_field, Record};
 use mptcp_bench::{banner, f2, quick_mode, Table};
@@ -27,8 +26,8 @@ const WHEEL: QueueBackend = QueueBackend::TimerWheel;
 const HEAP: QueueBackend = QueueBackend::BinaryHeap;
 
 /// One bottleneck, two competing TCPs, one simulated second.
-fn run_duel(backend: QueueBackend) -> SimPerf {
-    let mut sim = Simulator::with_backend(1, backend);
+fn run_duel() -> SimPerf {
+    let mut sim = Simulator::new(1);
     let l = sim.add_link(LinkSpec::mbps(100.0, SimTime::from_millis(5), 100));
     sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Uncoupled).path(vec![l]));
     sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Uncoupled).path(vec![l]));
@@ -37,26 +36,11 @@ fn run_duel(backend: QueueBackend) -> SimPerf {
 }
 
 /// A 4-subflow MPTCP connection across four lossy links, one simulated
-/// second — exercises the coupled-increase path.
-fn run_multipath(backend: QueueBackend) -> SimPerf {
-    let mut sim = Simulator::with_backend(2, backend);
-    let mut spec = ConnectionSpec::bulk(AlgorithmKind::Mptcp);
-    for i in 0..4 {
-        let l = sim.add_link(
-            LinkSpec::mbps(50.0, SimTime::from_millis(5 + 10 * i), 50).with_loss(0.001),
-        );
-        spec = spec.path(vec![l]);
-    }
-    sim.add_connection(spec);
-    sim.run_until(SimTime::from_secs(1));
-    sim.perf()
-}
-
-/// The multipath scenario once more, with a 1 ms telemetry probe enabled —
-/// the worst realistic sampling rate. Returns perf plus a packet-history
-/// fingerprint for the neutrality assertion.
-fn run_multipath_probed(probe: bool) -> (SimPerf, Vec<(u64, u64, u64, u64)>) {
-    let mut sim = Simulator::with_backend(2, WHEEL);
+/// second — exercises the coupled-increase path. `probe` enables a 1 ms
+/// telemetry probe, the worst realistic sampling rate. Returns perf plus a
+/// packet-history fingerprint for the probe's neutrality assertion.
+fn run_multipath(probe: bool) -> (SimPerf, Vec<(u64, u64, u64, u64)>) {
+    let mut sim = Simulator::new(2);
     let mut spec = ConnectionSpec::bulk(AlgorithmKind::Mptcp);
     for i in 0..4 {
         let l = sim.add_link(
@@ -202,30 +186,17 @@ fn main() {
             .field("quick", quick),
     );
 
-    // End-to-end scenarios: same simulation on both backends.
-    let scenarios: [(&str, fn(QueueBackend) -> SimPerf); 2] =
-        [("two_tcps", run_duel), ("mptcp4", run_multipath)];
-    for (name, run) in scenarios {
-        let (wp, weps) = best_eps(reps, || run(WHEEL));
-        let (hp, heps) = best_eps(reps, || run(HEAP));
-        assert_eq!(
-            wp.events_fired, hp.events_fired,
-            "{name}: backends diverged — determinism contract broken"
-        );
-        t.row(vec![
-            name.to_string(),
-            wp.events_fired.to_string(),
-            f2(weps / 1e6),
-            f2(heps / 1e6),
-            format!("{:.2}x", weps / heps),
-        ]);
+    // End-to-end scenarios.
+    for (name, (wp, weps)) in [
+        ("two_tcps", best_eps(reps, run_duel)),
+        ("mptcp4", best_eps(reps, || run_multipath(false).0)),
+    ] {
+        t.row(vec![name.into(), wp.events_fired.to_string(), f2(weps / 1e6), "-".into(), "-".into()]);
         records.push(
             Record::new(format!("sim_micro/{name}"))
                 .field("events", wp.events_fired)
                 .field("peak_pending", wp.peak_pending)
                 .field("wheel_events_per_sec", weps)
-                .field("heap_events_per_sec", heps)
-                .field("speedup", weps / heps)
                 .field("quick", quick),
         );
     }
@@ -239,12 +210,12 @@ fn main() {
     // BENCH_sim.json; wall-clock comparisons across machines are noise, so
     // the hard <2% assertion only arms under MPTCP_PERF_GUARD=1 (set it
     // when re-validating on the machine that recorded the baseline).
-    let (plain_perf, plain_fp) = run_multipath_probed(false);
+    let (plain_perf, plain_fp) = run_multipath(false);
     let probed_reps = if quick { 3 } else { 5 };
     let mut probed_best = f64::INFINITY;
     let mut probed_fp = Vec::new();
     for _ in 0..probed_reps {
-        let (perf, fp) = run_multipath_probed(true);
+        let (perf, fp) = run_multipath(true);
         probed_best = probed_best.min(perf.wall.as_secs_f64());
         probed_fp = fp;
     }
@@ -252,7 +223,7 @@ fn main() {
         plain_fp, probed_fp,
         "probe guard: telemetry sampling perturbed the packet history"
     );
-    let (disabled_perf, disabled_eps) = best_eps(reps, || run_multipath_probed(false).0);
+    let (disabled_perf, disabled_eps) = best_eps(reps, || run_multipath(false).0);
     assert_eq!(plain_perf.events_fired, disabled_perf.events_fired);
     let probed_eps = disabled_perf.events_fired as f64 / probed_best;
     let overhead = disabled_eps / probed_eps - 1.0;

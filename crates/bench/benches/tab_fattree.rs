@@ -14,12 +14,12 @@
 //!
 //! The nine cells are independent simulations, so they fan out over the
 //! parallel runner (`MPTCP_JOBS` pins the worker count; results come back
-//! in job order, so the table is byte-identical to a serial run). Every
-//! cell runs on **both** event-queue backends: the heap result must match
-//! the wheel result bit-for-bit (determinism check), and the aggregate
-//! events-per-wall-second comparison lands in `BENCH_sim.json`.
+//! in job order, so the table is byte-identical to a serial run). The
+//! aggregate events per wall second lands in `BENCH_sim.json`, beside a
+//! queue-only churn of the timer wheel against the reference heap at the
+//! largest pending set any cell reached.
 
-use mptcp_bench::datacenter::{run_fattree_with, DcResult, Routing, Tp};
+use mptcp_bench::datacenter::{run_fattree, DcResult, Routing, Tp};
 use mptcp_bench::report::{merge_bench_sim, Record};
 use mptcp_bench::runner::run_parallel;
 use mptcp_bench::{banner, f1, f2, quick_mode, scaled, Table};
@@ -37,60 +37,35 @@ fn main() {
     ];
     let tps = [Tp::Permutation, Tp::OneToMany, Tp::Sparse];
 
-    // One job per (scheme, traffic pattern, backend): 9 cells × 2 backends.
-    let jobs: Vec<(usize, usize, QueueBackend)> = (0..rows.len())
-        .flat_map(|r| {
-            (0..tps.len()).flat_map(move |c| {
-                [QueueBackend::TimerWheel, QueueBackend::BinaryHeap]
-                    .map(move |b| (r, c, b))
-            })
-        })
-        .collect();
-    let results: Vec<(DcResult, SimPerf)> = run_parallel(&jobs, |&(r, c, backend)| {
-        run_fattree_with(8, tps[c], rows[r].1, 11, warmup, window, backend)
-    });
+    // One job per (scheme, traffic pattern).
+    let jobs: Vec<(usize, usize)> =
+        (0..rows.len()).flat_map(|r| (0..tps.len()).map(move |c| (r, c))).collect();
+    let results: Vec<(DcResult, SimPerf)> =
+        run_parallel(&jobs, |&(r, c)| run_fattree(8, tps[c], rows[r].1, 11, warmup, window));
 
     let mut t = Table::new(&[
         "scheme", "TP1 paper", "TP1", "TP2 paper", "TP2", "TP3 paper", "TP3",
     ]);
-    let mut perf = [SimPerf::default(); 2]; // [wheel, heap] aggregates
     for (r, (name, _, paper)) in rows.iter().enumerate() {
         let mut cells = vec![name.to_string()];
         for (c, p) in paper.iter().enumerate() {
-            let (wheel, wp) = &results[(r * tps.len() + c) * 2];
-            let (heap, hp) = &results[(r * tps.len() + c) * 2 + 1];
-            assert_eq!(
-                wheel.per_flow_bps, heap.per_flow_bps,
-                "{name}/TP{}: wheel and heap runs diverged — determinism broken",
-                c + 1
-            );
-            for (agg, run) in perf.iter_mut().zip([wp, hp]) {
-                agg.events_fired += run.events_fired;
-                agg.wall += run.wall;
-            }
             cells.push(p.to_string());
-            cells.push(f1(wheel.mean_host_mbps()));
+            cells.push(f1(results[r * tps.len() + c].0.mean_host_mbps()));
         }
         t.row(cells);
     }
     t.print();
 
-    let eps = |p: &SimPerf| p.events_fired as f64 / p.wall.as_secs_f64();
-    let (wheel_eps, heap_eps) = (eps(&perf[0]), eps(&perf[1]));
+    let events: u64 = results.iter().map(|(_, p)| p.events_fired).sum();
+    let wall: std::time::Duration = results.iter().map(|(_, p)| p.wall).sum();
+    let wheel_eps = events as f64 / wall.as_secs_f64();
     println!("\n  paper shape: multipath ≫ single-path on TP1 and TP3;");
     println!("  TP2 is NIC-bound so all schemes are close; MPTCP ≥ EWTCP throughout.");
-    println!(
-        "\n  end-to-end: wheel {} Mev/s vs heap {} Mev/s over {} events ({}x)",
-        f2(wheel_eps / 1e6),
-        f2(heap_eps / 1e6),
-        perf[0].events_fired,
-        f2(wheel_eps / heap_eps),
-    );
+    println!("\n  end-to-end: wheel {} Mev/s over {events} events", f2(wheel_eps / 1e6));
 
     // Scheduler-isolated comparison at this experiment's scale: churn the
-    // bare queue with the largest pending set any cell actually reached.
-    // The end-to-end ratio above dilutes the queue with per-event TCP work;
-    // this one measures the data structure the tentpole replaced.
+    // bare queue with the largest pending set any cell actually reached,
+    // on the wheel and on the reference heap it replaced.
     let peak = results.iter().map(|(_, p)| p.peak_pending).max().unwrap_or(0).max(1024);
     let ops: u64 = 2_000_000;
     let wheel_q =
@@ -111,14 +86,11 @@ fn main() {
             // aggregate events/sec here is per-core by construction:
             // jobs = 1 and the per-core field equals the aggregate.
             Record::new("tab_fattree/scheduler")
-                .field("events", perf[0].events_fired)
+                .field("events", events)
                 .field("peak_pending", peak)
                 .field("jobs", 1u64)
                 .field("wheel_events_per_sec", wheel_eps)
                 .field("wheel_events_per_sec_per_core", wheel_eps)
-                .field("heap_events_per_sec", heap_eps)
-                .field("heap_events_per_sec_per_core", heap_eps)
-                .field("speedup", wheel_eps / heap_eps)
                 .field("quick", quick_mode()),
             Record::new("tab_fattree/queue_churn")
                 .field("pending", peak)

@@ -1,9 +1,7 @@
 //! Shared machinery for the §4 data-center experiments (FatTree & BCube).
 
 use mptcp_cc::AlgorithmKind;
-use mptcp_netsim::{
-    ConnId, ConnectionSpec, LinkSpec, QueueBackend, ShardedSimulator, SimPerf, SimTime, Simulator,
-};
+use mptcp_netsim::{ConnId, ConnectionSpec, LinkSpec, ShardedSimulator, SimPerf, SimTime, Simulator};
 use mptcp_topology::{BCube, FatTree};
 use mptcp_workload::{one_to_many_random, random_permutation_pairs, sparse_pairs};
 use rand::rngs::StdRng;
@@ -89,7 +87,8 @@ fn finish(
     }
 }
 
-/// Run one FatTree experiment.
+/// Run one FatTree experiment, also returning the simulator's [`SimPerf`]
+/// counters for the throughput benchmarks.
 pub fn run_fattree(
     k: usize,
     tp: Tp,
@@ -97,25 +96,8 @@ pub fn run_fattree(
     seed: u64,
     warmup: SimTime,
     window: SimTime,
-) -> DcResult {
-    run_fattree_with(k, tp, routing, seed, warmup, window, QueueBackend::default()).0
-}
-
-/// [`run_fattree`] on an explicit event-queue backend, also returning the
-/// simulator's [`SimPerf`] counters — the hook the scheduler benchmarks use
-/// to compare the timer wheel against the reference heap on an identical
-/// workload.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fattree_with(
-    k: usize,
-    tp: Tp,
-    routing: Routing,
-    seed: u64,
-    warmup: SimTime,
-    window: SimTime,
-    backend: QueueBackend,
 ) -> (DcResult, SimPerf) {
-    let mut sim = Simulator::with_backend(seed, backend);
+    let mut sim = Simulator::new(seed);
     let ft = FatTree::build(&mut sim, k, dc_link());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let pairs = host_pairs(tp, ft.host_count(), &mut rng);

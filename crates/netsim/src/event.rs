@@ -1,19 +1,15 @@
-//! The discrete-event queue.
+//! The simulator's events, and the reference heap its queue is checked
+//! against.
 //!
-//! Two interchangeable backends sit behind [`EventQueue`]:
-//!
-//! * [`QueueBackend::TimerWheel`] (default) — the hierarchical timer wheel
-//!   in [`crate::wheel`], O(1) amortized push/pop;
-//! * [`QueueBackend::BinaryHeap`] — the original `BinaryHeap` future-event
-//!   list, kept as the reference implementation for differential testing
-//!   and for benchmarking the wheel against.
-//!
-//! Both produce the **same** pop order — ascending `(at, seq)` — which is
-//! the determinism contract the whole simulator rests on. The property
-//! tests at the bottom of this file drive both backends with identical
-//! random schedules (deadlines at every scale from one wheel tick to past
-//! the wheel span, RTO-shaped timers, pops that cross occupied slot
-//! boundaries) and require identical pop sequences.
+//! Every simulation runs on the hierarchical timer wheel in
+//! [`crate::wheel`]. The seed's `BinaryHeap` future-event list stays here
+//! as a private reference, not a configuration: [`queue_churn`] times the
+//! wheel against it, and the tests at the bottom of this file drive both
+//! with identical schedules. Both pop in ascending `(at, seq)` order — the
+//! determinism contract the whole simulator rests on — and the property
+//! test requires identical pop sequences under random schedules
+//! (deadlines at every scale from one wheel tick to past the wheel span,
+//! RTO-shaped timers, pops that cross occupied slot boundaries).
 
 use crate::cbr::CbrId;
 use crate::link::LinkId;
@@ -22,35 +18,19 @@ use crate::sim::ConnId;
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::tcp::SackRanges;
 
-/// Selects the data structure behind the simulator's event queue.
-///
-/// Both backends are observationally identical (bit-for-bit identical runs
-/// for a fixed seed); they differ only in speed. Every simulation runs on
-/// the timer wheel unless a test or bench asks
-/// [`crate::Simulator::with_backend`] for the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which queue [`queue_churn`] measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueBackend {
-    /// Hierarchical timer wheel: O(1) amortized, allocation-free steady
-    /// state. The default.
-    #[default]
+    /// The hierarchical timer wheel every simulation runs on: O(1)
+    /// amortized, allocation-free steady state.
     TimerWheel,
-    /// `std::collections::BinaryHeap` future-event list: O(log n), the
-    /// seed implementation, kept as the reference for differential tests.
+    /// The seed's `std::collections::BinaryHeap` future-event list:
+    /// O(log n), the reference the wheel is timed and tested against.
     BinaryHeap,
-}
-
-impl QueueBackend {
-    /// Short stable name, used in benchmark output.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::TimerWheel => "wheel",
-            QueueBackend::BinaryHeap => "heap",
-        }
-    }
 }
 
 /// Information carried by an ACK back to the sender. The ACK's content is
@@ -136,127 +116,24 @@ impl Ord for Event {
     }
 }
 
-#[derive(Debug)]
-enum BackendImpl {
-    // Boxed: the wheel's slot array is ~2.5 KiB, the heap variant 24 bytes.
-    Wheel(Box<TimerWheel>),
-    Heap(BinaryHeap<Event>),
-}
-
-/// A deterministic future-event list.
-#[derive(Debug)]
-pub(crate) struct EventQueue {
-    backend: BackendImpl,
-    next_seq: u64,
-    /// Total events ever pushed.
+/// The reference future-event list: a `BinaryHeap` numbering its pushes
+/// and counting its high-water mark as the wheel does.
+#[derive(Debug, Default)]
+struct RefHeap {
+    heap: BinaryHeap<Event>,
     scheduled: u64,
-    /// High-water mark of pending events.
     peak_pending: usize,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::with_backend(QueueBackend::default())
-    }
-}
-
-impl EventQueue {
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let backend = match backend {
-            QueueBackend::TimerWheel => BackendImpl::Wheel(Box::new(TimerWheel::new())),
-            QueueBackend::BinaryHeap => BackendImpl::Heap(BinaryHeap::new()),
-        };
-        EventQueue { backend, next_seq: 0, scheduled: 0, peak_pending: 0 }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            BackendImpl::Wheel(_) => QueueBackend::TimerWheel,
-            BackendImpl::Heap(_) => QueueBackend::BinaryHeap,
-        }
-    }
-
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+impl RefHeap {
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        self.heap.push(Event { at, seq: self.scheduled, kind });
         self.scheduled += 1;
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.push(at, seq, kind),
-            BackendImpl::Heap(h) => h.push(Event { at, seq, kind }),
-        }
-        let pending = self.len();
-        if pending > self.peak_pending {
-            self.peak_pending = pending;
-        }
+        self.peak_pending = self.peak_pending.max(self.heap.len());
     }
 
-    /// Pop the next event at or before `horizon`, if any.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<Event> {
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.pop_before(horizon),
-            BackendImpl::Heap(h) => {
-                if h.peek().is_some_and(|e| e.at <= horizon) {
-                    h.pop()
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// A time no later than the next event `pop_before` would return, or
-    /// `None` when nothing is pending. Exact on the heap; on the wheel the
-    /// start of the slot holding it (see [`TimerWheel::earliest_bound`]).
-    pub fn earliest_bound(&self) -> Option<SimTime> {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.earliest_bound(),
-            BackendImpl::Heap(h) => h.peek().map(|e| e.at),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.len(),
-            BackendImpl::Heap(h) => h.len(),
-        }
-    }
-
-    /// Total events ever scheduled on this queue.
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// High-water mark of simultaneously pending events.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
-    }
-
-    /// Events the timer wheel's cascades have moved down a level (the
-    /// heap has none): bounded by `(levels - 1) × scheduled`, so a count
-    /// far above `scheduled` means a slot is being re-walked.
-    pub fn reinserts(&self) -> u64 {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.reinserts(),
-            BackendImpl::Heap(_) => 0,
-        }
-    }
-
-    /// Heap bytes of the backend's storage.
-    pub fn heap_bytes(&self) -> u64 {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.heap_bytes(),
-            BackendImpl::Heap(h) => (h.capacity() * std::mem::size_of::<Event>()) as u64,
-        }
-    }
-
-    /// Check the wheel's structural invariants (no-op on the heap).
-    #[cfg(test)]
-    fn check_invariants(&self) {
-        if let BackendImpl::Wheel(w) = &self.backend {
-            w.check_invariants();
-        }
+    fn pop_before(&mut self, horizon: SimTime) -> Option<Event> {
+        self.heap.peek_mut().filter(|e| e.at <= horizon).map(PeekMut::pop)
     }
 }
 
@@ -265,12 +142,27 @@ impl EventQueue {
 /// RTT-scale delta ahead), returning the wall time of the churn loop.
 ///
 /// This isolates the event queue from the rest of the simulator so the
-/// wheel-vs-heap comparison is not diluted by per-event TCP processing;
-/// `benches/sim_micro.rs` reports both this and the end-to-end numbers.
-/// The schedule is deterministic (internal xorshift), so both backends see
+/// wheel-vs-heap comparison is not diluted by per-event TCP processing.
+/// The schedule is deterministic (internal xorshift), so both queues see
 /// the identical workload.
 pub fn queue_churn(backend: QueueBackend, pending: usize, ops: u64) -> std::time::Duration {
-    let mut q = EventQueue::with_backend(backend);
+    match backend {
+        QueueBackend::TimerWheel => {
+            churn(TimerWheel::new(), TimerWheel::push, TimerWheel::pop_before, pending, ops)
+        }
+        QueueBackend::BinaryHeap => {
+            churn(RefHeap::default(), RefHeap::push, RefHeap::pop_before, pending, ops)
+        }
+    }
+}
+
+fn churn<Q>(
+    mut q: Q,
+    push: impl Fn(&mut Q, SimTime, EventKind),
+    pop_before: impl Fn(&mut Q, SimTime) -> Option<Event>,
+    pending: usize,
+    ops: u64,
+) -> std::time::Duration {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -282,12 +174,12 @@ pub fn queue_churn(backend: QueueBackend, pending: usize, ops: u64) -> std::time
     // the mix of serialization, propagation and RTO timers in a real run.
     const SPREAD: u64 = 100_000_000;
     for _ in 0..pending {
-        q.push(SimTime(next() % SPREAD), EventKind::ConnStart { conn: 0 });
+        push(&mut q, SimTime(next() % SPREAD), EventKind::ConnStart { conn: 0 });
     }
     let started = crate::perf::wall_clock();
     for _ in 0..ops {
-        let e = q.pop_before(SimTime::MAX).expect("queue stays at `pending` events");
-        q.push(SimTime(e.at.as_nanos() + 1 + next() % SPREAD), EventKind::ConnStart { conn: 0 });
+        let e = pop_before(&mut q, SimTime::MAX).expect("queue stays at `pending` events");
+        push(&mut q, SimTime(e.at.as_nanos() + 1 + next() % SPREAD), EventKind::ConnStart { conn: 0 });
     }
     started.elapsed()
 }
@@ -297,16 +189,44 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn both_backends() -> [EventQueue; 2] {
-        [
-            EventQueue::with_backend(QueueBackend::TimerWheel),
-            EventQueue::with_backend(QueueBackend::BinaryHeap),
-        ]
+    /// The wheel's read-only accessors, mirrored for tests that run on both
+    /// queues.
+    impl RefHeap {
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn earliest_bound(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        fn scheduled(&self) -> u64 {
+            self.scheduled
+        }
+
+        fn peak_pending(&self) -> usize {
+            self.peak_pending
+        }
+    }
+
+    /// Run `body` with `q` bound to a fresh wheel, then to a fresh
+    /// reference heap.
+    macro_rules! on_both {
+        (|$q:ident| $body:block) => {{
+            {
+                let mut $q = TimerWheel::new();
+                $body
+            }
+            {
+                let mut $q = RefHeap::default();
+                $body
+            }
+        }};
     }
 
     #[test]
     fn events_pop_in_time_order() {
-        for mut q in both_backends() {
+        on_both!(|q| {
             q.push(SimTime::from_millis(5), EventKind::ConnStart { conn: 0 });
             q.push(SimTime::from_millis(1), EventKind::ConnStart { conn: 1 });
             q.push(SimTime::from_millis(3), EventKind::ConnStart { conn: 2 });
@@ -316,12 +236,12 @@ mod tests {
                 order,
                 vec![SimTime::from_millis(1), SimTime::from_millis(3), SimTime::from_millis(5)]
             );
-        }
+        });
     }
 
     #[test]
     fn simultaneous_events_fire_in_insertion_order() {
-        for mut q in both_backends() {
+        on_both!(|q| {
             let t = SimTime::from_millis(1);
             for conn in 0..10 {
                 q.push(t, EventKind::ConnStart { conn });
@@ -333,46 +253,37 @@ mod tests {
                 }
             }
             assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        }
+        });
     }
 
     #[test]
     fn pop_respects_horizon() {
         // Satellite regression: an event exactly AT the horizon pops; one
-        // nanosecond past it does not — on both backends.
-        for mut q in both_backends() {
-            let backend = q.backend();
+        // nanosecond past it does not — on both queues.
+        on_both!(|q| {
+            let name = std::any::type_name_of_val(&q);
             q.push(SimTime::from_millis(10), EventKind::ConnStart { conn: 0 });
-            assert!(
-                q.pop_before(SimTime::from_millis(5)).is_none(),
-                "{}: early horizon must not pop",
-                backend.name()
-            );
+            assert!(q.pop_before(SimTime::from_millis(5)).is_none(), "{name}: early horizon must not pop");
             assert_eq!(q.len(), 1);
             assert!(
                 q.pop_before(SimTime::from_millis(10)).is_some(),
-                "{}: event exactly at the horizon must pop",
-                backend.name()
+                "{name}: event exactly at the horizon must pop"
             );
-        }
-        for mut q in both_backends() {
-            let backend = q.backend();
+        });
+        on_both!(|q| {
+            let name = std::any::type_name_of_val(&q);
             let at = SimTime::from_millis(10);
             q.push(at, EventKind::ConnStart { conn: 0 });
             let just_before = SimTime(at.as_nanos() - 1);
-            assert!(
-                q.pop_before(just_before).is_none(),
-                "{}: horizon 1 ns short must not pop",
-                backend.name()
-            );
-            assert!(q.pop_before(at).is_some(), "{}", backend.name());
+            assert!(q.pop_before(just_before).is_none(), "{name}: horizon 1 ns short must not pop");
+            assert!(q.pop_before(at).is_some(), "{name}");
             assert!(q.pop_before(SimTime::MAX).is_none());
-        }
+        });
     }
 
     #[test]
     fn counters_track_scheduled_and_peak() {
-        for mut q in both_backends() {
+        on_both!(|q| {
             for i in 0..5u64 {
                 q.push(SimTime(i * 100), EventKind::ConnStart { conn: 0 });
             }
@@ -383,7 +294,7 @@ mod tests {
             assert_eq!(q.scheduled(), 6);
             assert_eq!(q.peak_pending(), 5);
             assert_eq!(q.len(), 3);
-        }
+        });
     }
 
     /// One step of a random schedule: push an event at `now + delta`, or
@@ -439,7 +350,7 @@ mod tests {
     }
 
     /// Push the same event on both queues and check the wheel's structure.
-    fn push_both(wheel: &mut EventQueue, heap: &mut EventQueue, at: u64) {
+    fn push_both(wheel: &mut TimerWheel, heap: &mut RefHeap, at: u64) {
         wheel.push(SimTime(at), EventKind::ConnStart { conn: 0 });
         heap.push(SimTime(at), EventKind::ConnStart { conn: 0 });
         wheel.check_invariants();
@@ -449,8 +360,8 @@ mod tests {
     /// sequences and an earliest-event bound no later than each pop (exact
     /// on the heap); returns the last pop time (or `now` if none).
     fn pop_both(
-        wheel: &mut EventQueue,
-        heap: &mut EventQueue,
+        wheel: &mut TimerWheel,
+        heap: &mut RefHeap,
         horizon: SimTime,
         mut now: u64,
     ) -> Result<u64, TestCaseError> {
@@ -487,20 +398,15 @@ mod tests {
             start in start_strategy(),
             ops in prop::collection::vec(op_strategy(), 1..300),
         ) {
-            let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
-            let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+            let mut wheel = TimerWheel::new();
+            let mut heap = RefHeap::default();
             // Simulated "now": pushes are never scheduled in the past,
             // matching the simulator's contract. An empty pop parks the
             // wheel's cursor at the start time.
             let mut now = pop_both(&mut wheel, &mut heap, SimTime(start), start)?;
             for op in ops {
                 match op {
-                    Op::Push { delta } => {
-                        let at = SimTime(now + delta);
-                        wheel.push(at, EventKind::ConnStart { conn: 0 });
-                        heap.push(at, EventKind::ConnStart { conn: 0 });
-                        wheel.check_invariants();
-                    }
+                    Op::Push { delta } => push_both(&mut wheel, &mut heap, now + delta),
                     Op::PopUntil { delta } => {
                         let horizon = SimTime(now + delta);
                         now = pop_both(&mut wheel, &mut heap, horizon, now)?;
@@ -512,10 +418,10 @@ mod tests {
             pop_both(&mut wheel, &mut heap, SimTime::MAX, now)?;
             prop_assert_eq!(wheel.len(), 0);
             prop_assert_eq!(heap.len(), 0);
+            prop_assert_eq!(wheel.peak_pending(), heap.peak_pending());
             // An event moves down at most once per level below the top.
             let bound = (crate::wheel::LEVELS as u64 - 1) * wheel.scheduled();
             prop_assert!(wheel.reinserts() <= bound);
-            prop_assert_eq!(heap.reinserts(), 0);
         }
     }
 
@@ -535,8 +441,8 @@ mod tests {
     /// drains: the bucket's packed keys must order exactly as `(at, seq)`.
     #[test]
     fn crowded_tick_with_pushes_while_draining_matches_heap() {
-        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut wheel = TimerWheel::new();
+        let mut heap = RefHeap::default();
         const TICK_START: u64 = 5_000 << 10;
         for i in 0..64u64 {
             push_both(&mut wheel, &mut heap, TICK_START + ((i * 389 % 1024) & !3));
@@ -564,13 +470,12 @@ mod tests {
     /// rule the first of them files at level 2 instead.
     #[test]
     fn cursor_slot_does_not_shadow_later_slots() {
-        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut wheel = TimerWheel::new();
+        let mut heap = RefHeap::default();
         assert!(wheel.pop_before(SimTime(180_074)).is_none());
         assert!(wheel.pop_before(SimTime(6_203_118)).is_none());
-        for at in [SimTime(10_396_556), SimTime(9_002_129)] {
-            wheel.push(at, EventKind::ConnStart { conn: 0 });
-            heap.push(at, EventKind::ConnStart { conn: 0 });
+        for at in [10_396_556, 9_002_129] {
+            push_both(&mut wheel, &mut heap, at);
         }
         pop_both(&mut wheel, &mut heap, SimTime::MAX, 0).expect("identical drains");
     }
@@ -584,18 +489,18 @@ mod tests {
     fn near_events_across_the_wheel_span_boundary_stay_ordered() {
         const TICK: u64 = 1 << 10;
         const SPAN: u64 = TICK << 36;
-        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut wheel = TimerWheel::new();
+        let mut heap = RefHeap::default();
         assert!(wheel.pop_before(SimTime(SPAN - 2 * TICK)).is_none());
         for at in [SPAN + 5 * TICK, SPAN - TICK] {
             push_both(&mut wheel, &mut heap, at);
         }
-        for q in [&mut wheel, &mut heap] {
-            assert_eq!(q.pop_before(SimTime(SPAN - 1)).map(|e| e.at), Some(SimTime(SPAN - TICK)));
-            // Nothing due by +2 ticks: the cursor crosses with the +5 event
-            // still held in the overflow list.
-            assert!(q.pop_before(SimTime(SPAN + 2 * TICK)).is_none());
-        }
+        assert_eq!(wheel.pop_before(SimTime(SPAN - 1)).map(|e| e.at), Some(SimTime(SPAN - TICK)));
+        assert_eq!(heap.pop_before(SimTime(SPAN - 1)).map(|e| e.at), Some(SimTime(SPAN - TICK)));
+        // Nothing due by +2 ticks: the wheel's cursor crosses with the +5
+        // event still held in the overflow list.
+        assert!(wheel.pop_before(SimTime(SPAN + 2 * TICK)).is_none());
+        assert!(heap.pop_before(SimTime(SPAN + 2 * TICK)).is_none());
         wheel.check_invariants();
         push_both(&mut wheel, &mut heap, SPAN + 70 * TICK);
         pop_both(&mut wheel, &mut heap, SimTime::MAX, 0).expect("identical drains");

@@ -26,11 +26,12 @@
 //! state machine — no async runtime, no clever type-level tricks, and no
 //! hidden allocation on the per-packet hot path beyond the event queue.
 //!
-//! There is one build configuration. The structures the hot path replaced
-//! — the `BinaryHeap` event queue and the B-tree scoreboards — stay
-//! compiled as the references differential tests and micro-benchmarks
-//! compare against ([`Simulator::with_backend`], [`queue_churn`],
-//! [`scoreboard_churn`]); no cargo feature selects them.
+//! There is one simulator configuration: the event queue is the timer
+//! wheel, and no cargo feature or constructor picks another. The
+//! structures the hot path replaced — the `BinaryHeap` event queue and the
+//! B-tree scoreboards — stay compiled as the references differential tests
+//! and micro-benchmarks compare against ([`queue_churn`],
+//! [`scoreboard_churn`]).
 //!
 //! ## Model scope
 //!

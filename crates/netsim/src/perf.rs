@@ -3,9 +3,9 @@
 //! [`SimPerf`] is a cheap, always-on snapshot of what the event core has
 //! done: how many events were scheduled, fired, and cancelled, how deep
 //! the queue got, and how fast simulated events are being retired per
-//! wall-clock second. The benchmark harness uses it to compare queue
-//! backends honestly (same run, same workload) and the invariant tests
-//! use it to pin down the event-accounting identities.
+//! wall-clock second. The benchmark harness reports event throughput from
+//! it and the invariant tests use it to pin down the event-accounting
+//! identities.
 
 // lint:digest-surface — every pub struct here is sim-visible state and must
 // implement `DetDigest` (enforced by `cargo xtask lint`). Wall-clock-derived
@@ -55,10 +55,10 @@ pub struct SimPerf {
     /// [`crate::Simulator::mem_bytes`], which `tests/mem_account.rs`
     /// checks against a counting global allocator.
     pub hot_allocs: u64,
-    /// Events the timer wheel's cascades moved down a level (always 0 on
-    /// the heap backend). Each event descends at most once per level, so
-    /// this stays within a small multiple of `events_scheduled`; a count
-    /// far above that means the scheduler is re-walking a slot.
+    /// Events the timer wheel's cascades moved down a level. Each event
+    /// descends at most once per level, so this stays within a small
+    /// multiple of `events_scheduled`; a count far above that means the
+    /// scheduler is re-walking a slot.
     pub queue_reinserts: u64,
 }
 
@@ -80,7 +80,7 @@ impl_det_digest!(SimPerf {
     // simulated history, so it stays out of the determinism digest, like
     // `wall`.
     hot_allocs,
-    // Backend-specific like `hot_allocs`: the heap never re-inserts.
+    // A property of the wheel's layout, not of the simulated history.
     queue_reinserts,
 });
 

@@ -39,7 +39,6 @@
 //! ([`ShardedSimulator::det_digest`]), gated by `chaos_smoke` and the
 //! `shard_determinism` proptest.
 
-use crate::event::QueueBackend;
 use crate::fault::FaultPlan;
 use crate::link::{LinkId, LinkSpec, LinkStats};
 use crate::mem::{vec_bytes, MemBytes};
@@ -181,15 +180,9 @@ impl ShardedSimulator {
     /// pure function of `(seed, construction calls)` — independent of
     /// [`Self::set_jobs`].
     pub fn new(seed: u64, num_shards: usize) -> Self {
-        Self::with_backend(seed, num_shards, QueueBackend::default())
-    }
-
-    /// Like [`Self::new`] with an explicit event-queue backend for every
-    /// shard.
-    pub fn with_backend(seed: u64, num_shards: usize, backend: QueueBackend) -> Self {
         assert!(num_shards > 0, "world needs at least one shard");
         let shards = (0..num_shards as u64)
-            .map(|i| Simulator::with_backend(seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15), backend))
+            .map(|i| Simulator::new(seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect();
         Self {
             shards,
@@ -217,16 +210,6 @@ impl ShardedSimulator {
     /// Current worker-thread setting.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Forward [`Simulator::wrap_pure_in_adapter`] to every shard: wrap
-    /// every subsequently added pure named algorithm in the stateful
-    /// adapter (the stateful-vs-pure differential tests drive whole
-    /// sharded scenarios through both arms).
-    pub fn wrap_pure_in_adapter(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.wrap_pure_in_adapter(on);
-        }
     }
 
     /// Forward [`Simulator::set_flow_lifecycle`] to every shard: hot

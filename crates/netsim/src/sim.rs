@@ -7,7 +7,7 @@
 
 use crate::arena::{ColdSubflow, FlowArena, NOT_RESIDENT};
 use crate::cbr::{CbrId, CbrSource, CbrSpec};
-use crate::event::{AckInfo, EventKind, EventQueue, QueueBackend};
+use crate::event::{AckInfo, EventKind};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{GeState, Link, LinkId, LinkPath, LinkSpec, LinkStats};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
@@ -20,6 +20,7 @@ use crate::scoreboard::MAX_CAP;
 use crate::stats::{ConnectionStats, SubflowStats};
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
 use crate::time::SimTime;
+use crate::wheel::TimerWheel;
 use mptcp_cc::{
     AlgorithmKind, CcDriver, Failover, FailoverEdge, MultipathCc, PureAdapter, SubflowSnapshot,
 };
@@ -30,6 +31,10 @@ use std::mem::{size_of, size_of_val};
 
 /// Identifier of a connection within one [`Simulator`].
 pub type ConnId = usize;
+
+/// Upper bound of the uniform jitter added to each ACK's return delay, to
+/// break the phase-locking artifacts drop-tail FIFO simulations are prone to.
+const ACK_JITTER: SimTime = SimTime::from_micros(100);
 
 /// One subflow's static configuration.
 #[derive(Debug, Clone)]
@@ -96,9 +101,6 @@ pub struct ConnectionSpec {
     size_pkts: Option<u64>,
     packet_size: u32,
     tcp: TcpParams,
-    /// Run a pure rule through the stateful driver path (see
-    /// [`ConnectionSpec::adapter_wrapped`]).
-    force_adapter: bool,
 }
 
 impl ConnectionSpec {
@@ -111,7 +113,6 @@ impl ConnectionSpec {
             size_pkts: None,
             packet_size: DEFAULT_PACKET_SIZE,
             tcp: TcpParams::default(),
-            force_adapter: false,
         }
     }
 
@@ -173,17 +174,6 @@ impl ConnectionSpec {
     /// Override the TCP parameters.
     pub fn tcp(mut self, params: TcpParams) -> Self {
         self.tcp = params;
-        self
-    }
-
-    /// Run a *pure* named algorithm through the stateful driver path, via
-    /// [`PureAdapter`]. A differential-testing hook: the adapter is
-    /// float-exact, so a wrapped connection must produce bit-identical
-    /// digests to the plain pure path — the property that pins the two
-    /// driver arms together. No effect on natively stateful kinds or
-    /// custom controllers.
-    pub fn adapter_wrapped(mut self) -> Self {
-        self.force_adapter = true;
         self
     }
 }
@@ -407,7 +397,8 @@ pub(crate) struct ShardCtx {
 /// model scope and an end-to-end example.
 pub struct Simulator {
     now: SimTime,
-    queue: EventQueue,
+    /// Boxed: the wheel's slot array is ~1.5 KiB.
+    queue: Box<TimerWheel>,
     links: Vec<Link>,
     conns: Vec<Connection>,
     /// Subflow arena: every connection's subflows live contiguously here
@@ -428,9 +419,6 @@ pub struct Simulator {
     shard: Option<Box<ShardCtx>>,
     cbrs: Vec<CbrSource>,
     rng: StdRng,
-    /// Small uniform jitter added to each ACK's return delay, to break the
-    /// phase-locking artifacts drop-tail FIFO simulations are prone to.
-    ack_jitter: SimTime,
     events_processed: u64,
     /// Dispatched events that were stale no-ops (lazy RTO timers, CBR sends
     /// from a superseded generation).
@@ -467,11 +455,9 @@ pub struct Simulator {
     ack_free: Vec<u32>,
     /// Capacity-growth events of the ACK pool (allocation accounting).
     ack_pool_allocs: u64,
-    /// Simulator-wide [`ConnectionSpec::adapter_wrapped`]: wrap every
-    /// subsequently added pure named algorithm in the stateful adapter
-    /// (differential-testing hook for topology builders that construct
-    /// their own specs).
-    force_adapter_all: bool,
+    /// [`Self::wrap_pure_in_adapter`]: wrap every subsequently added pure
+    /// named algorithm in the stateful adapter.
+    force_adapter: bool,
 }
 
 impl Simulator {
@@ -479,16 +465,9 @@ impl Simulator {
     /// constructed with the same seed and fed the same calls produce
     /// identical histories.
     pub fn new(seed: u64) -> Self {
-        Self::with_backend(seed, QueueBackend::default())
-    }
-
-    /// Create a simulator with an explicit event-queue backend. Backends
-    /// are observationally identical — same seed, same history — so this
-    /// only matters for performance measurement.
-    pub fn with_backend(seed: u64, backend: QueueBackend) -> Self {
         Self {
             now: SimTime::ZERO,
-            queue: EventQueue::with_backend(backend),
+            queue: Box::new(TimerWheel::new()),
             links: Vec::new(),
             conns: Vec::new(),
             flows: FlowArena::default(),
@@ -497,7 +476,6 @@ impl Simulator {
             shard: None,
             cbrs: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            ack_jitter: SimTime::from_micros(100),
             events_processed: 0,
             events_cancelled: 0,
             wall_nanos: 0,
@@ -512,17 +490,17 @@ impl Simulator {
             ack_pool: Vec::new(),
             ack_free: Vec::new(),
             ack_pool_allocs: 0,
-            force_adapter_all: false,
+            force_adapter: false,
         }
     }
 
-    /// Apply [`ConnectionSpec::adapter_wrapped`] to every connection added
-    /// from now on: pure named algorithms run through the stateful driver
-    /// via the float-exact [`PureAdapter`]. A differential-testing hook —
-    /// the histories must be bit-identical either way — that reaches specs
-    /// built inside topology constructors.
+    /// Run every pure named algorithm added from now on through the
+    /// stateful driver path, via the float-exact [`PureAdapter`]. A
+    /// differential-testing hook — the histories must be bit-identical
+    /// either way — that reaches specs built inside topology constructors.
+    /// No effect on natively stateful kinds or custom controllers.
     pub fn wrap_pure_in_adapter(&mut self, on: bool) {
-        self.force_adapter_all = on;
+        self.force_adapter = on;
     }
 
     /// Park an ACK payload in the pool, returning the slot to carry in the
@@ -550,11 +528,6 @@ impl Simulator {
         }
         self.ack_free.push(slot);
         self.ack_pool[slot as usize]
-    }
-
-    /// Override the ACK-return jitter (0 disables it).
-    pub fn set_ack_jitter(&mut self, jitter: SimTime) {
-        self.ack_jitter = jitter;
     }
 
     /// Enable flow-lifecycle mode: connections acquire their hot subflow
@@ -627,11 +600,6 @@ impl Simulator {
     /// Total events processed so far (a cheap progress/perf metric).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// The event-queue backend this simulator runs on.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Snapshot of the event core's performance counters.
@@ -743,9 +711,8 @@ impl Simulator {
         let n = spec.subflows.len();
         let hops = spec.subflows.iter().map(|sf| sf.path.len()).max().unwrap_or(0);
         crate::packet::assert_packable(gid, n, hops, spec.packet_size);
-        let wrap = spec.force_adapter || self.force_adapter_all;
         let cc = match spec.cc {
-            CcChoice::Kind(kind) if wrap && !kind.is_stateful() => {
+            CcChoice::Kind(kind) if self.force_adapter && !kind.is_stateful() => {
                 CcDriver::Stateful(Box::new(PureAdapter::new(kind.build(n))))
             }
             CcChoice::Kind(kind) => kind.build_cc(n),
@@ -784,7 +751,7 @@ impl Simulator {
         // Twice the worst subflow's straggler bound: nothing addressed to
         // this flow can still be in flight once the grace expires.
         let retire_grace = SimTime(worst_straggler.as_nanos().saturating_mul(2))
-            + self.ack_jitter
+            + ACK_JITTER
             + SimTime::from_millis(1);
         let conn = Connection {
             cc,
@@ -897,20 +864,6 @@ impl Simulator {
     pub fn set_stall_watchdog(&mut self, threshold: Option<SimTime>) {
         self.stall_watchdog = threshold;
         self.last_progress = self.now;
-    }
-
-    /// Force a CBR source on or off (for externally scripted burst traces).
-    pub fn set_cbr_on(&mut self, src: CbrId, on: bool) {
-        let s = &mut self.cbrs[src];
-        if s.on == on {
-            return;
-        }
-        s.on = on;
-        s.gen += 1;
-        if on {
-            let gen = s.gen;
-            self.queue.push(self.now, EventKind::CbrSend { src, gen });
-        }
     }
 
     /// Stop a connection injecting new data (in-flight data still drains
@@ -1484,11 +1437,7 @@ impl Simulator {
                     }
                 }
                 let (cum, _dup, sacks) = self.flows.rx[hot + sub].on_data(seq);
-                let jitter = if self.ack_jitter > SimTime::ZERO {
-                    SimTime(self.rng.gen_range(0..=self.ack_jitter.as_nanos()))
-                } else {
-                    SimTime::ZERO
-                };
+                let jitter = SimTime(self.rng.gen_range(0..=ACK_JITTER.as_nanos()));
                 let back = self.now + self.flows.cold[base + sub].ack_delay + jitter;
                 let ack = self.alloc_ack(AckInfo { cum, sacks });
                 self.queue.push(back, EventKind::AckArrive { conn, sub, ack });
@@ -2414,18 +2363,16 @@ mod tests {
     /// history bit-for-bit — the unit-level core of the cross-scenario
     /// differential proptest in `tests/stateful_differential.rs`.
     #[test]
-    fn adapter_wrapped_pure_rule_reproduces_the_pure_history() {
+    fn wrapped_pure_rule_reproduces_the_pure_history() {
         let run = |wrapped: bool| {
             let mut sim = Simulator::new(11);
             let l0 = sim
                 .add_link(LinkSpec::mbps(8.0, SimTime::from_millis(10), 25).with_loss(0.005));
             let l1 = sim.add_link(LinkSpec::mbps(4.0, SimTime::from_millis(40), 25));
-            let mut spec =
-                ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l0]).path(vec![l1]);
-            if wrapped {
-                spec = spec.adapter_wrapped();
-            }
-            let c = sim.add_connection(spec);
+            sim.wrap_pure_in_adapter(wrapped);
+            let c = sim.add_connection(
+                ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l0]).path(vec![l1]),
+            );
             sim.run_until(SimTime::from_secs(40));
             let cwnds: Vec<u64> = {
                 let range = sim.conns[c].hots();

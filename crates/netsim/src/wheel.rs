@@ -1,11 +1,12 @@
-//! A hierarchical timer wheel: the simulator's default event queue.
+//! A hierarchical timer wheel: the simulator's event queue.
 //!
 //! The seed drove every event through a `BinaryHeap` — O(log n) per
 //! operation with poor cache behaviour once tens of thousands of events
 //! are pending (FatTree-128 runs). This wheel gives O(1) amortized push
 //! and pop while preserving the **exact** `(at, seq)` pop order of the
 //! heap, which is what keeps runs bit-for-bit deterministic (the
-//! differential property test in `event.rs` pins this down).
+//! differential property test in `event.rs` pins this down). The wheel
+//! numbers the events it is given (`seq`, the tie-breaker) and counts them.
 //!
 //! Layout, following the hierarchical wheel of Varghese & Lauck with the
 //! level rule of the Linux and tokio timer subsystems:
@@ -105,6 +106,10 @@ pub(crate) struct TimerWheel {
     len: usize,
     /// Events a cascade moved from a slot to a lower level.
     reinserts: u64,
+    /// Events ever pushed; also the next event's `seq`.
+    scheduled: u64,
+    /// High-water mark of `len`.
+    peak_pending: usize,
 }
 
 fn tick_of(at: SimTime) -> u64 {
@@ -128,11 +133,23 @@ impl TimerWheel {
             overflow: Vec::new(),
             len: 0,
             reinserts: 0,
+            scheduled: 0,
+            peak_pending: 0,
         }
     }
 
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Total events ever scheduled.
+    pub fn scheduled(&self) -> u64 {
+        self.scheduled
+    }
+
+    /// High-water mark of simultaneously pending events.
+    pub fn peak_pending(&self) -> usize {
+        self.peak_pending
     }
 
     /// Events moved down a level by a cascade so far. Each event descends
@@ -152,10 +169,15 @@ impl TimerWheel {
             + vec_bytes(&self.overflow)
     }
 
-    pub fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+    /// Schedule `kind` at `at`, after every event already pushed for the
+    /// same instant.
+    pub fn push(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.scheduled;
         assert!(seq >> SEQ_BITS == 0, "event seq {seq} does not fit the drain bucket's key");
         debug_assert!(tick_of(at) >= self.origin, "event scheduled before the wheel cursor");
+        self.scheduled += 1;
         self.len += 1;
+        self.peak_pending = self.peak_pending.max(self.len);
         let node = Node { at, seq, kind, next: NIL };
         let idx = if self.free != NIL {
             let idx = self.free;
@@ -355,7 +377,7 @@ mod tests {
         let mut w = TimerWheel::new();
         let times = [5_000u64, 1_000, 3_000, 1_000, 7_919_999, 64 * 1024, 1_000_000_000];
         for (seq, &t) in times.iter().enumerate() {
-            w.push(SimTime(t), seq as u64, EventKind::ConnStart { conn: seq });
+            w.push(SimTime(t), EventKind::ConnStart { conn: seq });
         }
         let got = drain(&mut w);
         let mut want: Vec<(u64, u64)> =
@@ -370,7 +392,7 @@ mod tests {
         let mut w = TimerWheel::new();
         // All in one 1.024 µs tick but with distinct nanosecond times.
         for seq in 0..100u64 {
-            w.push(SimTime(500 + (seq % 7)), seq, EventKind::ConnStart { conn: 0 });
+            w.push(SimTime(500 + (seq % 7)), EventKind::ConnStart { conn: 0 });
         }
         let got = drain(&mut w);
         let mut want: Vec<(u64, u64)> = (0..100u64).map(|s| (500 + (s % 7), s)).collect();
@@ -382,8 +404,8 @@ mod tests {
     fn far_future_overflow_events_come_back() {
         let mut w = TimerWheel::new();
         let far = SimTime::from_secs(100_000); // beyond the wheel span
-        w.push(far, 0, EventKind::ConnStart { conn: 1 });
-        w.push(SimTime::from_millis(1), 1, EventKind::ConnStart { conn: 2 });
+        w.push(far, EventKind::ConnStart { conn: 1 });
+        w.push(SimTime::from_millis(1), EventKind::ConnStart { conn: 2 });
         assert_eq!(w.pop_before(SimTime::from_secs(1)).map(|e| e.seq), Some(1));
         assert_eq!(w.pop_before(SimTime::from_secs(1)), None);
         assert_eq!(w.pop_before(SimTime::MAX).map(|e| e.seq), Some(0));
@@ -392,11 +414,11 @@ mod tests {
     #[test]
     fn horizon_bounded_cursor_allows_later_near_pushes() {
         let mut w = TimerWheel::new();
-        w.push(SimTime::from_secs(5), 0, EventKind::ConnStart { conn: 0 });
+        w.push(SimTime::from_secs(5), EventKind::ConnStart { conn: 0 });
         // Nothing before 1 s; the cursor must not run past the horizon...
         assert!(w.pop_before(SimTime::from_secs(1)).is_none());
         // ...so a push at 2 s (later "now" is 1 s) still works and pops first.
-        w.push(SimTime::from_secs(2), 1, EventKind::ConnStart { conn: 1 });
+        w.push(SimTime::from_secs(2), EventKind::ConnStart { conn: 1 });
         let got = drain(&mut w);
         assert_eq!(got, vec![(SimTime::from_secs(2).as_nanos(), 1), (SimTime::from_secs(5).as_nanos(), 0)]);
     }
@@ -404,13 +426,13 @@ mod tests {
     #[test]
     fn interleaved_push_pop_with_current_tick_inserts() {
         let mut w = TimerWheel::new();
-        w.push(SimTime(100), 0, EventKind::ConnStart { conn: 0 });
-        w.push(SimTime(200), 1, EventKind::ConnStart { conn: 1 });
+        w.push(SimTime(100), EventKind::ConnStart { conn: 0 });
+        w.push(SimTime(200), EventKind::ConnStart { conn: 1 });
         let first = w.pop_before(SimTime::MAX).unwrap();
         assert_eq!(first.seq, 0);
         // Push into the tick currently draining (tick 0 covers 0..1024 ns).
-        w.push(SimTime(150), 2, EventKind::ConnStart { conn: 2 });
-        w.push(SimTime(120), 3, EventKind::ConnStart { conn: 3 });
+        w.push(SimTime(150), EventKind::ConnStart { conn: 2 });
+        w.push(SimTime(120), EventKind::ConnStart { conn: 3 });
         let rest = drain(&mut w);
         assert_eq!(rest, vec![(120, 3), (150, 2), (200, 1)]);
     }
@@ -427,16 +449,16 @@ mod tests {
         // conn 1: a 2 µs-spaced stream crossing the 268 ms and 537 ms
         // boundaries of the level-3 slots.
         for i in 0..1_000u64 {
-            w.push(SimTime(PARK + i * 1_000), i, EventKind::ConnStart { conn: 0 });
+            w.push(SimTime(PARK + i * 1_000), EventKind::ConnStart { conn: 0 });
         }
-        w.push(SimTime(0), 1_000, EventKind::ConnStart { conn: 1 });
+        w.push(SimTime(0), EventKind::ConnStart { conn: 1 });
         let (mut pushes, mut last) = (1_001u64, SimTime(0));
         while let Some(e) = w.pop_before(SimTime::from_millis(600)) {
             assert!(e.at >= last, "pop order");
             last = e.at;
             let EventKind::ConnStart { conn } = e.kind else { unreachable!() };
             let delta = if conn == 1 { 2_000 } else { PARK };
-            w.push(SimTime(e.at.as_nanos() + delta), pushes, e.kind);
+            w.push(SimTime(e.at.as_nanos() + delta), e.kind);
             pushes += 1;
             if pushes % 4_096 == 0 {
                 w.check_invariants();
@@ -456,8 +478,7 @@ mod tests {
         let mut w = TimerWheel::new();
         for round in 0..50u64 {
             for i in 0..100u64 {
-                w.push(SimTime(round * 1_000_000 + i * 900), round * 100 + i,
-                    EventKind::ConnStart { conn: 0 });
+                w.push(SimTime(round * 1_000_000 + i * 900), EventKind::ConnStart { conn: 0 });
             }
             // Drain with a bounded horizon so the cursor stays behind the
             // next round's pushes (the simulator's `now` contract).

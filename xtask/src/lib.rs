@@ -145,9 +145,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
+/// What [`audit_allows`] returns: each annotation with its file, and the
+/// findings for malformed ones.
+type AllowAudit = (Vec<(PathBuf, Allow)>, Vec<Finding>);
+
 /// Every well-formed `lint:allow` annotation in the workspace (for the
 /// annotation-audit test), plus findings for the malformed ones.
-pub fn audit_allows(root: &Path) -> io::Result<(Vec<(PathBuf, Allow)>, Vec<Finding>)> {
+pub fn audit_allows(root: &Path) -> io::Result<AllowAudit> {
     let mut dirs: Vec<(PathBuf, Scope)> = vec![
         (root.join("src"), Scope::General),
         (root.join("tests"), Scope::General),
