@@ -9,8 +9,9 @@
 //!   large resident event set) and times the timer wheel against the
 //!   reference binary heap, where the wheel's O(1) beats the heap's
 //!   O(log n) directly;
-//! * `scoreboard_churn` does the same for the bitmap scoreboard against
-//!   its B-tree reference;
+//! * `scoreboard_churn` times the bitmap scoreboard alone: the B-tree
+//!   model is test code, so there is no ratio to take (DESIGN.md §3.2e
+//!   keeps the last one measured);
 //! * `two_tcps` / `mptcp4` are end-to-end simulations on the wheel, where
 //!   per-event TCP processing dilutes the queue's share of the wall time.
 
@@ -154,35 +155,20 @@ fn main() {
     );
 
     // Scoreboard-only churn: the structure the per-ACK path spends its
-    // time in, isolated from the event loop — the rotating bitmap vs the
-    // BTreeSet reference it replaced, driven through the identical
-    // synthetic SACK/loss/retransmit cycle (see
-    // `mptcp_netsim::scoreboard_churn`).
+    // time in, isolated from the event loop, through a synthetic
+    // SACK/loss/retransmit cycle (see `mptcp_netsim::scoreboard_churn`).
     let sb_window = 512u64;
     let sb_ops: u64 = if quick { 400_000 } else { 4_000_000 };
-    let mut bitmap_best = f64::INFINITY;
-    let mut btree_best = f64::INFINITY;
-    for _ in 0..reps {
-        bitmap_best = bitmap_best
-            .min(scoreboard_churn(ScoreboardKind::Bitmap, sb_window, sb_ops).as_secs_f64());
-        btree_best = btree_best
-            .min(scoreboard_churn(ScoreboardKind::BTree, sb_window, sb_ops).as_secs_f64());
-    }
+    let bitmap_best = (0..reps)
+        .map(|_| scoreboard_churn(ScoreboardKind::Bitmap, sb_window, sb_ops).as_secs_f64())
+        .fold(f64::INFINITY, f64::min);
     let bitmap_ops = sb_ops as f64 / bitmap_best;
-    let btree_ops = sb_ops as f64 / btree_best;
-    println!(
-        "  scoreboard churn (window {sb_window}): bitmap {} Mop/s vs btree {} Mop/s ({}x)",
-        f2(bitmap_ops / 1e6),
-        f2(btree_ops / 1e6),
-        f2(bitmap_ops / btree_ops),
-    );
+    println!("  scoreboard churn (window {sb_window}): bitmap {} Mop/s", f2(bitmap_ops / 1e6));
     records.push(
         Record::new("sim_micro/scoreboard_churn")
             .field("window", sb_window)
             .field("ops", sb_ops)
             .field("bitmap_ops_per_sec", bitmap_ops)
-            .field("btree_ops_per_sec", btree_ops)
-            .field("speedup", bitmap_ops / btree_ops)
             .field("quick", quick),
     );
 

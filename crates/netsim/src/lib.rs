@@ -27,11 +27,12 @@
 //! hidden allocation on the per-packet hot path beyond the event queue.
 //!
 //! There is one simulator configuration: the event queue is the timer
-//! wheel, and no cargo feature or constructor picks another. The
-//! structures the hot path replaced — the `BinaryHeap` event queue and the
-//! B-tree scoreboards — stay compiled as the references differential tests
-//! and micro-benchmarks compare against ([`queue_churn`],
-//! [`scoreboard_churn`]).
+//! wheel and the SACK scoreboards are rotating bitmaps, and no cargo
+//! feature or constructor picks another. The `BinaryHeap` event queue the
+//! wheel replaced stays compiled, private, as the reference [`queue_churn`]
+//! times it against; the B-tree scoreboards are compiled only into the
+//! tests that hold the bitmaps to them. [`scoreboard_churn`] times the
+//! bitmap scoreboard alone.
 //!
 //! ## Model scope
 //!
@@ -75,6 +76,7 @@ mod packet;
 mod perf;
 mod probe;
 mod scoreboard;
+#[cfg(test)]
 mod scoreboard_ref;
 mod shard;
 mod sim;

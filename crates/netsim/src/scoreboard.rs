@@ -20,15 +20,14 @@
 //! [`crate::SimPerf::hot_allocs`], which is how the zero-alloc
 //! steady-state claim is asserted rather than assumed.
 //!
-//! The previous `BTreeSet`-based bookkeeping is preserved verbatim in
-//! [`crate::scoreboard_ref`] behind the same traits as the reference:
-//! differential proptests in `tcp.rs` drive both through identical
-//! ACK/SACK/loss sequences asserting bit-identical outcomes.
+//! These are the only scoreboards the simulator has. The `BTreeSet`
+//! bookkeeping they replaced survives as a test-only reference model in
+//! `scoreboard_ref.rs`, whose differential makes the calls
+//! `SubflowSender` makes — with flights in the hundreds, on rings that
+//! wrap and grow — on both boards and compares every answer.
 
 // lint:hot-path — no BTreeSet/BTreeMap in this file: it *is* the structure
 // that replaced them on the per-ACK path.
-
-use crate::tcp::{SackRanges, MAX_SACK_RANGES};
 
 /// Default ring capacity in bits when no (finite) window hint is available.
 const DEFAULT_CAP: u64 = 1 << 10;
@@ -54,112 +53,6 @@ pub(crate) fn ring_hints(max_cwnd: f64, size_pkts: u64) -> (f64, f64) {
         (size, size)
     } else {
         (max_cwnd, f64::INFINITY)
-    }
-}
-
-/// Sender-side SACK scoreboard: the set operations `SubflowSender` performs
-/// per ACK, abstracted so a bitmap and the reference `BTreeSet` bookkeeping
-/// can be driven through identical sequences and compared bit-for-bit.
-pub(crate) trait Scoreboard: std::fmt::Debug {
-    /// Fresh scoreboard sized for windows up to `max_window` packets
-    /// (`f64::INFINITY` when uncapped — sizing is a hint, never a limit).
-    fn with_window_hint(max_window: f64) -> Self;
-    /// Like [`Scoreboard::with_window_hint`], drawing bitmap storage from
-    /// `pool` when a retired buffer fits. Backends without reusable
-    /// storage (the B-tree reference) ignore the pool.
-    fn with_window_hint_pooled(max_window: f64, pool: &mut RingPool) -> Self
-    where
-        Self: Sized,
-    {
-        let _ = pool;
-        Self::with_window_hint(max_window)
-    }
-    /// Return to the freshly-constructed empty state *in place*: storage
-    /// stays allocated and the monotone allocation counters keep counting,
-    /// so a recycled flow slot starts clean without touching the global
-    /// allocator.
-    fn reset_for_reuse(&mut self);
-    /// Surrender reusable bitmap storage into `pool`, leaving a gutted
-    /// (empty, never-used-again) husk behind. The default keeps nothing.
-    fn gut_into(&mut self, pool: &mut RingPool) {
-        let _ = pool;
-        self.reset_for_reuse();
-    }
-    /// Number of sequences the receiver reported holding (≥ `una`).
-    fn sacked_len(&self) -> u64;
-    /// Whether `seq` has been SACKed.
-    fn sacked_contains(&self, seq: u64) -> bool;
-    /// Number of sequences currently deemed lost and not yet retransmitted.
-    fn lost_len(&self) -> u64;
-    /// Whether no sequence is waiting for retransmission.
-    fn lost_is_empty(&self) -> bool;
-    /// Pop the lowest lost sequence and record it as retransmitted-out at
-    /// SACK-event count `sack_events` (for the RACK-style re-mark rule).
-    fn pop_lost_for_retx(&mut self, sack_events: u64) -> Option<u64>;
-    /// Drop all state below the new cumulative ACK point.
-    fn advance_to(&mut self, cum: u64);
-    /// Mark `seq` SACKed; returns whether it is newly marked. A newly
-    /// SACKed sequence leaves the lost and retransmitted-out sets.
-    fn sack_one(&mut self, seq: u64) -> bool;
-    /// The `n`-th highest SACKed sequence (0 = highest), if it exists.
-    fn nth_highest_sacked(&self, n: usize) -> Option<u64>;
-    /// Mark every hole in `[una, cutoff)` — neither SACKed nor already
-    /// lost nor retransmitted-out — as lost. Returns whether any was new.
-    fn mark_holes_lost(&mut self, una: u64, cutoff: u64) -> bool;
-    /// RACK-style re-mark: retransmissions below `cutoff` with ≥ `thresh`
-    /// *new* SACK events since they went out are moved back to lost.
-    /// Returns whether any was moved.
-    fn remark_lost_retx(&mut self, cutoff: u64, sack_events: u64, thresh: u64) -> bool;
-    /// RTO collapse: clear retransmitted-out, mark everything unsacked in
-    /// `[una, next_seq)` lost (the network is presumed drained).
-    fn rto_collapse(&mut self, una: u64, next_seq: u64);
-    /// Allocation events so far (ring growth for the bitmap; an
-    /// insert-count proxy for the reference impl). Feeds
-    /// [`crate::SimPerf::hot_allocs`].
-    fn alloc_events(&self) -> u64;
-    /// Heap bytes the sets hold (see [`crate::MemBytes::rings`]); the
-    /// B-tree reference reports none.
-    fn heap_bytes(&self) -> u64 {
-        0
-    }
-}
-
-/// Receiver-side out-of-order buffer: what `SubflowReceiver` needs.
-pub(crate) trait OooBuf: std::fmt::Debug + Default {
-    /// Fresh buffer sized for windows up to `max_window` packets, drawing
-    /// bitmap storage from `pool` when a retired buffer fits (default:
-    /// ignore both).
-    fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self
-    where
-        Self: Sized,
-    {
-        let _ = (max_window, pool);
-        Self::default()
-    }
-    /// Return to the empty state in place, keeping storage and the
-    /// monotone allocation counters (see [`Scoreboard::reset_for_reuse`]).
-    fn reset_for_reuse(&mut self);
-    /// Surrender reusable bitmap storage into `pool` (default: keep none).
-    fn gut_into(&mut self, pool: &mut RingPool) {
-        let _ = pool;
-        self.reset_for_reuse();
-    }
-    /// Buffer out-of-order sequence `seq` (idempotent).
-    fn insert(&mut self, seq: u64);
-    /// Remove `seq`; returns whether it was held.
-    fn remove(&mut self, seq: u64) -> bool;
-    /// Whether `seq` is buffered.
-    fn contains(&self, seq: u64) -> bool;
-    /// Tell the buffer in-order delivery reached `next_expected` (every
-    /// remaining member is above it) — lets a windowed impl slide its base.
-    fn advance_watermark(&mut self, next_expected: u64);
-    /// The first [`MAX_SACK_RANGES`] contiguous runs, in ascending order.
-    fn sack_ranges(&self) -> SackRanges;
-    /// Allocation events so far (see [`Scoreboard::alloc_events`]).
-    fn alloc_events(&self) -> u64;
-    /// Heap bytes held (see [`Scoreboard::heap_bytes`]).
-    fn heap_bytes(&self) -> u64 {
-        0
     }
 }
 
@@ -251,56 +144,38 @@ pub(crate) struct BitRing {
     allocs: u64,
 }
 
+impl Default for BitRing {
+    /// An empty ring of [`DEFAULT_CAP`] bits.
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_CAP)
+    }
+}
+
 impl BitRing {
     pub fn with_capacity(cap_bits: u64) -> Self {
         let cap = cap_bits.clamp(64, MAX_CAP).next_power_of_two();
-        Self {
-            base: 0,
-            mask: cap - 1,
-            // lint:allow(hot-alloc, reason = "creation-time ring storage; steady state recycles it via the RingPool / reset_for_reuse")
-            words: vec![0u64; (cap / 64) as usize].into_boxed_slice(),
-            len: 0,
-            lo: 0,
-            hi: 0,
-            allocs: 0,
-        }
+        // lint:allow(hot-alloc, reason = "creation-time ring storage; steady state recycles it via the RingPool / reset_for_reuse")
+        Self::from_words(vec![0u64; (cap / 64) as usize].into_boxed_slice())
     }
 
-    /// Ring capacity for a window hint: 4× headroom over the cap (loss
-    /// episodes keep sacked+lost sequences beyond the instantaneous cwnd),
-    /// clamped to a sane range. Infinite hints get [`DEFAULT_CAP`].
-    pub fn for_window_hint(max_window: f64) -> Self {
-        Self::with_capacity(Self::hint_cap_bits(max_window))
+    /// An empty ring over zeroed `words` (a power-of-two count).
+    fn from_words(words: Box<[u64]>) -> Self {
+        let cap = words.len() as u64 * 64;
+        debug_assert!(cap.is_power_of_two() && cap >= 64);
+        Self { base: 0, mask: cap - 1, words, len: 0, lo: 0, hi: 0, allocs: 0 }
     }
 
-    fn hint_cap_bits(max_window: f64) -> u64 {
-        if max_window.is_finite() && max_window >= 1.0 {
+    /// A ring for a window hint: 4× headroom over the cap (loss episodes
+    /// keep sacked+lost sequences beyond the instantaneous cwnd), clamped
+    /// to a sane range; infinite hints get [`DEFAULT_CAP`]. A parked buffer
+    /// from `pool` is reused when one fits, and its capacity adopted.
+    pub fn for_window_hint(max_window: f64, pool: &mut RingPool) -> Self {
+        let cap_bits = if max_window.is_finite() && max_window >= 1.0 {
             crate::cast::f64_to_u64(max_window * 4.0).clamp(256, 1 << 16)
         } else {
             DEFAULT_CAP
-        }
-    }
-
-    /// Like [`BitRing::for_window_hint`], reusing a parked buffer from
-    /// `pool` when one fits (adopting that buffer's capacity).
-    pub fn for_window_hint_pooled(max_window: f64, pool: &mut RingPool) -> Self {
-        let cap_bits = Self::hint_cap_bits(max_window);
-        match pool.take(cap_bits) {
-            Some(words) => {
-                let cap = words.len() as u64 * 64;
-                debug_assert!(cap.is_power_of_two() && cap >= 64);
-                Self {
-                    base: 0,
-                    mask: cap - 1,
-                    words,
-                    len: 0,
-                    lo: 0,
-                    hi: 0,
-                    allocs: 0,
-                }
-            }
-            None => Self::with_capacity(cap_bits),
-        }
+        };
+        pool.take(cap_bits).map_or_else(|| Self::with_capacity(cap_bits), Self::from_words)
     }
 
     /// Return to the freshly-constructed empty state without dropping the
@@ -348,8 +223,9 @@ impl BitRing {
         self.words.len() as u64 * 8
     }
 
+    /// Ring capacity, in bits.
     #[inline]
-    fn cap(&self) -> u64 {
+    pub fn cap(&self) -> u64 {
         self.mask + 1
     }
 
@@ -730,56 +606,60 @@ impl BitmapScoreboard {
     pub(crate) fn ring_bits(&self) -> [u64; 2] {
         [self.sacked.cap(), self.lost.cap()]
     }
-}
 
-impl Scoreboard for BitmapScoreboard {
-    fn with_window_hint(max_window: f64) -> Self {
+    /// Fresh scoreboard sized for windows up to `max_window` packets
+    /// (`f64::INFINITY` when uncapped — sizing is a hint, never a limit),
+    /// drawing ring storage from `pool` when a retired buffer fits.
+    pub(crate) fn new(max_window: f64, pool: &mut RingPool) -> Self {
         Self {
-            sacked: BitRing::for_window_hint(max_window),
-            lost: BitRing::for_window_hint(max_window),
+            sacked: BitRing::for_window_hint(max_window, pool),
+            lost: BitRing::for_window_hint(max_window, pool),
             retx: Vec::new(),
             retx_allocs: 0,
         }
     }
 
-    fn with_window_hint_pooled(max_window: f64, pool: &mut RingPool) -> Self {
-        Self {
-            sacked: BitRing::for_window_hint_pooled(max_window, pool),
-            lost: BitRing::for_window_hint_pooled(max_window, pool),
-            retx: Vec::new(),
-            retx_allocs: 0,
-        }
-    }
-
-    fn reset_for_reuse(&mut self) {
+    /// Return to the freshly-constructed empty state *in place*: storage
+    /// stays allocated and the monotone allocation counters keep counting,
+    /// so a recycled flow slot starts clean without touching the global
+    /// allocator.
+    pub(crate) fn reset_for_reuse(&mut self) {
         self.sacked.reset_for_reuse();
         self.lost.reset_for_reuse();
         self.retx.clear();
     }
 
-    fn gut_into(&mut self, pool: &mut RingPool) {
+    /// Surrender the ring storage into `pool`, leaving a gutted (empty,
+    /// never-used-again) husk behind.
+    pub(crate) fn gut_into(&mut self, pool: &mut RingPool) {
         self.sacked.gut_into(pool);
         self.lost.gut_into(pool);
         self.retx = Vec::new();
     }
 
-    fn sacked_len(&self) -> u64 {
+    /// Number of sequences the receiver reported holding (≥ `una`).
+    pub(crate) fn sacked_len(&self) -> u64 {
         self.sacked.len()
     }
 
-    fn sacked_contains(&self, seq: u64) -> bool {
+    /// Whether `seq` has been SACKed.
+    pub(crate) fn sacked_contains(&self, seq: u64) -> bool {
         self.sacked.contains(seq)
     }
 
-    fn lost_len(&self) -> u64 {
+    /// Number of sequences currently deemed lost and not yet retransmitted.
+    pub(crate) fn lost_len(&self) -> u64 {
         self.lost.len()
     }
 
-    fn lost_is_empty(&self) -> bool {
+    /// Whether no sequence is waiting for retransmission.
+    pub(crate) fn lost_is_empty(&self) -> bool {
         self.lost.is_empty()
     }
 
-    fn pop_lost_for_retx(&mut self, sack_events: u64) -> Option<u64> {
+    /// Pop the lowest lost sequence and record it as retransmitted-out at
+    /// SACK-event count `sack_events` (for the RACK-style re-mark rule).
+    pub(crate) fn pop_lost_for_retx(&mut self, sack_events: u64) -> Option<u64> {
         let seq = self.lost.pop_first()?;
         let i = self.retx.partition_point(|&(s, _)| s < seq);
         if self.retx.len() == self.retx.capacity() {
@@ -789,7 +669,8 @@ impl Scoreboard for BitmapScoreboard {
         Some(seq)
     }
 
-    fn advance_to(&mut self, cum: u64) {
+    /// Drop all state below the new cumulative ACK point.
+    pub(crate) fn advance_to(&mut self, cum: u64) {
         self.sacked.advance_to(cum);
         self.lost.advance_to(cum);
         let below = self.retx.partition_point(|&(s, _)| s < cum);
@@ -798,7 +679,9 @@ impl Scoreboard for BitmapScoreboard {
         }
     }
 
-    fn sack_one(&mut self, seq: u64) -> bool {
+    /// Mark `seq` SACKed; returns whether it is newly marked. A newly
+    /// SACKed sequence leaves the lost and retransmitted-out sets.
+    pub(crate) fn sack_one(&mut self, seq: u64) -> bool {
         if !self.sacked.insert(seq) {
             return false;
         }
@@ -807,11 +690,14 @@ impl Scoreboard for BitmapScoreboard {
         true
     }
 
-    fn nth_highest_sacked(&self, n: usize) -> Option<u64> {
+    /// The `n`-th highest SACKed sequence (0 = highest), if it exists.
+    pub(crate) fn nth_highest_sacked(&self, n: usize) -> Option<u64> {
         self.sacked.nth_back(n)
     }
 
-    fn mark_holes_lost(&mut self, una: u64, cutoff: u64) -> bool {
+    /// Mark every hole in `[una, cutoff)` — neither SACKed nor already
+    /// lost nor retransmitted-out — as lost. Returns whether any was new.
+    pub(crate) fn mark_holes_lost(&mut self, una: u64, cutoff: u64) -> bool {
         let mut any = false;
         for seq in una..cutoff {
             if self.sacked.contains(seq) || self.lost.contains(seq) || self.retx_contains(seq) {
@@ -823,7 +709,10 @@ impl Scoreboard for BitmapScoreboard {
         any
     }
 
-    fn remark_lost_retx(&mut self, cutoff: u64, sack_events: u64, thresh: u64) -> bool {
+    /// RACK-style re-mark: retransmissions below `cutoff` with ≥ `thresh`
+    /// *new* SACK events since they went out are moved back to lost.
+    /// Returns whether any was moved.
+    pub(crate) fn remark_lost_retx(&mut self, cutoff: u64, sack_events: u64, thresh: u64) -> bool {
         let lost = &mut self.lost;
         let mut any = false;
         self.retx.retain(|&(s, ev)| {
@@ -838,7 +727,9 @@ impl Scoreboard for BitmapScoreboard {
         any
     }
 
-    fn rto_collapse(&mut self, una: u64, next_seq: u64) {
+    /// RTO collapse: clear retransmitted-out, mark everything unsacked in
+    /// `[una, next_seq)` lost (the network is presumed drained).
+    pub(crate) fn rto_collapse(&mut self, una: u64, next_seq: u64) {
         self.retx.clear();
         for seq in una..next_seq {
             if !self.sacked.contains(seq) {
@@ -847,132 +738,37 @@ impl Scoreboard for BitmapScoreboard {
         }
     }
 
-    fn alloc_events(&self) -> u64 {
+    /// Allocation events so far: ring growths plus retransmitted-out list
+    /// growths. Feeds [`crate::SimPerf::hot_allocs`].
+    pub(crate) fn alloc_events(&self) -> u64 {
         self.sacked.alloc_events() + self.lost.alloc_events() + self.retx_allocs
     }
 
-    fn heap_bytes(&self) -> u64 {
+    /// Heap bytes the sets hold (see [`crate::MemBytes::rings`]).
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.sacked.heap_bytes() + self.lost.heap_bytes() + crate::mem::vec_bytes(&self.retx)
     }
 }
 
-/// The allocation-free receiver out-of-order buffer.
-#[derive(Debug)]
-pub(crate) struct BitmapOoo {
-    ring: BitRing,
-}
-
-impl Default for BitmapOoo {
-    fn default() -> Self {
-        Self { ring: BitRing::with_capacity(DEFAULT_CAP) }
-    }
-}
-
-impl BitmapOoo {
-    /// Capacity of the reassembly ring, in bits.
-    #[cfg(test)]
-    pub(crate) fn ring_bits(&self) -> u64 {
-        self.ring.cap()
-    }
-}
-
-impl OooBuf for BitmapOoo {
-    fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self {
-        // An infinite hint gets DEFAULT_CAP, matching `BitmapOoo::default()`.
-        Self { ring: BitRing::for_window_hint_pooled(max_window, pool) }
-    }
-
-    fn reset_for_reuse(&mut self) {
-        self.ring.reset_for_reuse();
-    }
-
-    fn gut_into(&mut self, pool: &mut RingPool) {
-        self.ring.gut_into(pool);
-    }
-
-    fn insert(&mut self, seq: u64) {
-        self.ring.insert(seq);
-    }
-
-    fn remove(&mut self, seq: u64) -> bool {
-        self.ring.remove(seq)
-    }
-
-    fn contains(&self, seq: u64) -> bool {
-        self.ring.contains(seq)
-    }
-
-    fn advance_watermark(&mut self, next_expected: u64) {
-        self.ring.advance_to(next_expected);
-    }
-
-    fn sack_ranges(&self) -> SackRanges {
-        let mut out: SackRanges = [None; MAX_SACK_RANGES];
-        let mut cur: Option<(u64, u64)> = None;
-        let mut n = 0;
-        self.ring.for_each_ascending(|s| {
-            match cur {
-                Some((_, ref mut end)) if s == *end => *end += 1,
-                Some(range) => {
-                    if let Some(slot) = out.get_mut(n) {
-                        *slot = Some(range);
-                    }
-                    n += 1;
-                    if n == MAX_SACK_RANGES {
-                        cur = None;
-                        return false;
-                    }
-                    cur = Some((s, s + 1));
-                }
-                None => cur = Some((s, s + 1)),
-            }
-            true
-        });
-        if let Some(range) = cur {
-            if let Some(slot) = out.get_mut(n) {
-                *slot = Some(range);
-            }
-        }
-        out
-    }
-
-    fn alloc_events(&self) -> u64 {
-        self.ring.alloc_events()
-    }
-
-    fn heap_bytes(&self) -> u64 {
-        self.ring.heap_bytes()
-    }
-}
-
-/// Which scoreboard implementation [`scoreboard_churn`] drives.
+/// Which scoreboard [`scoreboard_churn`] drives: the rotating bitmap, the
+/// only one there is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreboardKind {
-    /// The rotating-bitmap scoreboard (the default).
+    /// The rotating-bitmap scoreboard.
     Bitmap,
-    /// The reference `BTreeSet`-based bookkeeping it replaced.
-    BTree,
 }
 
-/// Micro-benchmark hook: drive a scoreboard through a synthetic
+/// Micro-benchmark hook: drive the scoreboard through a synthetic
 /// SACK/loss/retransmit/advance cycle and return the wall time, the
 /// counterpart of [`crate::queue_churn`] for the structure the per-ACK
 /// path spends its time in. The workload holds `window` packets
 /// outstanding, SACKs every other one (worst-case fragmentation), marks
 /// the holes lost past a DupThresh cutoff, retransmits them, then advances
-/// cumulatively — at least `ops` scoreboard operations in total. Both
-/// kinds run the identical sequence, so the ratio isolates the data
-/// structure.
+/// cumulatively — at least `ops` scoreboard operations in total.
 pub fn scoreboard_churn(kind: ScoreboardKind, window: u64, ops: u64) -> std::time::Duration {
-    match kind {
-        ScoreboardKind::Bitmap => churn::<BitmapScoreboard>(window, ops),
-        ScoreboardKind::BTree => churn::<crate::scoreboard_ref::BTreeScoreboard>(window, ops),
-    }
-}
-
-fn churn<SB: Scoreboard>(window: u64, ops: u64) -> std::time::Duration {
+    let ScoreboardKind::Bitmap = kind;
     let window = window.max(8);
-    let mut board = SB::with_window_hint(window as f64);
+    let mut board = BitmapScoreboard::new(window as f64, &mut RingPool::default());
     let mut una = 0u64;
     let mut sack_events = 0u64;
     let mut done = 0u64;
@@ -1099,30 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn sack_ranges_match_reference_shape() {
-        let mut ooo = BitmapOoo::default();
-        ooo.advance_watermark(1);
-        for s in [2, 3, 5, 8, 9] {
-            ooo.insert(s);
-        }
-        let r = ooo.sack_ranges();
-        assert_eq!(r[0], Some((2, 4)));
-        assert_eq!(r[1], Some((5, 6)));
-        assert_eq!(r[2], Some((8, 10)));
-        assert_eq!(r[3], None);
-    }
-
-    #[test]
-    fn sack_ranges_stop_after_four_runs() {
-        let mut ooo = BitmapOoo::default();
-        for s in [1, 3, 5, 7, 9, 11] {
-            ooo.insert(s);
-        }
-        let r = ooo.sack_ranges();
-        assert_eq!(r[3], Some((7, 8)));
-    }
-
-    #[test]
     fn reset_for_reuse_restores_fresh_semantics_without_dropping_storage() {
         let mut r = BitRing::with_capacity(256);
         for s in [3, 7, 200] {
@@ -1151,14 +923,14 @@ mod tests {
         r.gut_into(&mut pool);
         assert_eq!(pool.len(), 1);
         // A request that fits is served from the pool, zeroed.
-        let reused = BitRing::for_window_hint_pooled(64.0, &mut pool);
+        let reused = BitRing::for_window_hint(64.0, &mut pool);
         assert_eq!(pool.len(), 0);
         assert_eq!(reused.cap(), 512, "adopts the parked buffer's capacity");
         assert!(reused.is_empty());
         assert!(!reused.contains(17), "recycled storage arrives clean");
         assert_eq!(pool.stats(), (1, 0));
         // An oversized request misses and allocates fresh.
-        let fresh = BitRing::for_window_hint_pooled(f64::INFINITY, &mut pool);
+        let fresh = BitRing::for_window_hint(f64::INFINITY, &mut pool);
         assert_eq!(fresh.cap(), DEFAULT_CAP);
         assert_eq!(pool.stats(), (1, 1));
     }
@@ -1177,7 +949,7 @@ mod tests {
 
     #[test]
     fn scoreboard_reset_clears_all_three_sets_in_place() {
-        let mut b = BitmapScoreboard::with_window_hint(32.0);
+        let mut b = BitmapScoreboard::new(32.0, &mut RingPool::default());
         for s in 1..5 {
             b.sack_one(s);
         }
@@ -1195,7 +967,7 @@ mod tests {
 
     #[test]
     fn scoreboard_basic_recovery_cycle() {
-        let mut b = BitmapScoreboard::with_window_hint(f64::INFINITY);
+        let mut b = BitmapScoreboard::new(f64::INFINITY, &mut RingPool::default());
         // 0..6 outstanding; 1..5 sacked, hole at 0.
         for s in 1..5 {
             assert!(b.sack_one(s));

@@ -44,7 +44,7 @@ use crate::link::{LinkId, LinkSpec, LinkStats};
 use crate::mem::{vec_bytes, MemBytes};
 use crate::packet::Packet;
 use crate::perf::SimPerf;
-use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowSpec, SubflowTiming};
+use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowSpec};
 use crate::stats::ConnectionStats;
 use crate::time::SimTime;
 use mptcp_cc::{DetDigest, DigestWriter};
@@ -279,24 +279,7 @@ impl ShardedSimulator {
     /// has a subflow whose first link lives outside the owner shard (all
     /// subflows of one connection leave from the same host).
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
-        assert!(!spec.subflows.is_empty(), "connection needs at least one subflow");
-        let packet_size = spec.packet_bytes();
-        let mut delays = Vec::with_capacity(spec.subflows.len());
-        for sf in &spec.subflows {
-            assert!(!sf.path.is_empty(), "subflow path must traverse at least one link");
-            let mut fwd = SimTime::ZERO;
-            let mut residence = SimTime::ZERO;
-            for &l in &sf.path {
-                assert!(l < self.link_specs.len(), "unknown link {l}");
-                let ls = self.link_specs[l];
-                fwd += ls.delay;
-                let drain = ls.tx_time(packet_size).as_nanos();
-                residence += ls.delay + SimTime(drain.saturating_mul(ls.queue_pkts as u64 + 1));
-            }
-            let ack_delay = fwd + sf.extra_rtt;
-            let rtt_hint = (fwd + ack_delay).as_secs_f64().max(1e-4);
-            delays.push(SubflowTiming { ack_delay, rtt_hint, straggler: residence + ack_delay });
-        }
+        let delays = spec.timings(self.link_specs.len(), |l| self.link_specs[l]);
         let owner = self.map.link_home[spec.subflows[0].path[0]].0;
         for (i, sf) in spec.subflows.iter().enumerate() {
             assert_eq!(

@@ -166,15 +166,39 @@ impl ConnectionSpec {
         self
     }
 
-    /// The configured packet size (admission-time timing computations).
-    pub(crate) fn packet_bytes(&self) -> u32 {
-        self.packet_size
-    }
-
     /// Override the TCP parameters.
     pub fn tcp(mut self, params: TcpParams) -> Self {
         self.tcp = params;
         self
+    }
+
+    /// One [`SubflowTiming`] per subflow, computed against a link table of
+    /// `n_links` links whose specs `link` returns.
+    ///
+    /// # Panics
+    /// Panics if the spec has no subflows, a subflow has an empty path, or
+    /// a path names a link outside the table.
+    pub(crate) fn timings(&self, n_links: usize, link: impl Fn(LinkId) -> LinkSpec) -> Vec<SubflowTiming> {
+        assert!(!self.subflows.is_empty(), "connection needs at least one subflow");
+        self.subflows
+            .iter()
+            .map(|sf| {
+                assert!(!sf.path.is_empty(), "subflow path must traverse at least one link");
+                let mut fwd = SimTime::ZERO;
+                let mut residence = SimTime::ZERO;
+                for &l in &sf.path {
+                    assert!(l < n_links, "unknown link {l}");
+                    let spec = link(l);
+                    fwd += spec.delay;
+                    let drain = spec.tx_time(self.packet_size).as_nanos();
+                    residence += spec.delay
+                        + SimTime(drain.saturating_mul(spec.queue_pkts as u64 + 1));
+                }
+                let ack_delay = fwd + sf.extra_rtt;
+                let rtt_hint = (fwd + ack_delay).as_secs_f64().max(1e-4);
+                SubflowTiming { ack_delay, rtt_hint, straggler: residence + ack_delay }
+            })
+            .collect()
     }
 }
 
@@ -649,28 +673,7 @@ impl Simulator {
     /// the SACK scoreboard can track, or exceeds what a packet header
     /// holds: 2^31 connections, 256 subflows, 255 hops, 65 535 bytes.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
-        assert!(!spec.subflows.is_empty(), "connection needs at least one subflow");
-        let packet_size = spec.packet_size;
-        let delays: Vec<SubflowTiming> = spec
-            .subflows
-            .iter()
-            .map(|sf| {
-                assert!(!sf.path.is_empty(), "subflow path must traverse at least one link");
-                let mut fwd = SimTime::ZERO;
-                let mut residence = SimTime::ZERO;
-                for &l in &sf.path {
-                    assert!(l < self.links.len(), "unknown link {l}");
-                    let spec = self.links[l].spec;
-                    fwd += spec.delay;
-                    let drain = spec.tx_time(packet_size).as_nanos();
-                    residence += spec.delay
-                        + SimTime(drain.saturating_mul(spec.queue_pkts as u64 + 1));
-                }
-                let ack_delay = fwd + sf.extra_rtt;
-                let rtt_hint = (fwd + ack_delay).as_secs_f64().max(1e-4);
-                SubflowTiming { ack_delay, rtt_hint, straggler: residence + ack_delay }
-            })
-            .collect();
+        let delays = spec.timings(self.links.len(), |l| self.links[l].spec);
         let gid = self.conns.len();
         self.add_connection_inner(spec, gid, &delays, true)
     }

@@ -2250,7 +2250,7 @@ mod tests {
             // Move the head: an emptied deque would rewind it, so one byte
             // stays in until the data is behind it.
             let rotate = rng.gen_range(1..=ring.capacity());
-            ring.extend(std::iter::repeat(0).take(rotate));
+            ring.extend(std::iter::repeat_n(0, rotate));
             ring.drain(..rotate - 1);
             let len = rng.gen_range(0..ring.capacity());
             ring.extend(random_bytes(&mut rng, len));

@@ -247,10 +247,12 @@ mod tests {
         // subflow 1 — the transfer wedges. In Shared mode the window is
         // measured from the data-level cumulative ACK and admits the hole.
         let run = |mode: RecvBufferMode| {
-            let mut cfg = EndpointConfig::default();
-            cfg.recv_mode = mode;
-            cfg.recv_buf = 8 * 1024; // small buffer to hit the corner fast
-            cfg.reinject = true;
+            let cfg = EndpointConfig {
+                recv_mode: mode,
+                recv_buf: 8 * 1024, // small buffer to hit the corner fast
+                reinject: true,
+                ..EndpointConfig::default()
+            };
             let wires = vec![
                 // Subflow 0: long outage early on (drops a window of data),
                 // then recovers.

@@ -301,7 +301,7 @@ mod tests {
         while now < horizon {
             now = (now + outer_step).min(horizon);
             sim.run_until(now);
-            if now.as_nanos() % every == 0 {
+            if now.as_nanos().is_multiple_of(every) {
                 let subflows = sim
                     .connection_stats(conn)
                     .subflows
