@@ -368,6 +368,11 @@ pub struct Endpoint {
     /// Subflows torn down by the path manager.
     subflows_closed: u64,
 
+    /// Before this instant [`Endpoint::poll`] has nothing to do: the full
+    /// poll stores [`Endpoint::next_deadline`] here, and every call that
+    /// can create work resets it to 0 through [`Endpoint::wake`].
+    wake_at: Micros,
+
     /// Total application bytes received in order (diagnostics).
     pub total_received: u64,
 }
@@ -423,8 +428,15 @@ impl Endpoint {
             failover: Failover::default(),
             subflows_joined: 0,
             subflows_closed: 0,
+            wake_at: 0,
             total_received: 0,
         }
+    }
+
+    /// Poll next tick: the caller changed state `next_deadline` was
+    /// computed from.
+    fn wake(&mut self) {
+        self.wake_at = 0;
     }
 
     // ------------------------------------------------------------------
@@ -434,25 +446,48 @@ impl Endpoint {
     /// Queue application data; returns how many bytes were accepted
     /// (bounded by send-buffer space). Data is retained until the peer's
     /// data-level cumulative ACK covers it.
+    #[inline]
     pub fn write(&mut self, data: &[u8]) -> usize {
         assert!(!self.fin_queued, "write after close");
+        if self.send_buf.len() >= self.cfg.send_buf {
+            return 0; // send buffer full
+        }
+        self.write_buffered(data)
+    }
+
+    #[inline(never)]
+    fn write_buffered(&mut self, data: &[u8]) -> usize {
         let space = self.cfg.send_buf.saturating_sub(self.send_buf.len());
         let n = space.min(data.len());
+        if n > 0 {
+            self.wake();
+        }
         self.send_buf.extend(&data[..n]);
         n
     }
 
     /// Signal end of stream once all queued data has been sent.
     pub fn close(&mut self) {
+        self.wake();
         self.fin_queued = true;
     }
 
     /// Read in-order received data into `buf`; returns bytes read.
+    #[inline]
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
+        if self.recv_app.is_empty() {
+            return 0; // nothing in order
+        }
+        self.read_buffered(buf)
+    }
+
+    #[inline(never)]
+    fn read_buffered(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.recv_app.len());
         if n == 0 {
             return 0;
         }
+        self.wake();
         // Window update: if reading reopened a window that had closed below
         // one MSS, tell the peer — otherwise a sender blocked on a zero
         // window would deadlock (TCP's window-update rule).
@@ -548,6 +583,7 @@ impl Endpoint {
     /// will carry the backup bit and it will carry no data while any
     /// non-backup subflow is healthy.
     pub fn set_backup(&mut self, sub: usize, backup: bool) {
+        self.wake();
         self.subs[sub].backup = backup;
         self.path.add_endpoint(PathEndpoint {
             addr_id: sub as u8,
@@ -560,6 +596,7 @@ impl Endpoint {
     /// called.
     pub fn defer_join(&mut self, sub: usize) {
         assert!(sub > 0, "the initial subflow cannot be deferred");
+        self.wake();
         self.subs[sub].want_join = false;
     }
 
@@ -567,6 +604,7 @@ impl Endpoint {
     /// the given priority.
     pub fn join_subflow(&mut self, sub: usize, backup: bool) {
         assert!(sub > 0 && sub < self.subs.len(), "unknown subflow {sub}");
+        self.wake();
         let s = &mut self.subs[sub];
         s.closed = false;
         s.want_join = true;
@@ -578,6 +616,7 @@ impl Endpoint {
     /// (retransmitted until echoed). The peer joins it at the given
     /// priority, subject to its subflow limit.
     pub fn advertise_addr(&mut self, addr_id: u8, backup: bool) {
+        self.wake();
         self.path.add_endpoint(PathEndpoint {
             addr_id,
             flags: PathFlags { signal: true, subflow: true, backup, ..Default::default() },
@@ -589,6 +628,7 @@ impl Endpoint {
     /// in-flight data is reinjected exactly once) and signal `REMOVE_ADDR`
     /// so the peer tears its side down too.
     pub fn withdraw_addr(&mut self, addr_id: u8) {
+        self.wake();
         self.path.withdraw(addr_id);
         self.teardown_subflow(addr_id as usize);
     }
@@ -597,7 +637,7 @@ impl Endpoint {
     /// [`Endpoint::withdraw_addr`] with the subflow's address id).
     pub fn close_subflow(&mut self, sub: usize) {
         assert!(sub < self.subs.len(), "unknown subflow {sub}");
-        self.withdraw_addr(sub as u8);
+        self.withdraw_addr(sub as u8); // wakes the endpoint
     }
 
     /// Graceful teardown: strand this subflow's unacknowledged in-flight
@@ -745,6 +785,7 @@ impl Endpoint {
     /// Process a segment arriving on subflow `sub` at time `now`.
     pub fn on_segment(&mut self, now: Micros, sub: usize, seg: Segment) {
         assert!(sub < self.subs.len(), "unknown subflow {sub}");
+        self.wake();
         if seg.flags.syn {
             self.on_syn(sub, &seg);
             // SYN segments may still carry an ACK (SYN-ACK) but no data.
@@ -1131,7 +1172,24 @@ impl Endpoint {
 
     /// Collect segments to transmit at time `now`. Also fires due
     /// retransmission timers.
+    ///
+    /// An idle endpoint does no work: until the [`Endpoint::next_deadline`]
+    /// the last full poll left, this returns an empty (unallocated) `Vec`.
+    /// A call that can create work wakes it for the next poll:
+    /// [`Endpoint::on_segment`], [`Endpoint::close`], a `write` that
+    /// accepts bytes, a `read` that returns some, and the path-manager
+    /// calls.
+    #[inline]
     pub fn poll(&mut self, now: Micros) -> Vec<(usize, Segment)> {
+        if now < self.wake_at {
+            return Vec::new();
+        }
+        self.poll_all(now)
+    }
+
+    /// Every pass of [`Endpoint::poll`], then the time it next has work.
+    #[inline(never)]
+    fn poll_all(&mut self, now: Micros) -> Vec<(usize, Segment)> {
         let mut out: Vec<(usize, Segment)> = Vec::new();
         self.poll_handshake(now, &mut out);
         self.poll_path(now, &mut out);
@@ -1139,6 +1197,7 @@ impl Endpoint {
         self.poll_data(now, &mut out);
         self.poll_persist(now, &mut out);
         self.poll_acks(&mut out);
+        self.wake_at = self.next_deadline().unwrap_or(Micros::MAX);
         out
     }
 
@@ -1150,8 +1209,12 @@ impl Endpoint {
     /// event-driven harnesses): a queued retransmission or owed ACK, a SYN
     /// or advertisement (re)transmission, a retransmission or persist
     /// timer. A value at or before the caller's clock (0 included) means
-    /// "poll now"; `None` means only [`Endpoint::on_segment`],
-    /// [`Endpoint::write`] or [`Endpoint::close`] can create work.
+    /// "poll now"; `None` means only a call on the endpoint
+    /// ([`Endpoint::on_segment`], [`Endpoint::write`], …) can create work.
+    ///
+    /// `poll` itself sleeps until this time, so it must be complete: a
+    /// timer missing here would fire late or never. The lazy-versus-full
+    /// differential in this file's tests holds it to that.
     pub fn next_deadline(&self) -> Option<Micros> {
         let owed = self.subs.iter().any(|s| s.established && s.ack_pending);
         if owed || !self.pending_out.is_empty() {
@@ -2288,5 +2351,354 @@ mod tests {
     fn unknown_subflow_index_panics() {
         let (mut c, _s) = pair();
         c.on_segment(0, 5, Segment::new());
+    }
+}
+
+/// `poll` against the body it skips. Two identical client/server pairs
+/// step the same 100 µs tick over identically seeded wires: one pair
+/// through [`Endpoint::poll`], the other through `poll_all` on every tick.
+/// Every tick, each side of both pairs must emit the same encoded
+/// segments on the same subflows, report the same `next_deadline`, and
+/// hand its application the same bytes. A call that creates work without
+/// waking the endpoint, or a pass `next_deadline` does not cover, shows up
+/// as a tick on which only the full pair sends.
+#[cfg(test)]
+mod lazy_poll_differential {
+    use super::*;
+    use crate::wire::{Wire, WireFault};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const TICK: Micros = 100;
+    /// Four simulated seconds: room for RTO backoff after a black hole and
+    /// for the persist timer behind a lost window update.
+    const MAX_TICKS: u64 = 40_000;
+
+    fn chaos_cases() -> u32 {
+        std::env::var("MPTCP_CHAOS_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+    }
+
+    #[derive(Debug, Clone)]
+    struct WireSpec {
+        delay: Micros,
+        faults: Vec<WireFault>,
+    }
+
+    impl WireSpec {
+        fn build(&self, seed: u64) -> Wire {
+            self.faults.iter().fold(Wire::new(self.delay, seed), |w, &f| w.with_fault(f))
+        }
+    }
+
+    /// A call made on both pairs at the same tick. `client` picks the side.
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        SetBackup { client: bool, sub: usize, backup: bool },
+        CloseSubflow { client: bool, sub: usize },
+        Advertise { client: bool, addr_id: u8, backup: bool },
+        Withdraw { client: bool, addr_id: u8 },
+        /// Client only; subflow 0 cannot be joined and is skipped.
+        Join { sub: usize, backup: bool },
+        /// The wire drops everything until its `Restore`.
+        BlackHole { wire: usize },
+        Restore { wire: usize },
+    }
+
+    #[derive(Debug, Clone)]
+    struct Plan {
+        cfg: EndpointConfig,
+        wires: Vec<WireSpec>,
+        /// The client joins subflows ≥ 1 only when the server advertises
+        /// them or a `Join` comes.
+        defer_joins: bool,
+        /// Stream lengths, client→server and server→client.
+        bytes: [usize; 2],
+        /// Per-tick chance that an application writes / reads.
+        write_p: f64,
+        read_p: f64,
+        /// `(tick, action)`, ascending.
+        events: Vec<(u64, Action)>,
+        /// Ticks run after both streams complete, so timers that fire
+        /// only on a quiet connection (SYN, `ADD_ADDR`, persist) get to.
+        tail: u64,
+        seed: u64,
+    }
+
+    fn config() -> impl Strategy<Value = EndpointConfig> {
+        (
+            prop::sample::select(vec![RecvBufferMode::Shared, RecvBufferMode::PerSubflow]),
+            any::<bool>(),
+            prop::sample::select(AlgorithmKind::all().to_vec()),
+            any::<bool>(),
+            prop::sample::select(vec![20_000, 200_000]),
+        )
+            .prop_map(|(recv_mode, small, algorithm, reinject, min_rto)| {
+                // 3 000-byte buffers hold two and a half segments: the
+                // windows close, reopen on reads, and need the persist
+                // timer when a window update is lost.
+                let buf = if small { 3_000 } else { 64 * 1024 };
+                EndpointConfig {
+                    send_buf: buf,
+                    recv_buf: buf,
+                    recv_mode,
+                    algorithm,
+                    reinject,
+                    min_rto,
+                    ..EndpointConfig::default()
+                }
+            })
+    }
+
+    fn wire_spec() -> impl Strategy<Value = WireSpec> {
+        (
+            1_000..20_000_u64,
+            prop::sample::select(vec![0.0, 0.0, 0.01, 0.05]),
+            prop::option::of(1..3_000_u64),
+            0..8_u8,
+            1..0x8000_0000_u32,
+        )
+            .prop_map(|(delay, loss, jitter, middlebox, offset)| {
+                let mut faults = Vec::new();
+                if loss > 0.0 {
+                    faults.push(WireFault::Loss(loss));
+                }
+                faults.extend(jitter.map(WireFault::Jitter));
+                match middlebox {
+                    0 => faults.push(WireFault::StripOptions),
+                    1 => faults.push(WireFault::RewriteIsn(offset)),
+                    _ => {}
+                }
+                WireSpec { delay, faults }
+            })
+    }
+
+    /// A raw action on a connection of `n` subflows; a black hole comes
+    /// with the number of ticks until its restore.
+    fn action(n: usize) -> impl Strategy<Value = (Action, u64)> {
+        let (sub, addr) = (0..n, 0..n as u8);
+        prop_oneof![
+            (any::<bool>(), sub.clone(), any::<bool>())
+                .prop_map(|(client, sub, backup)| (Action::SetBackup { client, sub, backup }, 0)),
+            (any::<bool>(), sub.clone())
+                .prop_map(|(client, sub)| (Action::CloseSubflow { client, sub }, 0)),
+            (any::<bool>(), addr.clone(), any::<bool>()).prop_map(|(client, addr_id, backup)| {
+                (Action::Advertise { client, addr_id, backup }, 0)
+            }),
+            (any::<bool>(), addr).prop_map(|(client, addr_id)| (Action::Withdraw { client, addr_id }, 0)),
+            (sub.clone(), any::<bool>()).prop_map(|(sub, backup)| (Action::Join { sub, backup }, 0)),
+            (sub, 100..5_000_u64).prop_map(|(wire, gap)| (Action::BlackHole { wire }, gap)),
+        ]
+    }
+
+    fn plan() -> impl Strategy<Value = Plan> {
+        // Most streams finish within 4 000 ticks; the calls land inside.
+        let rates = || prop::sample::select(vec![0.003, 0.03, 0.3, 1.0]);
+        (1..=3_usize).prop_flat_map(move |n| {
+            (
+                config(),
+                prop::collection::vec(wire_spec(), n),
+                any::<bool>(),
+                (0..60_000_usize, 0..20_000_usize),
+                (rates(), rates()),
+                prop::collection::vec((0..4_000_u64, action(n)), 0..10),
+                0..10_000_u64,
+                any::<u64>(),
+            )
+                .prop_map(|(cfg, wires, defer_joins, (up, down), (write_p, read_p), raw, tail, seed)| {
+                    let mut events = Vec::new();
+                    for (at, (action, gap)) in raw {
+                        events.push((at, action));
+                        if let Action::BlackHole { wire } = action {
+                            events.push((at + gap, Action::Restore { wire }));
+                        }
+                    }
+                    events.sort_by_key(|&(at, _)| at);
+                    Plan {
+                        cfg,
+                        wires,
+                        defer_joins,
+                        bytes: [up, down],
+                        write_p,
+                        read_p,
+                        events,
+                        tail,
+                        seed,
+                    }
+                })
+        })
+    }
+
+    /// One client/server pair and its wires. `ends[0]` is the client
+    /// (wire side A), `ends[1]` the server.
+    struct World {
+        ends: [Endpoint; 2],
+        wires: Vec<Wire>,
+        lazy: bool,
+    }
+
+    impl World {
+        fn new(plan: &Plan, lazy: bool) -> Self {
+            let n = plan.wires.len();
+            let mut client = Endpoint::client(plan.cfg, n, 7);
+            if plan.defer_joins {
+                (1..n).for_each(|i| client.defer_join(i));
+            }
+            Self {
+                ends: [client, Endpoint::server(plan.cfg, n, 7)],
+                wires: plan.wires.iter().zip(1..).map(|(w, seed)| w.build(seed)).collect(),
+                lazy,
+            }
+        }
+
+        fn deliver(&mut self, now: Micros) {
+            for (i, wire) in self.wires.iter_mut().enumerate() {
+                for seg in wire.recv_a(now) {
+                    self.ends[0].on_segment(now, i, seg);
+                }
+                for seg in wire.recv_b(now) {
+                    self.ends[1].on_segment(now, i, seg);
+                }
+            }
+        }
+
+        fn apply(&mut self, action: Action, plan: &Plan) {
+            let side = |client: bool| usize::from(!client);
+            match action {
+                Action::SetBackup { client, sub, backup } => {
+                    self.ends[side(client)].set_backup(sub, backup)
+                }
+                Action::CloseSubflow { client, sub } => self.ends[side(client)].close_subflow(sub),
+                Action::Advertise { client, addr_id, backup } => {
+                    self.ends[side(client)].advertise_addr(addr_id, backup)
+                }
+                Action::Withdraw { client, addr_id } => {
+                    self.ends[side(client)].withdraw_addr(addr_id)
+                }
+                Action::Join { sub, backup } => {
+                    if sub > 0 {
+                        self.ends[0].join_subflow(sub, backup);
+                    }
+                }
+                Action::BlackHole { wire } => {
+                    self.wires[wire] =
+                        Wire::new(plan.wires[wire].delay, 0).with_fault(WireFault::Loss(1.0));
+                }
+                Action::Restore { wire } => {
+                    self.wires[wire] = plan.wires[wire].build(100 + wire as u64);
+                }
+            }
+        }
+
+        /// Poll one side and put what it emits on the wires; returns the
+        /// emitted segments, encoded.
+        fn poll(&mut self, side: usize, now: Micros) -> Vec<(usize, Vec<u8>)> {
+            let end = &mut self.ends[side];
+            let out = if self.lazy { end.poll(now) } else { end.poll_all(now) };
+            let encoded = out.iter().map(|(sub, seg)| (*sub, seg.encode())).collect();
+            for (sub, seg) in out {
+                if side == 0 {
+                    self.wires[sub].send_a(now, seg);
+                } else {
+                    self.wires[sub].send_b(now, seg);
+                }
+            }
+            encoded
+        }
+
+        fn done(&self) -> bool {
+            self.ends.iter().all(|e| e.at_eof() && e.send_complete())
+        }
+    }
+
+    /// Drive both pairs to completion and through the plan's tail, or to
+    /// `MAX_TICKS`; returns how many of the lazy pair's polls skipped the
+    /// body, and how many polls it made.
+    fn run(plan: &Plan) -> Result<(u64, u64), TestCaseError> {
+        let [mut lazy, mut full] = [true, false].map(|l| World::new(plan, l));
+        let mut rng = StdRng::seed_from_u64(plan.seed);
+        let streams: [Vec<u8>; 2] = [0, 1].map(|side| {
+            (0..plan.bytes[side]).map(|i| ((i * 7 + side) % 251) as u8).collect()
+        });
+        let (mut written, mut read, mut closed) = ([0; 2], [0; 2], [false; 2]);
+        let mut buf = [0u8; 4_096];
+        let mut events = plan.events.iter().peekable();
+        let (mut skipped, mut polls, mut done_at) = (0, 0, None);
+        for tick in 1..=MAX_TICKS {
+            let now = tick * TICK;
+            lazy.deliver(now);
+            full.deliver(now);
+            while let Some(&(_, action)) = events.next_if(|e| e.0 <= tick) {
+                lazy.apply(action, plan);
+                full.apply(action, plan);
+            }
+            for side in 0..2 {
+                let stream = &streams[side];
+                if written[side] < stream.len() {
+                    if rng.gen_bool(plan.write_p) {
+                        let k = rng.gen_range(1..=4_000_usize).min(stream.len() - written[side]);
+                        let chunk = &stream[written[side]..written[side] + k];
+                        let n = lazy.ends[side].write(chunk);
+                        prop_assert_eq!(n, full.ends[side].write(chunk), "write at tick {}", tick);
+                        written[side] += n;
+                    }
+                } else if !closed[side] && rng.gen_bool(0.01) {
+                    lazy.ends[side].close();
+                    full.ends[side].close();
+                    closed[side] = true;
+                }
+            }
+            for side in 0..2 {
+                polls += 1;
+                skipped += u64::from(now < lazy.ends[side].wake_at);
+                let (a, b) = (lazy.poll(side, now), full.poll(side, now));
+                prop_assert!(
+                    a == b,
+                    "tick {}, side {}: lazy poll sent {:?}, full poll sent {:?}",
+                    tick,
+                    side,
+                    a.iter().map(|(i, s)| (i, Segment::decode(s))).collect::<Vec<_>>(),
+                    b.iter().map(|(i, s)| (i, Segment::decode(s))).collect::<Vec<_>>()
+                );
+            }
+            for side in 0..2 {
+                if rng.gen_bool(plan.read_p) {
+                    let k = rng.gen_range(1..=buf.len());
+                    let n = lazy.ends[side].read(&mut buf[..k]);
+                    let got = buf[..n].to_vec();
+                    let m = full.ends[side].read(&mut buf[..k]);
+                    prop_assert!(got[..] == buf[..m], "tick {}, side {}: reads differ", tick, side);
+                    let sent = &streams[1 - side][read[side]..read[side] + n];
+                    prop_assert!(got[..] == sent[..], "tick {}, side {}: stream corrupted", tick, side);
+                    read[side] += n;
+                }
+                let (a, b) = (lazy.ends[side].next_deadline(), full.ends[side].next_deadline());
+                prop_assert_eq!(a, b, "tick {}, side {}: next_deadline", tick, side);
+            }
+            if done_at.is_none() && closed == [true; 2] && lazy.done() && full.done() {
+                done_at = Some(tick);
+            }
+            if done_at.is_some_and(|t| tick >= t + plan.tail) {
+                break;
+            }
+        }
+        for side in 0..2 {
+            prop_assert_eq!(lazy.ends[side].stats(), full.ends[side].stats());
+        }
+        Ok((skipped, polls))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(chaos_cases()))]
+
+        /// Loss, jitter, option stripping, ISN rewriting, black holes,
+        /// both buffer modes, 3 000-byte buffers, every controller, and
+        /// path-manager calls mid-transfer: the lazy pair never differs
+        /// from the full one, and it skips most of its polls.
+        #[test]
+        fn lazy_poll_matches_the_full_poll_on_every_tick(plan in plan()) {
+            let (skipped, polls) = run(&plan)?;
+            prop_assert!(2 * skipped > polls, "only {} of {} polls skipped", skipped, polls);
+        }
     }
 }

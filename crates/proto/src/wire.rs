@@ -71,6 +71,12 @@ impl Direction {
     fn new() -> Self {
         Self { queue: BinaryHeap::new(), tie: 0 }
     }
+
+    /// Whether the earliest segment in flight is delivered by `now`.
+    #[inline]
+    fn due(&self, now: Micros) -> bool {
+        self.queue.peek().is_some_and(|f| f.deliver_at <= now)
+    }
 }
 
 /// A bidirectional, faulty, deterministic in-memory path.
@@ -153,18 +159,27 @@ impl Wire {
     }
 
     /// Segments due at endpoint B by `now` (sent by A).
+    #[inline]
     pub fn recv_b(&mut self, now: Micros) -> Vec<Segment> {
+        if !self.a_to_b.due(now) {
+            return Vec::new();
+        }
         Self::drain(&mut self.a_to_b, now)
     }
 
     /// Segments due at endpoint A by `now` (sent by B).
+    #[inline]
     pub fn recv_a(&mut self, now: Micros) -> Vec<Segment> {
+        if !self.b_to_a.due(now) {
+            return Vec::new();
+        }
         Self::drain(&mut self.b_to_a, now)
     }
 
+    #[inline(never)]
     fn drain(dir: &mut Direction, now: Micros) -> Vec<Segment> {
         let mut out = Vec::new();
-        while dir.queue.peek().is_some_and(|f| f.deliver_at <= now) {
+        while dir.due(now) {
             out.push(dir.queue.pop().unwrap().seg);
         }
         out

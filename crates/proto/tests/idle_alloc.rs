@@ -1,7 +1,14 @@
-//! The idle-tick contract: a tick on which nothing arrives, neither
-//! endpoint has a segment to send and the application reads nothing makes
-//! no heap allocation. Fixed-tick harnesses spend almost all their ticks
-//! that way (98.7% of `proto_bulk`'s polls return nothing).
+//! The idle-tick contract, allocation half: a tick on which nothing
+//! arrives, neither endpoint has a segment to send and the application
+//! reads nothing makes no heap allocation. Fixed-tick harnesses spend
+//! almost all their ticks that way (98.7% of `proto_bulk`'s polls return
+//! nothing). Most such ticks never reach the endpoint's passes: `poll`
+//! returns an empty `Vec` before the wake time the last full poll left
+//! (DESIGN.md §3.4), and `write` into a full buffer, `read` with nothing in
+//! order and `Wire::recv_*` with nothing due return at once. A tick that
+//! reaches a deadline with nothing to send runs the full poll, which must
+//! not allocate either; this test counts both kinds. That the skipped
+//! polls really had nothing to do is the lazy-poll differential's job.
 //!
 //! This file is its own crate, so its counting allocator does not touch
 //! the library's `#![forbid(unsafe_code)]`. Keep it to one `#[test]`: the
