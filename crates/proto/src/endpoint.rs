@@ -783,7 +783,7 @@ impl Endpoint {
     // ------------------------------------------------------------------
 
     /// Process a segment arriving on subflow `sub` at time `now`.
-    pub fn on_segment(&mut self, now: Micros, sub: usize, seg: Segment) {
+    pub fn on_segment(&mut self, now: Micros, sub: usize, mut seg: Segment) {
         assert!(sub < self.subs.len(), "unknown subflow {sub}");
         self.wake();
         if seg.flags.syn {
@@ -813,7 +813,7 @@ impl Endpoint {
             }
         }
         if !seg.payload.is_empty() || seg.flags.fin {
-            self.on_data(sub, &seg);
+            self.on_data(sub, &mut seg);
         }
     }
 
@@ -1075,7 +1075,7 @@ impl Endpoint {
             .retain(|(seq, data, _)| seq + (data.len() as u64).max(1) > self.data_acked);
     }
 
-    fn on_data(&mut self, sub: usize, seg: &Segment) {
+    fn on_data(&mut self, sub: usize, seg: &mut Segment) {
         let len = seg.payload.len();
         // Buffer admission control: a receiver out of window drops the
         // payload as if the network had lost it — but it still owes the
@@ -1096,7 +1096,7 @@ impl Endpoint {
         // Data-level reassembly.
         if let Some((Some(dseq), _)) = seg.dss() {
             if len > 0 {
-                self.insert_data(sub, dseq, &seg.payload);
+                self.insert_data(sub, dseq, &mut seg.payload);
             }
             if seg.flags.fin {
                 let fin_seq = dseq + len as u64;
@@ -1105,7 +1105,7 @@ impl Endpoint {
         } else if self.is_fallback() && sub == 0 {
             // Fallback: the subflow stream *is* the data stream.
             if len > 0 {
-                self.insert_data(sub, seg.subflow_seq as u64, &seg.payload);
+                self.insert_data(sub, seg.subflow_seq as u64, &mut seg.payload);
             }
             if seg.flags.fin {
                 self.peer_fin = Some(seg.subflow_seq as u64 + len as u64);
@@ -1118,7 +1118,10 @@ impl Endpoint {
         }
     }
 
-    fn insert_data(&mut self, sub: usize, dseq: u64, payload: &[u8]) {
+    /// File an arriving, non-empty payload: copy what is in order into the
+    /// receive ring, or keep an out-of-order payload's own buffer (taken
+    /// from `payload`) until the gap before it fills.
+    fn insert_data(&mut self, sub: usize, dseq: u64, payload: &mut Vec<u8>) {
         let end = dseq + payload.len() as u64;
         if end <= self.rcv_data_next {
             return; // stale duplicate (e.g. a reinjected copy)
@@ -1126,11 +1129,8 @@ impl Endpoint {
         // Clip any prefix we already have.
         let skip = self.rcv_data_next.saturating_sub(dseq) as usize;
         let dseq = dseq + skip as u64;
-        let payload = &payload[skip.min(payload.len())..];
-        if payload.is_empty() {
-            return;
-        }
         if dseq == self.rcv_data_next {
+            let payload = &payload[skip..];
             self.recv_app.extend(payload);
             self.recv_attribution.push_back((sub, payload.len()));
             self.subs[sub].held_bytes += payload.len();
@@ -1160,9 +1160,10 @@ impl Endpoint {
             }
         } else if let std::collections::btree_map::Entry::Vacant(e) = self.recv_ooo.entry(dseq) {
             // Out-of-order bytes occupy the buffer from arrival; charge the
-            // arrival subflow now and release when drained or read.
+            // arrival subflow now and release when drained or read. Past a
+            // gap nothing is clipped, so the payload keeps its buffer.
             self.subs[sub].held_bytes += payload.len();
-            e.insert((sub, payload.to_vec()));
+            e.insert((sub, std::mem::take(payload)));
         }
     }
 

@@ -126,8 +126,30 @@ impl Segment {
     /// Serialize to bytes. The format is length-prefixed and versionless;
     /// it exists so that middlebox interference (byte-level rewriting) can
     /// be modelled faithfully and so the decoder's bounds checking is real.
+    ///
+    /// # Panics
+    ///
+    /// If the segment carries more than 255 options or a payload of 4 GiB
+    /// or more: the option count is one byte and the payload length four,
+    /// and a truncated field would encode a different segment.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.payload.len());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`Segment::encode`] into `out`, which is cleared first so that its
+    /// capacity can be reused.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let Ok(n_opts) = u8::try_from(self.options.len()) else {
+            panic!("{} options do not fit the one-byte option count", self.options.len());
+        };
+        let Ok(len) = u32::try_from(self.payload.len()) else {
+            panic!("a {}-byte payload does not fit the four-byte length", self.payload.len());
+        };
+        out.clear();
+        // Header and length are 18 bytes, and no option takes more than 18.
+        out.reserve(18 + 18 * self.options.len() + self.payload.len());
         let mut flags = 0u8;
         if self.flags.syn {
             flags |= 0x01;
@@ -142,7 +164,7 @@ impl Segment {
         out.extend_from_slice(&self.subflow_seq.to_be_bytes());
         out.extend_from_slice(&self.subflow_ack.to_be_bytes());
         out.extend_from_slice(&self.window.to_be_bytes());
-        out.push(self.options.len() as u8);
+        out.push(n_opts);
         for opt in &self.options {
             match opt {
                 MptcpOption::MpCapable { key } => {
@@ -190,16 +212,24 @@ impl Segment {
                 }
             }
         }
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(&len.to_be_bytes());
         out.extend_from_slice(&self.payload);
-        out
     }
 
     /// Parse from bytes.
     pub fn decode(buf: &[u8]) -> Result<Segment, DecodeError> {
+        let mut seg = Segment::new();
+        Self::decode_into(buf, &mut seg)?;
+        Ok(seg)
+    }
+
+    /// [`Segment::decode`] into `seg`, overwriting every field and reusing
+    /// the capacity of its options and payload. On error `seg` holds
+    /// whatever was parsed before the error.
+    #[inline]
+    pub(crate) fn decode_into(buf: &[u8], seg: &mut Segment) -> Result<(), DecodeError> {
         let mut r = Reader { buf, pos: 0 };
         let flags = r.u8()?;
-        let mut seg = Segment::new();
         seg.flags = SegFlags {
             syn: flags & 0x01 != 0,
             ack: flags & 0x02 != 0,
@@ -212,6 +242,7 @@ impl Segment {
         seg.subflow_ack = r.u32()?;
         seg.window = r.u32()?;
         let n_opts = r.u8()?;
+        seg.options.clear();
         for _ in 0..n_opts {
             let kind = r.u8()?;
             let opt = match kind {
@@ -259,11 +290,14 @@ impl Segment {
         }
         let len = r.u32()? as usize;
         let payload = r.bytes(len)?;
-        seg.payload = payload.to_vec();
         if r.pos != buf.len() {
             return Err(DecodeError::TrailingBytes(buf.len() - r.pos));
         }
-        Ok(seg)
+        // Into the empty payload of `decode` this allocates exactly `len`
+        // bytes (at least 8), as `to_vec` would.
+        seg.payload.clear();
+        seg.payload.extend_from_slice(payload);
+        Ok(())
     }
 }
 
@@ -327,6 +361,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Segment {
         Segment {
@@ -433,6 +468,89 @@ mod tests {
         bytes[13] = 1; // option count offset: 1 flags + 4 + 4 + 4 = 13
         bytes.insert(14, 0x7F);
         assert!(matches!(Segment::decode(&bytes), Err(DecodeError::BadOption(0x7F))));
+    }
+
+    #[test]
+    #[should_panic(expected = "256 options do not fit")]
+    fn encode_refuses_more_options_than_the_count_holds() {
+        let options = vec![MptcpOption::MpCapable { key: 1 }; 256];
+        let _ = Segment { options, ..Segment::new() }.encode();
+    }
+
+    fn arb_option() -> impl Strategy<Value = MptcpOption> {
+        prop_oneof![
+            any::<u64>().prop_map(|key| MptcpOption::MpCapable { key }),
+            (any::<u64>(), any::<bool>())
+                .prop_map(|(token, backup)| MptcpOption::MpJoin { token, backup }),
+            (prop::option::of(any::<u64>()), prop::option::of(any::<u64>()))
+                .prop_map(|(data_seq, data_ack)| MptcpOption::Dss { data_seq, data_ack }),
+            (any::<u8>(), any::<bool>(), any::<bool>())
+                .prop_map(|(addr_id, backup, echo)| MptcpOption::AddAddr { addr_id, backup, echo }),
+            (any::<u8>(), any::<bool>())
+                .prop_map(|(addr_id, echo)| MptcpOption::RemoveAddr { addr_id, echo }),
+        ]
+    }
+
+    fn arb_segment() -> impl Strategy<Value = Segment> {
+        (
+            (any::<u32>(), any::<u32>(), any::<u32>()),
+            (any::<bool>(), any::<bool>(), any::<bool>()),
+            prop::collection::vec(arb_option(), 0..6),
+            prop::collection::vec(any::<u8>(), 0..1500),
+        )
+            .prop_map(|((subflow_seq, subflow_ack, window), (syn, ack, fin), options, payload)| {
+                Segment {
+                    subflow_seq,
+                    subflow_ack,
+                    flags: SegFlags { syn, ack, fin },
+                    window,
+                    options,
+                    payload,
+                }
+            })
+    }
+
+    /// An encoded segment, then damaged: up to three bytes XORed, then cut
+    /// short, extended, or left at its length.
+    fn arb_wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (
+            arb_segment(),
+            prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            prop_oneof![Just(None), any::<usize>().prop_map(Some)],
+            prop::collection::vec(any::<u8>(), 0..3),
+        )
+            .prop_map(|(seg, flips, cut, tail)| {
+                let mut bytes = seg.encode();
+                for (at, mask) in flips {
+                    let n = bytes.len();
+                    bytes[at % n] ^= mask;
+                }
+                if let Some(at) = cut {
+                    bytes.truncate(at % (bytes.len() + 1));
+                }
+                bytes.extend(tail);
+                bytes
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoding into a segment that already holds options and payload
+        /// gives what a fresh `decode` gives: the same segment or the same
+        /// error, whatever the prior contents.
+        #[test]
+        fn decode_into_a_dirty_segment_matches_decode(
+            prior in arb_segment(),
+            bytes in prop_oneof![
+                arb_wire_bytes(),
+                prop::collection::vec(any::<u8>(), 0..64),
+            ],
+        ) {
+            let mut seg = prior;
+            let into = Segment::decode_into(&bytes, &mut seg).map(|()| seg);
+            prop_assert_eq!(into, Segment::decode(&bytes));
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! A deterministic in-memory path with middlebox misbehaviour.
 //!
-//! One `Wire` carries one subflow's segments in one direction…no — both
-//! directions: each direction has its own queue. Faults model the §6
-//! middleboxes: random loss, reordering, option stripping (a firewall that
-//! does not understand MPTCP options), and initial-sequence-number
-//! rewriting (the `pf` example: "the pf firewall can re-write TCP sequence
-//! numbers to improve the randomness of the initial sequence number").
+//! One `Wire` carries one subflow's segments in both directions, each
+//! direction with its own queue. Faults model the §6 middleboxes: random
+//! loss, reordering, option stripping (a firewall that does not understand
+//! MPTCP options), and initial-sequence-number rewriting (the `pf`
+//! example: "the pf firewall can re-write TCP sequence numbers to improve
+//! the randomness of the initial sequence number").
 
 use crate::segment::Segment;
 use crate::Micros;
@@ -88,6 +88,8 @@ pub struct Wire {
     a_to_b: Direction,
     b_to_a: Direction,
     rng: StdRng,
+    /// The encoded image of the segment being sent, kept for its capacity.
+    scratch: Vec<u8>,
     /// Segments dropped so far (both directions).
     pub dropped: u64,
     /// Segments carried so far (both directions).
@@ -103,6 +105,7 @@ impl Wire {
             a_to_b: Direction::new(),
             b_to_a: Direction::new(),
             rng: StdRng::seed_from_u64(seed),
+            scratch: Vec::new(),
             dropped: 0,
             carried: 0,
         }
@@ -124,6 +127,10 @@ impl Wire {
         self.send(false, now, seg);
     }
 
+    /// Apply the faults, then pass the segment through the byte-level
+    /// format: encode it into the wire's scratch buffer and decode it back
+    /// into its own options and payload. Every segment crosses the format,
+    /// and once the scratch has grown the round trip allocates nothing.
     fn send(&mut self, from_a: bool, now: Micros, mut seg: Segment) {
         self.carried += 1;
         let mut deliver_at = now + self.delay;
@@ -152,7 +159,8 @@ impl Wire {
         }
         // Model the middlebox at byte level: encode/decode roundtrip keeps
         // the wire format honest.
-        let seg = Segment::decode(&seg.encode()).expect("wire format roundtrips");
+        seg.encode_into(&mut self.scratch);
+        Segment::decode_into(&self.scratch, &mut seg).expect("wire format roundtrips");
         let dir = if from_a { &mut self.a_to_b } else { &mut self.b_to_a };
         dir.tie += 1;
         dir.queue.push(InFlight { deliver_at, tie: dir.tie, seg });

@@ -10,6 +10,14 @@
 //! not allocate either; this test counts both kinds. That the skipped
 //! polls really had nothing to do is the lazy-poll differential's job.
 //!
+//! Busy ticks have a budget too: at most 4 allocations per segment the
+//! wires carry, counted over the whole transfer. A data segment's payload
+//! and options are allocated once by the sender; the wire's
+//! encode/decode round trip writes into the wire's scratch buffer and back
+//! into the segment's own buffers, and an out-of-order payload moves into
+//! the receiver's reassembly map as it arrived (DESIGN.md §3.4). Run with
+//! `-- --nocapture` to print the count.
+//!
 //! This file is its own crate, so its counting allocator does not touch
 //! the library's `#![forbid(unsafe_code)]`. Keep it to one `#[test]`: the
 //! count is per thread, but a second test would share the allocator.
@@ -64,7 +72,7 @@ fn allocs() -> u64 {
 }
 
 #[test]
-fn an_idle_tick_allocates_nothing() {
+fn idle_ticks_allocate_nothing_and_busy_ticks_stay_in_budget() {
     const TICK: Micros = 100;
     let cfg = EndpointConfig::default();
     let (mut client, mut server) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
@@ -75,7 +83,7 @@ fn an_idle_tick_allocates_nothing() {
     let data: Vec<u8> = (0..2_000_000).map(|i| (i % 251) as u8).collect();
     let mut buf = vec![0u8; 16 * 1024];
     let (mut now, mut written, mut read, mut closed) = (0, 0, 0, false);
-    let (mut idle_ticks, mut busy_ticks, mut idle_allocs) = (0u64, 0u64, 0u64);
+    let (mut idle_ticks, mut busy_ticks, mut idle_allocs, mut busy_allocs) = (0u64, 0, 0, 0);
 
     while !(closed && server.at_eof() && client.send_complete()) {
         assert!(now < 120_000_000, "transfer stalled with {read} bytes read");
@@ -118,9 +126,20 @@ fn an_idle_tick_allocates_nothing() {
             idle_allocs += spent;
         } else {
             busy_ticks += 1;
+            busy_allocs += spent;
         }
     }
     assert_eq!(read, data.len());
     assert!(busy_ticks > 1_000 && idle_ticks > 10 * busy_ticks, "{idle_ticks} idle, {busy_ticks} busy");
     assert_eq!(idle_allocs, 0, "{idle_allocs} allocations over {idle_ticks} idle ticks");
+    let carried: u64 = wires.iter().map(|w| w.carried).sum();
+    let per_segment = busy_allocs as f64 / carried as f64;
+    println!(
+        "{busy_allocs} allocations over {busy_ticks} busy ticks, {carried} segments carried: \
+         {per_segment:.2} per segment"
+    );
+    assert!(
+        per_segment <= 4.0,
+        "{per_segment:.2} allocations per carried segment ({busy_allocs} over {carried})"
+    );
 }
