@@ -38,8 +38,9 @@ struct Digest {
     /// [`ConnectionStats`](mptcp_netsim::ConnectionStats) and the run's
     /// `SimPerf` — the whole digest-surface, not just the hand-picked
     /// columns above. New sim-state fields enter this digest automatically
-    /// (the `impl_det_digest!` destructuring is exhaustive, and `cargo
-    /// xtask lint` requires the impl for every digest-surface struct).
+    /// (the `impl_det_digest!` destructuring is exhaustive, and
+    /// `xtask/tests/lint_fixtures.rs` requires the impl for every
+    /// digest-surface struct).
     state: u64,
 }
 

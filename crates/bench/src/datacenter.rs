@@ -148,7 +148,10 @@ pub struct ShardedDcRun {
 /// rng and path selection, but partitioned pod-by-pod over `num_shards`
 /// shards advanced by `jobs` worker threads. The merged deterministic
 /// history is independent of `jobs`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "run_fattree's six scenario knobs plus the shard count and worker threads, passed straight through by every caller"
+)]
 pub fn run_fattree_sharded(
     k: usize,
     tp: Tp,
@@ -238,7 +241,7 @@ pub fn run_bcube(
         Tp::OneToMany => (0..hosts)
             .flat_map(|h| bc.level_neighbors(h).into_iter().map(move |d| (h, d)))
             .collect(),
-        other => host_pairs(other, hosts, &mut rng),
+        Tp::Permutation | Tp::Sparse => host_pairs(tp, hosts, &mut rng),
     };
     let conns: Vec<(usize, ConnId)> = pairs
         .iter()

@@ -59,7 +59,6 @@ pub trait MultipathCc: Send + Sync {
 
 /// A selector for the algorithms evaluated in the paper, used by the
 /// experiment harness to sweep algorithms from one configuration.
-// lint:exhaustive
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// Regular TCP on every subflow, fully uncoupled (§2.1's strawman).
@@ -300,7 +299,16 @@ mod tests {
             let model = kind.fluid_model(&losses);
             match kind {
                 AlgorithmKind::Cubic | AlgorithmKind::Wvegas => assert!(model.is_none()),
-                _ => assert!(model.is_some(), "{kind:?} should be fluid-checkable"),
+                AlgorithmKind::Uncoupled
+                | AlgorithmKind::Ewtcp
+                | AlgorithmKind::Coupled
+                | AlgorithmKind::SemiCoupled
+                | AlgorithmKind::Mptcp
+                | AlgorithmKind::Rfc6356
+                | AlgorithmKind::Olia
+                | AlgorithmKind::Balia => {
+                    assert!(model.is_some(), "{kind:?} should be fluid-checkable");
+                }
             }
         }
         assert_eq!(AlgorithmKind::Olia.fluid_model(&losses).unwrap().name(), "OLIA");

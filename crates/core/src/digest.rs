@@ -16,9 +16,10 @@
 //! dependent (e.g. `SimPerf::wall`) are listed in the macro's `skip` block,
 //! which still names them in the destructuring pattern.
 //!
-//! The `xtask lint` `digest-surface` rule closes the loop statically: every
-//! `pub struct` in a file marked `// lint:digest-surface` must have a
-//! `DetDigest` impl (normally via the macro) somewhere in its crate.
+//! A line-level test in `xtask/tests/lint_fixtures.rs` closes the loop:
+//! every `pub struct` or `pub enum` in a file marked
+//! `// lint:digest-surface` must have a `DetDigest` impl (normally via the
+//! macro) somewhere in its crate.
 
 /// Structural, order-sensitive digest of sim-visible state.
 ///

@@ -97,7 +97,6 @@ pub fn jains_index(rates: &[f64]) -> f64 {
     }
     let sum: f64 = rates.iter().sum();
     let sum_sq: f64 = rates.iter().map(|x| x * x).sum();
-    // lint:allow(float-ord, reason = "exact zero-guard: all-zero rates are vacuously fair; comparison feeds no ordering or window arithmetic")
     if sum_sq == 0.0 {
         return 1.0;
     }

@@ -1,7 +1,7 @@
 //! The per-subflow state visible to a congestion-control rule.
 
 // lint:digest-surface — every pub struct here is sim-visible state and must
-// implement `DetDigest` (enforced by `cargo xtask lint`).
+// implement `DetDigest` (checked by `xtask/tests/lint_fixtures.rs`).
 
 /// A read-only snapshot of one subflow's congestion state, in the units the
 /// paper uses: congestion windows in **packets** and round-trip times in

@@ -113,7 +113,6 @@ pub trait StatefulCc: Send {
 /// verbatim, which is precisely the arithmetic the drivers perform on the
 /// pure path. The stateful-vs-pure differential proptest pins the two
 /// paths `DetDigest`-bit-identical on the chaos scenarios.
-// lint:allow(digest-surface, reason = "holds only the wrapped pure rule, which is stateless by the MultipathCc contract; digest_state hashes the rule name and CcDriver tags the arm")
 pub struct PureAdapter {
     inner: Box<dyn MultipathCc>,
 }
@@ -161,7 +160,6 @@ impl StatefulCc for PureAdapter {
 /// (the default — its call sequence is kept byte-for-byte identical to the
 /// pre-stateful code so existing histories cannot shift) or a stateful
 /// controller behind the per-ACK/per-loss hooks.
-// lint:exhaustive
 pub enum CcDriver {
     /// A pure, stateless paper rule.
     Pure(Box<dyn MultipathCc>),

@@ -34,11 +34,22 @@
 //! The arena is purely a storage layout: simulation *behavior* is
 //! unchanged, which `sim.rs`'s lifecycle differential proptest and the
 //! committed `chaos_smoke` digest pin down.
-// lint:shard-state — the arena is per-shard slab storage: panic-free and
-// cast-audited like the sender state it holds, but not `lint:hot-path` —
-// slab indexing is the storage idiom here, its own methods run at flow
-// open/close (the churn path), and the per-ACK column reads live in
-// `sim.rs`. The free-list BTreeMap is likewise churn-path-only.
+
+// Per-shard slab storage (DESIGN.md §3.2d): panic-free and cast-audited
+// like the sender state it holds, but slab indexing is the storage idiom
+// here and its own methods run at flow open/close (the churn path), so
+// `indexing_slicing` stays off. The free-list BTreeMap is churn-path-only.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 use crate::link::LinkPath;
 use crate::mem::{vec_bytes, MemBytes};
@@ -208,9 +219,15 @@ impl FlowArena {
             })
             .or_else(|| self.free.range((want + 1, 0)..).next().map(|(&k, _)| k));
         if let Some(key) = key {
-            // lint:allow(panic-free, reason = "the key was just yielded by the range scans above; empty stacks are removed eagerly on pop")
+            #[expect(
+                clippy::expect_used,
+                reason = "the key was just yielded by the range scans above; empty stacks are removed eagerly on pop"
+            )]
             let stack = self.free.get_mut(&key).expect("free-list key just seen");
-            // lint:allow(panic-free, reason = "empty stacks are removed eagerly below, so a present key always holds at least one base")
+            #[expect(
+                clippy::expect_used,
+                reason = "empty stacks are removed eagerly below, so a present key always holds at least one base"
+            )]
             let base = stack.pop().expect("free-list stacks are never left empty");
             if stack.is_empty() {
                 self.free.remove(&key);
@@ -235,9 +252,15 @@ impl FlowArena {
         while gutted < n {
             let Some((&key, _)) = self.free.range(..(want, 0)).next_back() else { break };
             let (size, _) = key;
-            // lint:allow(panic-free, reason = "the key was just yielded by the range scan above; empty stacks are removed eagerly on pop")
+            #[expect(
+                clippy::expect_used,
+                reason = "the key was just yielded by the range scan above; empty stacks are removed eagerly on pop"
+            )]
             let stack = self.free.get_mut(&key).expect("free-list key just seen");
-            // lint:allow(panic-free, reason = "empty stacks are removed eagerly below, so a present key always holds at least one base")
+            #[expect(
+                clippy::expect_used,
+                reason = "empty stacks are removed eagerly below, so a present key always holds at least one base"
+            )]
             let base = stack.pop().expect("free-list stacks are never left empty");
             if stack.is_empty() {
                 self.free.remove(&key);

@@ -1,17 +1,17 @@
 //! Checked narrowing casts for the simulator's hot/shard state.
 //!
-//! The `cast-audit` lint (D9, DESIGN.md §3.2d) bans bare `as` casts to
-//! narrower integer types and float-sourced `as`-to-integer casts in
-//! `lint:hot-path`/`lint:shard-state` files: `as` truncates and saturates
-//! silently, and a clipped sequence number or subflow id corrupts the
+//! The cast lints (D9, DESIGN.md §3.2d) ban bare `as` casts that can
+//! truncate, wrap or drop a sign in the files that carry the per-ACK and
+//! shard-state `#![deny(clippy::cast_possible_truncation, …)]` header:
+//! `as` truncates and saturates silently, and a clipped sequence number or subflow id corrupts the
 //! deterministic history without tripping anything. These helpers are the
 //! sanctioned route: each one states its domain invariant and enforces it
 //! with `assert!` — in release builds too, where a compare and a
 //! never-taken branch cost nothing next to a silently forked history.
 //!
 //! The helpers live in one unmarked file on purpose — the invariant text
-//! and the assertion sit next to the cast, so the marked call sites stay
-//! clean without per-site allow annotations.
+//! and the assertion sit next to the cast, so the call sites in the linted
+//! files stay clean without per-site expectations.
 
 /// A slab/pool index (`ack_pool`, `subflows`, …) narrowed to the `u32`
 /// stored in packet headers and ids.

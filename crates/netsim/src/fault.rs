@@ -79,7 +79,6 @@ impl GeParams {
     /// Long-run fraction of time spent in the bad state.
     pub fn stationary_bad(&self) -> f64 {
         let denom = self.p_enter_bad + self.p_exit_bad;
-        // lint:allow(float-ord, reason = "exact zero-guard against division by zero; no ordering or window arithmetic feeds off this comparison")
         if denom == 0.0 {
             0.0
         } else {
@@ -96,7 +95,6 @@ impl GeParams {
 
 /// One scripted change to the world. All actions are idempotent state
 /// assignments, so replaying a plan over a restored snapshot is safe.
-// lint:exhaustive
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Take the link down: arriving packets are dropped, the queue is

@@ -1,7 +1,18 @@
 //! Links: rate, propagation delay, drop-tail queue, optional random loss.
 
-// lint:shard-state — links are per-shard state and move onto worker
-// threads in the sharded engine; they must stay Send.
+// Per-shard state (DESIGN.md §3.2d): it moves onto worker threads, and a
+// panic or a silent truncation here forks or ends every shard's history.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 use crate::packet::Packet;
 use crate::time::SimTime;
@@ -163,7 +174,6 @@ impl LinkStats {
     /// Mean utilization over `elapsed`, as delivered bits / capacity.
     pub fn utilization(&self, rate_bps: f64, elapsed: SimTime) -> f64 {
         let secs = elapsed.as_secs_f64();
-        // lint:allow(float-ord, reason = "exact zero-guard against division by zero; no ordering or window arithmetic feeds off this comparison")
         if secs == 0.0 {
             0.0
         } else {

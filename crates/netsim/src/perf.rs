@@ -8,8 +8,8 @@
 //! identities.
 
 // lint:digest-surface — every pub struct here is sim-visible state and must
-// implement `DetDigest` (enforced by `cargo xtask lint`). Wall-clock-derived
-// fields are `skip`ped from the digest explicitly.
+// implement `DetDigest` (checked by `xtask/tests/lint_fixtures.rs`).
+// Wall-clock-derived fields are `skip`ped from the digest explicitly.
 
 use crate::time::SimTime;
 use mptcp_cc::impl_det_digest;
@@ -90,10 +90,13 @@ impl_det_digest!(SimPerf {
 /// the host clock — simulated time is [`SimTime`], advanced only by the
 /// event loop. The one legitimate use of `Instant` is *measuring ourselves*
 /// (the `SimPerf::wall` counter and the benchmark harness), and every such
-/// read routes through this helper so `cargo xtask lint` can allow exactly
-/// one `Instant::now` site in library code.
+/// read routes through this helper, the one expectation of clippy.toml's
+/// `Instant::now` ban in library code.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the single audited perf-measurement entropy site; every elapsed-time read routes through here"
+)]
 pub fn wall_clock() -> std::time::Instant {
-    // lint:allow(wall-clock, reason = "the single audited perf-measurement entropy site; every elapsed-time read routes through here")
     std::time::Instant::now()
 }
 

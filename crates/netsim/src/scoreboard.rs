@@ -26,8 +26,20 @@
 //! `SubflowSender` makes — with flights in the hundreds, on rings that
 //! wrap and grow — on both boards and compares every answer.
 
-// lint:hot-path — no BTreeSet/BTreeMap in this file: it *is* the structure
-// that replaced them on the per-ACK path.
+// Per-ACK hot path and per-shard state (DESIGN.md §3.2d): a panic here
+// tears down every shard, a silent truncation forks the history.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 /// Default ring capacity in bits when no (finite) window hint is available.
 const DEFAULT_CAP: u64 = 1 << 10;
@@ -154,7 +166,6 @@ impl Default for BitRing {
 impl BitRing {
     pub fn with_capacity(cap_bits: u64) -> Self {
         let cap = cap_bits.clamp(64, MAX_CAP).next_power_of_two();
-        // lint:allow(hot-alloc, reason = "creation-time ring storage; steady state recycles it via the RingPool / reset_for_reuse")
         Self::from_words(vec![0u64; (cap / 64) as usize].into_boxed_slice())
     }
 
@@ -237,15 +248,21 @@ impl BitRing {
 
     /// The ring word holding masked slot-word index `w`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "w = (seq & mask) >> 6 comes from word_bit, so w < words.len() = cap/64 by construction; a miss means the mask/words invariant is broken and must fail loudly"
+    )]
     fn word(&self, w: usize) -> u64 {
-        // lint:allow(panic-free, reason = "w = (seq & mask) >> 6 comes from word_bit, so w < words.len() = cap/64 by construction; a miss means the mask/words invariant is broken and must fail loudly")
         self.words[w]
     }
 
     /// Mutable access to the ring word at masked slot-word index `w`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "w = (seq & mask) >> 6 comes from word_bit, so w < words.len() = cap/64 by construction; a miss means the mask/words invariant is broken and must fail loudly"
+    )]
     fn word_mut(&mut self, w: usize) -> &mut u64 {
-        // lint:allow(panic-free, reason = "w = (seq & mask) >> 6 comes from word_bit, so w < words.len() = cap/64 by construction; a miss means the mask/words invariant is broken and must fail loudly")
         &mut self.words[w]
     }
 
@@ -472,7 +489,6 @@ impl BitRing {
             new_cap *= 2;
         }
         debug_assert!(new_cap <= MAX_CAP);
-        // lint:allow(hot-alloc, reason = "counted growth: bumps `allocs`, which the flow_churn bench asserts stays flat in steady state")
         let new_words = vec![0u64; (new_cap / 64) as usize].into_boxed_slice();
         let old = std::mem::replace(&mut self.words, new_words);
         let old_mask = self.mask;

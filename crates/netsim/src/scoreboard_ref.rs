@@ -16,7 +16,8 @@
 //! differential feeds a `SubflowReceiver` and [`BTreeOoo`] reordered
 //! arrivals spanning more than four ring capacities.
 //!
-//! Not marked `lint:hot-path`: B-tree containers are its whole point.
+//! B-tree containers are its whole point; the simulator's own per-ACK path
+//! is held allocation-free by `tests/mem_account.rs`.
 
 use crate::scoreboard::{BitmapScoreboard, RingPool};
 use crate::tcp::{SackRanges, SubflowReceiver, MAX_SACK_RANGES};

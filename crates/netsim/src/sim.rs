@@ -3,7 +3,19 @@
 //! In sharded mode (see [`crate::shard`]) one `Simulator` instance is one
 //! shard of a larger world and may be moved onto a worker thread, so all
 //! state here must stay `Send` by construction.
-// lint:shard-state
+// Per-shard state (DESIGN.md §3.2d): it moves onto worker threads, and a
+// panic or a silent truncation here forks or ends every shard's history.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 use crate::arena::{ColdSubflow, FlowArena, NOT_RESIDENT};
 use crate::cbr::{CbrId, CbrSource, CbrSpec};
@@ -147,8 +159,11 @@ impl ConnectionSpec {
     ///
     /// # Panics
     /// Panics if no subflow has been added yet.
+    #[expect(
+        clippy::expect_used,
+        reason = "builder API, runs at scenario construction before any event fires; the misuse is documented under # Panics and must fail loudly, not simulate a half-built world"
+    )]
     pub fn backup(mut self) -> Self {
-        // lint:allow(panic-free, reason = "builder API, runs at scenario construction before any event fires; the misuse is documented under # Panics and must fail loudly, not simulate a half-built world")
         self.subflows.last_mut().expect("backup() needs a preceding path()/subflow()").backup =
             true;
         self
@@ -1114,7 +1129,7 @@ impl Simulator {
             }
             self.now = horizon;
         }
-        self.wall_nanos += started.elapsed().as_nanos() as u64;
+        self.wall_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
 
     /// Whether any started, unfinished connection still has data it is
@@ -1354,7 +1369,10 @@ impl Simulator {
     fn on_tx_done(&mut self, link: LinkId) {
         let (mut pkt, delay) = {
             let l = &mut self.links[link];
-            // lint:allow(panic-free, reason = "a TxDone with an idle link means the event history itself is corrupt; continuing would silently fork determinism, so this must fail loudly")
+            #[expect(
+                clippy::expect_used,
+                reason = "a TxDone with an idle link means the event history itself is corrupt; continuing would silently fork determinism, so this must fail loudly"
+            )]
             let pkt = l.in_service.take().expect("TxDone with no packet in service");
             l.stats.transmitted += 1;
             l.stats.bytes += pkt.size() as u64;
@@ -1421,9 +1439,13 @@ impl Simulator {
                     // subflow arrival implies the packet is not yet
                     // cum-acked there, so its dsn metadata still exists.
                     if !rx[hot + sub].contains(seq) {
-                        let dsn =
-                            // lint:allow(panic-free, reason = "exactly-once accounting: !rx.contains(seq) just above implies the dsn metadata is still retained; losing it means data-level bookkeeping already diverged and must fail loudly")
-                            tx[hot + sub].dsn_of(seq).expect("unacked first arrival keeps its metadata");
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "exactly-once accounting: !rx.contains(seq) just above implies the dsn metadata is still retained; losing it means data-level bookkeeping already diverged and must fail loudly"
+                        )]
+                        let dsn = tx[hot + sub]
+                            .dsn_of(seq)
+                            .expect("unacked first arrival keeps its metadata");
                         let reinjected = c.reinject.as_deref_mut().and_then(|r| {
                             let e = r.reg.get_mut(&dsn)?;
                             Some((e, &mut r.dup_arrivals))
@@ -2006,8 +2028,11 @@ impl Simulator {
 
     /// Drain this shard's outbox buffers: the driver moves them into the
     /// shared mailbox matrix at the epoch barrier.
+    #[expect(
+        clippy::expect_used,
+        reason = "pub(crate) hook called only by the sharded driver, which created the shard state it is asking for; a None here is a driver bug, not a simulated condition"
+    )]
     pub(crate) fn shard_outbox(&mut self) -> &mut Vec<Vec<(SimTime, Packet)>> {
-        // lint:allow(panic-free, reason = "pub(crate) hook called only by the sharded driver, which created the shard state it is asking for; a None here is a driver bug, not a simulated condition")
         &mut self.shard.as_mut().expect("not in sharded mode").outbox
     }
 

@@ -1,8 +1,8 @@
 //! Measurement: per-subflow and per-connection statistics.
 
 // lint:digest-surface — every pub struct here is sim-visible state and must
-// implement `DetDigest` (enforced by `cargo xtask lint`), so it feeds the
-// chaos_smoke bit-identity digest and cannot silently drift.
+// implement `DetDigest` (checked by `xtask/tests/lint_fixtures.rs`), so it
+// feeds the chaos_smoke bit-identity digest and cannot silently drift.
 
 use crate::time::SimTime;
 use mptcp_cc::impl_det_digest;

@@ -21,10 +21,20 @@
 //! them to call by call. The retransmission timer is
 //! [`mptcp_cc::RtoEstimator`], the copy the protocol endpoint runs too.
 
-// lint:hot-path — per-ACK state must stay on the bitmap scoreboards; the
-// B-tree reference model is test code in scoreboard_ref.rs.
-// lint:shard-state — subflow sender/receiver state is per-shard and moves
-// onto worker threads in the sharded engine; it must stay Send.
+// Per-ACK hot path and per-shard state (DESIGN.md §3.2d): a panic here
+// tears down every shard, a silent truncation forks the history.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 use crate::scoreboard::{BitRing, BitmapScoreboard, RingPool, MAX_CAP};
 use crate::time::SimTime;
@@ -451,8 +461,8 @@ impl SubflowSender {
     /// (`None` once the packet is cumulatively acknowledged or for
     /// never-sent sequences).
     pub fn dsn_of(&self, seq: u64) -> Option<u64> {
-        let idx = seq.checked_sub(self.meta_base)?;
-        self.meta.get(idx as usize).map(|m| m.dsn())
+        let idx = usize::try_from(seq.checked_sub(self.meta_base)?).ok()?;
+        self.meta.get(idx).map(|m| m.dsn())
     }
 
     /// Collect into `out` the outstanding `(seq, dsn)` pairs whose data has
@@ -466,7 +476,10 @@ impl SubflowSender {
             if self.board.sacked_contains(s) {
                 continue;
             }
-            let Some(m) = self.meta.get((s - self.meta_base) as usize) else { continue };
+            let Some(m) = usize::try_from(s - self.meta_base).ok().and_then(|i| self.meta.get(i))
+            else {
+                continue;
+            };
             if !m.data_acked() {
                 out.push((s, m.dsn()));
             }
@@ -477,7 +490,9 @@ impl SubflowSender {
     pub fn on_retransmit(&mut self, seq: u64, now: SimTime) {
         self.stats.retransmits += 1;
         if seq >= self.meta_base {
-            if let Some(m) = self.meta.get_mut((seq - self.meta_base) as usize) {
+            if let Some(m) =
+                usize::try_from(seq - self.meta_base).ok().and_then(|i| self.meta.get_mut(i))
+            {
                 m.sent_at = now;
                 m.dsn_flags |= SentMeta::RETRANSMITTED;
             }
@@ -517,8 +532,8 @@ impl SubflowSender {
             progressed = true;
             // RTT sample from the newest packet this ACK covers, if clean.
             if cum > self.meta_base {
-                let idx = (cum - 1 - self.meta_base) as usize;
-                if let Some(m) = self.meta.get(idx) {
+                let idx = usize::try_from(cum - 1 - self.meta_base).ok();
+                if let Some(m) = idx.and_then(|i| self.meta.get(i)) {
                     if !m.retransmitted() {
                         let sample = (now.saturating_sub(m.sent_at)).as_secs_f64();
                         if sample > 0.0 {
@@ -551,7 +566,8 @@ impl SubflowSender {
                 if self.board.sack_one(seq) {
                     self.sack_events += 1;
                     progressed = true;
-                    if let Some(m) = self.meta.get_mut((seq - self.meta_base) as usize) {
+                    let idx = usize::try_from(seq - self.meta_base).ok();
+                    if let Some(m) = idx.and_then(|i| self.meta.get_mut(i)) {
                         if !m.data_acked() {
                             m.dsn_flags |= SentMeta::DATA_ACKED;
                             newly_acked_dsns.push(m.dsn());
@@ -597,7 +613,8 @@ impl SubflowSender {
         // below it has at least DupThresh SACKed packets above. The length
         // guard just above guarantees it exists; if the scoreboard ever
         // disagrees, bail conservatively (mark nothing lost this round).
-        let Some(cutoff) = self.board.nth_highest_sacked(thresh as usize - 1) else {
+        let nth = usize::try_from(thresh).ok().and_then(|t| self.board.nth_highest_sacked(t - 1));
+        let Some(cutoff) = nth else {
             debug_assert!(false, "sacked_len() >= thresh guarantees a DupThresh-th highest");
             return false;
         };

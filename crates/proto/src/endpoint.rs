@@ -855,9 +855,12 @@ impl Endpoint {
             .options
             .iter()
             .any(|o| matches!(o, MptcpOption::MpCapable { .. }));
-        let join = seg.options.iter().find_map(|o| match o {
-            MptcpOption::MpJoin { token, backup } => Some((*token, *backup)),
-            _ => None,
+        let join = seg.options.iter().find_map(|o| {
+            if let MptcpOption::MpJoin { token, backup } = o {
+                Some((*token, *backup))
+            } else {
+                None
+            }
         });
         match self.role {
             Role::Server => {

@@ -42,6 +42,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// D3 (DESIGN.md §3.2d): no exact float equality in library code. Zero
+// guards are exempt; tests may assert exact values.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub mod endpoint;
 pub mod harness;

@@ -236,7 +236,9 @@ impl PathManager {
                 self.mark_echoed(addr_id, false);
                 None
             }
-            _ => None,
+            MptcpOption::MpCapable { .. }
+            | MptcpOption::MpJoin { .. }
+            | MptcpOption::Dss { .. } => None,
         }
     }
 

@@ -111,9 +111,12 @@ impl Segment {
 
     /// The DSS option of this segment, if present.
     pub fn dss(&self) -> Option<(Option<u64>, Option<u64>)> {
-        self.options.iter().find_map(|o| match o {
-            MptcpOption::Dss { data_seq, data_ack } => Some((*data_seq, *data_ack)),
-            _ => None,
+        self.options.iter().find_map(|o| {
+            if let MptcpOption::Dss { data_seq, data_ack } = o {
+                Some((*data_seq, *data_ack))
+            } else {
+                None
+            }
         })
     }
 

@@ -22,6 +22,11 @@
 //! the library's `#![forbid(unsafe_code)]`. Keep it to one `#[test]`: the
 //! count is per thread, but a second test would share the allocator.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the counter is per thread by design: `thread_local!` keeps other test threads' allocations out of the count"
+)]
+
 use mptcp_proto::{Endpoint, EndpointConfig, Micros, Wire, WireFault};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

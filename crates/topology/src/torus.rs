@@ -91,7 +91,6 @@ impl Torus {
     pub fn loss_ratio_a_over_c(&self, sim: &Simulator) -> f64 {
         let pa = sim.link_stats(self.links[Self::LINK_A]).loss_rate();
         let pc = sim.link_stats(self.links[Self::LINK_C]).loss_rate();
-        // lint:allow(float-ord, reason = "exact zero-guard: a zero measured loss rate makes the ratio undefined (NaN), not an ordering decision")
         if pc == 0.0 {
             f64::NAN
         } else {

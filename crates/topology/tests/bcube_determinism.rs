@@ -2,7 +2,7 @@
 //! across calls: the enumeration once flowed through a hash container, and
 //! `std`'s `RandomState` is seeded per process, so any hash-order
 //! dependence shows up exactly as a cross-process divergence (the
-//! Heisenbug class the `xtask lint` `unordered-iter` rule exists to kill).
+//! Heisenbug class clippy.toml's `HashMap`/`HashSet` ban exists to kill).
 //!
 //! The test re-executes itself as two child processes with different
 //! `RUST_MIN_STACK` values (each child also gets a fresh, independent

@@ -5,7 +5,7 @@ use mptcp_topology::{BCube, FatTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn link() -> LinkSpec {
     LinkSpec::mbps(100.0, SimTime::from_micros(10), 50)
@@ -34,10 +34,10 @@ proptest! {
         }
         let paths = ft.all_paths(src, dst);
         prop_assert!(!paths.is_empty());
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for p in &paths {
             prop_assert!(p.len() == 2 || p.len() == 4 || p.len() == 6, "bad length {p:?}");
-            let uniq: HashSet<_> = p.iter().collect();
+            let uniq: BTreeSet<_> = p.iter().collect();
             prop_assert_eq!(uniq.len(), p.len(), "loop in path");
             prop_assert!(seen.insert(p.clone()), "duplicate path");
             for &l in p {
@@ -73,7 +73,7 @@ proptest! {
         }
         let paths = bc.path_set(src, dst, &mut rng);
         prop_assert_eq!(paths.len(), levels + 1);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for p in &paths {
             prop_assert!(!p.is_empty());
             prop_assert_eq!(p.len() % 2, 0, "paths alternate up/down links");

@@ -271,7 +271,13 @@ mod tests {
                 FaultAction::SetLoss { .. } => "loss",
                 FaultAction::Down { .. } => "down",
                 FaultAction::Up { .. } => "up",
-                _ => "other",
+                FaultAction::Brownout { .. }
+                | FaultAction::RestoreRate { .. }
+                | FaultAction::ShrinkQueue { .. }
+                | FaultAction::RestoreQueue { .. }
+                | FaultAction::GilbertElliott { .. }
+                | FaultAction::AddrAdd { .. }
+                | FaultAction::AddrRemove { .. } => "other",
             })
             .collect();
         assert_eq!(kinds, ["rate", "loss", "rate", "down", "rate", "rate", "up"]);
@@ -331,7 +337,15 @@ mod tests {
                 .filter_map(|&(at, a)| match a {
                     FaultAction::Down { link } => Some((at, link, false)),
                     FaultAction::Up { link } => Some((at, link, true)),
-                    _ => None,
+                    FaultAction::SetRate { .. }
+                    | FaultAction::Brownout { .. }
+                    | FaultAction::RestoreRate { .. }
+                    | FaultAction::SetLoss { .. }
+                    | FaultAction::ShrinkQueue { .. }
+                    | FaultAction::RestoreQueue { .. }
+                    | FaultAction::GilbertElliott { .. }
+                    | FaultAction::AddrAdd { .. }
+                    | FaultAction::AddrRemove { .. } => None,
                 })
                 .collect()
         };

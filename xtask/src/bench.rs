@@ -158,7 +158,7 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord]) -> CompareOutc
             continue;
         };
         let cores = (b.get("host_cores"), c.get("host_cores"));
-        let cores_differ = matches!(cores, (Some(bc), Some(cc)) if bc != cc);
+        let cores_differ = matches!(cores, (Some(bc), Some(cc)) if bc.total_cmp(&cc).is_ne());
         for (key, bval) in &b.fields {
             let memory = is_memory_field(key);
             if (!is_throughput_field(key) && !memory) || *bval <= 0.0 {

@@ -1,36 +1,21 @@
 //! `cargo xtask` — workspace automation CLI.
 //!
 //! ```text
-//! cargo xtask lint                      # run the determinism & invariant lints
-//! cargo xtask lint --fix                # …and print mechanical rewrite suggestions
-//! cargo xtask lint --rules              # describe the rule set
 //! cargo xtask bench-check BASELINE.json # BENCH_sim.json perf-regression gate
 //! cargo xtask perf-table                # regenerate the README perf table
 //! ```
 //!
-//! Exit status: 0 when clean, 1 when any finding is reported, 2 on usage
-//! or I/O errors — so CI can treat the lint like `clippy -D warnings`.
+//! Exit status: 0 when clean, 1 on a regression (`--strict`) or a stale
+//! table (`--check`), 2 on usage or I/O errors. The determinism lints are
+//! `cargo clippy --workspace --all-targets -- -D warnings` (DESIGN.md
+//! §3.2d).
 
-use xtask::{
-    compare, find_workspace_root, findings_to_json, github_annotations, lint_workspace,
-    mechanical_fix, parse_bench, Finding, Rule,
-};
+use xtask::{compare, find_workspace_root, parse_bench};
 
-const USAGE: &str = "usage: cargo xtask lint [--fix] [--rules] [--format FMT] [PATH...]
-       cargo xtask bench-check BASELINE [CURRENT] [--threshold-pct N] [--strict]
+const USAGE: &str = "usage: cargo xtask bench-check BASELINE [CURRENT] [--threshold-pct N] [--strict]
        cargo xtask perf-table [--check]
 
 subcommands:
-  lint          run the determinism & invariant lint pass over the workspace
-    --fix       additionally print mechanical rewrite suggestions (no files
-                are modified)
-    --rules     print the rule set and the annotation grammar, then exit
-    --format FMT
-                output format: text (default), json (versioned findings
-                document for CI artifacts), github (::error workflow
-                commands for inline PR annotations)
-    PATH...     lint only these .rs files, under the strictest (sim library)
-                scope — used to try a file or a fixture in isolation
   bench-check   compare the throughput (events/ops per second, per-core) and
                 memory (peak RSS) fields of a freshly regenerated
                 BENCH_sim.json against a baseline copy
@@ -52,56 +37,6 @@ subcommands:
     --check     render without writing; exit 1 if README.md is stale
 ";
 
-const RULES: &str = "rules (DESIGN.md §3.2d — determinism policy):
-
-  unordered-iter   no HashMap/HashSet in simulation library code
-                   (crates/{core,netsim,proto,topology,workload}/src):
-                   hash iteration order is seeded per process.
-  wall-clock       no Instant::now / SystemTime / thread_rng / RandomState /
-                   DefaultHasher anywhere: the single audited entropy site
-                   is mptcp_netsim::perf::wall_clock().
-  float-ord        no .partial_cmp() call sites (use f64::total_cmp), no
-                   ==/!= against float literals, no f32 in sim library code.
-  digest-surface   every pub struct in a file marked `// lint:digest-surface`
-                   must implement DetDigest (impl_det_digest!), so its state
-                   feeds the chaos_smoke bit-identity digest.
-  hot-path         no BTreeSet/BTreeMap in a file marked `// lint:hot-path`:
-                   those files are the per-ACK path whose ordered-tree
-                   bookkeeping was replaced by rotating bitmap scoreboards.
-  shard-safety     no Rc/RefCell/thread_local! in a file marked
-                   `// lint:shard-state`: that state moves onto worker
-                   threads in the sharded engine and must stay Send.
-  panic-free       no .unwrap()/.expect() or panic!/unreachable!/todo!/
-                   unimplemented! in lint:hot-path / lint:shard-state files,
-                   and no slice indexing in lint:hot-path files: a panic on
-                   the per-ACK path tears down the whole simulation.
-                   assert!/debug_assert! stay legal; #[cfg(test)] is exempt.
-  exhaustive-match no _ or binding wildcard arms in matches over enums
-                   marked `// lint:exhaustive` (AlgorithmKind, FaultAction,
-                   CcDriver, Rule): new variants must fail to compile at
-                   every dispatch site. Test code is exempt.
-  cast-audit       no narrowing `as` casts (u8/u16/u32/i8/i16/i32) and no
-                   float-sourced `as`-to-integer casts in lint:hot-path /
-                   lint:shard-state files: route through the checked
-                   helpers in crates/netsim/src/cast.rs.
-  hot-alloc        no Box::new / vec! / .to_vec() / .clone() in
-                   lint:hot-path files: the per-ACK path stays
-                   allocation-free via arena/pool recycling (flow_churn
-                   asserts hot_allocs is flat); creation-time and
-                   counted-growth sites carry explicit allows.
-                   #[cfg(test)] is exempt.
-
-meta (not annotatable):
-
-  bad-annotation   a lint: annotation that is malformed, names an unknown
-                   rule, or has an empty reason.
-  unused-allow     a lint:allow that suppresses nothing.
-
-annotation grammar, on the offending line or alone on the line above it:
-
-  // lint:allow(<rule>, reason = \"<non-empty explanation>\")
-";
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = run(&args);
@@ -109,125 +44,21 @@ fn main() {
 }
 
 fn run(args: &[String]) -> i32 {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("lint") => {}
-        Some("bench-check") => {
-            return bench_check(&args[1..]);
-        }
-        Some("perf-table") => {
-            return perf_table(&args[1..]);
-        }
-        Some("-h") | Some("--help") | None => {
+    match args.first().map(String::as_str) {
+        Some("bench-check") => bench_check(&args[1..]),
+        Some("perf-table") => perf_table(&args[1..]),
+        Some("-h" | "--help") => {
             print!("{USAGE}");
-            return if args.is_empty() { 2 } else { 0 };
+            0
+        }
+        None => {
+            print!("{USAGE}");
+            2
         }
         Some(other) => {
             eprintln!("unknown subcommand `{other}`\n{USAGE}");
-            return 2;
+            2
         }
-    }
-    let mut fix = false;
-    let mut format = Format::Text;
-    let mut paths: Vec<String> = Vec::new();
-    while let Some(flag) = it.next() {
-        match flag {
-            "--fix" => fix = true,
-            "--rules" => {
-                print!("{RULES}");
-                return 0;
-            }
-            "--format" => {
-                format = match it.next() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("github") => Format::Github,
-                    Some(other) => {
-                        eprintln!("unknown format `{other}` (text, json, github)\n{USAGE}");
-                        return 2;
-                    }
-                    None => {
-                        eprintln!("--format needs a value (text, json, github)\n{USAGE}");
-                        return 2;
-                    }
-                };
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                return 2;
-            }
-            path => paths.push(path.to_string()),
-        }
-    }
-
-    if !paths.is_empty() {
-        return lint_paths(&paths, fix, format);
-    }
-
-    let cwd = match std::env::current_dir() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("xtask: cannot read current directory: {e}");
-            return 2;
-        }
-    };
-    let root = find_workspace_root(&cwd)
-        .or_else(|| find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR"))))
-        .unwrap_or_else(|| {
-            eprintln!("xtask: no workspace root found above {}", cwd.display());
-            std::process::exit(2);
-        });
-
-    let findings = match lint_workspace(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("xtask: I/O error while linting: {e}");
-            return 2;
-        }
-    };
-    emit(&findings, format, fix, "workspace clean (0 findings)")
-}
-
-/// Output format for lint findings.
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Github,
-}
-
-/// Print findings in the selected format; the exit code is the CI
-/// contract (0 clean, 1 findings) in every format.
-fn emit(findings: &[Finding], format: Format, fix: bool, clean_msg: &str) -> i32 {
-    match format {
-        Format::Json => {
-            // Machine output only — a clean run emits an empty document.
-            print!("{}", findings_to_json(findings));
-        }
-        Format::Github => {
-            print!("{}", github_annotations(findings));
-            if findings.is_empty() {
-                println!("xtask lint: {clean_msg}");
-            } else {
-                println!("xtask lint: {} finding(s): {}", findings.len(), summarize(findings));
-            }
-        }
-        Format::Text => {
-            if findings.is_empty() {
-                println!("xtask lint: {clean_msg}");
-            } else {
-                for f in findings {
-                    print_finding(f, fix);
-                }
-                println!("xtask lint: {} finding(s): {}", findings.len(), summarize(findings));
-                println!("  (run `cargo xtask lint --rules` for the policy, `--fix` for rewrite suggestions)");
-            }
-        }
-    }
-    if findings.is_empty() {
-        0
-    } else {
-        1
     }
 }
 
@@ -415,53 +246,4 @@ fn perf_table(args: &[String]) -> i32 {
     }
     println!("xtask perf-table: rewrote the generated table in README.md");
     0
-}
-
-/// Lint explicitly-given files as one group, under the strictest scope.
-fn lint_paths(paths: &[String], fix: bool, format: Format) -> i32 {
-    let mut files = Vec::new();
-    for p in paths {
-        let source = match std::fs::read_to_string(p) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xtask: {p}: {e}");
-                return 2;
-            }
-        };
-        files.push(xtask::FileInput { path: p.into(), source, scope: xtask::Scope::Sim });
-    }
-    let findings = xtask::lint_group(&files);
-    emit(&findings, format, fix, &format!("{} file(s) clean", files.len()))
-}
-
-fn print_finding(f: &Finding, fix: bool) {
-    println!("error[{}]: {}:{}", f.rule.name(), f.path.display(), f.line);
-    println!("  {}", f.message);
-    if !f.snippet.is_empty() {
-        println!("  --> {}", f.snippet);
-    }
-    println!("  = help: {}", f.suggestion);
-    if fix {
-        if let Some((before, after)) = mechanical_fix(f) {
-            println!("  = fix:");
-            println!("    - {before}");
-            println!("    + {after}");
-        }
-    }
-    println!();
-}
-
-fn summarize(findings: &[Finding]) -> String {
-    let mut counts: Vec<(Rule, usize)> = Vec::new();
-    for f in findings {
-        match counts.iter_mut().find(|(r, _)| *r == f.rule) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((f.rule, 1)),
-        }
-    }
-    counts
-        .iter()
-        .map(|(r, n)| format!("{} x{}", r.name(), n))
-        .collect::<Vec<_>>()
-        .join(", ")
 }

@@ -1,9 +1,6 @@
-//! Bad fixture: D9 `cast-audit`.
-//! A marked shard-state file full of silent truncation: narrowing `as`
-//! casts (usize→u32, u64→u8, usize→i32) and a float→integer `as` — four
-//! findings, each a way a clipped value corrupts deterministic state.
-
-// lint:shard-state — pretend per-shard slab bookkeeping.
+//! Bad fixture: D9, under the `#![deny(…)]` header of each real per-ACK
+//! and shard-state file: narrowing casts (usize→u32, u64→u8, usize→i32)
+//! and a float→integer cast, each a silently clipped value.
 
 pub struct Slab {
     entries: Vec<u64>,

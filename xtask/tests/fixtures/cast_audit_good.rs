@@ -1,9 +1,6 @@
-//! Good fixture: D9 `cast-audit`.
-//! The same marked shard-state work done honestly: widening `as` casts
-//! (always lossless), `From`/`TryFrom` conversions, and one reasoned
-//! allow where truncation is the documented semantics.
-
-// lint:shard-state — pretend per-shard slab bookkeeping.
+//! Good fixture: D9, under `sim.rs`'s header. The same slab work done
+//! honestly: widening conversions, `From`/`TryFrom`, and one reasoned
+//! expectation where truncation is the documented semantics.
 
 pub struct Slab {
     entries: Vec<u64>,
@@ -11,19 +8,18 @@ pub struct Slab {
 
 impl Slab {
     pub fn id_of(&self, idx: u32) -> u64 {
-        u64::from(idx)
+        u64::from(idx) + self.entries.len() as u64
     }
 
     pub fn hop_count(&self, raw: u64) -> Option<u8> {
         u8::try_from(raw).ok()
     }
 
-    pub fn slot_seq(&self, idx: usize) -> u64 {
-        idx as u64
-    }
-
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "truncation IS the semantics: the wire format stores only the low 8 bits of the rolling checksum"
+    )]
     pub fn checksum_low_byte(&self, sum: u64) -> u8 {
-        // lint:allow(cast-audit, reason = "truncation IS the semantics: the wire format stores only the low 8 bits of the rolling checksum")
         sum as u8
     }
 }

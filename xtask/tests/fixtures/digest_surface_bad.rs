@@ -1,7 +1,6 @@
-//! Deliberately-bad fixture: D4 `digest-surface`.
-//! A marked sim-state file with a pub struct that never implements
-//! `DetDigest`: its fields silently escape the chaos_smoke bit-identity
-//! digest, so a nondeterminism bug in them would go unnoticed.
+//! Bad fixture: D4 (the line-level digest-surface check). A marked file
+//! with a pub struct that never implements `DetDigest`: its fields escape
+//! the chaos_smoke digest, so a nondeterminism bug in them goes unnoticed.
 
 // lint:digest-surface
 

@@ -1,7 +1,6 @@
-//! Good fixture: D4 `digest-surface`.
-//! Every pub struct in this marked file either implements `DetDigest`
-//! (via the exhaustive-destructuring macro) or is annotated as pure
-//! configuration that cannot drift at runtime.
+//! Good fixture: D4 (the line-level digest-surface check). Every pub
+//! struct in this marked file implements `DetDigest` through the
+//! exhaustive-destructuring macro.
 
 // lint:digest-surface
 
@@ -14,7 +13,9 @@ pub struct ReinjectStats {
 
 impl_det_digest!(ReinjectStats { attempted, succeeded } skip { wall_secs });
 
-// lint:allow(digest-surface, reason = "pure input configuration, set before the run and never mutated; cannot carry nondeterminism")
+/// Sim-visible configuration: digested too.
 pub struct ReinjectConfig {
     pub max_attempts: u32,
 }
+
+crate::impl_det_digest!(ReinjectConfig { max_attempts });

@@ -1,10 +1,7 @@
-//! Bad fixture: D8 `exhaustive-match`.
-//! A `lint:exhaustive` enum matched twice with wildcard arms — once with
-//! `_`, once with a lowercase binding — so adding a variant would be
-//! silently absorbed in both places instead of failing to compile.
+//! Bad fixture: D8, `wildcard_enum_match_arm` from `[workspace.lints]`: a
+//! `_` arm and a binding arm, each silently absorbing a new variant.
 
 /// Which congestion controller drives a subflow.
-// lint:exhaustive
 #[derive(Clone, Copy, Debug)]
 pub enum Driver {
     Pure,
@@ -21,9 +18,9 @@ pub fn short_name(d: Driver) -> &'static str {
     }
 }
 
-pub fn is_coupled(d: Driver) -> bool {
+pub fn gain(d: Driver) -> f64 {
     match d {
-        Driver::Pure => false,
-        other => matches!(other, Driver::Olia | Driver::Wvegas),
+        Driver::Pure => 1.0,
+        other => f64::from(u8::from(matches!(other, Driver::Olia | Driver::Wvegas))),
     }
 }

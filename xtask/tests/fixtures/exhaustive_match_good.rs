@@ -1,11 +1,8 @@
-//! Good fixture: D8 `exhaustive-match`.
-//! The same `lint:exhaustive` enum matched exhaustively (including via
-//! `Self::` paths), a wildcard over an *unmarked* type (fine — the rule
-//! is opt-in per enum), and one reasoned allow where a wildcard really is
-//! the intent.
+//! Good fixture: D8. Enums matched exhaustively (including via `Self::`
+//! paths), a wildcard over an integer (not an enum: the only total form),
+//! and one reasoned expectation where a wildcard really is the intent.
 
 /// Which congestion controller drives a subflow.
-// lint:exhaustive
 #[derive(Clone, Copy, Debug)]
 pub enum Driver {
     Pure,
@@ -24,18 +21,21 @@ impl Driver {
     }
 }
 
-pub fn rto_or_default(srtt: Option<f64>) -> f64 {
-    // `Option` is not marked `lint:exhaustive`; wildcards stay legal.
-    match srtt {
-        Some(s) => s * 2.0,
-        _ => 1.0,
+pub fn ack_kind(raw: u8) -> &'static str {
+    match raw {
+        0 => "cum",
+        1 => "sack",
+        _ => "other",
     }
 }
 
-pub fn is_window_based(d: Driver) -> bool {
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "every present and future driver except the delay-based wVegas is window-based; a new delay-based one must opt out here explicitly"
+)]
+pub fn window_weight(d: Driver) -> f64 {
     match d {
-        Driver::Wvegas => false,
-        // lint:allow(exhaustive-match, reason = "every present and future driver except the delay-based wVegas is window-based; a new delay-based one must opt out here explicitly")
-        _ => true,
+        Driver::Wvegas => 0.5,
+        _ => 1.0,
     }
 }

@@ -1,9 +1,8 @@
-//! Deliberately-bad fixture: D3 `float-ord`.
-//! Partial float orderings and exact float equality feeding event order /
-//! window arithmetic: NaN panics the unwrap, and `==` against a computed
-//! value flips with rounding.
+//! Bad fixture: D3. Exact float equality (`float_cmp`, the library crates'
+//! header), `f32` (`disallowed_types`), and a partial ordering that panics
+//! on NaN (the line-level `.partial_cmp(` check).
 
-pub fn rank_windows(ws: &mut Vec<f64>) {
+pub fn rank_windows(ws: &mut [f64]) {
     ws.sort_by(|a, b| a.partial_cmp(b).unwrap()); // panics on NaN
 }
 

@@ -1,9 +1,8 @@
-//! Good fixture: D3 `float-ord`.
-//! Total orderings (`total_cmp`), tolerance comparisons, and one annotated
-//! exact zero-guard.
+//! Good fixture: D3. Total orderings (`total_cmp`), tolerance
+//! comparisons, and an exact zero-guard, which `float_cmp` exempts.
 
 pub fn rank_windows(ws: &mut [f64]) {
-    ws.sort_by(|a, b| a.total_cmp(b)); // IEEE 754 total order, NaN-safe
+    ws.sort_by(f64::total_cmp); // IEEE 754 total order, NaN-safe
 }
 
 pub fn is_saturated(cwnd: f64, limit: f64) -> bool {
@@ -11,7 +10,6 @@ pub fn is_saturated(cwnd: f64, limit: f64) -> bool {
 }
 
 pub fn mean_rate(bytes: f64, secs: f64) -> f64 {
-    // lint:allow(float-ord, reason = "exact zero-guard against division by zero; no ordering depends on it")
     if secs == 0.0 {
         return 0.0;
     }

@@ -1,9 +1,6 @@
-//! Bad fixture: D7 `panic-free`.
-//! A marked hot-path file committing every sin the rule knows: `unwrap`,
-//! `expect`, `panic!`, `unreachable!`, and bare slice indexing — five
-//! findings, one per panic route onto the per-ACK path.
-
-// lint:hot-path — pretend per-ACK bookkeeping.
+//! Bad fixture: D7, under the `#![deny(…)]` header of each real per-ACK
+//! and shard-state file: `unwrap`, `expect`, `panic!`, `unreachable!` and
+//! slice indexing (denied on the per-ACK path only).
 
 pub struct Board {
     words: Vec<u64>,

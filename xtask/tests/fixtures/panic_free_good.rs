@@ -1,10 +1,7 @@
-//! Good fixture: D7 `panic-free`.
-//! A marked hot-path file doing the same work with non-panicking forms,
-//! one reasoned allow where the invariant genuinely wants a loud failure,
-//! free use of `debug_assert!`, and a `#[cfg(test)]` module where `unwrap`
-//! is idiomatic and exempt.
-
-// lint:hot-path — pretend per-ACK bookkeeping.
+//! Good fixture: D7, under `tcp.rs`'s header. The same work with
+//! non-panicking forms, one reasoned expectation where the invariant wants
+//! a loud failure, free use of `debug_assert!`, and a test module where
+//! `unwrap` is idiomatic (clippy.toml's `allow-unwrap-in-tests`).
 
 pub struct Board {
     words: Vec<u64>,
@@ -25,8 +22,11 @@ impl Board {
         self.words.get(w).copied().unwrap_or(0)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "w is masked to words.len() by every caller; a miss is a broken ring invariant and must fail loudly"
+    )]
     pub fn word_mut(&mut self, w: usize) -> &mut u64 {
-        // lint:allow(panic-free, reason = "w is masked to words.len() by every caller; a miss is a broken ring invariant and must fail loudly")
         &mut self.words[w]
     }
 }
@@ -39,5 +39,6 @@ mod tests {
     fn cutoff_reads_the_first_rank() {
         let b = Board { words: vec![0; 4], srtt: None };
         assert_eq!(b.cutoff(&[7, 3]).unwrap(), 7);
+        assert_eq!(b.words[0], 0);
     }
 }

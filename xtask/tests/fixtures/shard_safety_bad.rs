@@ -1,16 +1,12 @@
-//! Deliberately-bad fixture: D6 `shard-safety`.
-//! Non-`Send` shared-ownership cells and a thread-pinned static in a file
-//! declaring itself shard state — exactly what would either fail the
-//! `std::thread::scope` build or smuggle thread-identity into the
-//! deterministic history once the shard moves onto a worker thread.
-
-// lint:shard-state — this file models per-shard simulator state.
+//! Bad fixture: D6, clippy.toml's `Rc`/`RefCell` and `thread_local!` bans
+//! (`disallowed_types`, `disallowed_macros`): shard state that cannot move
+//! onto a worker thread, or that smuggles thread identity into the history.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 thread_local! {
-    static EVENTS_SEEN: RefCell<u64> = RefCell::new(0);
+    static EVENTS_SEEN: RefCell<u64> = const { RefCell::new(0) };
 }
 
 pub struct FlowTable {

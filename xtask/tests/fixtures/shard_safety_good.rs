@@ -1,11 +1,6 @@
-//! Good fixture: D6 `shard-safety`.
-//! A marked shard-state file that owns its hot state directly (plain
-//! fields and `Vec` arenas are `Send` for free) and shares the read-only
-//! routing table as an `Arc`, plus one annotated `Rc` that provably never
-//! crosses a thread — the escape hatch in action. An Rc mentioned only in
-//! prose like this line is fine: comments are not code.
-
-// lint:shard-state — per-shard simulator state.
+//! Good fixture: D6. Shard state owned directly, the read-only routing
+//! table shared as an `Arc`, and one `Rc` that provably never crosses a
+//! thread, behind a reasoned expectation.
 
 use std::sync::Arc;
 
@@ -22,8 +17,11 @@ impl Shard {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "single-threaded debug helper, never handed to a worker"
+)]
 pub fn debug_snapshot(shard: &Shard) -> u64 {
-    // lint:allow(shard-safety, reason = "single-threaded debug helper, never handed to a worker")
     let view: std::rc::Rc<u64> = std::rc::Rc::new(shard.now_nanos);
     *view
 }

@@ -1,7 +1,6 @@
-//! Deliberately-bad fixture: D1 `unordered-iter`.
-//! Hash containers in simulation library code — iteration order is a
-//! function of the per-process `RandomState` seed, so folding one into an
-//! ordered sink (the Vec below) diverges across processes.
+//! Bad fixture: D1, clippy.toml's `HashMap`/`HashSet` ban
+//! (`disallowed_types`). Hash order depends on the per-process seed, so
+//! folding it into an ordered sink (the Vec below) diverges across runs.
 
 use std::collections::{HashMap, HashSet};
 
@@ -12,7 +11,7 @@ pub fn per_link_totals(samples: &[(usize, u64)]) -> Vec<(usize, u64)> {
     }
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    for (link, bytes) in totals.iter() {
+    for (link, bytes) in &totals {
         if seen.insert(*link) {
             out.push((*link, *bytes)); // hash order escapes into the Vec
         }

@@ -1,15 +1,16 @@
-//! Deliberately-bad fixture: D2 `wall-clock`.
-//! Host-clock and OS-entropy reads inside simulation logic: the run is no
-//! longer a pure function of the seed.
+//! Bad fixture: D2, clippy.toml's host-clock and entropy bans
+//! (`disallowed_methods`, `disallowed_types`). Simulation logic that reads
+//! them is no longer a pure function of the seed.
+
+use std::hash::{BuildHasher, DefaultHasher, RandomState};
 
 pub fn jittered_deadline(base_ns: u64) -> u64 {
     let t = std::time::Instant::now(); // host clock in sim logic
     let wall = std::time::SystemTime::now(); // ditto, non-monotonic too
-    let mut rng = rand::thread_rng(); // OS-seeded entropy
     let _ = (t, wall);
-    base_ns + rng.gen_range(0..100)
+    base_ns + RandomState::new().hash_one(base_ns) % 100 // per-process seed
 }
 
-pub fn seeded_state() -> RandomState {
-    RandomState::new() // per-process hasher seed
+pub fn fresh_hasher() -> DefaultHasher {
+    DefaultHasher::new() // hides a per-process RandomState
 }
