@@ -25,7 +25,7 @@
 //! and peak RSS, all gated by `cargo xtask bench-check`.
 
 use mptcp_bench::datacenter::dc_link;
-use mptcp_bench::report::{host_cores, merge_bench_sim, Record};
+use mptcp_bench::report::{host_cores, merge_bench_sim, peak_rss_bytes, Record};
 use mptcp_bench::{banner, f1, f2, quick_factor, quick_mode, Table};
 use mptcp_cc::AlgorithmKind;
 use mptcp_netsim::{ConnectionSpec, ShardedSimulator, SimTime};
@@ -33,15 +33,6 @@ use mptcp_topology::FatTree;
 use mptcp_workload::ChurnSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The process's peak resident set size in bytes (`VmHWM`); `None` off
-/// Linux.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
 
 fn main() {
     banner("FLOW_CHURN", "100k+ concurrent short flows: arena recycling keeps churn allocation-free");

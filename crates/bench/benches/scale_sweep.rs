@@ -29,20 +29,10 @@
 //! largest world built so far.
 
 use mptcp_bench::datacenter::{run_fattree, run_fattree_sharded, Routing, Tp};
-use mptcp_bench::report::{merge_bench_sim, Record};
+use mptcp_bench::report::{merge_bench_sim, peak_rss_bytes, Record};
 use mptcp_bench::{banner, f1, f2, quick_mode, scaled, Table};
 use mptcp_cc::AlgorithmKind;
 use mptcp_netsim::SimTime;
-
-/// The process's peak resident set size in bytes (`VmHWM`), or `None` off
-/// Linux or if the field is missing — the record then carries 0 and the
-/// table a dash, rather than failing the bench.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
 
 const MPTCP8: Routing = Routing::Multipath(AlgorithmKind::Mptcp, 8);
 

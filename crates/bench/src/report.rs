@@ -117,6 +117,16 @@ pub fn host_cores() -> u64 {
     std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
 }
 
+/// The process's peak resident set size in bytes (`VmHWM`), or `None` off
+/// Linux or if the field is missing — a record then carries 0 and a table
+/// a dash, rather than failing the bench.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Where `BENCH_sim.json` lives: the workspace root.
 pub fn bench_sim_path() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json"))

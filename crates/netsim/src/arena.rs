@@ -21,10 +21,6 @@
 //!   indices are *stable for the lifetime of the world*. The TCP params
 //!   that re-arm a recycled sender are the connection's, passed to
 //!   [`FlowArena::acquire_hot`].
-//! * **Routes** — a standalone simulator's [`LinkPath`] per cold row, in a
-//!   column of its own and as stable, so straggler packets still in link
-//!   queues keep routing after the owning flow's hot window was recycled.
-//!   A shard leaves it empty: sharded routing reads the world map.
 //! * **A pooled ring allocator** — when no free window of a compatible
 //!   shape exists, smaller free windows are cannibalized: their
 //!   scoreboard/reassembly bitmap storage is gutted into a [`RingPool`]
@@ -32,7 +28,7 @@
 //!   of allocating fresh ones.
 //!
 //! The arena is purely a storage layout: simulation *behavior* is
-//! unchanged, which `sim.rs`'s lifecycle differential proptest and the
+//! unchanged, which `conn.rs`'s lifecycle differential proptest and the
 //! committed `chaos_smoke` digest pin down.
 
 // Per-shard slab storage (DESIGN.md §3.2d): panic-free and cast-audited
@@ -51,7 +47,6 @@
     clippy::cast_possible_wrap
 )]
 
-use crate::link::LinkPath;
 use crate::mem::{vec_bytes, MemBytes};
 use crate::scoreboard::{ring_hints, RingPool};
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
@@ -70,7 +65,7 @@ pub(crate) const NOT_RESIDENT: u32 = u32::MAX;
 #[derive(Debug)]
 pub(crate) struct ColdSubflow {
     /// Fixed delay from delivery at the destination to the ACK reaching
-    /// the sender (reverse propagation + any extra RTT).
+    /// the sender (the path's reverse propagation delay).
     pub(crate) ack_delay: SimTime,
     /// RTT hint handed to a (re)initialized sender.
     pub(crate) rtt_hint: f64,
@@ -102,10 +97,6 @@ pub(crate) struct FlowArena {
     pub(crate) gen: Vec<u32>,
     /// Cold rows, indexed by the stable `sub_base` space.
     pub(crate) cold: Vec<ColdSubflow>,
-    /// Forward routes, indexed like `cold` (standalone only: a shard
-    /// routes by the world map and leaves this empty). Looked up per hop
-    /// by packets, stragglers of retired flows included.
-    pub(crate) routes: Vec<LinkPath>,
     /// Free hot windows keyed by `(window size, envelope class)`: the
     /// class is the `⌈log2⌉` of the smallest warmed per-packet-metadata
     /// capacity across the window's lanes (see
@@ -145,7 +136,7 @@ impl FlowArena {
     }
 
     /// Add the arena's bytes to `m`: hot columns and free lists, the rings
-    /// and send metadata behind them, cold rows, routes and the ring pool.
+    /// and send metadata behind them, cold rows and the ring pool.
     pub(crate) fn mem_bytes(&self, m: &mut MemBytes) {
         m.hot += vec_bytes(&self.tx)
             + vec_bytes(&self.rx)
@@ -164,14 +155,7 @@ impl FlowArena {
         }
         m.rings += self.rx.iter().map(SubflowReceiver::heap_bytes).sum::<u64>();
         m.cold += vec_bytes(&self.cold);
-        m.routes += vec_bytes(&self.routes) + self.routes.iter().map(LinkPath::heap_bytes).sum::<u64>();
         m.ring_pool += self.pool.heap_bytes();
-    }
-
-    /// Append one cold row; returns its stable index.
-    pub(crate) fn push_cold(&mut self, row: ColdSubflow) -> usize {
-        self.cold.push(row);
-        self.cold.len() - 1
     }
 
     /// Acquire a hot window of `n` slots for the subflows whose cold rows
@@ -328,7 +312,7 @@ mod tests {
     fn arena_with_cold(n: usize) -> FlowArena {
         let mut a = FlowArena::default();
         for _ in 0..n {
-            a.push_cold(ColdSubflow {
+            a.cold.push(ColdSubflow {
                 ack_delay: SimTime::from_millis(10),
                 rtt_hint: 0.02,
                 sent_pkts: 0,

@@ -81,7 +81,7 @@ pub(crate) struct CbrSource {
 
 impl CbrSource {
     pub fn new(spec: CbrSpec) -> Self {
-        let path = LinkPath::from(spec.path.clone());
+        let path = LinkPath::from(&spec.path[..]);
         Self { spec, path, on: false, gen: 0, sent: 0, delivered: 0 }
     }
 }

@@ -71,6 +71,7 @@
 mod arena;
 mod cast;
 mod cbr;
+mod conn;
 mod event;
 mod fault;
 mod link;
@@ -90,6 +91,7 @@ mod trace;
 mod wheel;
 
 pub use cbr::{CbrId, CbrSpec};
+pub use conn::{ConnectionSpec, SubflowSpec};
 pub use event::{queue_churn, QueueBackend};
 pub use fault::{FaultAction, FaultPlan, GeParams};
 pub use link::{LinkId, LinkSpec, LinkStats};
@@ -104,7 +106,7 @@ pub use probe::{
 };
 pub use scoreboard::{scoreboard_churn, ScoreboardKind};
 pub use shard::ShardedSimulator;
-pub use sim::{ConnId, ConnectionSpec, Simulator, SubflowSpec};
+pub use sim::{ConnId, Simulator};
 pub use stats::{ConnectionStats, SubflowStats};
 pub use tcp::TcpParams;
 pub use time::SimTime;

@@ -26,7 +26,7 @@ pub type LinkId = usize;
 const INLINE_PATH: usize = 8;
 
 /// A route: the links a packet traverses in order. Stored inline for up to
-/// [`INLINE_PATH`] hops so the per-packet `path[hop]` lookup on the
+/// [`INLINE_PATH`] hops so the per-hop link lookup on the
 /// simulator's hot path touches no separately-allocated buffer.
 #[derive(Debug, Clone)]
 pub(crate) enum LinkPath {
@@ -36,14 +36,14 @@ pub(crate) enum LinkPath {
     Heap(Vec<LinkId>),
 }
 
-impl From<Vec<LinkId>> for LinkPath {
-    fn from(v: Vec<LinkId>) -> Self {
+impl From<&[LinkId]> for LinkPath {
+    fn from(v: &[LinkId]) -> Self {
         if v.len() <= INLINE_PATH {
             let mut ids = [0; INLINE_PATH];
-            ids[..v.len()].copy_from_slice(&v);
+            ids[..v.len()].copy_from_slice(v);
             LinkPath::Inline { len: crate::cast::path_u8(v.len()), ids }
         } else {
-            LinkPath::Heap(v)
+            LinkPath::Heap(v.to_vec())
         }
     }
 }
@@ -56,23 +56,12 @@ impl LinkPath {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
     /// Heap bytes of a spilled route (none when inline).
     pub fn heap_bytes(&self) -> u64 {
         match self {
             LinkPath::Inline { .. } => 0,
             LinkPath::Heap(v) => crate::mem::vec_bytes(v),
         }
-    }
-}
-
-impl std::ops::Index<usize> for LinkPath {
-    type Output = LinkId;
-    fn index(&self, i: usize) -> &LinkId {
-        &self.as_slice()[i]
     }
 }
 

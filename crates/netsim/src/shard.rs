@@ -39,12 +39,13 @@
 //! ([`ShardedSimulator::det_digest`]), gated by `chaos_smoke` and the
 //! `shard_determinism` proptest.
 
+use crate::conn::{ConnectionSpec, SubflowSpec};
 use crate::fault::FaultPlan;
 use crate::link::{LinkId, LinkSpec, LinkStats};
 use crate::mem::{vec_bytes, MemBytes};
 use crate::packet::Packet;
 use crate::perf::SimPerf;
-use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowSpec};
+use crate::sim::{ConnId, ShardCtx, Simulator};
 use crate::stats::ConnectionStats;
 use crate::time::SimTime;
 use mptcp_cc::{DetDigest, DigestWriter};
@@ -298,7 +299,7 @@ impl ShardedSimulator {
             crate::cast::slab_u32(local),
             &self.link_specs,
         );
-        let added = shard.add_connection_sharded(spec, gid, &delays);
+        let added = shard.admit(spec, gid, &delays);
         debug_assert_eq!(added, local);
         gid
     }

@@ -143,18 +143,6 @@ impl ConnectionStats {
         self.subflows.iter().map(|s| s.delivered_pkts).sum()
     }
 
-    /// Data-level goodput in bits/s from start to `now` (or completion):
-    /// distinct data packets delivered, so reinjected duplicates are not
-    /// double-counted the way per-subflow `delivered_pkts` would.
-    pub fn data_throughput_bps(&self, now: SimTime) -> f64 {
-        let end = self.finished_at.unwrap_or(now);
-        let secs = end.saturating_sub(self.started_at).as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.data_delivered as f64 * self.packet_size as f64 * 8.0 / secs
-    }
-
     /// Goodput in bits/s measured from connection start to `now` (or to
     /// completion for a finished finite flow).
     pub fn throughput_bps(&self, now: SimTime) -> f64 {

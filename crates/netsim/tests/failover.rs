@@ -7,8 +7,8 @@
 
 use mptcp_cc::AlgorithmKind;
 use mptcp_netsim::{
-    ConnectionSpec, FaultPlan, LinkSpec, ProbeSpec, ShardedSimulator, SimTime, Simulator,
-    TcpParams, TransitionKind,
+    ConnectionSpec, ConnectionStats, DetDigest, FaultPlan, LinkSpec, ProbeSpec, ShardedSimulator,
+    SimTime, Simulator, TcpParams, TransitionKind,
 };
 
 fn ms(v: u64) -> SimTime {
@@ -132,6 +132,60 @@ fn closing_all_subflows_parks_the_connection() {
     assert!(end.finished_at.is_some(), "rejoin must revive the transfer: {end:?}");
     assert!(end.data_delivered > frozen);
     assert_eq!(end.data_acked, 50_000);
+}
+
+/// Address signals aimed at a flow that holds no hot window — under flow
+/// lifecycle, one not started yet or one already retired — change only
+/// its cold rows and counters. Flow `a` starts with subflow 1 closed (the
+/// pre-start ADD_ADDR names the open subflow 0, so it only counts); flow
+/// `b` sees its subflow 1 closed and reopened before it starts. Both
+/// retire long before the second round of signals, which must change
+/// nothing: a retired flow's window may belong to another flow by then.
+#[test]
+fn addr_signals_to_a_flow_without_a_hot_window() {
+    let mut sim = Simulator::new(5);
+    sim.set_flow_lifecycle(true);
+    let l1 = sim.add_link(LinkSpec::mbps(10.0, ms(10), 25));
+    let l2 = sim.add_link(LinkSpec::mbps(10.0, ms(15), 25));
+    let sized = |start| {
+        ConnectionSpec::sized(AlgorithmKind::Mptcp, 300).path(vec![l1]).path(vec![l2]).start(start)
+    };
+    let a = sim.add_connection(sized(SimTime::from_secs(1)));
+    let b = sim.add_connection(sized(SimTime::from_secs(2)));
+    let (pre, late) = (ms(500), SimTime::from_secs(30));
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .addr_remove(pre, l2, a, 1)
+            .addr_add(pre, l1, a, 0)
+            .addr_remove(pre, l2, b, 1)
+            .addr_add(pre, l2, b, 1)
+            .addr_remove(late, l1, a, 0)
+            .addr_add(late, l2, a, 1)
+            .addr_remove(late, l2, b, 1)
+            .addr_add(late, l2, b, 1),
+    );
+    sim.run_until(SimTime::from_secs(10));
+    let (a_done, b_done) = (sim.connection_stats(a), sim.connection_stats(b));
+    sim.run_until(SimTime::from_secs(40));
+    assert_eq!(sim.perf().faults_applied, 8);
+    let (a_end, b_end) = (sim.connection_stats(a), sim.connection_stats(b));
+    assert_eq!(a_end.digest_value(), a_done.digest_value(), "signals to retired a changed it");
+    assert_eq!(b_end.digest_value(), b_done.digest_value(), "signals to retired b changed it");
+
+    let counters = |st: &ConnectionStats| {
+        (st.subflows_closed, st.subflows_joined, st.addr_advertised)
+    };
+    assert_eq!(counters(&a_end), (1, 0, 1));
+    assert_eq!(counters(&b_end), (1, 1, 1));
+    for st in [&a_end, &b_end] {
+        assert!(st.finished_at.is_some_and(|t| t < SimTime::from_secs(10)), "{st:?}");
+        assert_eq!((st.data_delivered, st.data_acked, st.dup_data_arrivals), (300, 300, 0));
+    }
+    assert!(a_end.subflows[1].closed, "a's subflow 1 never reopened");
+    assert_eq!(a_end.subflows[1].sent_pkts, 0, "a closed subflow carries nothing");
+    assert_eq!(a_end.subflows[0].delivered_pkts, 300, "a ran on subflow 0 alone, once each");
+    assert_eq!(a_end.reinjections_sent, 0);
+    assert!(!b_end.subflows[1].closed && b_end.subflows[1].sent_pkts > 0);
 }
 
 /// Address churn — removes, re-adds, and a primary outage driving a backup

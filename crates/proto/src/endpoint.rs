@@ -567,12 +567,6 @@ impl Endpoint {
     // Path management (the `ip mptcp` endpoint surface)
     // ------------------------------------------------------------------
 
-    /// The connection's path manager (endpoint table, subflow limit,
-    /// advertisement state).
-    pub fn path_manager(&self) -> &PathManager {
-        &self.path
-    }
-
     /// Whether data is currently carried by backup subflows (the failover
     /// state of the graceful-degradation machine).
     pub fn backup_active(&self) -> bool {

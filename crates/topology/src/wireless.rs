@@ -53,16 +53,6 @@ impl AccessLink {
             loss: 0.0,
         }
     }
-
-    /// A plain wired link in pkt/s (the §5 simulations, Fig. 14/16).
-    pub fn wired_pps(pps: f64, rtt: SimTime, queue_pkts: usize) -> Self {
-        Self {
-            rate_bps: pps * 1500.0 * 8.0,
-            one_way: SimTime(rtt.as_nanos() / 2),
-            queue_pkts,
-            loss: 0.0,
-        }
-    }
 }
 
 /// A client with two access links to the same server.

@@ -5,10 +5,10 @@
 //! sometimes congested; around minute 9 the subject takes the stairs to a
 //! coffee machine, losing WiFi but gaining 3G quality, then reacquires a
 //! new WiFi basestation. A [`MobilityTrace`] encodes that walk as timed
-//! link-condition changes and applies them to a simulator between
-//! `run_until` steps.
+//! link-condition changes and turns them into a [`FaultPlan`] the
+//! simulator executes at their exact timestamps.
 
-use mptcp_netsim::{ConnId, FaultAction, FaultPlan, LinkId, SimTime, Simulator};
+use mptcp_netsim::{ConnId, FaultAction, FaultPlan, LinkId, SimTime};
 
 /// A condition to apply to one link at a point in the trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,19 +54,17 @@ pub struct TraceEvent {
     pub condition: LinkCondition,
 }
 
-/// A time-ordered list of link-condition changes, applied incrementally as
-/// the simulation advances.
+/// A time-ordered list of link-condition changes.
 #[derive(Debug, Clone, Default)]
 pub struct MobilityTrace {
     events: Vec<TraceEvent>,
-    next: usize,
 }
 
 impl MobilityTrace {
     /// Build a trace from events (sorted by time internally).
     pub fn new(mut events: Vec<TraceEvent>) -> Self {
         events.sort_by_key(|e| e.at);
-        Self { events, next: 0 }
+        Self { events }
     }
 
     /// The walk of Fig. 17, parameterized by the WiFi and 3G link ids:
@@ -90,60 +88,15 @@ impl MobilityTrace {
         &self.events
     }
 
-    /// Apply every event with `at ≤ now` that has not yet been applied.
-    /// Call after each `run_until` step; returns how many events fired.
-    pub fn apply_due(&mut self, sim: &mut Simulator, now: SimTime) -> usize {
-        let mut fired = 0;
-        while self.next < self.events.len() && self.events[self.next].at <= now {
-            let ev = self.events[self.next];
-            if let Some(bps) = ev.condition.rate_bps {
-                sim.set_link_rate_bps(ev.link, bps);
-            }
-            if let Some(p) = ev.condition.loss {
-                sim.set_link_loss(ev.link, p);
-            }
-            if let Some(d) = ev.condition.down {
-                sim.set_link_down(ev.link, d);
-            }
-            self.next += 1;
-            fired += 1;
-        }
-        fired
-    }
-
-    /// Whether every event has been applied.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.events.len()
-    }
-
     /// Re-express the trace as a declarative [`FaultPlan`] executed through
-    /// the simulator's own event queue.
-    ///
-    /// Unlike [`apply_due`](Self::apply_due), which only takes effect at
-    /// whatever granularity the caller steps `run_until`, a fault plan fires
-    /// at the *exact* trace timestamps regardless of stepping — so results
-    /// are identical whether the driver steps every 100 ms or every second.
-    /// Within one timestamp the rate change is queued before the loss change
-    /// before the up/down change, matching `apply_due`'s in-event ordering.
+    /// the simulator's own event queue, so every change fires at its
+    /// *exact* trace timestamp however the driver steps `run_until`. Within
+    /// one timestamp the rate change is queued before the loss change
+    /// before the up/down change.
     pub fn to_fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for ev in &self.events {
-            if let Some(bps) = ev.condition.rate_bps {
-                plan.push(ev.at, FaultAction::SetRate { link: ev.link, bps });
-            }
-            if let Some(p) = ev.condition.loss {
-                plan.push(ev.at, FaultAction::SetLoss { link: ev.link, p });
-            }
-            if let Some(down) = ev.condition.down {
-                let action = if down {
-                    FaultAction::Down { link: ev.link }
-                } else {
-                    FaultAction::Up { link: ev.link }
-                };
-                plan.push(ev.at, action);
-            }
-        }
-        plan
+        // No `(link, subflow)` pairs: no signal is sent, so the connection
+        // id is never read.
+        self.to_signal_plan(0, &[])
     }
 
     /// Re-express the trace as explicit path-management signaling for
@@ -191,68 +144,22 @@ impl MobilityTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mptcp_netsim::LinkSpec;
-
-    #[test]
-    fn events_apply_in_time_order_once() {
-        let mut sim = Simulator::new(0);
-        let wifi = sim.add_link(LinkSpec::mbps(14.0, SimTime::from_millis(5), 20));
-        let mut trace = MobilityTrace::new(vec![
-            TraceEvent {
-                at: SimTime::from_secs(10),
-                link: wifi,
-                condition: LinkCondition::rate(5e6),
-            },
-            TraceEvent {
-                at: SimTime::from_secs(5),
-                link: wifi,
-                condition: LinkCondition::rate(7e6),
-            },
-        ]);
-        assert_eq!(trace.apply_due(&mut sim, SimTime::from_secs(6)), 1);
-        assert!((sim.link_spec(wifi).rate_bps - 7e6).abs() < 1.0);
-        assert_eq!(trace.apply_due(&mut sim, SimTime::from_secs(6)), 0, "no double apply");
-        assert_eq!(trace.apply_due(&mut sim, SimTime::from_secs(20)), 1);
-        assert!((sim.link_spec(wifi).rate_bps - 5e6).abs() < 1.0);
-        assert!(trace.exhausted());
-    }
+    use mptcp_netsim::{LinkSpec, Simulator};
 
     #[test]
     fn paper_walk_toggles_wifi_coverage() {
         let mut sim = Simulator::new(1);
         let wifi = sim.add_link(LinkSpec::mbps(14.0, SimTime::from_millis(5), 20));
         let tg = sim.add_link(LinkSpec::mbps(2.0, SimTime::from_millis(75), 200));
-        let mut trace = MobilityTrace::paper_walk(wifi, tg);
-        trace.apply_due(&mut sim, SimTime::from_secs_f64(9.5 * 60.0));
-        // During the stairwell the WiFi link is down; verified via behavior:
-        // bring up a flow and check nothing flows (cheaper: check spec-level
-        // by sending one more event).
-        assert!(!trace.exhausted());
-        trace.apply_due(&mut sim, SimTime::from_secs_f64(11.0 * 60.0));
-        assert!(trace.exhausted());
+        sim.install_fault_plan(&MobilityTrace::paper_walk(wifi, tg).to_fault_plan());
+        // The stairwell: WiFi down, 3G improved, the new basestation not yet
+        // acquired.
+        sim.run_until(SimTime::from_secs_f64(9.5 * 60.0));
+        assert_eq!(sim.perf().faults_applied, 5);
+        assert!((sim.link_spec(tg).rate_bps - 2.5e6).abs() < 1.0);
+        sim.run_until(SimTime::from_secs_f64(11.0 * 60.0));
+        assert_eq!(sim.perf().faults_applied, 7, "rate and coverage restored at 10.5 min");
         assert!((sim.link_spec(wifi).rate_bps - 10e6).abs() < 1.0, "new basestation rate");
-    }
-
-    #[test]
-    fn one_apply_due_straddling_many_events_fires_each_exactly_once() {
-        // A coarse driver may step `run_until` right over several trace
-        // events; one `apply_due` call must fire each of them exactly once,
-        // in time order, ending on the last event's state.
-        let mut sim = Simulator::new(3);
-        let wifi = sim.add_link(LinkSpec::mbps(14.0, SimTime::from_millis(5), 20));
-        let mut trace = MobilityTrace::new(vec![
-            TraceEvent { at: SimTime::from_secs(1), link: wifi, condition: LinkCondition::rate(5e6) },
-            TraceEvent { at: SimTime::from_secs(2), link: wifi, condition: LinkCondition::outage() },
-            TraceEvent {
-                at: SimTime::from_secs(3),
-                link: wifi,
-                condition: LinkCondition::restore(Some(7e6)),
-            },
-        ]);
-        assert_eq!(trace.apply_due(&mut sim, SimTime::from_secs(10)), 3);
-        assert!(trace.exhausted());
-        assert!((sim.link_spec(wifi).rate_bps - 7e6).abs() < 1.0, "last event wins");
-        assert_eq!(trace.apply_due(&mut sim, SimTime::from_secs(20)), 0, "no re-fire");
     }
 
     #[test]
@@ -261,7 +168,7 @@ mod tests {
         let plan = MobilityTrace::paper_walk(0, 1).to_fault_plan();
         // 5 trace events expand to 7 actions: rate+loss, rate, down, rate,
         // rate+up — with rate ordered before loss before up/down at each
-        // timestamp, exactly as `apply_due` applies them.
+        // timestamp.
         assert_eq!(plan.len(), 7);
         let kinds: Vec<&str> = plan
             .actions()
@@ -283,6 +190,26 @@ mod tests {
         assert_eq!(kinds, ["rate", "loss", "rate", "down", "rate", "rate", "up"]);
         assert!(plan.actions().windows(2).all(|w| w[0].0 <= w[1].0), "time-sorted");
         assert_eq!(plan.actions()[3].0, SimTime::from_secs_f64(9.0 * 60.0));
+        // Events given out of order come out sorted, each exactly once.
+        let rate = |secs, bps| TraceEvent {
+            at: SimTime::from_secs(secs),
+            link: 0,
+            condition: LinkCondition::rate(bps),
+        };
+        let plan = MobilityTrace::new(vec![rate(10, 5e6), rate(5, 7e6)]).to_fault_plan();
+        let want = [(SimTime::from_secs(5), 7e6), (SimTime::from_secs(10), 5e6)];
+        let rates: Vec<(SimTime, f64)> = plan
+            .actions()
+            .iter()
+            .filter_map(|&(at, a)| {
+                if let FaultAction::SetRate { bps, .. } = a {
+                    Some((at, bps))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        assert_eq!((plan.len(), &rates[..]), (2, &want[..]));
     }
 
     /// One 15 s reading of the paper walk: per-subflow cumulative

@@ -16,7 +16,9 @@ fn main() {
     let mut sim = Simulator::new(99);
     let w = WirelessClient::build_wifi_3g(&mut sim);
     let conn = w.add_multipath(&mut sim, AlgorithmKind::Mptcp, SimTime::ZERO);
-    let mut trace = MobilityTrace::paper_walk(w.link1, w.link2);
+    // The walk runs from the simulator's own queue, so every change lands
+    // on its minute, not on the 15 s step boundary before it.
+    sim.install_fault_plan(&MobilityTrace::paper_walk(w.link1, w.link2).to_fault_plan());
 
     println!("minute  wifi Mb/s  3g Mb/s   total  (w = wifi, g = 3G)");
     let step = SimTime::from_secs(15);
@@ -25,7 +27,6 @@ fn main() {
     let mut prev = (0u64, 0u64);
     while now < total {
         now += step;
-        trace.apply_due(&mut sim, now);
         sim.run_until(now);
         let st = sim.connection_stats(conn);
         let cur = (st.subflows[0].delivered_pkts, st.subflows[1].delivered_pkts);

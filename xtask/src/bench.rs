@@ -19,7 +19,7 @@
 //!
 //! * default (smoke): regressions are listed but the exit code stays 0 —
 //!   CI proves the gate is wired without flaking on machine noise;
-//! * strict (`--strict` or `MPTCP_BENCH_STRICT=1`): any regression beyond
+//! * strict (`--strict`): any regression beyond
 //!   the threshold fails — run on the machine that recorded the baseline.
 //!
 //! Like the report writer, parsing is textual (no JSON parser in the

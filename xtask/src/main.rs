@@ -25,10 +25,10 @@ subcommands:
                 workspace root
     --threshold-pct N
                 regression tolerance in percent (default 20)
-    --strict    exit 1 on any regression beyond the threshold; also armed
-                by MPTCP_BENCH_STRICT=1. Without it the comparison is a
-                smoke check: regressions print but the exit code stays 0
-                (wall-clock numbers from shared CI machines are noise)
+    --strict    exit 1 on any regression beyond the threshold. Without it
+                the comparison is a smoke check: regressions print but the
+                exit code stays 0 (wall-clock numbers from shared CI
+                machines are noise)
   perf-table    re-render the README's generated performance table (between
                 the `<!-- perf-table:begin -->` / `<!-- perf-table:end -->`
                 markers) from the scale_sweep and flow_churn records in
@@ -65,7 +65,7 @@ fn run(args: &[String]) -> i32 {
 /// `cargo xtask bench-check BASELINE [CURRENT] [--threshold-pct N] [--strict]`
 /// — see the module docs of `xtask::bench` for the policy.
 fn bench_check(args: &[String]) -> i32 {
-    let mut strict = std::env::var_os("MPTCP_BENCH_STRICT").is_some_and(|v| v != "0");
+    let mut strict = false;
     let mut threshold = 0.20;
     let mut paths: Vec<&str> = Vec::new();
     let mut it = args.iter().map(String::as_str);

@@ -129,7 +129,12 @@ fn clippy(fixture_name: &str, model: Option<&str>, as_test: bool) -> (bool, Vec<
 }
 
 const HOT_PATH: &[&str] = &["crates/netsim/src/tcp.rs", "crates/netsim/src/scoreboard.rs"];
-const SHARD_STATE: &[&str] = &["crates/netsim/src/sim.rs", "crates/netsim/src/link.rs", "crates/netsim/src/arena.rs"];
+const SHARD_STATE: &[&str] = &[
+    "crates/netsim/src/sim.rs",
+    "crates/netsim/src/conn.rs",
+    "crates/netsim/src/link.rs",
+    "crates/netsim/src/arena.rs",
+];
 const PANICS: &[&str] = &["clippy::unwrap_used", "clippy::expect_used", "clippy::panic", "clippy::unreachable"];
 const CASTS: &[&str] =
     &["clippy::cast_possible_truncation", "clippy::cast_possible_wrap", "clippy::cast_sign_loss"];
