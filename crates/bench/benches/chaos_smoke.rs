@@ -5,17 +5,17 @@
 //! expand into [`FaultPlan::randomized`] schedules (flaps, brownouts,
 //! queue squeezes, Gilbert–Elliott bursts), every sized flow must survive
 //! them with exactly-once delivery, and the whole batch must produce
-//! **bit-identical digests under `MPTCP_JOBS=1` and `MPTCP_JOBS=4`** —
-//! the determinism claim of the runner extended to fault execution.
-//! Any divergence or a lost flow aborts the process with a nonzero exit.
+//! **bit-identical digests on one runner worker and on four** — the
+//! determinism claim of the runner extended to fault execution. Any
+//! divergence or a lost flow aborts the process with a nonzero exit.
 //!
 //! Two scenarios run on the **sharded engine** ([`ShardedSimulator`]) with
-//! their intra-sim worker count tied to `MPTCP_JOBS`, so the same batch
+//! their intra-sim worker count equal to the batch's, so the same batch
 //! comparison also proves the stronger claim: a *single* sharded
 //! simulation's merged `DetDigest` is bit-identical at jobs = 1 vs
 //! jobs = N (DESIGN.md §3.2f).
 
-use mptcp_bench::runner::{run_parallel, worker_count};
+use mptcp_bench::runner::run_parallel_on;
 use mptcp_bench::{banner, scaled, Table};
 use mptcp_cc::AlgorithmKind;
 use mptcp_netsim::{
@@ -48,14 +48,15 @@ struct Digest {
 enum Scenario {
     Torus { seed: u64 },
     DualHomed { seed: u64, pkts: u64 },
-    /// The torus, partitioned over 3 shards with the worker count tied to
-    /// `MPTCP_JOBS` — the intra-sim jobs=1 vs jobs=N bit-identity gate.
+    /// The torus, partitioned over 3 shards with the batch's worker count
+    /// — the intra-sim jobs=1 vs jobs=N bit-identity gate.
     ShardedTorus { seed: u64 },
     /// The dual-homed download, its two access links on different shards.
     ShardedDualHomed { seed: u64, pkts: u64 },
 }
 
-fn run_one(sc: &Scenario) -> Digest {
+/// Run one scenario; the sharded ones on `workers` threads.
+fn run_one(sc: &Scenario, workers: usize) -> Digest {
     let horizon = scaled(SimTime::from_secs(60));
     match *sc {
         Scenario::Torus { seed } => {
@@ -86,7 +87,7 @@ fn run_one(sc: &Scenario) -> Digest {
             let t = Torus::build_sharded(&mut sim, [1000.0; 5], AlgorithmKind::Mptcp);
             let plan = FaultPlan::randomized(seed ^ 0xFA17, &t.links, horizon);
             sim.install_fault_plan(&plan);
-            sim.set_jobs(worker_count(8));
+            sim.set_jobs(workers);
             sim.run_until(horizon);
             let stats: Vec<_> = t.flows.iter().map(|&c| sim.connection_stats(c)).collect();
             digest_parts(format!("storus/{seed}"), stats, sim.perf())
@@ -108,7 +109,7 @@ fn run_one(sc: &Scenario) -> Digest {
             );
             let plan = FaultPlan::randomized(seed ^ 0xD0A1, &[l1, l2], horizon);
             sim.install_fault_plan(&plan);
-            sim.set_jobs(worker_count(8));
+            sim.set_jobs(workers);
             sim.run_until(horizon);
             digest_parts(format!("sdual/{seed}"), vec![sim.connection_stats(conn)], sim.perf())
         }
@@ -139,8 +140,8 @@ fn digest_parts(label: String, stats: Vec<mptcp_netsim::ConnectionStats>, perf: 
     }
 }
 
-fn run_batch(jobs: &[Scenario]) -> Vec<Digest> {
-    run_parallel(jobs, run_one)
+fn run_batch(jobs: &[Scenario], workers: usize) -> Vec<Digest> {
+    run_parallel_on(workers, jobs, |sc| run_one(sc, workers))
 }
 
 fn main() {
@@ -159,11 +160,9 @@ fn main() {
         jobs.push(Scenario::ShardedDualHomed { seed, pkts: 4_000 });
     }
 
-    std::env::set_var("MPTCP_JOBS", "1");
-    let serial = run_batch(&jobs);
-    std::env::set_var("MPTCP_JOBS", "4");
-    let parallel = run_batch(&jobs);
-    assert_eq!(serial, parallel, "MPTCP_JOBS=1 and MPTCP_JOBS=4 runs must be bit-identical");
+    let serial = run_batch(&jobs, 1);
+    let parallel = run_batch(&jobs, 4);
+    assert_eq!(serial, parallel, "1-worker and 4-worker runs must be bit-identical");
 
     // Persist the digests so CI can `diff` them against the committed
     // `tests/golden/chaos_digest_quick8.txt`: a change that claims to
@@ -205,8 +204,8 @@ fn main() {
     }
     t.print();
     assert!(all_ok, "every sized flow must complete under its fault schedule");
-    println!("\n  parallel (MPTCP_JOBS=4) and serial (MPTCP_JOBS=1) digests identical over");
+    println!("\n  parallel (4 workers) and serial (1 worker) digests identical over");
     println!("  {} scenarios — fault execution is part of the deterministic history,", jobs.len());
-    println!("  and the sharded scenarios (storus/sdual) tie their intra-sim worker count");
-    println!("  to MPTCP_JOBS, so jobs=1 vs jobs=N on a single sharded sim is gated too.");
+    println!("  and the sharded scenarios (storus/sdual) run on the batch's worker count,");
+    println!("  so jobs=1 vs jobs=N on a single sharded sim is gated too.");
 }

@@ -87,6 +87,31 @@ fn finish(
     }
 }
 
+/// Every FatTree run's flows: the source host of each and its spec. The
+/// workload rng draws the host pairs, then each pair's paths in pair order.
+fn fattree_specs(
+    ft: &FatTree,
+    tp: Tp,
+    routing: Routing,
+    seed: u64,
+) -> Vec<(usize, ConnectionSpec)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    host_pairs(tp, ft.host_count(), &mut rng)
+        .into_iter()
+        .map(|(s, d)| {
+            let spec = match routing {
+                Routing::SinglePath => ConnectionSpec::bulk(AlgorithmKind::Uncoupled)
+                    .path(ft.ecmp_path(s, d, &mut rng)),
+                Routing::Multipath(alg, n) => ft
+                    .random_paths(s, d, n, &mut rng)
+                    .into_iter()
+                    .fold(ConnectionSpec::bulk(alg), ConnectionSpec::path),
+            };
+            (s, spec)
+        })
+        .collect()
+}
+
 /// Run one FatTree experiment, also returning the simulator's [`SimPerf`]
 /// counters for the throughput benchmarks.
 pub fn run_fattree(
@@ -99,26 +124,9 @@ pub fn run_fattree(
 ) -> (DcResult, SimPerf) {
     let mut sim = Simulator::new(seed);
     let ft = FatTree::build(&mut sim, k, dc_link());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let pairs = host_pairs(tp, ft.host_count(), &mut rng);
-    let conns: Vec<(usize, ConnId)> = pairs
-        .iter()
-        .map(|&(s, d)| {
-            let conn = match routing {
-                Routing::SinglePath => sim.add_connection(
-                    ConnectionSpec::bulk(AlgorithmKind::Uncoupled)
-                        .path(ft.ecmp_path(s, d, &mut rng)),
-                ),
-                Routing::Multipath(alg, n) => {
-                    let mut spec = ConnectionSpec::bulk(alg);
-                    for p in ft.random_paths(s, d, n, &mut rng) {
-                        spec = spec.path(p);
-                    }
-                    sim.add_connection(spec)
-                }
-            };
-            (s, conn)
-        })
+    let conns: Vec<(usize, ConnId)> = fattree_specs(&ft, tp, routing, seed)
+        .into_iter()
+        .map(|(s, spec)| (s, sim.add_connection(spec)))
         .collect();
     let core = ft.core_links();
     let access = ft.access_links();
@@ -164,26 +172,9 @@ pub fn run_fattree_sharded(
 ) -> ShardedDcRun {
     let mut sim = ShardedSimulator::new(seed, num_shards);
     let ft = FatTree::build_sharded(&mut sim, k, dc_link());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let pairs = host_pairs(tp, ft.host_count(), &mut rng);
-    let conns: Vec<(usize, ConnId)> = pairs
-        .iter()
-        .map(|&(s, d)| {
-            let conn = match routing {
-                Routing::SinglePath => sim.add_connection(
-                    ConnectionSpec::bulk(AlgorithmKind::Uncoupled)
-                        .path(ft.ecmp_path(s, d, &mut rng)),
-                ),
-                Routing::Multipath(alg, n) => {
-                    let mut spec = ConnectionSpec::bulk(alg);
-                    for p in ft.random_paths(s, d, n, &mut rng) {
-                        spec = spec.path(p);
-                    }
-                    sim.add_connection(spec)
-                }
-            };
-            (s, conn)
-        })
+    let conns: Vec<(usize, ConnId)> = fattree_specs(&ft, tp, routing, seed)
+        .into_iter()
+        .map(|(s, spec)| (s, sim.add_connection(spec)))
         .collect();
     sim.set_jobs(jobs);
     sim.run_until(warmup);

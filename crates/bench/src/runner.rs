@@ -39,7 +39,18 @@ where
     R: Send,
     F: Fn(&I) -> R + Sync,
 {
-    let workers = worker_count(jobs.len());
+    run_parallel_on(worker_count(jobs.len()), jobs, f)
+}
+
+/// [`run_parallel`] on exactly `workers` threads (capped by the job count),
+/// whatever `MPTCP_JOBS` says.
+pub fn run_parallel_on<I, R, F>(workers: usize, jobs: &[I], f: F) -> Vec<R>
+where
+    I: Sync,
+    R: Send,
+    F: Fn(&I) -> R + Sync,
+{
+    let workers = workers.min(jobs.len());
     if workers <= 1 {
         return jobs.iter().map(&f).collect();
     }
@@ -87,6 +98,7 @@ mod tests {
         let f = |&j: &u64| j.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(17);
         let serial: Vec<u64> = jobs.iter().map(f).collect();
         assert_eq!(run_parallel(&jobs, f), serial);
+        assert_eq!(run_parallel_on(4, &jobs, f), serial);
     }
 
     #[test]

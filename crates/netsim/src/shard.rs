@@ -21,14 +21,15 @@
 //! that link's delay). Time therefore advances in epochs of length
 //! `lookahead`: within an epoch every shard processes its queue
 //! independently, buffering cross-shard arrivals in per-destination
-//! outboxes; at the epoch barrier outboxes are flushed into a mailbox
-//! matrix and drained — in ascending source-shard order — into the
-//! destination queues. Every cross-shard arrival lands in a strictly
-//! later epoch than the one that produced it, so no shard ever receives
-//! an event in its past. On one thread the barrier is a direct hand-over
-//! in the same order, and epochs in which no shard has an event are
-//! skipped (an empty epoch drains nothing, so skipping it changes no
-//! queue's history).
+//! outboxes; at the epoch barrier each destination drains them in
+//! ascending source-shard order — straight from the outbox when one
+//! worker owns both shards, through a mailbox matrix when two do. Every
+//! cross-shard arrival lands in a strictly later epoch than the one that
+//! produced it, so no shard ever receives an event in its past. The
+//! workers then agree on the earliest pending event and skip the epochs
+//! before it (an empty epoch drains nothing, so skipping it changes no
+//! queue's history). One loop serves every worker count: two meetings
+//! per epoch, none when one worker runs alone.
 //!
 //! ## Determinism
 //!
@@ -49,7 +50,7 @@ use crate::sim::{ConnId, ShardCtx, Simulator};
 use crate::stats::ConnectionStats;
 use crate::time::SimTime;
 use mptcp_cc::{DetDigest, DigestWriter};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Placement and routing tables shared by every shard of a partitioned
@@ -173,6 +174,9 @@ pub struct ShardedSimulator {
     wall_nanos: u64,
     /// Epochs executed over every run so far.
     epochs: u64,
+    /// Test-only reference: run every epoch instead of skipping idle ones.
+    #[cfg(test)]
+    lockstep: bool,
 }
 
 impl ShardedSimulator {
@@ -193,6 +197,8 @@ impl ShardedSimulator {
             now: SimTime::ZERO,
             wall_nanos: 0,
             epochs: 0,
+            #[cfg(test)]
+            lockstep: false,
         }
     }
 
@@ -253,9 +259,10 @@ impl ShardedSimulator {
         self.now
     }
 
-    /// Epochs executed by every [`Self::run_until`] so far. One thread
-    /// skips epochs in which no shard has an event, so this can be far
-    /// below the simulated span ÷ lookahead; more threads run every epoch.
+    /// Epochs executed by every [`Self::run_until`] so far. Epochs in
+    /// which no shard has an event are skipped, so this can be far below
+    /// the simulated span ÷ lookahead; like the history, it does not
+    /// depend on [`Self::jobs`].
     pub fn epochs_run(&self) -> u64 {
         self.epochs
     }
@@ -399,14 +406,16 @@ impl ShardedSimulator {
     }
 
     /// Run the whole world forward to `horizon` (inclusive), advancing
-    /// every shard in lockstep epochs of one lookahead, on up to
-    /// [`Self::jobs`] worker threads. The clock ends at exactly `horizon`;
-    /// the run ends early only if every shard's queue drains.
+    /// every shard in epochs of one lookahead on up to [`Self::jobs`]
+    /// workers, each owning a contiguous chunk of shards. Worker 0 is the
+    /// calling thread; the others are scoped threads. The clock ends at
+    /// exactly `horizon`; the run ends early only if every shard's queue
+    /// drains.
     pub fn run_until(&mut self, horizon: SimTime) {
         assert!(horizon >= self.now, "time cannot run backwards");
         let started = crate::perf::wall_clock();
         let n = self.shards.len();
-        // Every outbox was emptied at the last barrier of the previous run.
+        // Every outbox was emptied by the last drain of the previous run.
         for (id, shard) in self.shards.iter_mut().enumerate() {
             shard.set_shard_ctx(ShardCtx {
                 id: id as u32,
@@ -414,160 +423,149 @@ impl ShardedSimulator {
                 outbox: (0..n).map(|_| Vec::new()).collect(),
             });
         }
-        let lookahead = self.map.lookahead.0.max(1);
-        // Exclusive end of the run: `run_until(h)` processes events at
-        // exactly `h`, matching the single-simulator contract.
-        let hlimit = horizon.0.saturating_add(1);
-        self.epochs += if self.jobs.min(n) <= 1 {
-            self.run_one_thread(lookahead, hlimit)
-        } else {
-            self.run_threads(lookahead, hlimit)
+        let chunk = n.div_ceil(self.jobs.min(n));
+        let workers = n.div_ceil(chunk);
+        let run = EpochLoop {
+            start: self.now.0,
+            lookahead: self.map.lookahead.0.max(1),
+            // Exclusive end of the run: `run_until(h)` processes events at
+            // exactly `h`, matching the single-simulator contract.
+            hlimit: horizon.0.saturating_add(1),
+            chunk,
+            mailboxes: (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect(),
+            bounds: (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            meeting: Barrier::new(workers),
+            #[cfg(test)]
+            lockstep: self.lockstep,
         };
+        let (first, rest) = self.shards.split_at_mut(chunk);
+        self.epochs += std::thread::scope(|scope| {
+            for (w, shards) in rest.chunks_mut(chunk).enumerate() {
+                let run = &run;
+                scope.spawn(move || run.work(w + 1, shards));
+            }
+            run.work(0, first)
+        });
         for shard in &mut self.shards {
             shard.finish_epochs_at(horizon);
         }
         self.now = horizon;
         self.wall_nanos += started.elapsed().as_nanos() as u64;
     }
+}
 
-    /// The epoch loop on the calling thread; returns the epochs executed.
-    /// Each source shard's outbox goes straight into the destination queue
-    /// in the order the mailbox drain uses (destination-major, ascending
-    /// source). Then `t` jumps to the epoch of the grid `now + i·lookahead`
-    /// holding the earliest pending event: the epochs jumped over would
-    /// have popped nothing and so handed nothing over, which leaves every
-    /// queue's `(at, seq)` history as the lockstep loop makes it.
-    fn run_one_thread(&mut self, lookahead: u64, hlimit: u64) -> u64 {
-        let start = self.now.0;
-        let n = self.shards.len();
-        let (mut t, mut epochs) = (start, 0);
+/// The arrivals one shard hands another at the epoch barrier.
+type Mailbox = Mutex<Vec<(SimTime, Packet)>>;
+
+/// What the workers of one [`ShardedSimulator::run_until`] share.
+struct EpochLoop {
+    /// Start of the epoch grid `start + i·lookahead`.
+    start: u64,
+    lookahead: u64,
+    /// Exclusive end of the run.
+    hlimit: u64,
+    /// Shards per worker; worker `w` owns shards `w·chunk ..`.
+    chunk: usize,
+    /// Cell `[src][dst]` holds the arrivals shard `src` hands shard `dst`
+    /// when different workers own them: written by `src`'s worker before
+    /// the first meeting, read by `dst`'s worker after it.
+    mailboxes: Vec<Vec<Mailbox>>,
+    /// Per worker: the earliest `next_event_bound()` over its shards after
+    /// the drain (`u64::MAX`: none pending). Worker `w` writes slot `w`
+    /// between the two meetings and everyone reads every slot after the
+    /// second; `w` rewrites it only past the next first meeting, which no
+    /// worker reaches before it has read, so one slot per worker suffices.
+    bounds: Vec<AtomicU64>,
+    meeting: Barrier,
+    /// Test-only reference: run every epoch of the grid.
+    #[cfg(test)]
+    lockstep: bool,
+}
+
+impl EpochLoop {
+    /// Worker `w`'s epoch loop over its chunk `shards`; returns the epochs
+    /// run, the same count on every worker. Each epoch: run the chunk,
+    /// post arrivals for other workers' shards, meet, drain every owned
+    /// shard (destination-major, ascending source: the order that makes
+    /// each queue's `seq` assignment independent of the worker count),
+    /// publish the chunk's bound, meet, and jump. The jump goes to the
+    /// epoch of the grid holding the earliest pending event: the epochs
+    /// jumped over would have popped nothing and so handed nothing over,
+    /// which leaves every queue's `(at, seq)` history as the lockstep loop
+    /// makes it.
+    fn work(&self, w: usize, shards: &mut [Simulator]) -> u64 {
+        let own = w * self.chunk..w * self.chunk + shards.len();
+        let (mut t, mut epochs) = (self.start, 0);
         loop {
-            let window_end = t.saturating_add(lookahead).min(hlimit);
-            for shard in &mut self.shards {
+            let window_end = t.saturating_add(self.lookahead).min(self.hlimit);
+            for (src, shard) in own.clone().zip(shards.iter_mut()) {
                 shard.run_epoch(SimTime(window_end - 1));
-            }
-            epochs += 1;
-            for dst in 0..n {
-                for src in 0..n {
-                    hand_over(&mut self.shards, src, dst);
+                // `Vec::append` keeps the outbox's capacity.
+                for (dst, buf) in shard.shard_outbox().iter_mut().enumerate() {
+                    if !buf.is_empty() && !own.contains(&dst) {
+                        self.mailboxes[src][dst].lock().expect("mailbox poisoned").append(buf);
+                    }
                 }
             }
-            let Some(next) = self.shards.iter().filter_map(Simulator::next_event_bound).min() else {
+            epochs += 1;
+            self.meet();
+            for dst in own.clone() {
+                for src in 0..self.mailboxes.len() {
+                    if own.contains(&src) {
+                        hand_over(shards, own.start, src, dst);
+                    } else {
+                        let mut m = self.mailboxes[src][dst].lock().expect("mailbox poisoned");
+                        for (at, pkt) in m.drain(..) {
+                            shards[dst - own.start].inject_arrive(at, pkt);
+                        }
+                    }
+                }
+            }
+            let bound = shards.iter().filter_map(Simulator::next_event_bound).min();
+            self.bounds[w].store(bound.map_or(u64::MAX, |b| b.0), Ordering::Relaxed);
+            self.meet();
+            let next = self.bounds.iter().map(|b| b.load(Ordering::Relaxed)).min();
+            let Some(next) = next.filter(|&b| b != u64::MAX) else {
                 break;
             };
             // A wheel's bound is the start of the slot holding its next
             // event and may lie below `window_end`: then take the lockstep
             // step.
-            let aligned = start + next.0.saturating_sub(start) / lookahead * lookahead;
+            let aligned =
+                self.start + next.saturating_sub(self.start) / self.lookahead * self.lookahead;
             t = window_end.max(aligned);
-            if t >= hlimit {
+            #[cfg(test)]
+            if self.lockstep {
+                t = window_end;
+            }
+            if t >= self.hlimit {
                 break;
             }
         }
         epochs
     }
 
-    /// The epoch loop on `jobs` scoped threads, each owning a contiguous
-    /// run of shards, meeting at three barriers per epoch; returns the
-    /// epochs executed. Every epoch runs, empty or not.
-    fn run_threads(&mut self, lookahead: u64, hlimit: u64) -> u64 {
-        let n = self.shards.len();
-        // Mailbox matrix: cell [src][dst] is written only by src's worker
-        // in the process phase and read only by dst's worker in the drain
-        // phase; the epoch barrier separates the two.
-        let mailboxes: MailboxMatrix =
-            (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
-        let chunk = n.div_ceil(self.jobs.min(n));
-        let barrier = Barrier::new(n.div_ceil(chunk));
-        let empty: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let all_done = AtomicBool::new(false);
-        let epochs = AtomicU64::new(0);
-        let start_t = self.now.0;
-        std::thread::scope(|scope| {
-            for (w, shards) in self.shards.chunks_mut(chunk).enumerate() {
-                let base = w * chunk;
-                let (mailboxes, barrier) = (&mailboxes, &barrier);
-                let (empty, all_done, epochs) = (&empty, &all_done, &epochs);
-                scope.spawn(move || {
-                    let mut t = start_t;
-                    loop {
-                        let window_end = t.saturating_add(lookahead).min(hlimit);
-                        for (i, shard) in shards.iter_mut().enumerate() {
-                            shard.run_epoch(SimTime(window_end - 1));
-                            flush_outbox(shard, base + i, mailboxes);
-                        }
-                        // Barrier 1: every outbox is flushed before any
-                        // shard drains its mailbox column.
-                        barrier.wait();
-                        for (i, shard) in shards.iter_mut().enumerate() {
-                            drain_mailboxes(shard, base + i, mailboxes);
-                            empty[base + i]
-                                .store(shard.next_event_bound().is_none(), Ordering::SeqCst);
-                        }
-                        // Barrier 2: every flag is written and every
-                        // mailbox drained before the leader decides.
-                        if barrier.wait().is_leader() {
-                            all_done.store(
-                                empty.iter().all(|e| e.load(Ordering::SeqCst)),
-                                Ordering::SeqCst,
-                            );
-                            epochs.fetch_add(1, Ordering::SeqCst);
-                        }
-                        // Barrier 3: the decision is published before
-                        // anyone reads it or starts the next epoch.
-                        barrier.wait();
-                        t = window_end;
-                        if all_done.load(Ordering::SeqCst) || t >= hlimit {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        epochs.into_inner()
-    }
-}
-
-/// One mailbox cell: the cross-shard arrivals one source shard hands one
-/// destination shard at the epoch barrier.
-type Mailbox = Mutex<Vec<(SimTime, Packet)>>;
-/// The full `[src][dst]` matrix.
-type MailboxMatrix = Vec<Vec<Mailbox>>;
-
-/// Move one shard's buffered cross-shard arrivals into the mailbox
-/// matrix (phase 1 of the epoch barrier; `Vec::append` keeps the outbox's
-/// capacity, so steady-state handoff does not allocate on the source side).
-fn flush_outbox(shard: &mut Simulator, src: usize, mailboxes: &[Vec<Mailbox>]) {
-    for (dst, buf) in shard.shard_outbox().iter_mut().enumerate() {
-        if !buf.is_empty() {
-            mailboxes[src][dst].lock().expect("mailbox poisoned").append(buf);
+    /// Wait for every other worker; a lone worker has no one to meet.
+    fn meet(&self) {
+        if self.bounds.len() > 1 {
+            self.meeting.wait();
         }
     }
 }
 
-/// Drain every mailbox addressed to `own` into its queue, in ascending
-/// source-shard order — the fixed order that makes the destination's
-/// event-seq assignment independent of worker scheduling.
-fn drain_mailboxes(shard: &mut Simulator, own: usize, mailboxes: &[Vec<Mailbox>]) {
-    for row in mailboxes {
-        let mut m = row[own].lock().expect("mailbox poisoned");
-        for (at, pkt) in m.drain(..) {
-            shard.inject_arrive(at, pkt);
-        }
-    }
-}
-
-/// The one-thread barrier: move `src`'s buffered arrivals for `dst` into
-/// `dst`'s queue, keeping the outbox's capacity.
-fn hand_over(shards: &mut [Simulator], src: usize, dst: usize) {
-    if shards[src].shard_outbox()[dst].is_empty() {
+/// Move shard `src`'s buffered arrivals for shard `dst` into `dst`'s
+/// queue, keeping the outbox's capacity. Both are world ids of shards in
+/// the chunk `shards`, which starts at world id `base`.
+fn hand_over(shards: &mut [Simulator], base: usize, src: usize, dst: usize) {
+    let (s, d) = (src - base, dst - base);
+    if shards[s].shard_outbox()[dst].is_empty() {
         return;
     }
-    let mut buf = std::mem::take(&mut shards[src].shard_outbox()[dst]);
+    let mut buf = std::mem::take(&mut shards[s].shard_outbox()[dst]);
     for (at, pkt) in buf.drain(..) {
-        shards[dst].inject_arrive(at, pkt);
+        shards[d].inject_arrive(at, pkt);
     }
-    shards[src].shard_outbox()[dst] = buf;
+    shards[s].shard_outbox()[dst] = buf;
 }
 
 #[cfg(test)]
@@ -608,27 +606,33 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_history() {
-        let digest = |jobs: usize| {
+        let run = |jobs: usize| {
             let (mut sim, _) = cross_world(11, 2);
             sim.set_jobs(jobs);
             sim.run_until(SimTime::from_secs(15));
-            sim.det_digest()
+            (sim.det_digest(), sim.epochs_run())
         };
-        let one = digest(1);
-        assert_eq!(one, digest(2), "jobs=2 diverged from jobs=1");
-        assert_eq!(one, digest(8), "jobs=8 diverged from jobs=1");
+        let one = run(1);
+        assert_eq!(one, run(2), "jobs=2 diverged from jobs=1");
+        assert_eq!(one, run(8), "jobs=8 diverged from jobs=1");
     }
 
     #[test]
     fn stepped_runs_match_one_shot_runs() {
         let (mut a, conns) = cross_world(13, 2);
-        let (mut b, _) = cross_world(13, 2);
-        b.set_jobs(2);
         a.run_until(SimTime::from_secs(12));
-        for s in 1..=12 {
-            b.run_until(SimTime::from_secs(s));
-        }
-        assert_eq!(a.det_digest(), b.det_digest());
+        let stepped = |jobs: usize| {
+            let (mut b, _) = cross_world(13, 2);
+            b.set_jobs(jobs);
+            for s in 1..=12 {
+                b.run_until(SimTime::from_secs(s));
+            }
+            (b.det_digest(), b.epochs_run())
+        };
+        let one = stepped(1);
+        assert_eq!(a.det_digest(), one.0);
+        assert_eq!(one, stepped(2), "stepped jobs=2 diverged from jobs=1");
+        assert_eq!(one, stepped(8), "stepped jobs=8 diverged from jobs=1");
         assert!(a.connection_stats(conns[0]).data_delivered > 0);
     }
 
@@ -665,9 +669,11 @@ mod tests {
             sim.run_until(SimTime::from_secs(12));
             let st = sim.connection_stats(late);
             assert!(st.finished_at.is_some() && st.data_delivered == 500, "{jobs}: {st:?}");
-            sim.det_digest()
+            (sim.det_digest(), sim.epochs_run())
         };
-        assert_eq!(run(1), run(2));
+        let one = run(1);
+        assert_eq!(one, run(2));
+        assert_eq!(one, run(8));
     }
 
     /// The lookahead kept connection by connection equals one recomputed
@@ -726,13 +732,13 @@ mod tests {
         assert_eq!(sim.map.lookahead, want);
     }
 
-    /// Flows far apart in time on a 100 µs lookahead: one thread runs only
-    /// the epochs that hold events, yet makes the history of the thread
-    /// pair that runs all of them.
+    /// Flows far apart in time on a 100 µs lookahead: every worker count
+    /// runs only the epochs that hold events, the same number of them, and
+    /// makes the history of the lockstep loop that runs all of them.
     #[test]
-    fn one_thread_skips_idle_epochs_without_changing_the_history() {
+    fn idle_epochs_are_skipped_at_every_worker_count_without_changing_the_history() {
         let horizon = SimTime::from_secs(10);
-        let run = |jobs: usize| {
+        let run = |jobs: usize, lockstep: bool| {
             let mut sim = ShardedSimulator::new(23, 2);
             let us = SimTime::from_micros;
             let a = sim.add_link(0, LinkSpec::mbps(10.0, us(100), 25));
@@ -745,18 +751,22 @@ mod tests {
                 );
             }
             sim.set_jobs(jobs);
+            sim.lockstep = lockstep;
             sim.run_until(horizon);
             for c in 0..sim.connection_count() {
                 assert_eq!(sim.connection_stats(c).data_delivered, 20, "jobs={jobs} conn {c}");
             }
             (sim.det_digest(), sim.epochs_run())
         };
-        let (one, skipped) = run(1);
-        let (two, all) = run(2);
-        assert_eq!(one, two, "skipping changed the history");
+        let (one, skipped) = run(1, false);
+        for jobs in [2, 8] {
+            assert_eq!(run(jobs, false), (one, skipped), "jobs={jobs} diverged from jobs=1");
+        }
+        let (reference, all) = run(2, true);
+        assert_eq!(one, reference, "skipping changed the history");
         let span = horizon.as_nanos() / SimTime::from_micros(100).as_nanos();
-        assert!(skipped * 20 < span, "{skipped} of {span} epochs ran on one thread");
-        assert!(all > skipped * 10, "two threads ran {all} epochs, one ran {skipped}");
+        assert!(skipped * 20 < span, "{skipped} of {span} epochs ran");
+        assert!(all > skipped * 10, "the lockstep reference ran {all} epochs, skipping {skipped}");
     }
 
     #[test]

@@ -568,8 +568,8 @@ impl Simulator {
         }
     }
 
-    /// Drain this shard's outbox buffers: the driver moves them into the
-    /// shared mailbox matrix at the epoch barrier.
+    /// This shard's outbox buffers: the driver empties them at the epoch
+    /// barrier, into the destination queue or the shared mailbox matrix.
     #[expect(
         clippy::expect_used,
         reason = "pub(crate) hook called only by the sharded driver, which created the shard state it is asking for; a None here is a driver bug, not a simulated condition"

@@ -11,8 +11,9 @@
 //! lookahead rounded differently off a racing clock — these properties
 //! would catch it: each randomized fault schedule is replayed at
 //! `jobs = 1` (the serial reference), `2`, and an oversubscribed top
-//! count, and every replay must agree on the merged [`DetDigest`] *and*
-//! on every connection's full stats digest.
+//! count, and every replay must agree on the merged [`DetDigest`], on
+//! every connection's full stats digest *and* on the number of epochs the
+//! engine ran (idle epochs are skipped the same way at every count).
 //!
 //! The flow-churn property adds the arena lifecycle to the mix: flows
 //! arriving and *retiring* mid-run mean window recycling — and the
@@ -47,13 +48,15 @@ fn jobs_matrix() -> [usize; 3] {
     [1, 2, top.max(2)]
 }
 
-/// Everything a replay must reproduce: the engine's merged state digest
-/// and each connection's full `ConnectionStats` digest (the stats struct
-/// has no `PartialEq` by design — the digest covers every field), plus
-/// delivered counts so a mismatch prints something human-readable.
+/// Everything a replay must reproduce: the engine's merged state digest,
+/// each connection's full `ConnectionStats` digest (the stats struct
+/// has no `PartialEq` by design — the digest covers every field) and the
+/// epochs run, plus delivered counts so a mismatch prints something
+/// human-readable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Outcome {
     merged_digest: u64,
+    epochs: u64,
     conn_digests: Vec<u64>,
     delivered: Vec<u64>,
 }
@@ -61,6 +64,7 @@ struct Outcome {
 fn outcome(sim: &ShardedSimulator, conns: &[usize]) -> Outcome {
     Outcome {
         merged_digest: sim.det_digest(),
+        epochs: sim.epochs_run(),
         conn_digests: conns.iter().map(|&c| sim.connection_stats(c).digest_value()).collect(),
         delivered: conns.iter().map(|&c| sim.connection_stats(c).data_delivered).collect(),
     }
