@@ -20,7 +20,7 @@
 //!   is **reinjected** on another subflow, so a dead path cannot stall the
 //!   stream.
 
-use crate::path::{PathEndpoint, PathEvent, PathFlags, PathManager};
+use crate::path::{PathEvent, PathManager};
 use crate::segment::{MptcpOption, SegFlags, Segment};
 use crate::Micros;
 use mptcp_cc::{AlgorithmKind, CcDriver, Failover, RtoEstimator, SubflowSnapshot};
@@ -269,27 +269,22 @@ impl Subflow {
         (self.timer.rto() * 1e6).round() as Micros
     }
 
-    /// Record an incoming subflow byte range; returns whether `rcv_next`
-    /// advanced (in-order progress).
-    fn receive_range(&mut self, start: u32, len: u32) -> bool {
-        if len == 0 {
-            return false;
-        }
+    /// Record an incoming subflow byte range.
+    fn receive_range(&mut self, start: u32, len: u32) {
         let end = start.wrapping_add(len);
         // Transfers in this userspace model stay < 4 GiB; compare directly.
-        if end <= self.rcv_next {
-            return false; // old duplicate
+        if len == 0 || end <= self.rcv_next {
+            return; // nothing, or an old duplicate
         }
         let start = start.max(self.rcv_next);
         if start == self.rcv_next && self.rcv_ranges.is_empty() {
             self.rcv_next = end; // in order, nothing held: no node to insert
-            return true;
+            return;
         }
         self.rcv_ranges
             .entry(start)
             .and_modify(|e| *e = (*e).max(end))
             .or_insert(end);
-        let before = self.rcv_next;
         // Merge contiguous ranges starting at rcv_next.
         while let Some((&s, &e)) = self.rcv_ranges.range(..=self.rcv_next).next_back() {
             self.rcv_ranges.remove(&s);
@@ -297,7 +292,18 @@ impl Subflow {
                 self.rcv_next = e;
             }
         }
-        self.rcv_next != before
+    }
+
+    /// Take a SYN's sequence number as the peer's ISN: jump the receive
+    /// cursor forward to it, never back, and drop ranges it passes. A
+    /// rejoin's SYN carries the peer's resumed `snd_next`, so segments from
+    /// a previous incarnation can never alias new data; a first SYN carries
+    /// the ISN as its path delivers it (`WireFault::RewriteIsn` shifts it),
+    /// and the ACKs returned must map back into what the peer sent.
+    fn resume_receive_at(&mut self, isn: u32) {
+        self.rcv_next = self.rcv_next.max(isn);
+        let cut = self.rcv_next;
+        self.rcv_ranges.retain(|_, e| *e > cut);
     }
 }
 
@@ -359,7 +365,7 @@ pub struct Endpoint {
 
     // --- path management & failover (graceful-degradation state machine:
     // active → degraded → failover → recovered) ---
-    /// Endpoint table, subflow limit and advertisement retransmit state.
+    /// Subflow limit and advertisement retransmit state.
     path: PathManager,
     /// Backup-failover state machine, clocked in µs.
     failover: Failover,
@@ -374,7 +380,7 @@ pub struct Endpoint {
     wake_at: Micros,
 
     /// Total application bytes received in order (diagnostics).
-    pub total_received: u64,
+    total_received: u64,
 }
 
 impl Endpoint {
@@ -392,13 +398,6 @@ impl Endpoint {
         assert!(n_subflows >= 1, "need at least one subflow");
         assert!(cfg.mss > 0 && cfg.send_buf >= cfg.mss && cfg.recv_buf >= cfg.mss);
         let cc = cfg.algorithm.build_cc(n_subflows);
-        let mut path = PathManager::new(n_subflows);
-        for i in 0..n_subflows {
-            path.add_endpoint(PathEndpoint {
-                addr_id: i as u8,
-                flags: PathFlags { subflow: true, ..Default::default() },
-            });
-        }
         Self {
             cfg,
             role,
@@ -424,7 +423,7 @@ impl Endpoint {
             peer_fin: None,
             persist_deadline: None,
             persist_probes: 0,
-            path,
+            path: PathManager::new(n_subflows),
             failover: Failover::default(),
             subflows_joined: 0,
             subflows_closed: 0,
@@ -579,10 +578,6 @@ impl Endpoint {
     pub fn set_backup(&mut self, sub: usize, backup: bool) {
         self.wake();
         self.subs[sub].backup = backup;
-        self.path.add_endpoint(PathEndpoint {
-            addr_id: sub as u8,
-            flags: PathFlags { subflow: true, backup, ..Default::default() },
-        });
     }
 
     /// Stop subflow `sub` from joining automatically; it joins only when
@@ -611,10 +606,6 @@ impl Endpoint {
     /// priority, subject to its subflow limit.
     pub fn advertise_addr(&mut self, addr_id: u8, backup: bool) {
         self.wake();
-        self.path.add_endpoint(PathEndpoint {
-            addr_id,
-            flags: PathFlags { signal: true, subflow: true, backup, ..Default::default() },
-        });
         self.path.advertise(addr_id, backup);
     }
 
@@ -735,15 +726,15 @@ impl Endpoint {
     ///   from the *subflow* ACK. A stalled sibling subflow lets this
     ///   allowance fill up with data beyond the stream hole, wedging the
     ///   connection.
+    ///
+    /// The window field is 32 bits wide: a buffer of 4 GiB or more
+    /// advertises `u32::MAX` until it fills below that.
     fn advertised_window(&self, sub: usize) -> u32 {
-        match self.cfg.recv_mode {
-            RecvBufferMode::Shared => {
-                self.cfg.recv_buf.saturating_sub(self.recv_app.len()) as u32
-            }
-            RecvBufferMode::PerSubflow => {
-                self.cfg.recv_buf.saturating_sub(self.subs[sub].held_bytes) as u32
-            }
-        }
+        let held = match self.cfg.recv_mode {
+            RecvBufferMode::Shared => self.recv_app.len(),
+            RecvBufferMode::PerSubflow => self.subs[sub].held_bytes,
+        };
+        u32::try_from(self.cfg.recv_buf.saturating_sub(held)).unwrap_or(u32::MAX)
     }
 
     /// Whether an arriving payload is within the window this receiver has
@@ -861,13 +852,8 @@ impl Endpoint {
                 if sub == 0 && !seg.flags.ack {
                     // First-subflow SYN: capability negotiation.
                     self.mp_enabled = Some(capable);
-                    // The SYN carries the peer's ISN as this path delivers
-                    // it (`WireFault::RewriteIsn` shifts it). Learn it,
-                    // forward only like the join below: the ACKs returned
-                    // must map back into what the peer sent, or it ignores
-                    // them as acknowledging unsent bytes.
                     let s = &mut self.subs[0];
-                    s.rcv_next = s.rcv_next.max(seg.subflow_seq);
+                    s.resume_receive_at(seg.subflow_seq);
                     s.established = true;
                     s.ack_pending = true; // triggers SYN-ACK in poll
                     s.syn_sent = false; // we owe a SYN-ACK
@@ -882,15 +868,7 @@ impl Endpoint {
                         }
                         let s = &mut self.subs[sub];
                         if !was_established {
-                            // (Re)join: the SYN carries the peer's resumed
-                            // sequence number as its ISN; jump the receive
-                            // cursor forward so segments from a previous
-                            // incarnation can never alias new data.
-                            if s.rcv_next < seg.subflow_seq {
-                                s.rcv_next = seg.subflow_seq;
-                            }
-                            let cut = s.rcv_next;
-                            s.rcv_ranges.retain(|_, e| *e > cut);
+                            s.resume_receive_at(seg.subflow_seq);
                         }
                         s.closed = false;
                         s.backup = join.map(|(_, b)| b).unwrap_or(false);
@@ -914,13 +892,7 @@ impl Endpoint {
                     }
                     if sub == 0 || capable || join.is_some() {
                         let s = &mut self.subs[sub];
-                        // Forward-only receive-cursor jump (rejoin; see the
-                        // server side above).
-                        if s.rcv_next < seg.subflow_seq {
-                            s.rcv_next = seg.subflow_seq;
-                        }
-                        let cut = s.rcv_next;
-                        s.rcv_ranges.retain(|_, e| *e > cut);
+                        s.resume_receive_at(seg.subflow_seq);
                         s.established = true;
                         if sub > 0 {
                             self.subflows_joined += 1;
@@ -1086,8 +1058,7 @@ impl Endpoint {
         // Subflow-level bookkeeping → drives the peer's loss detection.
         // A FIN consumes one subflow sequence number, like real TCP.
         let sub_len = len as u32 + u32::from(seg.flags.fin);
-        let advanced = self.subs[sub].receive_range(seg.subflow_seq, sub_len);
-        let _ = advanced;
+        self.subs[sub].receive_range(seg.subflow_seq, sub_len);
         self.subs[sub].ack_pending = true;
 
         // Data-level reassembly.
@@ -1311,41 +1282,33 @@ impl Endpoint {
         let due = |ep: &Self, i: usize| ep.syn_due_at(i).is_some_and(|t| t <= now);
         match self.role {
             Role::Client => {
-                // First subflow SYN.
-                if due(self, 0) {
-                    self.subs[0].syn_sent = true;
-                    self.subs[0].syn_sent_at = now;
+                // Subflow 0 negotiates capability; the others join once
+                // multipath is confirmed. A SYN carries the subflow's
+                // `snd_next` as its ISN, so a rejoin after teardown cannot
+                // alias the old incarnation (subflow 0 sends nothing
+                // before it is established: its ISN is 0).
+                for i in 0..self.subs.len() {
+                    if !due(self, i) {
+                        continue;
+                    }
+                    let s = &mut self.subs[i];
+                    s.syn_sent = true;
+                    s.syn_sent_at = now;
+                    let option = if i == 0 {
+                        MptcpOption::MpCapable { key: self.key }
+                    } else {
+                        MptcpOption::MpJoin { token: self.key, backup: s.backup }
+                    };
                     out.push((
-                        0,
+                        i,
                         Segment {
                             flags: SegFlags { syn: true, ..Default::default() },
-                            options: vec![MptcpOption::MpCapable { key: self.key }],
-                            window: self.advertised_window(0),
+                            subflow_seq: s.snd_next,
+                            options: vec![option],
+                            window: self.advertised_window(i),
                             ..Segment::new()
                         },
                     ));
-                }
-                // Joins once multipath is confirmed. A join SYN carries the
-                // subflow's resumed sequence number as its ISN so a rejoin
-                // after teardown cannot alias the old incarnation.
-                for i in 1..self.subs.len() {
-                    if due(self, i) {
-                        self.subs[i].syn_sent = true;
-                        self.subs[i].syn_sent_at = now;
-                        out.push((
-                            i,
-                            Segment {
-                                flags: SegFlags { syn: true, ..Default::default() },
-                                subflow_seq: self.subs[i].snd_next,
-                                options: vec![MptcpOption::MpJoin {
-                                    token: self.key,
-                                    backup: self.subs[i].backup,
-                                }],
-                                window: self.advertised_window(i),
-                                ..Segment::new()
-                            },
-                        ));
-                    }
                 }
             }
             Role::Server => {
@@ -1396,21 +1359,11 @@ impl Endpoint {
         if options.is_empty() {
             return;
         }
-        options.push(MptcpOption::Dss { data_seq: None, data_ack: Some(self.rcv_data_next) });
-        let window = self.advertised_window(sub);
-        let s = &mut self.subs[sub];
-        s.ack_pending = false; // this segment is itself an ACK
-        out.push((
-            sub,
-            Segment {
-                subflow_seq: s.snd_next,
-                subflow_ack: s.rcv_next,
-                flags: SegFlags { ack: true, ..Default::default() },
-                window,
-                options,
-                payload: Vec::new(),
-            },
-        ));
+        self.subs[sub].ack_pending = false; // this segment is itself an ACK
+        let mut seg = self.segment(sub, self.subs[sub].snd_next, None, false, Vec::new());
+        options.append(&mut seg.options);
+        seg.options = options;
+        out.push((sub, seg));
     }
 
     fn poll_timers(&mut self, now: Micros, out: &mut Vec<(usize, Segment)>) {
@@ -1486,32 +1439,13 @@ impl Endpoint {
         sub: usize,
         out: &mut Vec<(usize, Segment)>,
     ) {
-        let window = self.advertised_window(sub);
-        let dack = if self.mp_enabled == Some(true) {
-            Some(self.rcv_data_next)
-        } else {
-            None
-        };
         let s = &mut self.subs[sub];
-        let Some(seg) = s.inflight.front_mut() else { return };
-        seg.sent_at = now;
-        seg.retransmitted = true;
+        let Some(h) = s.inflight.front_mut() else { return };
+        h.sent_at = now;
+        h.retransmitted = true;
+        let (seq, dseq, fin, payload) = (h.sub_seq, h.data_seq, h.is_fin, h.payload.clone());
         s.retransmits += 1;
-        let mut options = Vec::new();
-        if self.mp_enabled == Some(true) {
-            options.push(MptcpOption::Dss { data_seq: Some(seg.data_seq), data_ack: dack });
-        }
-        out.push((
-            sub,
-            Segment {
-                subflow_seq: seg.sub_seq,
-                subflow_ack: s.rcv_next,
-                flags: SegFlags { ack: true, fin: seg.is_fin, syn: false },
-                window,
-                options,
-                payload: seg.payload.clone(),
-            },
-        ));
+        out.push((sub, self.segment(sub, seq, Some(dseq), fin, payload)));
     }
 
     fn poll_data(&mut self, now: Micros, out: &mut Vec<(usize, Segment)>) {
@@ -1623,43 +1557,13 @@ impl Endpoint {
             self.snd_data_next == self.snd_data_base + self.send_buf.len() as u64;
         if self.fin_queued && all_mapped && self.fin_seq.is_none() {
             let fin_seq = *self.fin_seq.get_or_insert(self.snd_data_next);
-            let sub = usable[0];
-            let window = self.advertised_window(sub);
-            let mut options = Vec::new();
-            if self.mp_enabled == Some(true) {
-                options.push(MptcpOption::Dss {
-                    data_seq: Some(fin_seq),
-                    data_ack: Some(self.rcv_data_next),
-                });
-            }
-            let s = &mut self.subs[sub];
-            let sub_seq = s.snd_next;
-            s.snd_next = s.snd_next.wrapping_add(1);
-            s.inflight.push_back(SentSeg {
-                sub_seq,
-                data_seq: fin_seq,
-                payload: Vec::new(),
-                sent_at: now,
-                retransmitted: false,
-                is_fin: true,
-            });
-            if s.rto_deadline.is_none() {
-                s.rto_deadline = Some(now + s.rto_us());
-            }
-            out.push((
-                sub,
-                Segment {
-                    subflow_seq: sub_seq,
-                    subflow_ack: s.rcv_next,
-                    flags: SegFlags { ack: true, fin: true, syn: false },
-                    window,
-                    options,
-                    payload: Vec::new(),
-                },
-            ));
+            self.transmit_mapped(now, usable[0], fin_seq, Vec::new(), true, out);
         }
     }
 
+    /// Send `data` (or, with `is_fin`, the FIN) mapped at data sequence
+    /// number `dseq` as fresh subflow sequence space on `sub`: kept in
+    /// `inflight` for retransmission, with the RTO armed if it was idle.
     fn transmit_mapped(
         &mut self,
         now: Micros,
@@ -1669,68 +1573,61 @@ impl Endpoint {
         is_fin: bool,
         out: &mut Vec<(usize, Segment)>,
     ) {
-        let window = self.advertised_window(sub);
-        let dack = self.rcv_data_next;
-        let mp = self.mp_enabled == Some(true);
         let s = &mut self.subs[sub];
-        let sub_seq = s.snd_next;
-        let seq_len = if is_fin { 1 } else { data.len() as u32 };
-        s.snd_next = s.snd_next.wrapping_add(seq_len);
-        s.data_bytes_sent += data.len() as u64;
-        s.inflight.push_back(SentSeg {
-            sub_seq,
+        let seq = s.snd_next;
+        let sent = SentSeg {
+            sub_seq: seq,
             data_seq: dseq,
             payload: data.clone(),
             sent_at: now,
             retransmitted: false,
             is_fin,
-        });
+        };
+        s.snd_next = seq.wrapping_add(sent.seq_len());
+        s.data_bytes_sent += data.len() as u64;
+        s.inflight.push_back(sent);
         if s.rto_deadline.is_none() {
             s.rto_deadline = Some(now + s.rto_us());
         }
-        let mut options = Vec::new();
-        if mp {
-            options.push(MptcpOption::Dss { data_seq: Some(dseq), data_ack: Some(dack) });
-        }
-        out.push((
-            sub,
-            Segment {
-                subflow_seq: sub_seq,
-                subflow_ack: s.rcv_next,
-                flags: SegFlags { ack: true, fin: is_fin, syn: false },
-                window,
-                options,
-                payload: data,
-            },
-        ));
+        out.push((sub, self.segment(sub, seq, Some(dseq), is_fin, data)));
     }
 
     fn poll_acks(&mut self, out: &mut Vec<(usize, Segment)>) {
         for sub in 0..self.subs.len() {
-            if !self.subs[sub].established || !self.subs[sub].ack_pending {
+            let s = &mut self.subs[sub];
+            if !s.established || !s.ack_pending {
                 continue;
             }
-            let window = self.advertised_window(sub);
-            let mut options = Vec::new();
-            if self.mp_enabled == Some(true) {
-                options.push(MptcpOption::Dss {
-                    data_seq: None,
-                    data_ack: Some(self.rcv_data_next),
-                });
-            }
-            let s = &mut self.subs[sub];
             s.ack_pending = false;
-            out.push((
-                sub,
-                Segment {
-                    subflow_seq: s.snd_next,
-                    subflow_ack: s.rcv_next,
-                    flags: SegFlags { ack: true, ..Default::default() },
-                    window,
-                    options,
-                    payload: Vec::new(),
-                },
-            ));
+            let seq = s.snd_next;
+            out.push((sub, self.segment(sub, seq, None, false, Vec::new())));
+        }
+    }
+
+    /// Every segment after the handshake, in one shape: it acknowledges
+    /// the subflow (`subflow_ack`) and advertises the window, and with
+    /// MPTCP in use carries a DSS option with the data ACK and, for a
+    /// payload or a FIN, its data sequence number.
+    fn segment(
+        &self,
+        sub: usize,
+        seq: u32,
+        data_seq: Option<u64>,
+        fin: bool,
+        payload: Vec<u8>,
+    ) -> Segment {
+        let options = if self.mp_enabled == Some(true) {
+            vec![MptcpOption::Dss { data_seq, data_ack: Some(self.rcv_data_next) }]
+        } else {
+            Vec::new()
+        };
+        Segment {
+            subflow_seq: seq,
+            subflow_ack: self.subs[sub].rcv_next,
+            flags: SegFlags { ack: true, fin, syn: false },
+            window: self.advertised_window(sub),
+            options,
+            payload,
         }
     }
 
@@ -1985,7 +1882,7 @@ mod tests {
         let (retx, _) = c.subflow_retransmits(0);
         assert!(dropped_one);
         assert!(retx >= 1, "the hole must be retransmitted");
-        assert_eq!(s.total_received, 30_000, "stream completes despite the drop");
+        assert_eq!(s.stats().data_received, 30_000, "stream completes despite the drop");
     }
 
     #[test]
@@ -2062,11 +1959,11 @@ mod tests {
                 c.on_segment(t * 1000, sub, seg);
             }
         }
-        let before = s.total_received;
+        let before = s.stats().data_received;
         for (sub, seg) in captured {
             s.on_segment(21_000, sub, seg);
         }
-        assert_eq!(s.total_received, before, "duplicates must not re-deliver");
+        assert_eq!(s.stats().data_received, before, "duplicates must not re-deliver");
     }
 
     #[test]
@@ -2295,7 +2192,7 @@ mod tests {
             }
             assert!(got == data, "{mode:?}: received stream differs from the sent one");
             assert_eq!(h.client.snd_data_base, 200_000, "{mode:?}: send ring released it all");
-            assert_eq!(h.server.total_received, 200_000);
+            assert_eq!(h.server.stats().data_received, 200_000);
             assert!(h.client.send_buf.capacity() < 10_000 && h.server.recv_app.capacity() < 10_000);
         }
     }

@@ -7,6 +7,7 @@
 //! testbed.
 
 use crate::endpoint::{Endpoint, EndpointConfig};
+use crate::segment::Segment;
 use crate::wire::Wire;
 use crate::Micros;
 
@@ -40,22 +41,41 @@ impl Harness {
     }
 
     /// Advance one tick: deliver due segments, then poll both endpoints.
-    pub fn step(&mut self) {
+    /// Returns the number of segments moved, delivered plus sent.
+    pub fn step(&mut self) -> usize {
+        self.step_observed(|_, _, _, _| {})
+    }
+
+    /// [`Harness::step`], showing `seen` each delivered segment before the
+    /// endpoint takes it: the time, whether it travels to the server, the
+    /// subflow and the segment. The crate's drivers all step through here,
+    /// so this is the one place that fixes the order of a tick (the
+    /// benchmark's `protoload.rs` writes the same order out to time it).
+    pub fn step_observed(&mut self, mut seen: impl FnMut(Micros, bool, usize, &Segment)) -> usize {
         self.now += self.tick;
+        let now = self.now;
+        let mut moved = 0;
         for (i, wire) in self.wires.iter_mut().enumerate() {
-            for seg in wire.recv_a(self.now) {
-                self.client.on_segment(self.now, i, seg);
+            for seg in wire.recv_a(now) {
+                seen(now, false, i, &seg);
+                self.client.on_segment(now, i, seg);
+                moved += 1;
             }
-            for seg in wire.recv_b(self.now) {
-                self.server.on_segment(self.now, i, seg);
+            for seg in wire.recv_b(now) {
+                seen(now, true, i, &seg);
+                self.server.on_segment(now, i, seg);
+                moved += 1;
             }
         }
-        for (sub, seg) in self.client.poll(self.now) {
-            self.wires[sub].send_a(self.now, seg);
+        for (sub, seg) in self.client.poll(now) {
+            self.wires[sub].send_a(now, seg);
+            moved += 1;
         }
-        for (sub, seg) in self.server.poll(self.now) {
-            self.wires[sub].send_b(self.now, seg);
+        for (sub, seg) in self.server.poll(now) {
+            self.wires[sub].send_b(now, seg);
+            moved += 1;
         }
+        moved
     }
 
     /// Run until `cond` returns true or `max_ticks` elapse; returns whether
@@ -129,6 +149,19 @@ mod tests {
         assert_eq!(got, data);
         assert!(h.client.subflow_established(0));
         assert!(h.client.subflow_established(1));
+    }
+
+    #[test]
+    fn a_receive_buffer_past_the_window_field_advertises_its_maximum() {
+        // The window field is 32 bits: a 4 GiB buffer must advertise
+        // `u32::MAX`, not wrap to a zero window that admits nothing.
+        for recv_mode in [RecvBufferMode::Shared, RecvBufferMode::PerSubflow] {
+            let cfg = EndpointConfig { recv_buf: 1 << 32, recv_mode, ..EndpointConfig::default() };
+            let mut h = Harness::new(cfg, vec![Wire::new(5_000, 1), Wire::new(8_000, 2)], 7);
+            let data = payload(200_000);
+            let got = h.transfer(&data, 100_000);
+            assert_eq!(got.as_deref(), Some(&data[..]), "{recv_mode:?}: 10 s of simulated time");
+        }
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! The paper's §6 describes the protocol changes TCP needs to carry one
 //! data stream over several subflows, and argues that "careful
 //! consideration of corner cases forced us to our specific implementation".
-//! This crate implements that design as a userspace endpoint, and also
-//! implements the *rejected* design alternatives behind feature switches so
-//! the corner cases can be demonstrated as executable tests:
+//! This crate implements that design as a userspace endpoint:
 //!
 //! * **Dual sequence spaces** — subflow sequence numbers in the header for
 //!   loss detection and fast retransmission, plus a 64-bit **data sequence
@@ -27,6 +25,14 @@
 //! * **Reinjection**: data unacknowledged at the data level may be
 //!   retransmitted on a different subflow after a subflow RTO, so one dead
 //!   path cannot stall the connection.
+//!
+//! The *rejected* alternatives are executable too, so each corner case is
+//! a test rather than an argument: per-subflow receive buffers are
+//! [`endpoint::RecvBufferMode::PerSubflow`], a mode of the same endpoint,
+//! and the [`scenarios`] module replays the failure schedules
+//! ([`scenarios::per_subflow_buffer_wedges`],
+//! [`scenarios::inferred_data_ack_drops_packet`],
+//! [`scenarios::payload_encoded_data_acks_deadlock`]).
 //!
 //! Congestion control is pluggable via [`mptcp_cc::MultipathCc`]; the
 //! endpoint drives it with the same ACK/loss events the simulator uses.
@@ -54,7 +60,7 @@ pub mod segment;
 pub mod wire;
 
 pub use endpoint::{Endpoint, EndpointConfig, EndpointStats, RecvBufferMode, SubflowStats};
-pub use path::{PathEndpoint, PathEvent, PathFlags, PathManager, ADVERT_RTO};
+pub use path::{PathEvent, PathManager, ADVERT_RTO};
 pub use harness::Harness;
 pub use segment::{DecodeError, MptcpOption, SegFlags, Segment};
 pub use wire::{Wire, WireFault};

@@ -6,9 +6,7 @@
 //! runs — the `ip mptcp` endpoint model of the Linux kernel. This module
 //! implements that surface for the userspace endpoint:
 //!
-//! * an **endpoint table** of [`PathEndpoint`]s with the kernel's flags
-//!   (`signal` / `subflow` / `backup` / `fullmesh`) and a per-connection
-//!   subflow limit;
+//! * a per-connection **subflow limit**;
 //! * deterministic **advertisement retransmission**: every `ADD_ADDR` and
 //!   `REMOVE_ADDR` carries an echo bit and is retransmitted on a fixed
 //!   [`ADVERT_RTO`] until the peer's echo arrives (RFC 8684 echoes
@@ -21,6 +19,9 @@
 //! Addresses are identified by `addr_id`, which in this flat model is the
 //! wire/subflow index shared by both ends — there is no address rewriting
 //! between the endpoints, so no token-to-address indirection is needed.
+//! Nor is there a table of the kernel's per-endpoint flags (`signal` /
+//! `subflow` / `backup` / `fullmesh`): backup priority lives on the
+//! subflow, and the client joins whatever is advertised, up to the limit.
 
 use crate::segment::MptcpOption;
 use crate::Micros;
@@ -28,32 +29,6 @@ use crate::Micros;
 /// Retransmission interval for unacknowledged `ADD_ADDR`/`REMOVE_ADDR`
 /// advertisements (same fixed timer as the handshake's SYN retransmit).
 pub const ADVERT_RTO: Micros = 500_000;
-
-/// Endpoint flags, mirroring `ip mptcp endpoint add … [signal|subflow|
-/// backup|fullmesh]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PathFlags {
-    /// Advertise this endpoint to the peer via `ADD_ADDR`.
-    pub signal: bool,
-    /// Initiate a subflow from this endpoint at connect time.
-    pub subflow: bool,
-    /// Subflows on this endpoint run at backup priority: kept warm at the
-    /// SYN/ACK level but carrying no data while any non-backup subflow is
-    /// healthy.
-    pub backup: bool,
-    /// Join this endpoint against every address the peer advertises (in
-    /// the flat wire model this collapses to "always willing to join").
-    pub fullmesh: bool,
-}
-
-/// One row of the endpoint table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathEndpoint {
-    /// Stable identifier; equals the wire/subflow index in this model.
-    pub addr_id: u8,
-    /// Behavior flags.
-    pub flags: PathFlags,
-}
 
 /// What kind of advertisement is pending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,11 +65,10 @@ pub enum PathEvent {
     },
 }
 
-/// Per-connection path-management state: the endpoint table, the subflow
-/// limit, and the advertisement retransmission machinery.
+/// Per-connection path-management state: the subflow limit and the
+/// advertisement retransmission machinery.
 #[derive(Debug)]
 pub struct PathManager {
-    endpoints: Vec<PathEndpoint>,
     subflow_limit: usize,
     adverts: Vec<Advert>,
     /// Echoes owed to the peer, sent on the next outgoing opportunity.
@@ -108,32 +82,11 @@ impl PathManager {
     pub fn new(subflow_limit: usize) -> Self {
         assert!(subflow_limit >= 1, "need at least one subflow");
         Self {
-            endpoints: Vec::new(),
             subflow_limit,
             adverts: Vec::new(),
             pending_echo: Vec::new(),
             addr_advertised: 0,
         }
-    }
-
-    /// Register an endpoint in the table (replaces an existing row with
-    /// the same `addr_id`).
-    pub fn add_endpoint(&mut self, ep: PathEndpoint) {
-        if let Some(row) = self.endpoints.iter_mut().find(|e| e.addr_id == ep.addr_id) {
-            *row = ep;
-        } else {
-            self.endpoints.push(ep);
-        }
-    }
-
-    /// The endpoint table.
-    pub fn endpoints(&self) -> &[PathEndpoint] {
-        &self.endpoints
-    }
-
-    /// Table row for `addr_id`, if registered.
-    pub fn endpoint(&self, addr_id: u8) -> Option<&PathEndpoint> {
-        self.endpoints.iter().find(|e| e.addr_id == addr_id)
     }
 
     /// Maximum concurrent subflows this connection may run.
@@ -298,21 +251,5 @@ mod tests {
         assert!(!pm.has_pending());
         let ev = pm.on_option(&MptcpOption::RemoveAddr { addr_id: 3, echo: false });
         assert_eq!(ev, Some(PathEvent::Close { addr_id: 3 }));
-    }
-
-    #[test]
-    fn endpoint_table_replaces_by_addr_id() {
-        let mut pm = PathManager::new(2);
-        pm.add_endpoint(PathEndpoint {
-            addr_id: 1,
-            flags: PathFlags { subflow: true, ..Default::default() },
-        });
-        pm.add_endpoint(PathEndpoint {
-            addr_id: 1,
-            flags: PathFlags { backup: true, ..Default::default() },
-        });
-        assert_eq!(pm.endpoints().len(), 1);
-        assert!(pm.endpoint(1).unwrap().flags.backup);
-        assert_eq!(pm.subflow_limit(), 2);
     }
 }

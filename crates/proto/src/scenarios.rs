@@ -16,7 +16,8 @@
 //!    the payload stream subjects them to flow control, producing the A/B
 //!    pipelining deadlock.
 
-use crate::endpoint::{Endpoint, EndpointConfig, EndpointStats, RecvBufferMode};
+use crate::endpoint::{EndpointConfig, EndpointStats, RecvBufferMode};
+use crate::harness::Harness;
 use crate::wire::{Wire, WireFault};
 use crate::Micros;
 
@@ -50,56 +51,39 @@ pub fn per_subflow_buffer_wedges(mode: RecvBufferMode, budget: usize) -> Scenari
         recv_mode: mode,
         ..EndpointConfig::default()
     };
-    let mut client = Endpoint::client(cfg, 2, 9);
-    let mut server = Endpoint::server(cfg, 2, 9);
-    let mut wires = [Wire::new(1_000, 1), Wire::new(1_000, 2)];
+    let mut h = Harness::new(cfg, vec![Wire::new(1_000, 1), Wire::new(1_000, 2)], 9);
+    h.tick = 500;
     let data = vec![0xAB_u8; 30_000];
     let mut written = 0;
     let mut closed = false;
     let mut received = 0_usize;
     let mut buf = [0u8; 4096];
-    let mut now = 0;
     let mut sub0_dead = false;
 
     for step in 0..budget {
-        now += 500;
         // Kill subflow 0 shortly after data starts flowing, so a hole is
-        // stranded there. (The app also stops reading until the kill, to
-        // let later data pile up — then reads freely.)
-        if !sub0_dead && client.peer_data_acked() > 2_400 {
-            wires[0] = Wire::new(1_000, 3).with_fault(crate::wire::WireFault::Loss(0.9999999));
+        // stranded there.
+        if !sub0_dead && h.client.peer_data_acked() > 2_400 {
+            h.wires[0] = Wire::new(1_000, 3).with_fault(WireFault::Loss(0.9999999));
             sub0_dead = true;
         }
         if written < data.len() {
-            written += client.write(&data[written..]);
+            written += h.client.write(&data[written..]);
         } else if !closed {
-            client.close();
+            h.client.close();
             closed = true;
         }
-        for (i, w) in wires.iter_mut().enumerate() {
-            for seg in w.recv_a(now) {
-                client.on_segment(now, i, seg);
-            }
-            for seg in w.recv_b(now) {
-                server.on_segment(now, i, seg);
-            }
-        }
-        for (sub, seg) in client.poll(now) {
-            wires[sub].send_a(now, seg);
-        }
-        for (sub, seg) in server.poll(now) {
-            wires[sub].send_b(now, seg);
-        }
+        h.step();
         // The application reads eagerly; the wedge (if any) is in the
         // transport, not the app.
         loop {
-            let n = server.read(&mut buf);
+            let n = h.server.read(&mut buf);
             if n == 0 {
                 break;
             }
             received += n;
         }
-        if received == data.len() && server.at_eof() {
+        if received == data.len() && h.server.at_eof() {
             return ScenarioOutcome { completed: true, steps: step + 1 };
         }
     }
@@ -377,13 +361,13 @@ pub fn run_endpoint_churn(
     budget: usize,
 ) -> ChurnOutcome {
     assert!(n_wires >= 1);
-    let mut client = Endpoint::client(cfg, n_wires, 7);
-    let mut server = Endpoint::server(cfg, n_wires, 7);
-    for i in 1..n_wires {
-        client.defer_join(i);
-    }
-    let mut wires: Vec<Wire> =
+    let wires =
         (0..n_wires).map(|i| Wire::new(2_000 + 1_000 * i as Micros, i as u64 + 1)).collect();
+    let mut h = Harness::new(cfg, wires, 7);
+    h.tick = 500;
+    for i in 1..n_wires {
+        h.client.defer_join(i);
+    }
     let mut events: Vec<ChurnEvent> = events.to_vec();
     events.sort_by_key(|e| e.at_step);
     let mut next_event = 0;
@@ -394,31 +378,30 @@ pub fn run_endpoint_churn(
     let mut buf = [0u8; 4096];
     let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
     let mut restores: u64 = 0;
-    let mut now: Micros = 0;
+    let (mut completed, mut steps) = (false, budget);
 
     for step in 0..budget {
-        now += 500;
         while next_event < events.len() && events[next_event].at_step <= step {
             let ev = events[next_event];
             next_event += 1;
             match ev.action {
                 ChurnAction::Advertise { addr_id, backup } => {
-                    server.advertise_addr(addr_id, backup);
+                    h.server.advertise_addr(addr_id, backup);
                 }
-                ChurnAction::Withdraw { addr_id } => server.withdraw_addr(addr_id),
+                ChurnAction::Withdraw { addr_id } => h.server.withdraw_addr(addr_id),
                 ChurnAction::ClientClose { addr_id } => {
-                    client.close_subflow(addr_id as usize);
+                    h.client.close_subflow(addr_id as usize);
                 }
                 ChurnAction::ClientJoin { addr_id, backup } => {
-                    client.join_subflow(addr_id as usize, backup);
+                    h.client.join_subflow(addr_id as usize, backup);
                 }
                 ChurnAction::Blackout { wire } => {
-                    wires[wire] = Wire::new(2_000, 1_000 + wire as u64)
+                    h.wires[wire] = Wire::new(2_000, 1_000 + wire as u64)
                         .with_fault(WireFault::Loss(1.0 - 1e-12));
                 }
                 ChurnAction::Restore { wire, delay_us } => {
                     restores += 1;
-                    wires[wire] = Wire::new(delay_us.max(100), 2_000 + restores);
+                    h.wires[wire] = Wire::new(delay_us.max(100), 2_000 + restores);
                 }
             }
         }
@@ -428,57 +411,35 @@ pub fn run_endpoint_churn(
             } else {
                 (written + write_per_step).min(data.len())
             };
-            written += client.write(&data[written..cap]);
+            written += h.client.write(&data[written..cap]);
         } else if !closed {
-            client.close();
+            h.client.close();
             closed = true;
         }
-        for (i, w) in wires.iter_mut().enumerate() {
-            for seg in w.recv_a(now) {
-                fnv1a(&mut digest, &now.to_be_bytes());
-                fnv1a(&mut digest, &[0, i as u8]);
-                fnv1a(&mut digest, &seg.encode());
-                client.on_segment(now, i, seg);
-            }
-            for seg in w.recv_b(now) {
-                fnv1a(&mut digest, &now.to_be_bytes());
-                fnv1a(&mut digest, &[1, i as u8]);
-                fnv1a(&mut digest, &seg.encode());
-                server.on_segment(now, i, seg);
-            }
-        }
-        for (sub, seg) in client.poll(now) {
-            wires[sub].send_a(now, seg);
-        }
-        for (sub, seg) in server.poll(now) {
-            wires[sub].send_b(now, seg);
-        }
+        h.step_observed(|now, to_server, i, seg| {
+            fnv1a(&mut digest, &now.to_be_bytes());
+            fnv1a(&mut digest, &[u8::from(to_server), i as u8]);
+            fnv1a(&mut digest, &seg.encode());
+        });
         loop {
-            let n = server.read(&mut buf);
+            let n = h.server.read(&mut buf);
             if n == 0 {
                 break;
             }
             received.extend_from_slice(&buf[..n]);
         }
-        if closed && server.at_eof() && client.send_complete() {
-            let byte_exact = received == data;
-            return ChurnOutcome {
-                completed: true,
-                steps: step + 1,
-                byte_exact,
-                digest,
-                client: client.stats(),
-                server: server.stats(),
-            };
+        if closed && h.server.at_eof() && h.client.send_complete() {
+            (completed, steps) = (true, step + 1);
+            break;
         }
     }
     ChurnOutcome {
-        completed: false,
-        steps: budget,
+        completed,
+        steps,
         byte_exact: received == data,
         digest,
-        client: client.stats(),
-        server: server.stats(),
+        client: h.client.stats(),
+        server: h.server.stats(),
     }
 }
 

@@ -8,17 +8,14 @@
 //! stand down once the primary revives — with exactly-once delivery
 //! throughout.
 
-use mptcp_proto::{Endpoint, EndpointConfig, Micros, Wire, WireFault};
+use mptcp_proto::{EndpointConfig, Harness, Micros, Wire, WireFault};
 
 const STEP_US: Micros = 500;
 /// App-limited write rate: bytes offered per driver step.
 const WRITE_PER_STEP: usize = 600;
 
 struct Driver {
-    client: Endpoint,
-    server: Endpoint,
-    wires: Vec<Wire>,
-    now: Micros,
+    h: Harness,
     data: Vec<u8>,
     written: usize,
     received: Vec<u8>,
@@ -28,16 +25,13 @@ struct Driver {
 
 impl Driver {
     fn new(cfg: EndpointConfig) -> Self {
-        let mut client = Endpoint::client(cfg, 2, 7);
-        let server = Endpoint::server(cfg, 2, 7);
+        let mut h = Harness::new(cfg, vec![Wire::new(2_000, 1), Wire::new(3_000, 2)], 7);
+        h.tick = STEP_US;
         // Subflow 1 joins at backup priority from the start.
-        client.defer_join(1);
-        client.join_subflow(1, true);
+        h.client.defer_join(1);
+        h.client.join_subflow(1, true);
         Driver {
-            client,
-            server,
-            wires: vec![Wire::new(2_000, 1), Wire::new(3_000, 2)],
-            now: 0,
+            h,
             data: Vec::new(),
             written: 0,
             received: Vec::new(),
@@ -47,7 +41,6 @@ impl Driver {
     }
 
     fn step(&mut self) {
-        self.now += STEP_US;
         if self.writing {
             let fresh: Vec<u8> = (self.data.len()..self.data.len() + WRITE_PER_STEP)
                 .map(|i| (i % 251) as u8)
@@ -55,28 +48,15 @@ impl Driver {
             self.data.extend_from_slice(&fresh);
         }
         if self.written < self.data.len() {
-            self.written += self.client.write(&self.data[self.written..]);
+            self.written += self.h.client.write(&self.data[self.written..]);
         } else if !self.writing && !self.closed {
-            self.client.close();
+            self.h.client.close();
             self.closed = true;
         }
-        for (i, w) in self.wires.iter_mut().enumerate() {
-            for seg in w.recv_a(self.now) {
-                self.client.on_segment(self.now, i, seg);
-            }
-            for seg in w.recv_b(self.now) {
-                self.server.on_segment(self.now, i, seg);
-            }
-        }
-        for (sub, seg) in self.client.poll(self.now) {
-            self.wires[sub].send_a(self.now, seg);
-        }
-        for (sub, seg) in self.server.poll(self.now) {
-            self.wires[sub].send_b(self.now, seg);
-        }
+        self.h.step();
         let mut buf = [0u8; 4096];
         loop {
-            let n = self.server.read(&mut buf);
+            let n = self.h.server.read(&mut buf);
             if n == 0 {
                 break;
             }
@@ -98,23 +78,23 @@ fn backup_stays_cold_activates_on_blackout_stands_down_on_revival() {
 
     // --- Phase A: 2 s healthy. Backup established but carries no data. ---
     d.run(4_000);
-    let cs = d.client.stats();
+    let cs = d.h.client.stats();
     assert!(cs.subflows[0].established && cs.subflows[1].established);
     assert!(cs.subflows[1].backup, "subflow 1 negotiated as backup");
-    assert!(d.server.stats().subflows[1].backup, "server learned backup priority");
+    assert!(d.h.server.stats().subflows[1].backup, "server learned backup priority");
     assert_eq!(
         cs.subflows[1].data_bytes_sent, 0,
         "backup must carry zero data while primaries are healthy"
     );
-    assert!(!d.client.backup_active());
+    assert!(!d.h.client.backup_active());
     assert!(cs.subflows[0].data_bytes_sent > 0, "primary carries the stream");
     let received_pre_blackout = d.received.len();
 
     // --- Phase B: primary blacks out for 15 s. ---
-    d.wires[0] = Wire::new(2_000, 101).with_fault(WireFault::Loss(1.0 - 1e-12));
+    d.h.wires[0] = Wire::new(2_000, 101).with_fault(WireFault::Loss(1.0 - 1e-12));
     d.run(30_000);
-    let cs = d.client.stats();
-    assert!(d.client.backup_active(), "failover must engage during the blackout");
+    let cs = d.h.client.stats();
+    assert!(d.h.client.backup_active(), "failover must engage during the blackout");
     assert_eq!(cs.backup_activations, 1, "exactly one activation");
     assert!(cs.subflows[1].data_bytes_sent > 0, "backup now carries the stream");
     let lat = cs.failover_latency_us.expect("failover latency recorded");
@@ -133,10 +113,10 @@ fn backup_stays_cold_activates_on_blackout_stands_down_on_revival() {
     // --- Phase C: primary revives; backups stand down. The revival is
     // detected by the primary's own backed-off RTO retransmit, which after
     // a 15 s blackout can sit up to ~11 s out — give it 13 s. ---
-    d.wires[0] = Wire::new(2_000, 102);
+    d.h.wires[0] = Wire::new(2_000, 102);
     d.run(26_000);
-    let cs = d.client.stats();
-    assert!(!d.client.backup_active(), "backups stand down once a primary revives");
+    let cs = d.h.client.stats();
+    assert!(!d.h.client.backup_active(), "backups stand down once a primary revives");
     assert_eq!(cs.backup_activations, 1, "revival must not re-count activations");
     assert!(!cs.subflows[0].potentially_failed, "primary is healthy again");
 
@@ -144,23 +124,23 @@ fn backup_stays_cold_activates_on_blackout_stands_down_on_revival() {
     d.writing = false;
     for _ in 0..400_000 {
         d.step();
-        if d.closed && d.server.at_eof() && d.client.send_complete() {
+        if d.closed && d.h.server.at_eof() && d.h.client.send_complete() {
             break;
         }
     }
     assert!(
-        d.closed && d.server.at_eof(),
+        d.closed && d.h.server.at_eof(),
         "transfer must complete after recovery: closed={} written={}/{} recvd={} client={:?} server={:?}",
         d.closed,
         d.written,
         d.data.len(),
         d.received.len(),
-        d.client.stats(),
-        d.server.stats()
+        d.h.client.stats(),
+        d.h.server.stats()
     );
     assert_eq!(d.received, d.data, "byte-exact, zero duplicate deliveries");
     assert_eq!(
-        d.server.stats().data_received as usize,
+        d.h.server.stats().data_received as usize,
         d.data.len(),
         "exactly-once accounting on the receiver"
     );

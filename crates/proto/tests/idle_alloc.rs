@@ -27,7 +27,7 @@
     reason = "the counter is per thread by design: `thread_local!` keeps other test threads' allocations out of the count"
 )]
 
-use mptcp_proto::{Endpoint, EndpointConfig, Micros, Wire, WireFault};
+use mptcp_proto::{EndpointConfig, Harness, Wire, WireFault};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -78,54 +78,34 @@ fn allocs() -> u64 {
 
 #[test]
 fn idle_ticks_allocate_nothing_and_busy_ticks_stay_in_budget() {
-    const TICK: Micros = 100;
-    let cfg = EndpointConfig::default();
-    let (mut client, mut server) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
-    let mut wires = [
+    let wires = vec![
         Wire::new(5_000, 1).with_fault(WireFault::Loss(0.01)),
         Wire::new(20_000, 2).with_fault(WireFault::Loss(0.01)).with_fault(WireFault::Jitter(2_000)),
     ];
+    let mut h = Harness::new(EndpointConfig::default(), wires, 7);
     let data: Vec<u8> = (0..2_000_000).map(|i| (i % 251) as u8).collect();
     let mut buf = vec![0u8; 16 * 1024];
-    let (mut now, mut written, mut read, mut closed) = (0, 0, 0, false);
+    let (mut written, mut read, mut closed) = (0, 0, false);
     let (mut idle_ticks, mut busy_ticks, mut idle_allocs, mut busy_allocs) = (0u64, 0, 0, 0);
 
-    while !(closed && server.at_eof() && client.send_complete()) {
-        assert!(now < 120_000_000, "transfer stalled with {read} bytes read");
+    while !(closed && h.server.at_eof() && h.client.send_complete()) {
+        assert!(h.now < 120_000_000, "transfer stalled with {read} bytes read");
         if written < data.len() {
-            written += client.write(&data[written..]);
+            written += h.client.write(&data[written..]);
         } else if !closed {
-            client.close();
+            h.client.close();
             closed = true;
         }
-        now += TICK;
 
-        // One tick in `Harness::step`'s order, then the application's read.
+        // One 100 µs tick, then the application's read.
         let before = allocs();
-        let mut moved = 0;
-        for (i, wire) in wires.iter_mut().enumerate() {
-            for seg in wire.recv_a(now) {
-                client.on_segment(now, i, seg);
-                moved += 1;
-            }
-            for seg in wire.recv_b(now) {
-                server.on_segment(now, i, seg);
-                moved += 1;
-            }
-        }
-        for (sub, seg) in client.poll(now) {
-            wires[sub].send_a(now, seg);
-            moved += 1;
-        }
-        for (sub, seg) in server.poll(now) {
-            wires[sub].send_b(now, seg);
-            moved += 1;
-        }
-        let n = server.read(&mut buf);
+        let moved = h.step();
+        let n = h.server.read(&mut buf);
         let spent = allocs() - before;
 
         read += n;
-        let joined = (0..2).all(|i| client.subflow_established(i) && server.subflow_established(i));
+        let joined =
+            (0..2).all(|i| h.client.subflow_established(i) && h.server.subflow_established(i));
         if joined && moved == 0 && n == 0 {
             idle_ticks += 1;
             idle_allocs += spent;
@@ -137,7 +117,7 @@ fn idle_ticks_allocate_nothing_and_busy_ticks_stay_in_budget() {
     assert_eq!(read, data.len());
     assert!(busy_ticks > 1_000 && idle_ticks > 10 * busy_ticks, "{idle_ticks} idle, {busy_ticks} busy");
     assert_eq!(idle_allocs, 0, "{idle_allocs} allocations over {idle_ticks} idle ticks");
-    let carried: u64 = wires.iter().map(|w| w.carried).sum();
+    let carried: u64 = h.wires.iter().map(|w| w.carried).sum();
     let per_segment = busy_allocs as f64 / carried as f64;
     println!(
         "{busy_allocs} allocations over {busy_ticks} busy ticks, {carried} segments carried: \
