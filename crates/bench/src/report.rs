@@ -163,24 +163,6 @@ pub fn merge_bench_sim(source_prefix: &str, records: &[Record]) {
     }
 }
 
-/// Read one numeric field of one record back out of `BENCH_sim.json`
-/// (textually, like the merge — no JSON parser in the offline workspace).
-/// Returns `None` when the file, record or field is missing.
-///
-/// This is how benches compare a fresh run against the checked-in
-/// baseline *before* overwriting it (see the probe-overhead guard in
-/// `benches/sim_micro.rs`).
-pub fn read_bench_field(source: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(bench_sim_path()).ok()?;
-    let line = text
-        .lines()
-        .find(|l| source_of_line(l) == Some(source))?;
-    let key = format!("\"{}\":", escape(field));
-    let rest = &line[line.find(&key)? + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Where exported probe traces live: `target/traces/` at the workspace
 /// root (regenerated artifacts, not checked in).
 pub fn trace_dir() -> PathBuf {
@@ -246,18 +228,5 @@ mod tests {
     fn nan_serializes_as_null() {
         let r = Record::new("s").field("bad", f64::NAN);
         assert!(r.to_json_line().contains("\"bad\":null"));
-    }
-
-    #[test]
-    fn read_bench_field_round_trips_through_the_real_file() {
-        // BENCH_sim.json is checked in; every record has a numeric field.
-        // Field extraction itself is pinned on a synthetic line.
-        let line = Record::new("x/y").field("eps", 123.5).field("n", 7u64).to_json_line();
-        let key = "\"eps\":";
-        let rest = &line[line.find(key).unwrap() + key.len()..];
-        let end = rest.find([',', '}']).unwrap();
-        assert_eq!(rest[..end].parse::<f64>().unwrap(), 123.5);
-        // Missing source/field answer None, not a panic.
-        assert_eq!(read_bench_field("no/such/source", "eps"), None);
     }
 }

@@ -48,36 +48,33 @@ pub(crate) const MAX_SACK_RANGES: usize = 4;
 /// `[start, end)` of packets the receiver holds above the cumulative ACK.
 pub(crate) type SackRanges = [Option<(u64, u64)>; MAX_SACK_RANGES];
 
+/// Initial congestion window, packets.
+const INITIAL_CWND: f64 = 2.0;
+/// Minimum retransmission timeout, seconds (Linux uses 200 ms).
+const MIN_RTO: f64 = 0.2;
+/// RTO before any RTT sample exists, seconds (RFC 6298 says 1 s).
+const INITIAL_RTO: f64 = 1.0;
+/// Packets SACKed above a hole before the hole is declared lost
+/// (DupThresh).
+const DUPACK_THRESHOLD: u64 = 3;
+
 /// Tunable TCP parameters shared by every subflow of a connection.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpParams {
-    /// Initial congestion window, packets.
-    pub initial_cwnd: f64,
     /// Initial slow-start threshold, packets (∞ → slow start until first loss).
     pub initial_ssthresh: f64,
-    /// Minimum retransmission timeout (Linux uses 200 ms).
-    pub min_rto: SimTime,
     /// Maximum retransmission timeout.
     pub max_rto: SimTime,
-    /// RTO before any RTT sample exists (RFC 6298 says 1 s).
-    pub initial_rto: SimTime,
     /// Cap on the congestion window (models the receive window), packets.
     pub max_cwnd: f64,
-    /// Packets SACKed above a hole before the hole is declared lost
-    /// (DupThresh).
-    pub dupack_threshold: u32,
 }
 
 impl Default for TcpParams {
     fn default() -> Self {
         Self {
-            initial_cwnd: 2.0,
             initial_ssthresh: f64::INFINITY,
-            min_rto: SimTime::from_millis(200),
             max_rto: SimTime::from_secs(60),
-            initial_rto: SimTime::from_secs(1),
             max_cwnd: f64::INFINITY,
-            dupack_threshold: 3,
         }
     }
 }
@@ -267,8 +264,9 @@ pub(crate) struct SenderCounters {
 /// sequence edges, retransmission timer — sit first, packed into the
 /// leading cache lines; the scoreboard and send metadata follow;
 /// rarely-touched counters trail at the end. Of [`TcpParams`] the sender
-/// keeps only the two fields it reads after construction; the rest seed
-/// the window and timer, and the connection keeps them for re-arming.
+/// keeps only `max_cwnd`, the one field it reads after construction; the
+/// rest seed the window and timer, and the connection keeps them for
+/// re-arming.
 #[derive(Debug)]
 #[repr(C)]
 pub(crate) struct SubflowSender {
@@ -297,8 +295,6 @@ pub(crate) struct SubflowSender {
     /// Whether a timer is conceptually armed (the simulator tracks the
     /// actual deadline and uses lazy re-scheduling).
     pub rto_armed: bool,
-    /// DupThresh ([`TcpParams::dupack_threshold`]).
-    dupack_threshold: u32,
     /// Recovery ends when `una` reaches this point.
     pub recovery_point: u64,
     /// Static estimate of the path's two-way propagation delay, used for
@@ -328,11 +324,7 @@ pub const MIN_SSTHRESH_PKTS: f64 = 2.0;
 
 /// The retransmission timer of a subflow that has sent nothing yet.
 fn fresh_timer(params: &TcpParams) -> RtoEstimator {
-    RtoEstimator::new(
-        params.initial_rto.as_secs_f64(),
-        params.min_rto.as_secs_f64(),
-        params.max_rto.as_secs_f64(),
-    )
+    RtoEstimator::new(INITIAL_RTO, MIN_RTO, params.max_rto.as_secs_f64())
 }
 
 impl SubflowSender {
@@ -346,7 +338,7 @@ impl SubflowSender {
     /// `pool`.
     pub fn new_pooled(params: &TcpParams, rtt_hint: f64, max_window: f64, pool: &mut RingPool) -> Self {
         Self {
-            cwnd: params.initial_cwnd,
+            cwnd: INITIAL_CWND,
             // NaN-safe: `f64::max` propagates the floor, not the NaN.
             ssthresh: params.initial_ssthresh.max(MIN_SSTHRESH_PKTS),
             max_cwnd: params.max_cwnd,
@@ -357,7 +349,6 @@ impl SubflowSender {
             in_recovery: false,
             rto_recovery: false,
             rto_armed: false,
-            dupack_threshold: params.dupack_threshold,
             recovery_point: 0,
             rtt_hint,
             meta: VecDeque::new(),
@@ -375,7 +366,7 @@ impl SubflowSender {
     /// allocation counters (`meta_allocs`, scoreboard growth) keep
     /// counting across flows. Per-flow stats reset to zero.
     pub fn reset_for_reuse(&mut self, params: &TcpParams, rtt_hint: f64) {
-        self.cwnd = params.initial_cwnd;
+        self.cwnd = INITIAL_CWND;
         self.ssthresh = params.initial_ssthresh.max(MIN_SSTHRESH_PKTS);
         self.max_cwnd = params.max_cwnd;
         self.next_seq = 0;
@@ -385,7 +376,6 @@ impl SubflowSender {
         self.in_recovery = false;
         self.rto_recovery = false;
         self.rto_armed = false;
-        self.dupack_threshold = params.dupack_threshold;
         self.recovery_point = 0;
         self.rtt_hint = rtt_hint;
         self.meta.clear();
@@ -605,23 +595,24 @@ impl SubflowSender {
     /// Mark holes with ≥ DupThresh SACKed packets above them as lost.
     /// Returns whether any sequence was newly marked.
     fn detect_losses(&mut self) -> bool {
-        let thresh = u64::from(self.dupack_threshold);
-        if self.board.sacked_len() < thresh {
+        if self.board.sacked_len() < DUPACK_THRESHOLD {
             return false;
         }
         // The DupThresh-th highest SACKed sequence: every unsacked packet
         // below it has at least DupThresh SACKed packets above. The length
         // guard just above guarantees it exists; if the scoreboard ever
         // disagrees, bail conservatively (mark nothing lost this round).
-        let nth = usize::try_from(thresh).ok().and_then(|t| self.board.nth_highest_sacked(t - 1));
+        let nth = usize::try_from(DUPACK_THRESHOLD)
+            .ok()
+            .and_then(|t| self.board.nth_highest_sacked(t - 1));
         let Some(cutoff) = nth else {
-            debug_assert!(false, "sacked_len() >= thresh guarantees a DupThresh-th highest");
+            debug_assert!(false, "sacked_len() >= DupThresh guarantees a DupThresh-th highest");
             return false;
         };
         let mut any = self.board.mark_holes_lost(self.una, cutoff);
         // RACK-style: a retransmission with ≥ DupThresh *new* SACKs since
         // it went out was lost again.
-        if self.board.remark_lost_retx(cutoff, self.sack_events, thresh) {
+        if self.board.remark_lost_retx(cutoff, self.sack_events, DUPACK_THRESHOLD) {
             any = true;
         }
         any
@@ -777,8 +768,8 @@ mod tests {
         assert!(tx.ssthresh >= MIN_SSTHRESH_PKTS);
     }
 
-    /// One sender per hot slot: of `TcpParams` it keeps the two fields it
-    /// reads after construction, not the 56-byte struct.
+    /// One sender per hot slot: of `TcpParams` it keeps the one field it
+    /// reads after construction, not the whole struct.
     #[test]
     fn a_sender_fits_in_368_bytes() {
         let size = std::mem::size_of::<SubflowSender>();
@@ -827,7 +818,7 @@ mod tests {
         tx.on_send_new(SimTime::ZERO, 0);
         assert!(tx.can_send_new());
         tx.on_send_new(SimTime::ZERO, 0);
-        // initial_cwnd = 2: third packet must wait.
+        // INITIAL_CWND = 2: third packet must wait.
         assert!(!tx.can_send_new());
     }
 

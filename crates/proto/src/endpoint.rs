@@ -67,8 +67,6 @@ pub struct EndpointConfig {
     pub reinject: bool,
     /// Minimum retransmission timeout, µs.
     pub min_rto: Micros,
-    /// Initial congestion window, in MSS units.
-    pub initial_cwnd: f64,
 }
 
 impl Default for EndpointConfig {
@@ -81,7 +79,6 @@ impl Default for EndpointConfig {
             algorithm: AlgorithmKind::Mptcp,
             reinject: true,
             min_rto: 200_000,
-            initial_cwnd: 2.0,
         }
     }
 }
@@ -224,6 +221,9 @@ struct Subflow {
     held_bytes: usize,
 }
 
+/// Initial congestion window of every subflow incarnation, in MSS units.
+const INITIAL_CWND: f64 = 2.0;
+
 /// The retransmission timer of a subflow incarnation that has sent nothing
 /// yet: 1 s initial RTO, 60 s ceiling (RFC 6298).
 fn fresh_timer(cfg: &EndpointConfig) -> RtoEstimator {
@@ -246,7 +246,7 @@ impl Subflow {
             dup_acks: 0,
             in_recovery: false,
             recovery_point: 0,
-            cwnd_bytes: cfg.initial_cwnd * cfg.mss as f64,
+            cwnd_bytes: INITIAL_CWND * cfg.mss as f64,
             ssthresh_bytes: f64::INFINITY,
             timer: fresh_timer(cfg),
             rto_deadline: None,
@@ -653,7 +653,7 @@ impl Endpoint {
         s.dup_acks = 0;
         s.in_recovery = false;
         s.ack_pending = false;
-        s.cwnd_bytes = self.cfg.initial_cwnd * self.cfg.mss as f64;
+        s.cwnd_bytes = INITIAL_CWND * self.cfg.mss as f64;
         s.ssthresh_bytes = f64::INFINITY;
         if was_established {
             self.subflows_closed += 1;
@@ -1764,7 +1764,6 @@ mod tests {
             mss: 1000,
             send_buf: 10_000,
             recv_buf: 2_000,
-            initial_cwnd: 2.0,
             ..Default::default()
         };
         (Endpoint::client(cfg, 1, 7), Endpoint::server(cfg, 1, 7))

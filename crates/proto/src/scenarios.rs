@@ -20,6 +20,7 @@ use crate::endpoint::{EndpointConfig, EndpointStats, RecvBufferMode};
 use crate::harness::Harness;
 use crate::wire::{Wire, WireFault};
 use crate::Micros;
+use mptcp_cc::DigestWriter;
 
 /// Outcome of running one of the §6 schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,13 +331,6 @@ pub struct ChurnOutcome {
     pub server: EndpointStats,
 }
 
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Drive a client/server pair over `n_wires` wires through a timed churn
 /// schedule: addresses advertised and withdrawn, subflows joined and torn
 /// down, wires blacked out and restored — all while a fixed-length stream
@@ -376,7 +370,7 @@ pub fn run_endpoint_churn(
     let mut closed = false;
     let mut received: Vec<u8> = Vec::with_capacity(data_len);
     let mut buf = [0u8; 4096];
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = DigestWriter::new();
     let mut restores: u64 = 0;
     let (mut completed, mut steps) = (false, budget);
 
@@ -417,9 +411,9 @@ pub fn run_endpoint_churn(
             closed = true;
         }
         h.step_observed(|now, to_server, i, seg| {
-            fnv1a(&mut digest, &now.to_be_bytes());
-            fnv1a(&mut digest, &[u8::from(to_server), i as u8]);
-            fnv1a(&mut digest, &seg.encode());
+            digest.write_bytes(&now.to_be_bytes());
+            digest.write_bytes(&[u8::from(to_server), i as u8]);
+            digest.write_bytes(&seg.encode());
         });
         loop {
             let n = h.server.read(&mut buf);
@@ -437,7 +431,7 @@ pub fn run_endpoint_churn(
         completed,
         steps,
         byte_exact: received == data,
-        digest,
+        digest: digest.finish(),
         client: h.client.stats(),
         server: h.server.stats(),
     }

@@ -2,7 +2,7 @@
 //! including property-based stream-integrity tests under randomized
 //! network faults.
 
-use mptcp_cc::AlgorithmKind;
+use mptcp_cc::{AlgorithmKind, DigestWriter};
 use mptcp_proto::scenarios::{
     inferred_data_ack_drops_packet, payload_encoded_data_acks_deadlock,
     per_subflow_buffer_wedges, run_endpoint_churn, AckDesign, ChurnAction, ChurnEvent,
@@ -35,13 +35,6 @@ fn rejected_designs_fail_and_chosen_design_does_not() {
     assert!(!inferred_data_ack_drops_packet(AckDesign::Explicit));
     assert!(payload_encoded_data_acks_deadlock(true, 10_000));
     assert!(!payload_encoded_data_acks_deadlock(false, 10_000));
-}
-
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= u64::from(b);
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
 }
 
 /// Three churn schedules. Each carries 39 one-step outages, which drop
@@ -153,11 +146,11 @@ fn wire_bytes_match_the_golden_digest() {
         let mut h = Harness::new(EndpointConfig::default(), wires, 11);
         let data = patterned(120_000, 3);
         assert_eq!(h.transfer(&data, 400_000).as_deref(), Some(&data[..]), "transfer completes");
-        let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
-        fnv1a(&mut digest, &h.now.to_be_bytes());
-        fnv1a(&mut digest, format!("{:?}", h.client.stats()).as_bytes());
-        fnv1a(&mut digest, format!("{:?}", h.server.stats()).as_bytes());
-        transfers.push(format!("{digest:016x}"));
+        let mut digest = DigestWriter::new();
+        digest.write_bytes(&h.now.to_be_bytes());
+        digest.write_bytes(format!("{:?}", h.client.stats()).as_bytes());
+        digest.write_bytes(format!("{:?}", h.server.stats()).as_bytes());
+        transfers.push(format!("{:016x}", digest.finish()));
     }
     // Mptcp, Cubic, Olia; within each, Shared then PerSubflow; within
     // each, the three schedules in order.

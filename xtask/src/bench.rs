@@ -142,7 +142,9 @@ pub struct CompareOutcome {
 /// Compare every throughput and memory field of every source present in
 /// **both** files. Returns all comparisons (for the report) in baseline
 /// file order. A non-positive baseline value is skipped (e.g. the 0 RSS
-/// recorded off Linux — there is nothing to regress against).
+/// recorded off Linux — there is nothing to regress against), and so is a
+/// non-positive current memory value, with a note: it means the RSS went
+/// unmeasured, not that it shrank to nothing.
 ///
 /// `*_per_core` fields are only meaningful between runs on machines with
 /// the same logical-core count: dividing an aggregate rate by `jobs` on a
@@ -174,15 +176,21 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord]) -> CompareOutc
                 ));
                 continue;
             }
-            if let Some(cval) = c.get(key) {
-                out.comparisons.push(Comparison {
-                    source: b.source.clone(),
-                    field: key.clone(),
-                    baseline: *bval,
-                    current: cval,
-                    lower_is_better: memory,
-                });
+            let Some(cval) = c.get(key) else { continue };
+            if memory && cval <= 0.0 {
+                out.skipped.push(format!(
+                    "{} {}: skipped — current run recorded {cval:.0} (RSS not measured)",
+                    b.source, key,
+                ));
+                continue;
             }
+            out.comparisons.push(Comparison {
+                source: b.source.clone(),
+                field: key.clone(),
+                baseline: *bval,
+                current: cval,
+                lower_is_better: memory,
+            });
         }
     }
     out
@@ -316,6 +324,20 @@ mod tests {
         assert_eq!(out.skipped.len(), 1);
         assert!(out.skipped[0].contains("events_per_sec_per_core"), "{:?}", out.skipped);
         assert!(out.skipped[0].contains("8 core(s)"), "{:?}", out.skipped);
+    }
+
+    #[test]
+    fn unmeasured_current_rss_is_skipped_with_note_not_an_improvement() {
+        let base = parse_bench(SAMPLE).unwrap();
+        let fresh = parse_bench(
+            r#"{"source":"scale_sweep/fattree_k8","events_per_sec":5100000,"peak_rss_bytes":0}"#,
+        )
+        .unwrap();
+        let out = compare(&base, &fresh);
+        assert!(!out.comparisons.iter().any(|c| c.field == "peak_rss_bytes"), "{out:?}");
+        assert!(out.comparisons.iter().any(|c| c.field == "events_per_sec"));
+        assert_eq!(out.skipped.len(), 1);
+        assert!(out.skipped[0].contains("peak_rss_bytes"), "{:?}", out.skipped);
     }
 
     #[test]
