@@ -16,7 +16,7 @@
 //!   connection of the same shape reuses the slots in place via
 //!   `reset_for_reuse` — no allocator traffic, counters stay monotone.
 //! * **Cold rows** — [`ColdSubflow`]: only what a subflow without a hot
-//!   window needs: ACK-return delay, RTT hint, backup/closed flags and
+//!   window needs: ACK-return delay, backup/closed flags and
 //!   the per-subflow send counter. Cold rows are append-only and their
 //!   indices are *stable for the lifetime of the world*. The TCP params
 //!   that re-arm a recycled sender are the connection's, passed to
@@ -58,6 +58,12 @@ use std::mem::size_of;
 /// yet started under flow lifecycle, or already retired).
 pub(crate) const NOT_RESIDENT: u32 = u32::MAX;
 
+/// A time that never comes, as "none" in eight bytes where an
+/// `Option<SimTime>` takes sixteen: an RTO deadline that is not armed, no
+/// pending `RtoFire`, a connection that has not finished. No simulated
+/// time reaches it.
+pub(crate) const NEVER: SimTime = SimTime::MAX;
+
 /// Cold per-subflow state: what a subflow without a hot window needs.
 /// Rows are append-only and indexed by the connection's stable
 /// `sub_base`; they survive hot-window recycling so late packets still
@@ -67,14 +73,20 @@ pub(crate) struct ColdSubflow {
     /// Fixed delay from delivery at the destination to the ACK reaching
     /// the sender (the path's reverse propagation delay).
     pub(crate) ack_delay: SimTime,
-    /// RTT hint handed to a (re)initialized sender.
-    pub(crate) rtt_hint: f64,
     /// Packets handed to the link layer on this subflow.
     pub(crate) sent_pkts: u64,
     /// Backup priority (MP_JOIN `B` bit).
     pub(crate) backup: bool,
     /// Administratively closed (address withdrawn).
     pub(crate) closed: bool,
+}
+
+impl ColdSubflow {
+    /// The RTT the congestion controller sees before the sender's first
+    /// sample: twice the one-way propagation delay, at least 100 µs.
+    pub(crate) fn rtt_hint(&self) -> f64 {
+        (self.ack_delay + self.ack_delay).as_secs_f64().max(1e-4)
+    }
 }
 
 /// Struct-of-arrays storage for every subflow in the world: hot columns
@@ -86,11 +98,12 @@ pub(crate) struct FlowArena {
     pub(crate) tx: Vec<SubflowSender>,
     /// Hot column: receiver/reassembly state.
     pub(crate) rx: Vec<SubflowReceiver>,
-    /// Hot column: absolute RTO deadline, if conceptually armed.
-    pub(crate) rto_deadline: Vec<Option<SimTime>>,
-    /// Hot column: time of the earliest pending `RtoFire` event (lazy
-    /// timers re-queue themselves when they fire early).
-    pub(crate) rto_event_at: Vec<Option<SimTime>>,
+    /// Hot column: absolute RTO deadline if conceptually armed, else
+    /// [`NEVER`].
+    pub(crate) rto_deadline: Vec<SimTime>,
+    /// Hot column: time of the earliest pending `RtoFire` event, or
+    /// [`NEVER`] (lazy timers re-queue themselves when they fire early).
+    pub(crate) rto_event_at: Vec<SimTime>,
     /// Hot column: slot generation, bumped on every acquisition. Lets
     /// debug builds catch a stale `(base, gen)` handle touching a slot
     /// that has since been recycled to another connection.
@@ -158,9 +171,8 @@ impl FlowArena {
         m.ring_pool += self.pool.heap_bytes();
     }
 
-    /// Acquire a hot window of `n` slots for the subflows whose cold rows
-    /// start at `cold_base`, armed with the connection's `params`, and
-    /// return `(hot_base, generation)`.
+    /// Acquire a hot window of `n` slots armed with the connection's
+    /// `params`, and return `(hot_base, generation)`.
     /// `want_env` is the flow's expected per-lane flight envelope in
     /// packets (its transfer size for sized flows, `u64::MAX` for bulk).
     /// It sizes fresh slots' rings (see [`ring_hints`]), and reuse
@@ -175,13 +187,12 @@ impl FlowArena {
     /// `true`.
     pub(crate) fn acquire_hot(
         &mut self,
-        cold_base: usize,
         n: usize,
         count_growth: bool,
         want_env: u64,
         params: &TcpParams,
     ) -> (u32, u32) {
-        debug_assert!(n > 0 && cold_base + n <= self.cold.len());
+        debug_assert!(n > 0);
         let want = crate::cast::slab_u32(n);
         let want_class = crate::cast::env_class_u8(want_env);
         let key = self
@@ -224,7 +235,7 @@ impl FlowArena {
                 self.free.entry((size - want, class)).or_default().push(base + want);
             }
             self.reuses += 1;
-            let gen = self.reset_window(base as usize, cold_base, n, params);
+            let gen = self.reset_window(base as usize, n, params);
             return (base, gen);
         }
         // Nothing fits. Cannibalize undersized free windows: gut their
@@ -258,12 +269,11 @@ impl FlowArena {
         let base = crate::cast::slab_u32(self.tx.len());
         let cap = self.tx.capacity();
         let (tx_hint, rx_hint) = ring_hints(params.max_cwnd, want_env);
-        for i in 0..n {
-            let rtt_hint = self.cold[cold_base + i].rtt_hint;
-            self.tx.push(SubflowSender::new_pooled(params, rtt_hint, tx_hint, &mut self.pool));
+        for _ in 0..n {
+            self.tx.push(SubflowSender::new_pooled(params, tx_hint, &mut self.pool));
             self.rx.push(SubflowReceiver::new_pooled(rx_hint, &mut self.pool));
-            self.rto_deadline.push(None);
-            self.rto_event_at.push(None);
+            self.rto_deadline.push(NEVER);
+            self.rto_event_at.push(NEVER);
             self.gen.push(0);
         }
         if count_growth && self.tx.capacity() != cap {
@@ -277,12 +287,12 @@ impl FlowArena {
     /// to a freshly constructed one (pinned by the `reset_for_reuse`
     /// differential proptests in `tcp.rs`), storage and monotone
     /// allocation counters are kept, and the generation is bumped.
-    fn reset_window(&mut self, base: usize, cold_base: usize, n: usize, params: &TcpParams) -> u32 {
+    fn reset_window(&mut self, base: usize, n: usize, params: &TcpParams) -> u32 {
         for i in 0..n {
-            self.tx[base + i].reset_for_reuse(params, self.cold[cold_base + i].rtt_hint);
+            self.tx[base + i].reset_for_reuse(params);
             self.rx[base + i].reset_for_reuse();
-            self.rto_deadline[base + i] = None;
-            self.rto_event_at[base + i] = None;
+            self.rto_deadline[base + i] = NEVER;
+            self.rto_event_at[base + i] = NEVER;
             self.gen[base + i] = self.gen[base + i].wrapping_add(1);
         }
         self.gen[base]
@@ -314,7 +324,6 @@ mod tests {
         for _ in 0..n {
             a.cold.push(ColdSubflow {
                 ack_delay: SimTime::from_millis(10),
-                rtt_hint: 0.02,
                 sent_pkts: 0,
                 backup: false,
                 closed: false,
@@ -325,13 +334,13 @@ mod tests {
 
     #[test]
     fn released_windows_are_reused_in_place_with_a_bumped_generation() {
-        let mut a = arena_with_cold(4);
-        let (b0, g0) = a.acquire_hot(0, 2, true, 8, &TcpParams::default());
-        let (b1, _g1) = a.acquire_hot(2, 2, true, 8, &TcpParams::default());
+        let mut a = FlowArena::default();
+        let (b0, g0) = a.acquire_hot(2, true, 8, &TcpParams::default());
+        let (b1, _g1) = a.acquire_hot(2, true, 8, &TcpParams::default());
         assert_eq!((b0, b1), (0, 2), "fresh windows are appended in order");
         let len = a.hot_len();
         a.release_hot(b0, 2, g0, 8);
-        let (b2, g2) = a.acquire_hot(2, 2, true, 8, &TcpParams::default());
+        let (b2, g2) = a.acquire_hot(2, true, 8, &TcpParams::default());
         assert_eq!(b2, b0, "a same-shape acquisition must recycle the freed window");
         assert_eq!(g2, g0 + 1, "recycling must bump the generation");
         assert_eq!(a.hot_len(), len, "reuse must not grow the columns");
@@ -340,12 +349,12 @@ mod tests {
 
     #[test]
     fn larger_free_windows_are_split_not_skipped() {
-        let mut a = arena_with_cold(5);
-        let (b0, g0) = a.acquire_hot(0, 4, true, 8, &TcpParams::default());
+        let mut a = FlowArena::default();
+        let (b0, g0) = a.acquire_hot(4, true, 8, &TcpParams::default());
         a.release_hot(b0, 4, g0, 8);
-        let (b1, _) = a.acquire_hot(0, 1, true, 8, &TcpParams::default());
+        let (b1, _) = a.acquire_hot(1, true, 8, &TcpParams::default());
         assert_eq!(b1, b0, "the head of the 4-window serves the 1-slot request");
-        let (b2, _) = a.acquire_hot(1, 3, true, 8, &TcpParams::default());
+        let (b2, _) = a.acquire_hot(3, true, 8, &TcpParams::default());
         assert_eq!(b2, b0 + 1, "the split tail serves the next request");
         assert_eq!(a.hot_len(), 4, "both served from recycled storage");
         assert_eq!(a.reuses(), 2);
@@ -353,59 +362,50 @@ mod tests {
 
     #[test]
     fn shape_mismatch_cannibalizes_small_windows_into_the_ring_pool() {
-        let mut a = arena_with_cold(6);
-        let (b0, g0) = a.acquire_hot(0, 1, true, 8, &TcpParams::default());
-        let (b1, g1) = a.acquire_hot(1, 1, true, 8, &TcpParams::default());
+        let mut a = FlowArena::default();
+        let (b0, g0) = a.acquire_hot(1, true, 8, &TcpParams::default());
+        let (b1, g1) = a.acquire_hot(1, true, 8, &TcpParams::default());
         a.release_hot(b0, 1, g0, 8);
         a.release_hot(b1, 1, g1, 8);
         // A 3-wide request cannot reuse the two 1-wide windows: they are
         // gutted into the pool and the fresh slots draw from it.
-        let (b2, _) = a.acquire_hot(2, 3, true, 8, &TcpParams::default());
+        let (b2, _) = a.acquire_hot(3, true, 8, &TcpParams::default());
         assert_eq!(b2 as usize, 2, "fresh slots are appended past the husks");
         let (hits, _misses) = a.pool.stats();
         assert!(hits > 0, "fresh slots must draw cannibalized ring storage from the pool");
-    }
-
-    /// A cold row is kept for every subflow ever admitted, so it holds
-    /// only what a subflow without a hot window needs: no route, no
-    /// `TcpParams`.
-    #[test]
-    fn a_cold_row_fits_in_40_bytes() {
-        let size = size_of::<ColdSubflow>();
-        assert!(size <= 40, "ColdSubflow grew to {size} bytes");
     }
 
     #[test]
     fn cold_rows_are_stable_across_hot_churn() {
         let mut a = arena_with_cold(2);
         a.cold[1].sent_pkts = 77;
-        let (b, g) = a.acquire_hot(0, 2, false, 8, &TcpParams::default());
+        let (b, g) = a.acquire_hot(2, false, 8, &TcpParams::default());
         a.release_hot(b, 2, g, 8);
-        let _ = a.acquire_hot(0, 2, true, 8, &TcpParams::default());
+        let _ = a.acquire_hot(2, true, 8, &TcpParams::default());
         assert_eq!(a.cold[1].sent_pkts, 77, "cold rows must survive hot recycling");
         assert_eq!(a.cold.len(), 2);
     }
 
     #[test]
     fn acquisition_matches_flows_to_windows_sized_for_them() {
-        let mut a = arena_with_cold(6);
-        let (b_small, g_small) = a.acquire_hot(0, 2, true, 4, &TcpParams::default());
-        let (b_big, g_big) = a.acquire_hot(2, 2, true, 64, &TcpParams::default());
-        let (b_mid, g_mid) = a.acquire_hot(4, 2, true, 16, &TcpParams::default());
+        let mut a = FlowArena::default();
+        let (b_small, g_small) = a.acquire_hot(2, true, 4, &TcpParams::default());
+        let (b_big, g_big) = a.acquire_hot(2, true, 64, &TcpParams::default());
+        let (b_mid, g_mid) = a.acquire_hot(2, true, 16, &TcpParams::default());
         a.release_hot(b_small, 2, g_small, 4);
         a.release_hot(b_big, 2, g_big, 64);
         a.release_hot(b_mid, 2, g_mid, 16);
         // A 40-packet flow needs class 6 (33..=64): only the big window
         // qualifies, even though the small ones were released later.
-        let (b0, _) = a.acquire_hot(0, 2, true, 40, &TcpParams::default());
+        let (b0, _) = a.acquire_hot(2, true, 40, &TcpParams::default());
         assert_eq!(b0, b_big, "the 64-envelope window serves the 40-packet flow");
         // A 3-packet flow takes the *smallest* sufficient envelope.
-        let (b1, _) = a.acquire_hot(2, 2, true, 3, &TcpParams::default());
+        let (b1, _) = a.acquire_hot(2, true, 3, &TcpParams::default());
         assert_eq!(b1, b_small, "the 4-envelope window serves the 3-packet flow");
         // Nothing sufficient left: fall back to the largest envelope
         // below the request rather than growing fresh columns.
         let len = a.hot_len();
-        let (b2, _) = a.acquire_hot(4, 2, true, 1000, &TcpParams::default());
+        let (b2, _) = a.acquire_hot(2, true, 1000, &TcpParams::default());
         assert_eq!(b2, b_mid, "largest-below fallback picks the 16-envelope window");
         assert_eq!(a.hot_len(), len, "fallback reuse must not grow the columns");
         assert_eq!(a.reuses(), 3);

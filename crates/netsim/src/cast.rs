@@ -25,6 +25,25 @@ pub(crate) fn slab_u32(n: usize) -> u32 {
     n as u32
 }
 
+/// A world-map hop `(shard, shard-local link id)` packed into one `u32`:
+/// the shard in the top 8 bits, the link in the low 24.
+///
+/// Invariant: a sharded world has at most 256 shards, and a shard fewer
+/// than 2^24 links; `ShardedSimulator::add_link` rejects a link past
+/// either, in every build.
+#[inline]
+pub(crate) fn hop_u32(shard: usize, local: usize) -> u32 {
+    assert!(shard < 1 << 8, "shard {shard} exceeds the world map's 8 bits");
+    assert!(local < 1 << 24, "link {local} of shard {shard} exceeds the world map's 24 bits");
+    (shard << 24 | local) as u32
+}
+
+/// The `(shard, shard-local link id)` a [`hop_u32`] packed.
+#[inline]
+pub(crate) fn unpack_hop(hop: u32) -> (u32, u32) {
+    (hop >> 24, hop & 0x00FF_FFFF)
+}
+
 /// A path length or hop position narrowed to `u8`: the length field of
 /// `LinkPath::Inline` and `Packet`'s hop counter.
 ///
@@ -102,6 +121,8 @@ mod tests {
         assert_eq!(sub_u8(255), 255);
         assert_eq!(owner_u31((1 << 31) - 1), (1 << 31) - 1);
         assert_eq!(size_u16(65_535), 65_535);
+        assert_eq!(unpack_hop(hop_u32(255, (1 << 24) - 1)), (255, (1 << 24) - 1));
+        assert_eq!(unpack_hop(hop_u32(3, 70_000)), (3, 70_000));
         assert_eq!(f64_to_u64(1024.9), 1024);
         assert_eq!(f64_to_u64(0.0), 0);
     }
@@ -121,6 +142,18 @@ mod tests {
     #[should_panic(expected = "exceeds u8")]
     fn out_of_range_is_caught_in_every_build() {
         let _ = path_u8(300);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the world map's 8 bits")]
+    fn a_257th_shard_is_caught_in_every_build() {
+        let _ = hop_u32(256, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the world map's 24 bits")]
+    fn a_shard_of_2_pow_24_links_is_caught_in_every_build() {
+        let _ = hop_u32(0, 1 << 24);
     }
 
     #[test]

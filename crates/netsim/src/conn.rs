@@ -19,7 +19,7 @@
     clippy::cast_possible_wrap
 )]
 
-use crate::arena::{ColdSubflow, FlowArena, NOT_RESIDENT};
+use crate::arena::{ColdSubflow, FlowArena, NEVER, NOT_RESIDENT};
 use crate::event::{AckInfo, EventKind};
 use crate::link::{LinkId, LinkSpec};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
@@ -188,8 +188,7 @@ impl ConnectionSpec {
                     residence += spec.delay
                         + SimTime(drain.saturating_mul(spec.queue_pkts as u64 + 1));
                 }
-                let rtt_hint = (fwd + fwd).as_secs_f64().max(1e-4);
-                SubflowTiming { ack_delay: fwd, rtt_hint, straggler: residence + fwd }
+                SubflowTiming { ack_delay: fwd, straggler: residence + fwd }
             })
             .collect()
     }
@@ -202,8 +201,6 @@ pub(crate) struct SubflowTiming {
     /// Fixed delay from delivery at the destination to the ACK reaching
     /// the sender: the forward path's propagation delay.
     pub(crate) ack_delay: SimTime,
-    /// Initial RTT estimate handed to the sender.
-    pub(crate) rtt_hint: f64,
     /// Conservative bound on how long after its send a packet — and the
     /// ACK it triggers — can still be in flight: the sum over hops of
     /// propagation delay plus a full drop-tail queue's serialization
@@ -222,8 +219,8 @@ struct ReinjectEntry {
     acked: bool,
 }
 
-/// A connection's reinjection state, created when a failed or closed
-/// subflow first strands data. Most connections never need one.
+/// A connection's reinjection state: stranded data and its exactly-once
+/// registry, empty until a failed or closed subflow first strands data.
 #[derive(Debug, Default)]
 struct Reinjection {
     /// Data sequence numbers stranded on a potentially-failed subflow,
@@ -263,7 +260,7 @@ impl Scratch {
     fn refresh_snaps(&mut self, tx: &[SubflowSender], cold: &[ColdSubflow]) {
         let cap = self.snaps.capacity();
         self.snaps.clear();
-        self.snaps.extend(tx.iter().zip(cold).map(|(t, c)| snapshot_of(t, c.closed)));
+        self.snaps.extend(tx.iter().zip(cold).map(|(t, c)| snapshot_of(t, c)));
         if self.snaps.capacity() != cap {
             self.allocs += 1;
         }
@@ -274,6 +271,136 @@ impl Scratch {
     }
 }
 
+/// Path-management counters of one connection.
+#[derive(Debug, Default)]
+struct PathSignals {
+    /// Addresses advertised at runtime ([`crate::FaultAction::AddrAdd`] /
+    /// [`crate::Simulator::admin_open_subflow`]).
+    addr_advertised: u64,
+    /// Subflows (re)opened at runtime.
+    subflows_joined: u64,
+    /// Subflows administratively closed at runtime.
+    subflows_closed: u64,
+}
+
+/// One subflow's statistics, frozen when its flow retires: the live
+/// [`SubflowStats`] minus what the cold row keeps (`sent_pkts`, `backup`,
+/// `closed`), which nothing changes once the flow has retired.
+#[derive(Debug, Clone, Copy)]
+struct FrozenSubflow {
+    delivered_pkts: u64,
+    retransmits: u64,
+    timeouts: u64,
+    fast_recoveries: u64,
+    cwnd: f64,
+    ssthresh: f64,
+    srtt: f64,
+    rto: f64,
+    in_flight: f64,
+    rto_backoffs: u32,
+    potentially_failed: bool,
+}
+
+impl FrozenSubflow {
+    fn freeze(st: &SubflowStats) -> Self {
+        Self {
+            delivered_pkts: st.delivered_pkts,
+            retransmits: st.retransmits,
+            timeouts: st.timeouts,
+            fast_recoveries: st.fast_recoveries,
+            cwnd: st.cwnd,
+            ssthresh: st.ssthresh,
+            srtt: st.srtt,
+            rto: st.rto,
+            in_flight: st.in_flight,
+            rto_backoffs: st.rto_backoffs,
+            potentially_failed: st.potentially_failed,
+        }
+    }
+
+    /// The [`SubflowStats`] this record and its cold row describe.
+    fn thaw(&self, cold: &ColdSubflow) -> SubflowStats {
+        SubflowStats {
+            delivered_pkts: self.delivered_pkts,
+            sent_pkts: cold.sent_pkts,
+            retransmits: self.retransmits,
+            timeouts: self.timeouts,
+            fast_recoveries: self.fast_recoveries,
+            cwnd: self.cwnd,
+            ssthresh: self.ssthresh,
+            srtt: self.srtt,
+            rto: self.rto,
+            in_flight: self.in_flight,
+            rto_backoffs: self.rto_backoffs,
+            potentially_failed: self.potentially_failed,
+            backup: cold.backup,
+            closed: cold.closed,
+        }
+    }
+}
+
+/// Records per [`FrozenStats`] chunk.
+const FROZEN_CHUNK: usize = 512;
+
+/// Every retired flow's [`FrozenSubflow`] records, in retirement order.
+/// Storage grows by whole chunks, so growth never copies a record and
+/// never leaves a freed buffer behind; a flow that has not retired holds
+/// nothing here.
+#[derive(Debug, Default)]
+struct FrozenStats {
+    chunks: Vec<Vec<FrozenSubflow>>,
+}
+
+impl FrozenStats {
+    /// Index the next pushed record gets.
+    fn len(&self) -> usize {
+        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * FROZEN_CHUNK + last.len())
+    }
+
+    fn push(&mut self, record: FrozenSubflow) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < FROZEN_CHUNK => last.push(record),
+            _ => {
+                let mut chunk = Vec::with_capacity(FROZEN_CHUNK);
+                chunk.push(record);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn get(&self, i: usize) -> &FrozenSubflow {
+        &self.chunks[i / FROZEN_CHUNK][i % FROZEN_CHUNK]
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        vec_bytes(&self.chunks) + self.chunks.iter().map(vec_bytes).sum::<u64>()
+    }
+}
+
+/// What only some connections need: the failover machine (a connection
+/// with a backup subflow), reinjection (one whose subflow failed or
+/// closed) and runtime path signals. It is created at admission for a
+/// connection with a backup subflow, otherwise at the first stranding or
+/// signal, and a default record behaves as none: without a backup subflow
+/// the failover machine is never consulted, and an empty registry counts
+/// every dsn once, as no registry does.
+#[derive(Debug, Default)]
+struct Rare {
+    /// Backup-failover state machine, clocked in nanoseconds.
+    failover: Failover,
+    /// Stranded data and its exactly-once registry.
+    reinject: Reinjection,
+    /// Runtime path-management counters.
+    signals: PathSignals,
+}
+
+/// [`Connection::frozen`] of a flow that has not retired.
+const NOT_RETIRED: u32 = u32::MAX;
+
+/// [`Connection::budget`] of a bulk flow. A sized flow of `u64::MAX`
+/// packets gets it too: it could not spend that budget anyway.
+const UNBOUNDED: u64 = u64::MAX;
+
 /// Runtime state of a connection.
 ///
 /// Subflow state does not live here: every connection's subflows occupy a
@@ -283,7 +410,7 @@ impl Scratch {
 /// flow lifecycle is acquired at start and released one straggler-grace
 /// after the transfer completes. [`Self::subs`] and [`Self::hots`] are the
 /// only readers of the two bases.
-struct Connection {
+pub(crate) struct Connection {
     cc: CcDriver,
     /// TCP parameters every subflow's sender is armed with, here once
     /// rather than in every cold row or sender.
@@ -300,46 +427,36 @@ struct Connection {
     /// Generation of the hot window (stale-handle detection in debug
     /// builds; recycled windows bump it).
     hot_gen: u32,
-    /// Lifecycle mode: the hot window has been released back to the
-    /// arena and `final_stats` froze the subflow statistics.
-    retired: bool,
+    /// Lifecycle mode, once the hot window has been released back to the
+    /// arena: the index of this flow's first record in [`Conns::frozen`],
+    /// one per subflow. [`NOT_RETIRED`] before.
+    frozen: u32,
+    /// Connection id carried inside packets: equal to this connection's
+    /// own id in a standalone simulator, the world-level id in a sharded
+    /// one (translated back to the local id at the delivery boundary).
+    gid: u32,
     /// How long after the transfer completes the hot window may be
     /// recycled: twice the worst subflow's straggler bound, so every
     /// in-flight packet/ACK and stale timer has drained first.
     retire_grace: SimTime,
-    /// Subflow statistics frozen at retirement (capacity reserved at
-    /// admission so the retire path does not allocate).
-    final_stats: Vec<SubflowStats>,
-    /// Connection id carried inside packets: equal to this connection's
-    /// own id in a standalone simulator, the world-level id in a sharded
-    /// one (translated back to the local id at the delivery boundary).
-    gid: ConnId,
     packet_size: u32,
-    /// Remaining new packets to inject (finite flows).
-    budget: Option<u64>,
-    started_at: SimTime,
+    /// Subflow the striping round starts at (below 256 subflows).
+    rr_next: u8,
     started: bool,
-    finished_at: Option<SimTime>,
-    rr_next: usize,
+    /// Remaining new packets to inject, or [`UNBOUNDED`].
+    budget: u64,
+    started_at: SimTime,
+    /// When the last data was acknowledged, or [`NEVER`].
+    finished_at: SimTime,
     /// Next connection-level data sequence number to hand to a subflow.
     next_dsn: u64,
-    /// Stranded data and its exactly-once registry, once any exists.
-    reinject: Option<Box<Reinjection>>,
+    /// Failover, reinjection and path signals, once any is needed.
+    rare: Option<Box<Rare>>,
     /// Distinct data packets that reached the receiver (each dsn counted
     /// once, however many copies arrived).
     data_delivered: u64,
     /// Distinct data packets acknowledged (each dsn counted once).
     data_acked: u64,
-    /// Backup-failover state machine, clocked in nanoseconds.
-    failover: Failover,
-    /// Addresses advertised to this connection at runtime
-    /// ([`crate::FaultAction::AddrAdd`] /
-    /// [`crate::Simulator::admin_open_subflow`]).
-    addr_advertised: u64,
-    /// Subflows (re)opened at runtime.
-    subflows_joined: u64,
-    /// Subflows administratively closed at runtime.
-    subflows_closed: u64,
 }
 
 impl Connection {
@@ -362,15 +479,38 @@ impl Connection {
     fn resident(&self) -> bool {
         self.hot_base != NOT_RESIDENT
     }
+
+    /// Whether the hot window went back to the arena for good and the
+    /// subflow statistics are frozen.
+    fn retired(&self) -> bool {
+        self.frozen != NOT_RETIRED
+    }
+
+    /// Whether every data packet has been acknowledged.
+    fn finished(&self) -> bool {
+        self.finished_at != NEVER
+    }
+
+    /// The rare state, created on first use.
+    fn rare(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
+    /// Whether the backup subflows carry data now.
+    fn backup_active(&self) -> bool {
+        self.rare.as_ref().is_some_and(|r| r.failover.backup_active())
+    }
 }
 
 /// One subflow's congestion-control snapshot: clamped window and RTT, plus
 /// whether the subflow is administratively live. Closed subflows stay in
 /// the arena (indices are stable) but must not count toward live-path
 /// weights — this flag is what lets EWTCP's equal split and the OLIA/BALIA
-/// path sums track churn.
-fn snapshot_of(tx: &SubflowSender, closed: bool) -> SubflowSnapshot {
-    SubflowSnapshot::new(tx.cwnd.max(1e-9), tx.cc_rtt().max(1e-6)).active(!closed)
+/// path sums track churn. The RTT is the smoothed estimate, or the path's
+/// propagation-delay hint before the first sample.
+fn snapshot_of(tx: &SubflowSender, cold: &ColdSubflow) -> SubflowSnapshot {
+    let rtt = tx.timer.srtt().unwrap_or_else(|| cold.rtt_hint());
+    SubflowSnapshot::new(tx.cwnd.max(1e-9), rtt.max(1e-6)).active(!cold.closed)
 }
 
 /// One subflow's statistics, read from its live hot and cold state (shared
@@ -426,6 +566,8 @@ pub(crate) struct Conns {
     lifecycle: bool,
     /// Per-call scratch shared by every connection.
     scratch: Scratch,
+    /// Subflow statistics of every retired flow (flow lifecycle).
+    frozen: FrozenStats,
     /// Pool of in-flight ACK payloads; `EventKind::AckArrive` carries a
     /// slot index into this table instead of the ~100-byte payload itself,
     /// keeping queued events small and the steady-state ACK path free of
@@ -450,14 +592,14 @@ impl Conns {
                 CcDriver::Pure(cc) => size_of_val(&**cc),
                 CcDriver::Stateful(cc) => size_of_val(&**cc),
             } as u64;
-            if let Some(r) = &c.reinject {
-                m.connections += (size_of::<Reinjection>()
-                    + r.reg.len() * size_of::<(u64, ReinjectEntry)>())
+            if let Some(r) = &c.rare {
+                m.connections += (size_of::<Rare>()
+                    + r.reinject.reg.len() * size_of::<(u64, ReinjectEntry)>())
                     as u64
-                    + deque_bytes(&r.queue);
+                    + deque_bytes(&r.reinject.queue);
             }
-            m.final_stats += vec_bytes(&c.final_stats);
         }
+        m.final_stats = self.frozen.heap_bytes();
         m.scratch = self.scratch.heap_bytes();
         m.ack_pool = vec_bytes(&self.ack_pool) + vec_bytes(&self.ack_free);
     }
@@ -475,7 +617,7 @@ impl Conns {
     /// Whether any started, unfinished connection still has data it is
     /// trying to move (the condition under which silence means deadlock).
     pub(crate) fn has_unfinished(&self) -> bool {
-        self.conns.iter().any(|c| c.started && c.finished_at.is_none())
+        self.conns.iter().any(|c| c.started && !c.finished())
     }
 
     /// Park an ACK payload in the pool, returning the slot to carry in the
@@ -512,7 +654,7 @@ impl Conns {
     /// yet (flow lifecycle) comes with empty hot windows.
     fn flow(&mut self, conn: ConnId) -> Option<Flow<'_>> {
         let c = &mut self.conns[conn];
-        if c.retired {
+        if c.retired() {
             return None;
         }
         let hot = c.hots();
@@ -572,12 +714,12 @@ impl Conns {
             CcChoice::Custom(cc) => CcDriver::Pure(cc),
         };
         let cold_base = self.flows.cold.len();
+        let spec_has_backup = spec.subflows.iter().any(|sf| sf.backup);
         let mut worst_straggler = SimTime::ZERO;
         for (sf, t) in spec.subflows.into_iter().zip(delays) {
             worst_straggler = worst_straggler.max(t.straggler);
             self.flows.cold.push(ColdSubflow {
                 ack_delay: t.ack_delay,
-                rtt_hint: t.rtt_hint,
                 sent_pkts: 0,
                 backup: sf.backup,
                 closed: false,
@@ -591,10 +733,9 @@ impl Conns {
             (NOT_RESIDENT, 0)
         } else {
             self.flows.acquire_hot(
-                cold_base,
                 n,
                 false,
-                spec.size_pkts.unwrap_or(u64::MAX),
+                spec.size_pkts.unwrap_or(UNBOUNDED),
                 &spec.tcp,
             )
         };
@@ -610,24 +751,19 @@ impl Conns {
             sub_count: crate::cast::slab_u32(n),
             hot_base,
             hot_gen,
-            retired: false,
+            frozen: NOT_RETIRED,
+            gid: crate::cast::owner_u31(gid),
             retire_grace,
-            final_stats: if self.lifecycle { Vec::with_capacity(n) } else { Vec::new() },
-            gid,
             packet_size: spec.packet_size,
-            budget: spec.size_pkts,
-            started_at: spec.start,
-            started: false,
-            finished_at: None,
             rr_next: 0,
+            started: false,
+            budget: spec.size_pkts.unwrap_or(UNBOUNDED),
+            started_at: spec.start,
+            finished_at: NEVER,
             next_dsn: 0,
-            reinject: None,
+            rare: spec_has_backup.then(Box::default),
             data_delivered: 0,
             data_acked: 0,
-            failover: Failover::default(),
-            addr_advertised: 0,
-            subflows_joined: 0,
-            subflows_closed: 0,
         });
         let id = self.conns.len() - 1;
         net.schedule(spec.start.max(net.now()), EventKind::ConnStart { conn: id });
@@ -681,10 +817,8 @@ impl Conns {
         if !c.resident() {
             // Flow lifecycle: materialize the hot window now, preferring a
             // window recycled from an earlier retirement over fresh slots.
-            let subs = c.subs();
-            let want_env = c.budget.unwrap_or(u64::MAX);
             (c.hot_base, c.hot_gen) =
-                self.flows.acquire_hot(subs.start, subs.len(), true, want_env, &c.tcp);
+                self.flows.acquire_hot(c.subs().len(), true, c.budget, &c.tcp);
         }
         // A newly transmitting connection counts as progress (otherwise a
         // late-starting flow trips the watchdog on its first event).
@@ -704,17 +838,17 @@ impl Conns {
             net.cancel();
             return;
         }
-        debug_assert!(c.finished_at.is_some(), "retire scheduled only at finish");
+        debug_assert!(c.finished(), "retire scheduled only at finish");
         let hots = c.hots();
+        c.frozen = crate::cast::slab_u32(self.frozen.len());
         for (h, s) in hots.clone().zip(c.subs()) {
             let st = subflow_stats(&self.flows.tx[h], &self.flows.rx[h], &self.flows.cold[s]);
-            c.final_stats.push(st);
+            self.frozen.push(FrozenSubflow::freeze(&st));
         }
         // The window's warmed envelope: the *smallest* per-lane send-
         // metadata capacity, so the class promises what every lane holds.
         let env = self.flows.tx[hots.clone()].iter().map(SubflowSender::meta_capacity).min();
         self.flows.release_hot(c.hot_base, hots.len(), c.hot_gen, env.unwrap_or(0));
-        c.retired = true;
         c.hot_base = NOT_RESIDENT;
     }
 
@@ -733,7 +867,8 @@ impl Conns {
             )]
             let dsn = f.tx[sub].dsn_of(seq).expect("unacked first arrival keeps its metadata");
             let c = &mut *f.c;
-            let reinjected = c.reinject.as_deref_mut().and_then(|r| {
+            let reinjected = c.rare.as_deref_mut().and_then(|r| {
+                let r = &mut r.reinject;
                 let e = r.reg.get_mut(&dsn)?;
                 Some((e, &mut r.dup_arrivals))
             });
@@ -823,7 +958,7 @@ impl Simulator {
     /// it is acknowledged). Models a flow terminating, as in the §2.4
     /// load-change scenario (Fig. 5).
     pub fn stop_connection(&mut self, conn: ConnId) {
-        self.conns.conns[conn].budget = Some(0);
+        self.conns.conns[conn].budget = 0;
         if let Some(mut f) = self.conns.flow(conn) {
             f.try_finish(&mut self.net);
         }
@@ -845,9 +980,9 @@ impl Simulator {
         f.cold[sub].closed = true;
         // A flow that has not started has no timer to disarm.
         if let Some(deadline) = f.rto_deadline.get_mut(sub) {
-            *deadline = None;
+            *deadline = NEVER;
         }
-        f.c.subflows_closed += 1;
+        f.c.rare().signals.subflows_closed += 1;
         f.harvest_stranded(sub);
         f.pump(&mut self.net);
     }
@@ -860,12 +995,12 @@ impl Simulator {
     /// the counter for a subflow that was never closed.
     pub fn admin_open_subflow(&mut self, conn: ConnId, sub: usize) {
         let Some(mut f) = self.conns.admin_flow(conn, sub) else { return };
-        f.c.addr_advertised += 1;
+        f.c.rare().signals.addr_advertised += 1;
         if !f.cold[sub].closed {
             return;
         }
         f.cold[sub].closed = false;
-        f.c.subflows_joined += 1;
+        f.c.rare().signals.subflows_joined += 1;
         if f.tx.get(sub).is_some_and(|tx| tx.pipe() > 0.0) {
             f.schedule_rto(&mut self.net, sub);
         }
@@ -878,10 +1013,14 @@ impl Simulator {
     /// before `ConnStart`) synthesize the untouched-sender view from the
     /// cold row.
     pub fn connection_stats(&self, conn: ConnId) -> ConnectionStats {
-        let Conns { conns, flows, .. } = &self.conns;
+        let Conns { conns, flows, frozen, .. } = &self.conns;
         let c = &conns[conn];
-        let subflows: Vec<SubflowStats> = if c.retired {
-            c.final_stats.clone()
+        let subflows: Vec<SubflowStats> = if c.retired() {
+            let first = c.frozen as usize;
+            c.subs()
+                .enumerate()
+                .map(|(i, s)| frozen.get(first + i).thaw(&flows.cold[s]))
+                .collect()
         } else if c.resident() {
             c.hots()
                 .zip(c.subs())
@@ -891,28 +1030,32 @@ impl Simulator {
             c.subs()
                 .map(|s| {
                     let cold = &flows.cold[s];
-                    let tx = SubflowSender::new(&c.tcp, cold.rtt_hint);
+                    let tx = SubflowSender::new(&c.tcp);
                     subflow_stats(&tx, &SubflowReceiver::default(), cold)
                 })
                 .collect()
         };
+        let rare = c.rare.as_deref();
+        let reinject = rare.map(|r| &r.reinject);
+        let signals = rare.map(|r| &r.signals);
+        let failover = rare.map(|r| &r.failover);
         ConnectionStats {
             subflows,
             packet_size: c.packet_size,
             started_at: c.started_at,
-            finished_at: c.finished_at,
+            finished_at: c.finished().then_some(c.finished_at),
             data_sent: c.next_dsn,
             data_delivered: c.data_delivered,
             data_acked: c.data_acked,
-            dup_data_arrivals: c.reinject.as_ref().map_or(0, |r| r.dup_arrivals),
-            reinjections_sent: c.reinject.as_ref().map_or(0, |r| r.sent),
-            reinject_pending: c.reinject.as_ref().map_or(0, |r| r.queue.len() as u64),
-            backup_active: c.failover.backup_active(),
-            backup_activations: c.failover.activations(),
-            addr_advertised: c.addr_advertised,
-            subflows_joined: c.subflows_joined,
-            subflows_closed: c.subflows_closed,
-            failover_latency: c.failover.latency().map(SimTime),
+            dup_data_arrivals: reinject.map_or(0, |r| r.dup_arrivals),
+            reinjections_sent: reinject.map_or(0, |r| r.sent),
+            reinject_pending: reinject.map_or(0, |r| r.queue.len() as u64),
+            backup_active: c.backup_active(),
+            backup_activations: failover.map_or(0, Failover::activations),
+            addr_advertised: signals.map_or(0, |p| p.addr_advertised),
+            subflows_joined: signals.map_or(0, |p| p.subflows_joined),
+            subflows_closed: signals.map_or(0, |p| p.subflows_closed),
+            failover_latency: failover.and_then(Failover::latency).map(SimTime),
         }
     }
 }
@@ -926,8 +1069,8 @@ struct Flow<'a> {
     cold: &'a mut [ColdSubflow],
     tx: &'a mut [SubflowSender],
     rx: &'a mut [SubflowReceiver],
-    rto_deadline: &'a mut [Option<SimTime>],
-    rto_event_at: &'a mut [Option<SimTime>],
+    rto_deadline: &'a mut [SimTime],
+    rto_event_at: &'a mut [SimTime],
     scratch: &'a mut Scratch,
     lifecycle: bool,
 }
@@ -979,13 +1122,15 @@ impl Flow<'_> {
             self.tx[sub].shrink_to(level, floor);
         }
         if outcome.newly_acked > 0 && !self.cold[sub].backup {
-            self.c.failover.on_primary_progress();
+            if let Some(r) = self.c.rare.as_deref_mut() {
+                r.failover.on_primary_progress();
+            }
         }
         // Data-level acknowledgment accounting: each dsn counts once,
         // across all subflow copies a reinjection may have created.
         let c = &mut *self.c;
         let acked = &self.scratch.acked_dsns;
-        match c.reinject.as_deref_mut() {
+        match c.rare.as_deref_mut().map(|r| &mut r.reinject) {
             // Never reinjected: every dsn has exactly one copy.
             None => c.data_acked += acked.len() as u64,
             Some(r) => {
@@ -1003,7 +1148,7 @@ impl Flow<'_> {
         }
         match outcome.rearm_rto {
             Some(true) => self.schedule_rto(net, sub),
-            Some(false) => self.rto_deadline[sub] = None,
+            Some(false) => self.rto_deadline[sub] = NEVER,
             None => {}
         }
         self.try_finish(net);
@@ -1021,7 +1166,7 @@ impl Flow<'_> {
         let mut refreshed = false;
         let mut refresh = |txs: &[SubflowSender], scratch: &mut Scratch| {
             if refreshed {
-                scratch.snaps[sub] = snapshot_of(&txs[sub], colds[sub].closed);
+                scratch.snaps[sub] = snapshot_of(&txs[sub], &colds[sub]);
             } else {
                 scratch.refresh_snaps(txs, colds);
                 refreshed = true;
@@ -1068,43 +1213,43 @@ impl Flow<'_> {
     }
 
     fn on_rto(&mut self, net: &mut Net, sub: usize) {
-        self.rto_event_at[sub] = None;
-        if self.c.finished_at.is_some() || self.cold[sub].closed {
+        self.rto_event_at[sub] = NEVER;
+        if self.c.finished() || self.cold[sub].closed {
             // The transfer already completed at the data level (possibly
             // via reinjection around this very subflow), or the address
             // was withdrawn since the event was queued: either way there
             // is no path left worth probing.
-            self.rto_deadline[sub] = None;
+            self.rto_deadline[sub] = NEVER;
             net.cancel();
             return;
         }
         let now = net.now();
-        match self.rto_deadline[sub] {
-            None => {
-                // Disarmed since the event was queued.
-                net.cancel();
-                return;
-            }
-            Some(d) if d > now => {
-                // The deadline moved later (ACK progress): lazily re-queue.
-                net.cancel();
-                net.schedule(d, EventKind::RtoFire { conn: self.id, sub });
-                self.rto_event_at[sub] = Some(d);
-                return;
-            }
-            Some(_) => {}
+        let d = self.rto_deadline[sub];
+        if d == NEVER {
+            // Disarmed since the event was queued.
+            net.cancel();
+            return;
+        }
+        if d > now {
+            // The deadline moved later (ACK progress): lazily re-queue.
+            net.cancel();
+            net.schedule(d, EventKind::RtoFire { conn: self.id, sub });
+            self.rto_event_at[sub] = d;
+            return;
         }
         // The coupled decrease sets the slow-start threshold; the window
         // itself collapses to the probing floor.
         let (level, floor) = self.loss_response(sub, now);
         let was_failed = self.tx[sub].timer.potentially_failed();
         if !self.tx[sub].on_rto(floor) {
-            self.rto_deadline[sub] = None;
+            self.rto_deadline[sub] = NEVER;
             return; // spurious
         }
         self.tx[sub].set_ssthresh(level);
         if !self.cold[sub].backup {
-            self.c.failover.on_primary_timeout(now.as_nanos());
+            if let Some(r) = self.c.rare.as_deref_mut() {
+                r.failover.on_primary_timeout(now.as_nanos());
+            }
         }
         let newly_failed = !was_failed && self.tx[sub].timer.potentially_failed();
         if net.probe_watches(self.id) {
@@ -1141,7 +1286,7 @@ impl Flow<'_> {
             scratch.allocs += 1;
         }
         for &(seq, dsn) in &scratch.stranded {
-            let r = self.c.reinject.get_or_insert_with(Box::default);
+            let r = &mut self.c.rare().reinject;
             if r.reg.contains_key(&dsn) {
                 continue;
             }
@@ -1164,9 +1309,10 @@ impl Flow<'_> {
             return;
         }
         let deadline = net.now() + self.tx[sub].rto_interval();
-        self.rto_deadline[sub] = Some(deadline);
-        if self.rto_event_at[sub].is_none_or(|at| at > deadline) {
-            self.rto_event_at[sub] = Some(deadline);
+        self.rto_deadline[sub] = deadline;
+        // `NEVER` (no event queued) is later than any deadline.
+        if self.rto_event_at[sub] > deadline {
+            self.rto_event_at[sub] = deadline;
             net.schedule(deadline, EventKind::RtoFire { conn: self.id, sub });
         }
     }
@@ -1174,7 +1320,7 @@ impl Flow<'_> {
     /// Put subflow `sub`'s packet `seq` on the wire. Packets carry the
     /// world-level id so they survive crossing shard boundaries.
     fn send(&mut self, net: &mut Net, sub: usize, seq: u64) {
-        let owner = PacketOwner::Subflow { conn: self.c.gid, sub, seq };
+        let owner = PacketOwner::Subflow { conn: self.c.gid as ConnId, sub, seq };
         net.send(Packet::new(owner, self.c.packet_size));
     }
 
@@ -1206,7 +1352,10 @@ impl Flow<'_> {
             }
         }
         let Some(first_backup) = first_backup else { return };
-        let edge = self.c.failover.update(net.now().as_nanos(), usable_primary, usable_backup);
+        // A connection with a backup subflow has its rare state from
+        // admission on.
+        let failover = &mut self.c.rare().failover;
+        let edge = failover.update(net.now().as_nanos(), usable_primary, usable_backup);
         if let Some(edge) = edge {
             if net.probe_watches(self.id) {
                 let kind = match edge {
@@ -1225,7 +1374,7 @@ impl Flow<'_> {
     /// those are the probes that detect restoration), then reinjections of
     /// stranded data onto live subflows, then new data on live subflows.
     fn pump(&mut self, net: &mut Net) {
-        if !self.c.started || self.c.finished_at.is_some() {
+        if !self.c.started || self.c.finished() {
             return;
         }
         self.update_failover(net);
@@ -1244,22 +1393,22 @@ impl Flow<'_> {
         loop {
             let mut sent_any = false;
             for i in 0..n {
-                if self.c.budget == Some(0) {
+                if self.c.budget == 0 {
                     break; // a finite flow handed out its last packet
                 }
-                let idx = (self.c.rr_next + i) % n;
-                if !can_send(&self.cold[idx], &self.tx[idx], self.c.failover.backup_active()) {
+                let idx = (usize::from(self.c.rr_next) + i) % n;
+                if !can_send(&self.cold[idx], &self.tx[idx], self.c.backup_active()) {
                     continue;
                 }
-                if let Some(b) = &mut self.c.budget {
-                    *b -= 1;
+                if self.c.budget != UNBOUNDED {
+                    self.c.budget -= 1;
                 }
                 let dsn = self.c.next_dsn;
                 self.c.next_dsn += 1;
                 self.send_new(net, idx, dsn);
                 sent_any = true;
             }
-            self.c.rr_next = (self.c.rr_next + 1) % n;
+            self.c.rr_next = crate::cast::sub_u8((usize::from(self.c.rr_next) + 1) % n);
             if !sent_any {
                 break;
             }
@@ -1272,8 +1421,8 @@ impl Flow<'_> {
     /// ACK finally got through) are discarded unsent.
     fn pump_reinjections(&mut self, net: &mut Net) {
         let n = self.cold.len();
-        let (rr, backup_active) = (self.c.rr_next, self.c.failover.backup_active());
-        while let Some(r) = self.c.reinject.as_deref_mut() {
+        let (rr, backup_active) = (usize::from(self.c.rr_next), self.c.backup_active());
+        while let Some(r) = self.c.rare.as_deref_mut().map(|r| &mut r.reinject) {
             while r.queue.front().is_some_and(|dsn| r.reg.get(dsn).is_some_and(|e| e.acked)) {
                 r.queue.pop_front();
             }
@@ -1292,7 +1441,7 @@ impl Flow<'_> {
 
     fn try_finish(&mut self, net: &mut Net) {
         let c = &mut *self.c;
-        if c.finished_at.is_some() || !c.started {
+        if c.finished() || !c.started {
             return;
         }
         // Completion is data-level: every data sequence number handed out
@@ -1300,10 +1449,10 @@ impl Flow<'_> {
         // the moment every subflow is fully acked (each dsn has exactly
         // one copy); with reinjection it lets the transfer complete even
         // while a dead subflow still holds stranded sequence numbers.
-        if c.budget == Some(0) && c.data_acked == c.next_dsn {
-            c.finished_at = Some(net.now());
-            if let Some(r) = c.reinject.as_deref_mut() {
-                r.queue.clear();
+        if c.budget == 0 && c.data_acked == c.next_dsn {
+            c.finished_at = net.now();
+            if let Some(r) = c.rare.as_deref_mut() {
+                r.reinject.queue.clear();
             }
             if self.lifecycle && c.resident() {
                 // Retirement waits out the straggler grace so every copy
@@ -1319,6 +1468,7 @@ impl Flow<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use mptcp_cc::DetDigest;
 
     /// The connection's live EWTCP increase rule on path 0, together with
@@ -1545,6 +1695,156 @@ mod tests {
         );
     }
 
+    /// Every field of a [`SubflowStats`], floats as bits. Destructured
+    /// without `..`, so a new field does not compile until it is listed.
+    fn stats_fields(st: &SubflowStats) -> [u64; 14] {
+        let SubflowStats {
+            delivered_pkts,
+            sent_pkts,
+            retransmits,
+            timeouts,
+            fast_recoveries,
+            cwnd,
+            ssthresh,
+            srtt,
+            rto,
+            in_flight,
+            rto_backoffs,
+            potentially_failed,
+            backup,
+            closed,
+        } = *st;
+        [
+            delivered_pkts,
+            sent_pkts,
+            retransmits,
+            timeouts,
+            fast_recoveries,
+            cwnd.to_bits(),
+            ssthresh.to_bits(),
+            srtt.to_bits(),
+            rto.to_bits(),
+            in_flight.to_bits(),
+            u64::from(rto_backoffs),
+            u64::from(potentially_failed),
+            u64::from(backup),
+            u64::from(closed),
+        ]
+    }
+
+    /// The two engines, as the frozen-stats test drives them.
+    trait Engine {
+        fn run_until(&mut self, t: SimTime);
+        fn stats(&self, conn: ConnId) -> ConnectionStats;
+        fn retired(&self, conn: ConnId) -> bool;
+    }
+
+    impl Engine for Simulator {
+        fn run_until(&mut self, t: SimTime) {
+            Simulator::run_until(self, t);
+        }
+        fn stats(&self, conn: ConnId) -> ConnectionStats {
+            self.connection_stats(conn)
+        }
+        fn retired(&self, conn: ConnId) -> bool {
+            self.conns.conns[conn].retired()
+        }
+    }
+
+    impl Engine for crate::ShardedSimulator {
+        fn run_until(&mut self, t: SimTime) {
+            crate::ShardedSimulator::run_until(self, t);
+        }
+        fn stats(&self, conn: ConnId) -> ConnectionStats {
+            self.connection_stats(conn)
+        }
+        fn retired(&self, conn: ConnId) -> bool {
+            let (shard, local) = self.owner(conn);
+            shard.conns.conns[local].retired()
+        }
+    }
+
+    /// Run `world` until `conn` retires; return its stats read at the last
+    /// step before `ConnRetire` and right after it.
+    fn stats_around_retirement(
+        world: &mut impl Engine,
+        conn: ConnId,
+    ) -> (ConnectionStats, ConnectionStats) {
+        let mut t = SimTime::ZERO;
+        while world.stats(conn).finished_at.is_none() {
+            assert!(t < SimTime::from_secs(60), "the flow never finished");
+            t += SimTime::from_millis(10);
+            world.run_until(t);
+        }
+        let mut before = world.stats(conn);
+        while !world.retired(conn) {
+            assert!(t < SimTime::from_secs(61), "the flow never retired");
+            before = world.stats(conn);
+            t += SimTime::from_micros(100);
+            world.run_until(t);
+        }
+        (before, world.stats(conn))
+    }
+
+    /// A retired flow reports, field by field, the [`SubflowStats`] it
+    /// reported live just before `ConnRetire`: the frozen record and the
+    /// cold row rebuild every field. The flow retransmits on a lossy
+    /// primary, times out through that primary's outage, fails over to its
+    /// backup subflow, and loses its third subflow's address. Serial and
+    /// sharded engines.
+    #[test]
+    fn frozen_stats_equal_the_live_stats_before_retirement() {
+        const SIZE: u64 = 600;
+        fn check(engine: &str, world: &mut impl Engine, conn: ConnId) {
+            let (live, frozen) = stats_around_retirement(world, conn);
+            assert_eq!(live.subflows.len(), 3, "{engine}");
+            for (sub, (l, f)) in live.subflows.iter().zip(&frozen.subflows).enumerate() {
+                let msg = format!("{engine} subflow {sub}: {l:?} vs {f:?}");
+                assert_eq!(stats_fields(l), stats_fields(f), "{msg}");
+            }
+            let st = &frozen;
+            assert_eq!((st.data_delivered, st.data_acked), (SIZE, SIZE), "{engine}: {st:?}");
+            assert!(st.backup_activations > 0, "{engine}: the backup never engaged");
+            let any = |f: fn(&SubflowStats) -> bool| st.subflows.iter().any(f);
+            assert!(any(|s| s.retransmits > 0), "{engine}: no retransmit");
+            assert!(any(|s| s.timeouts > 0), "{engine}: no RTO");
+            assert!(any(|s| s.backup) && any(|s| s.closed), "{engine}: {st:?}");
+        }
+        let (primary, backup, third) = (
+            LinkSpec::mbps(10.0, SimTime::from_millis(10), 20).with_loss(0.01),
+            LinkSpec::mbps(10.0, SimTime::from_millis(20), 20),
+            LinkSpec::mbps(8.0, SimTime::from_millis(15), 20),
+        );
+        let spec = |l: [LinkId; 3], tail: &[LinkId]| {
+            let path = |first: LinkId| [&[first][..], tail].concat();
+            ConnectionSpec::sized(AlgorithmKind::Mptcp, SIZE)
+                .path(path(l[0]))
+                .subflow(SubflowSpec::new(path(l[1])).backup())
+                .path(path(l[2]))
+        };
+        let faults = |l: [LinkId; 3], conn: ConnId| {
+            FaultPlan::new()
+                .addr_remove(SimTime::from_millis(300), l[2], conn, 2)
+                .outage(l[0], SimTime::from_millis(500), SimTime::from_millis(2500))
+        };
+
+        let mut sim = Simulator::new(21);
+        sim.set_flow_lifecycle(true);
+        let l = [primary, backup, third].map(|spec| sim.add_link(spec));
+        let c = sim.add_connection(spec(l, &[]));
+        sim.install_fault_plan(&faults(l, c));
+        check("serial", &mut sim, c);
+
+        // Two shards: each path leaves from shard 0 and crosses to shard 1.
+        let mut sim = crate::ShardedSimulator::new(21, 2);
+        sim.set_flow_lifecycle(true);
+        let l = [primary, backup, third].map(|spec| sim.add_link(0, spec));
+        let far = sim.add_link(1, LinkSpec::mbps(100.0, SimTime::from_millis(1), 100));
+        let c = sim.add_connection(spec(l, &[far]));
+        sim.install_fault_plan(&faults(l, c));
+        check("sharded", &mut sim, c);
+    }
+
     /// `[sacked, lost, reassembly]` ring capacities, in bits, of hot slot
     /// `slot`.
     fn ring_bits(sim: &Simulator, slot: usize) -> [u64; 3] {
@@ -1600,7 +1900,7 @@ mod tests {
                     .start(SimTime::from_secs(2)),
             );
             sim.run_until(SimTime::from_millis(1999));
-            assert!(sim.conns.conns[short].retired, "the short flow retires before the long one starts");
+            assert!(sim.conns.conns[short].retired(), "the short flow retires before the long one starts");
             assert_eq!(ring_bits(&sim, 0), [256; 3]);
             sim.run_until(SimTime::from_secs(20));
             assert_eq!((sim.arena_hot_slots(), sim.arena_hot_reuses()), (2, 1), "size {size}");

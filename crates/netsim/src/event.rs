@@ -436,6 +436,24 @@ mod tests {
         assert!(sz <= 40, "Event grew to {sz} bytes; keep it lean");
     }
 
+    /// The records that scale with flows: a hot slot holds one sender and
+    /// one receiver (three rings between them), and every connection and
+    /// subflow ever admitted keeps its record and cold row. The bounds are
+    /// the sizes on x86_64.
+    #[test]
+    fn per_flow_records_stay_small() {
+        use std::mem::size_of;
+        for (name, size, bound) in [
+            ("SubflowSender", size_of::<crate::tcp::SubflowSender>(), 312),
+            ("SubflowReceiver", size_of::<crate::tcp::SubflowReceiver>(), 48),
+            ("BitRing", size_of::<crate::scoreboard::BitRing>(), 48),
+            ("Connection", size_of::<crate::conn::Connection>(), 144),
+            ("ColdSubflow", size_of::<crate::arena::ColdSubflow>(), 24),
+        ] {
+            assert!(size <= bound, "{name} grew to {size} bytes (bound {bound})");
+        }
+    }
+
     /// One tick holding more events than std's small-sort cut-over (20), at
     /// mixed and tied ns offsets, with pushes into the tick while it
     /// drains: the bucket's packed keys must order exactly as `(at, seq)`.

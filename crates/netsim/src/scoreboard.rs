@@ -138,22 +138,25 @@ impl RingPool {
 /// `[base, base + capacity)`. `base` only moves forward
 /// ([`BitRing::advance_to`]), clearing as it goes, so a slot is never
 /// ambiguous: within the valid span each slot maps to exactly one sequence.
+///
+/// 48 bytes, three per hot slot: the capacity is read off `words`, and the
+/// two counters are `u32` because a ring holds at most [`MAX_CAP`] bits and
+/// grows at most `log2(MAX_CAP / 64)` times.
 #[derive(Debug, Clone)]
 pub(crate) struct BitRing {
     /// Lowest sequence the ring can represent; members are ≥ `base`.
     base: u64,
-    /// Ring capacity minus one (capacity is a power of two ≥ 64 bits).
-    mask: u64,
-    /// The bits; `words.len() * 64 == mask + 1`.
+    /// The bits: a power-of-two count of words, so the capacity
+    /// `words.len() * 64` is a power of two ≥ 64 bits (0 once gutted).
     words: Box<[u64]>,
-    /// Set bits in `words`.
-    len: u64,
     /// Lower bound on the smallest bitmap member (`≥ base` once clamped).
     lo: u64,
     /// One past an upper bound on the largest bitmap member.
     hi: u64,
+    /// Set bits in `words`.
+    len: u32,
     /// Ring growths (allocation events).
-    allocs: u64,
+    allocs: u32,
 }
 
 impl Default for BitRing {
@@ -171,9 +174,8 @@ impl BitRing {
 
     /// An empty ring over zeroed `words` (a power-of-two count).
     fn from_words(words: Box<[u64]>) -> Self {
-        let cap = words.len() as u64 * 64;
-        debug_assert!(cap.is_power_of_two() && cap >= 64);
-        Self { base: 0, mask: cap - 1, words, len: 0, lo: 0, hi: 0, allocs: 0 }
+        debug_assert!(words.len().is_power_of_two());
+        Self { base: 0, words, len: 0, lo: 0, hi: 0, allocs: 0 }
     }
 
     /// A ring for a window hint: 4× headroom over the cap (loss episodes
@@ -209,7 +211,6 @@ impl BitRing {
         let words = std::mem::replace(&mut self.words, Vec::new().into_boxed_slice());
         pool.put(words);
         self.base = 0;
-        self.mask = 0;
         self.len = 0;
         self.lo = 0;
         self.hi = 0;
@@ -217,7 +218,14 @@ impl BitRing {
 
     #[inline]
     pub fn len(&self) -> u64 {
-        self.len
+        u64::from(self.len)
+    }
+
+    /// Lowest sequence the ring can represent: [`Self::advance_to`]'s last
+    /// argument, or 0.
+    #[inline]
+    pub fn base(&self) -> u64 {
+        self.base
     }
 
     #[inline]
@@ -226,7 +234,7 @@ impl BitRing {
     }
 
     pub fn alloc_events(&self) -> u64 {
-        self.allocs
+        u64::from(self.allocs)
     }
 
     /// Heap bytes of the ring's words.
@@ -234,15 +242,21 @@ impl BitRing {
         self.words.len() as u64 * 8
     }
 
-    /// Ring capacity, in bits.
+    /// Ring capacity, in bits (0 once gutted).
     #[inline]
     pub fn cap(&self) -> u64 {
-        self.mask + 1
+        self.words.len() as u64 * 64
+    }
+
+    /// Ring capacity minus one: the slot of `seq` is `seq & mask`.
+    #[inline]
+    fn mask(&self) -> u64 {
+        self.cap().wrapping_sub(1)
     }
 
     #[inline]
     fn word_bit(&self, seq: u64) -> (usize, u64) {
-        let slot = seq & self.mask;
+        let slot = seq & self.mask();
         ((slot >> 6) as usize, 1u64 << (slot & 63))
     }
 
@@ -375,7 +389,7 @@ impl BitRing {
     /// The `n`-th highest member (0 = highest).
     pub fn nth_back(&self, n: usize) -> Option<u64> {
         let n = n as u64;
-        if n >= self.len {
+        if n >= self.len() {
             return None;
         }
         self.nth_back_in(self.lo.max(self.base), self.hi, n)
@@ -405,7 +419,7 @@ impl BitRing {
     /// whether to continue. Returns whether every span ran to completion.
     fn spans(&self, from: u64, to: u64, mut f: impl FnMut(&[u64], u64, u64, u64) -> bool) -> bool {
         debug_assert!(to - from <= self.cap());
-        let a = from & self.mask;
+        let a = from & self.mask();
         let d = to - from;
         if a + d <= self.cap() {
             f(&self.words, a, a + d, from)
@@ -450,11 +464,10 @@ impl BitRing {
 
     /// Clear bits for the seq range `[from, to)`, updating `len`.
     fn clear_seq_span(&mut self, from: u64, to: u64) {
-        let mask = self.mask;
-        let mut cleared = 0u64;
+        let (cap, mask) = (self.cap(), self.mask());
+        let mut cleared = 0u32;
         let words = &mut self.words;
         // Inline `spans` logic over &mut words.
-        let cap = mask + 1;
         let a = from & mask;
         let d = to - from;
         let ranges = if a + d <= cap { [(a, a + d), (0, 0)] } else { [(a, cap), (0, a + d - cap)] };
@@ -475,7 +488,7 @@ impl BitRing {
                         m &= (1u64 << top) - 1;
                     }
                 }
-                cleared += (*word & m).count_ones() as u64;
+                cleared += (*word & m).count_ones();
                 *word &= !m;
             }
         }
@@ -491,8 +504,7 @@ impl BitRing {
         debug_assert!(new_cap <= MAX_CAP);
         let new_words = vec![0u64; (new_cap / 64) as usize].into_boxed_slice();
         let old = std::mem::replace(&mut self.words, new_words);
-        let old_mask = self.mask;
-        self.mask = new_cap - 1;
+        let old_mask = old.len() as u64 * 64 - 1;
         self.allocs += 1;
         if self.len > 0 {
             // Re-place every member: slots move when the mask changes.

@@ -59,8 +59,9 @@ use std::sync::{Arc, Barrier, Mutex};
 /// a run hands the shards the current `Arc`, read-only while they run.
 #[derive(Clone)]
 pub(crate) struct WorldMap {
-    /// Per global link id: `(owning shard, shard-local link id)`.
-    link_home: Vec<(u32, u32)>,
+    /// Per global link id: `(owning shard, shard-local link id)`, packed
+    /// by [`crate::cast::hop_u32`].
+    link_home: Vec<u32>,
     /// Per global connection id: owning shard.
     conn_owner: Vec<u32>,
     /// Per global connection id: local id within the owner shard.
@@ -71,8 +72,9 @@ pub(crate) struct WorldMap {
     /// Prefix sums: index of each global subflow's first hop in `hops`
     /// (`len = total_subflows + 1`).
     sub_hop_base: Vec<u32>,
-    /// Flattened per-subflow paths: `(shard, shard-local link id)` per hop.
-    hops: Vec<(u32, u32)>,
+    /// Flattened per-subflow paths: `(shard, shard-local link id)` per
+    /// hop, packed like `link_home`.
+    hops: Vec<u32>,
     /// Minimum propagation delay over boundary-crossing links — the epoch
     /// length. `SimTime(u64::MAX)` when nothing ever crosses (the whole
     /// horizon becomes one epoch).
@@ -101,8 +103,8 @@ impl WorldMap {
     fn push_conn(&mut self, subflows: &[SubflowSpec], owner: u32, local: u32, specs: &[LinkSpec]) {
         for path in subflows.iter().map(|sf| &sf.path) {
             for (i, &gl) in path.iter().enumerate() {
-                let next = path.get(i + 1).map_or(owner, |&nl| self.link_home[nl].0);
-                if self.link_home[gl].0 != next {
+                let next = path.get(i + 1).map_or(owner, |&nl| self.home(nl).0);
+                if self.home(gl).0 != next {
                     self.lookahead = self.lookahead.min(specs[gl].delay);
                 }
                 self.hops.push(self.link_home[gl]);
@@ -129,10 +131,16 @@ impl WorldMap {
         self.conn_sub_base[conn] as usize + sub
     }
 
+    /// `(shard, local link id)` of a world-level link.
+    #[inline]
+    fn home(&self, link: LinkId) -> (u32, u32) {
+        crate::cast::unpack_hop(self.link_home[link])
+    }
+
     /// `(shard, local link id)` of one hop of a subflow's path.
     #[inline]
     pub(crate) fn hop(&self, conn: ConnId, sub: usize, hop: usize) -> (u32, u32) {
-        self.hops[self.sub_hop_base[self.gsub(conn, sub)] as usize + hop]
+        crate::cast::unpack_hop(self.hops[self.sub_hop_base[self.gsub(conn, sub)] as usize + hop])
     }
 
     /// Number of links on a subflow's path.
@@ -254,6 +262,13 @@ impl ShardedSimulator {
         m
     }
 
+    /// The shard owning world-level connection `conn`, and `conn`'s id
+    /// there.
+    #[cfg(test)]
+    pub(crate) fn owner(&self, conn: ConnId) -> (&Simulator, ConnId) {
+        (&self.shards[self.map.owner_of(conn) as usize], self.map.local_of(conn))
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -273,7 +288,7 @@ impl ShardedSimulator {
         assert!(shard < self.shards.len(), "unknown shard {shard}");
         let local = self.shards[shard].add_link(spec);
         let map = Arc::make_mut(&mut self.map);
-        map.link_home.push((shard as u32, crate::cast::slab_u32(local)));
+        map.link_home.push(crate::cast::hop_u32(shard, local));
         self.link_specs.push(spec);
         map.link_home.len() - 1
     }
@@ -288,10 +303,10 @@ impl ShardedSimulator {
     /// subflows of one connection leave from the same host).
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
         let delays = spec.timings(self.link_specs.len(), |l| self.link_specs[l]);
-        let owner = self.map.link_home[spec.subflows[0].path[0]].0;
+        let owner = self.map.home(spec.subflows[0].path[0]).0;
         for (i, sf) in spec.subflows.iter().enumerate() {
             assert_eq!(
-                self.map.link_home[sf.path[0]].0,
+                self.map.home(sf.path[0]).0,
                 owner,
                 "subflow {i}: first link must live in the owner shard {owner} \
                  (all subflows of a connection leave from one host)"
@@ -322,7 +337,7 @@ impl ShardedSimulator {
         for &(at, action) in plan.actions() {
             let gl = action.link();
             assert!(gl < self.link_count(), "unknown link {gl}");
-            let (shard, local) = self.map.link_home[gl];
+            let (shard, local) = self.map.home(gl);
             per_shard[shard as usize].push(at, action.with_link(local as LinkId));
         }
         for (shard, plan) in self.shards.iter_mut().zip(&per_shard) {
@@ -334,13 +349,13 @@ impl ShardedSimulator {
 
     /// A link's accumulated counters (world-level id).
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        let (shard, local) = self.map.link_home[link];
+        let (shard, local) = self.map.home(link);
         self.shards[shard as usize].link_stats(local as LinkId)
     }
 
     /// A link's current spec (world-level id).
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        let (shard, local) = self.map.link_home[link];
+        let (shard, local) = self.map.home(link);
         self.shards[shard as usize].link_spec(local as LinkId)
     }
 
@@ -713,7 +728,7 @@ mod tests {
             sim.add_connection(spec);
             routes.push(paths);
         }
-        let home = |l: LinkId| sim.map.link_home[l];
+        let home = |l: LinkId| sim.map.home(l);
         let mut want = SimTime(u64::MAX);
         for (conn, paths) in routes.iter().enumerate() {
             let owner = home(paths[0][0]).0;

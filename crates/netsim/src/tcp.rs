@@ -122,10 +122,9 @@ impl SentMeta {
 /// simulation convenience; content-wise it is the remote endpoint's state).
 #[derive(Debug, Default)]
 pub(crate) struct SubflowReceiver {
-    /// Next subflow sequence number expected in order.
-    pub next_expected: u64,
-    /// Out-of-order packets held for reassembly; every member is above
-    /// `next_expected`, which is the ring's base.
+    /// Out-of-order packets held for reassembly. The ring's base is the
+    /// next subflow sequence number expected in order, and every member
+    /// lies above it.
     ooo: BitRing,
 }
 
@@ -134,21 +133,22 @@ impl SubflowReceiver {
     /// `(cumulative_ack, is_duplicate, sack_ranges)`.
     pub fn on_data(&mut self, seq: u64) -> (u64, bool, SackRanges) {
         let dup;
-        if seq == self.next_expected {
-            self.next_expected += 1;
-            while self.ooo.remove(self.next_expected) {
-                self.next_expected += 1;
+        let next_expected = self.ooo.base();
+        if seq == next_expected {
+            let mut next = seq + 1;
+            while self.ooo.remove(next) {
+                next += 1;
             }
-            self.ooo.advance_to(self.next_expected);
+            self.ooo.advance_to(next);
             dup = false;
-        } else if seq > self.next_expected {
+        } else if seq > next_expected {
             self.ooo.insert(seq);
             dup = true;
         } else {
             // Old duplicate (spurious retransmission).
             dup = true;
         }
-        (self.next_expected, dup, self.sack_ranges())
+        (self.ooo.base(), dup, self.sack_ranges())
     }
 
     /// The first [`MAX_SACK_RANGES`] contiguous runs of out-of-order
@@ -185,12 +185,12 @@ impl SubflowReceiver {
 
     /// Packets delivered in order so far.
     pub fn delivered(&self) -> u64 {
-        self.next_expected
+        self.ooo.base()
     }
 
     /// Whether the receiver already holds `seq` (in order or buffered).
     pub fn contains(&self, seq: u64) -> bool {
-        seq < self.next_expected || self.ooo.contains(seq)
+        seq < self.ooo.base() || self.ooo.contains(seq)
     }
 
     /// Allocation events in the reassembly buffer (ring growth); feeds
@@ -208,20 +208,18 @@ impl SubflowReceiver {
     /// (see [`crate::scoreboard::ring_hints`]), drawing storage from
     /// `pool`.
     pub fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self {
-        Self { next_expected: 0, ooo: BitRing::for_window_hint(max_window, pool) }
+        Self { ooo: BitRing::for_window_hint(max_window, pool) }
     }
 
     /// Reset to the initial state in place: the reassembly ring keeps its
     /// storage and its monotone allocation counter, so a recycled arena
     /// slot starts a new flow without allocating.
     pub fn reset_for_reuse(&mut self) {
-        self.next_expected = 0;
         self.ooo.reset_for_reuse();
     }
 
     /// Surrender ring storage into `pool`; the husk must not be reused.
     pub fn gut_into(&mut self, pool: &mut RingPool) {
-        self.next_expected = 0;
         self.ooo.gut_into(pool);
     }
 
@@ -297,12 +295,8 @@ pub(crate) struct SubflowSender {
     pub rto_armed: bool,
     /// Recovery ends when `una` reaches this point.
     pub recovery_point: u64,
-    /// Static estimate of the path's two-way propagation delay, used for
-    /// the congestion-control RTT before any sample exists.
-    pub rtt_hint: f64,
-    /// Per-packet send metadata, indexed by `seq - meta_base`.
+    /// Per-packet send metadata, indexed by `seq - una`.
     meta: VecDeque<SentMeta>,
-    meta_base: u64,
     /// SACK scoreboard: sacked / lost / retransmitted-out sets.
     board: BitmapScoreboard,
     // --- cold: stats and configuration ---
@@ -329,14 +323,14 @@ fn fresh_timer(params: &TcpParams) -> RtoEstimator {
 
 impl SubflowSender {
     /// A sender whose scoreboard rings are sized for the window cap.
-    pub fn new(params: &TcpParams, rtt_hint: f64) -> Self {
-        Self::new_pooled(params, rtt_hint, params.max_cwnd, &mut RingPool::default())
+    pub fn new(params: &TcpParams) -> Self {
+        Self::new_pooled(params, params.max_cwnd, &mut RingPool::default())
     }
 
     /// Like [`SubflowSender::new`], with scoreboard rings sized for
     /// `max_window` (see [`crate::scoreboard::ring_hints`]) and drawn from
     /// `pool`.
-    pub fn new_pooled(params: &TcpParams, rtt_hint: f64, max_window: f64, pool: &mut RingPool) -> Self {
+    pub fn new_pooled(params: &TcpParams, max_window: f64, pool: &mut RingPool) -> Self {
         Self {
             cwnd: INITIAL_CWND,
             // NaN-safe: `f64::max` propagates the floor, not the NaN.
@@ -350,9 +344,7 @@ impl SubflowSender {
             rto_recovery: false,
             rto_armed: false,
             recovery_point: 0,
-            rtt_hint,
             meta: VecDeque::new(),
-            meta_base: 0,
             board: BitmapScoreboard::new(max_window, pool),
             meta_allocs: 0,
             stats: SenderCounters::default(),
@@ -360,12 +352,12 @@ impl SubflowSender {
     }
 
     /// Reset this sender to the state [`SubflowSender::new`] would produce
-    /// for `(params, rtt_hint)` — in place. Send metadata keeps its ring
+    /// for `params` — in place. Send metadata keeps its ring
     /// capacity and the scoreboard keeps its bitmap storage, so starting a
     /// new flow in a recycled arena slot is allocation-free; the monotone
     /// allocation counters (`meta_allocs`, scoreboard growth) keep
     /// counting across flows. Per-flow stats reset to zero.
-    pub fn reset_for_reuse(&mut self, params: &TcpParams, rtt_hint: f64) {
+    pub fn reset_for_reuse(&mut self, params: &TcpParams) {
         self.cwnd = INITIAL_CWND;
         self.ssthresh = params.initial_ssthresh.max(MIN_SSTHRESH_PKTS);
         self.max_cwnd = params.max_cwnd;
@@ -377,9 +369,7 @@ impl SubflowSender {
         self.rto_recovery = false;
         self.rto_armed = false;
         self.recovery_point = 0;
-        self.rtt_hint = rtt_hint;
         self.meta.clear();
-        self.meta_base = 0;
         self.board.reset_for_reuse();
         self.stats = SenderCounters::default();
     }
@@ -388,16 +378,9 @@ impl SubflowSender {
     /// again (the containing arena slot is being tombstoned).
     pub fn gut_into(&mut self, pool: &mut RingPool) {
         self.meta = VecDeque::new();
-        self.meta_base = 0;
         self.next_seq = 0;
         self.una = 0;
         self.board.gut_into(pool);
-    }
-
-    /// The RTT the congestion controller should see: the smoothed estimate,
-    /// or the propagation-delay hint before the first sample.
-    pub fn cc_rtt(&self) -> f64 {
-        self.timer.srtt().unwrap_or(self.rtt_hint)
     }
 
     /// RFC 6675-style pipe: packets believed to be in the network.
@@ -435,7 +418,7 @@ impl SubflowSender {
     pub fn on_send_new(&mut self, now: SimTime, dsn: u64) -> (u64, bool) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        debug_assert_eq!(self.meta_base + self.meta.len() as u64, seq);
+        debug_assert_eq!(self.una + self.meta.len() as u64, seq);
         if self.meta.len() == self.meta.capacity() {
             self.meta_allocs += 1;
         }
@@ -451,7 +434,7 @@ impl SubflowSender {
     /// (`None` once the packet is cumulatively acknowledged or for
     /// never-sent sequences).
     pub fn dsn_of(&self, seq: u64) -> Option<u64> {
-        let idx = usize::try_from(seq.checked_sub(self.meta_base)?).ok()?;
+        let idx = usize::try_from(seq.checked_sub(self.una)?).ok()?;
         self.meta.get(idx).map(|m| m.dsn())
     }
 
@@ -466,7 +449,7 @@ impl SubflowSender {
             if self.board.sacked_contains(s) {
                 continue;
             }
-            let Some(m) = usize::try_from(s - self.meta_base).ok().and_then(|i| self.meta.get(i))
+            let Some(m) = usize::try_from(s - self.una).ok().and_then(|i| self.meta.get(i))
             else {
                 continue;
             };
@@ -479,9 +462,9 @@ impl SubflowSender {
     /// Record a retransmission of `seq` at `now` (Karn bookkeeping).
     pub fn on_retransmit(&mut self, seq: u64, now: SimTime) {
         self.stats.retransmits += 1;
-        if seq >= self.meta_base {
+        if seq >= self.una {
             if let Some(m) =
-                usize::try_from(seq - self.meta_base).ok().and_then(|i| self.meta.get_mut(i))
+                usize::try_from(seq - self.una).ok().and_then(|i| self.meta.get_mut(i))
             {
                 m.sent_at = now;
                 m.dsn_flags |= SentMeta::RETRANSMITTED;
@@ -521,24 +504,22 @@ impl SubflowSender {
             out.newly_acked = cum - self.una;
             progressed = true;
             // RTT sample from the newest packet this ACK covers, if clean.
-            if cum > self.meta_base {
-                let idx = usize::try_from(cum - 1 - self.meta_base).ok();
-                if let Some(m) = idx.and_then(|i| self.meta.get(i)) {
-                    if !m.retransmitted() {
-                        let sample = (now.saturating_sub(m.sent_at)).as_secs_f64();
-                        if sample > 0.0 {
-                            self.timer.on_sample(sample);
-                        }
+            let idx = usize::try_from(cum - 1 - self.una).ok();
+            if let Some(m) = idx.and_then(|i| self.meta.get(i)) {
+                if !m.retransmitted() {
+                    let sample = (now.saturating_sub(m.sent_at)).as_secs_f64();
+                    if sample > 0.0 {
+                        self.timer.on_sample(sample);
                     }
                 }
             }
-            while self.meta_base < cum {
+            // The metadata deque starts at `una`: drop what `cum` covers.
+            for _ in self.una..cum {
                 if let Some(m) = self.meta.pop_front() {
                     if !m.data_acked() {
                         newly_acked_dsns.push(m.dsn());
                     }
                 }
-                self.meta_base += 1;
             }
             self.una = cum;
             // Drop scoreboard state below the new cumulative point.
@@ -556,7 +537,7 @@ impl SubflowSender {
                 if self.board.sack_one(seq) {
                     self.sack_events += 1;
                     progressed = true;
-                    let idx = usize::try_from(seq - self.meta_base).ok();
+                    let idx = usize::try_from(seq - self.una).ok();
                     if let Some(m) = idx.and_then(|i| self.meta.get_mut(i)) {
                         if !m.data_acked() {
                             m.dsn_flags |= SentMeta::DATA_ACKED;
@@ -712,7 +693,7 @@ mod tests {
     const NO_SACKS: SackRanges = [None; MAX_SACK_RANGES];
 
     fn sender() -> SubflowSender {
-        SubflowSender::new(&TcpParams::default(), 0.1)
+        SubflowSender::new(&TcpParams::default())
     }
 
     fn sacks(ranges: &[(u64, u64)]) -> SackRanges {
@@ -730,14 +711,14 @@ mod tests {
     #[test]
     fn initial_ssthresh_is_clamped_like_post_loss_ssthresh() {
         let params = TcpParams { initial_ssthresh: 0.5, ..TcpParams::default() };
-        let tx: SubflowSender = SubflowSender::new(&params, 0.1);
+        let tx: SubflowSender = SubflowSender::new(&params);
         assert!(
             tx.ssthresh >= MIN_SSTHRESH_PKTS,
             "initial ssthresh must honor the same floor as set_ssthresh, got {}",
             tx.ssthresh
         );
         let params = TcpParams { initial_ssthresh: f64::NAN, ..TcpParams::default() };
-        let tx: SubflowSender = SubflowSender::new(&params, 0.1);
+        let tx: SubflowSender = SubflowSender::new(&params);
         assert_eq!(tx.ssthresh.to_bits(), MIN_SSTHRESH_PKTS.to_bits());
     }
 
@@ -766,14 +747,6 @@ mod tests {
         assert!(tx.on_rto(0.0));
         tx.set_ssthresh(0.1);
         assert!(tx.ssthresh >= MIN_SSTHRESH_PKTS);
-    }
-
-    /// One sender per hot slot: of `TcpParams` it keeps the one field it
-    /// reads after construction, not the whole struct.
-    #[test]
-    fn a_sender_fits_in_368_bytes() {
-        let size = std::mem::size_of::<SubflowSender>();
-        assert!(size <= 368, "SubflowSender grew to {size} bytes");
     }
 
     #[test]
@@ -1144,7 +1117,7 @@ mod tests {
     /// from the previous flow.
     fn assert_reuse_equals_fresh(first: &[(u8, u8, u8, u8)], second: &[(u8, u8, u8, u8)]) {
         let params = TcpParams::default();
-        let mut reused: SubflowSender = SubflowSender::new(&params, 0.05);
+        let mut reused: SubflowSender = SubflowSender::new(&params);
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for &(op, x, _, _) in first {
@@ -1172,8 +1145,8 @@ mod tests {
                 }
             }
         }
-        reused.reset_for_reuse(&params, 0.05);
-        let mut fresh: SubflowSender = SubflowSender::new(&params, 0.05);
+        reused.reset_for_reuse(&params);
+        let mut fresh: SubflowSender = SubflowSender::new(&params);
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for (step, &(op, x, y, z)) in second.iter().enumerate() {
@@ -1257,7 +1230,7 @@ mod tests {
         // every third congestion epoch. Each loss is repaired exactly, and
         // once warm, wrapping the ring allocates nothing.
         let params = TcpParams { max_cwnd: 64.0, ..TcpParams::default() };
-        let mut tx: SubflowSender = SubflowSender::new(&params, 0.01);
+        let mut tx: SubflowSender = SubflowSender::new(&params);
         tx.cwnd = 64.0;
         let mut now = SimTime::ZERO;
         let mut warmed_allocs = 0;

@@ -1,8 +1,10 @@
 //! `mem_bytes()` against the allocator, on a scaled churn world: FatTree
 //! K=8 in eight pod shards, 4000 two-subflow flows of 4–20 packets (a
-//! burst resident at once, then a trickle that re-tenants what it left).
-//! And the steady-state ACK path against the allocator: once warm, bulk
-//! transfer over clean and lossy links makes no allocation at all.
+//! burst resident at once, then a trickle that re-tenants what it left),
+//! with budgets for a hot slot at the burst's high-water and for a
+//! retired flow. And the steady-state ACK path against the allocator:
+//! once warm, bulk transfer over clean and lossy links makes no
+//! allocation at all.
 //!
 //! This file is its own crate, so its counting allocator does not touch
 //! the library's `#![forbid(unsafe_code)]`. The count is per thread: the
@@ -147,7 +149,7 @@ impl FatTree {
     }
 }
 
-/// Build and run the world; returns it with each flow's size.
+/// Build the world, run nothing yet; returns it with each flow's size.
 fn churn_world() -> (ShardedSimulator, Vec<u64>) {
     let mut sim = ShardedSimulator::new(11, 8);
     sim.set_flow_lifecycle(true);
@@ -173,14 +175,26 @@ fn churn_world() -> (ShardedSimulator, Vec<u64>) {
         );
         sizes.push(size);
     }
-    sim.run_until(SimTime::from_millis(600));
     (sim, sizes)
+}
+
+/// Assert `mem_bytes()` is within 5% of what the allocator holds for the
+/// world (`held` bytes), and return it.
+fn counted_within_5_percent(sim: &ShardedSimulator, held: i64) -> MemBytes {
+    let m = sim.mem_bytes();
+    let counted = m.total() as i64;
+    assert!(
+        (counted - held).abs() * 20 <= held,
+        "mem_bytes() counts {counted} bytes, the allocator holds {held}: {m:?}"
+    );
+    m
 }
 
 #[test]
 fn mem_bytes_names_every_live_byte_of_a_churn_world() {
     let before = live();
-    let (sim, sizes) = churn_world();
+    let (mut sim, sizes) = churn_world();
+    sim.run_until(SimTime::from_millis(600));
     let held = live() - before - (sizes.capacity() * 8) as i64;
     for (c, &size) in sizes.iter().enumerate() {
         let st = sim.connection_stats(c);
@@ -188,12 +202,7 @@ fn mem_bytes_names_every_live_byte_of_a_churn_world() {
     }
     assert!(sim.arena_hot_slots() < 2 * (BURST + TRICKLE), "the trickle re-tenanted no window");
 
-    let m = sim.mem_bytes();
-    let counted = m.total() as i64;
-    assert!(
-        (counted - held).abs() * 20 <= held,
-        "mem_bytes() counts {counted} bytes, the allocator holds {held}: {m:?}"
-    );
+    let m = counted_within_5_percent(&sim, held);
 
     // Every flow has retired: what each keeps is its connection record,
     // frozen stats, cold rows and its share of the world map.
@@ -202,8 +211,26 @@ fn mem_bytes_names_every_live_byte_of_a_churn_world() {
     assert!(per_flow <= RETIRED_FLOW_BYTES, "a retired flow holds {per_flow} bytes: {m:?}");
 }
 
-/// Bytes a retired flow of this world holds: 706 measured, plus 10%.
-const RETIRED_FLOW_BYTES: u64 = 776;
+#[test]
+fn a_resident_hot_slot_holds_its_budget_at_the_burst_high_water() {
+    let before = live();
+    let (mut sim, sizes) = churn_world();
+    // Every burst flow has started by 10 ms and none retires before its
+    // straggler grace, well past 100 ms: the burst is resident at once.
+    sim.run_until(SimTime::from_millis(100));
+    let held = live() - before - (sizes.capacity() * 8) as i64;
+    assert_eq!(sim.arena_hot_slots(), 2 * BURST, "every burst flow holds a two-slot window");
+    let m = counted_within_5_percent(&sim, held);
+    let per_slot = (m.hot + m.rings + m.sent_meta) / sim.arena_hot_slots() as u64;
+    assert!(per_slot <= HOT_SLOT_BYTES, "a hot slot holds {per_slot} bytes: {m:?}");
+}
+
+/// Bytes a retired flow of this world holds: 455 measured, plus 10%.
+const RETIRED_FLOW_BYTES: u64 = 501;
+
+/// Bytes of hot columns, rings and send metadata per hot slot at the
+/// burst high-water, column capacity included: 695 measured, plus 10%.
+const HOT_SLOT_BYTES: u64 = 765;
 
 /// The per-ACK path allocates nothing once warm: scoreboards and
 /// reassembly rings are sized, the event wheel's slots and the links'
@@ -217,7 +244,7 @@ const RETIRED_FLOW_BYTES: u64 = 776;
 /// mark. Over seeds 1–12 the clean window never does; four of the twelve
 /// lossy windows double a `VecDeque` once or twice in 40 s, either a
 /// sender's flight record (`SubflowSender::on_send_new`) or a link queue
-/// (`Simulator::enqueue_packet`), when the flight or the queue first
+/// (`Net::offer`), when the flight or the queue first
 /// reaches a new maximum. This seed's windows reach none.
 #[test]
 fn the_ack_path_allocates_nothing_once_warm() {
