@@ -13,12 +13,13 @@
 //! and the assertion sit next to the cast, so the call sites in the linted
 //! files stay clean without per-site expectations.
 
-/// A slab/pool index (`ack_pool`, `subflows`, …) narrowed to the `u32`
-/// stored in packet headers and ids.
+/// A slab/pool index (`ack_pool`, `subflows`, …) or a link, connection,
+/// subflow, CBR-source or fault-action id narrowed to the `u32` stored in
+/// packet headers and queued events.
 ///
-/// Invariant: the simulator's pools are bounded far below `u32::MAX`
-/// entries (a million-host run still keeps per-shard pools in the
-/// thousands).
+/// Invariant: the simulator's pools and tables are bounded far below
+/// `u32::MAX` entries (a million-host run still keeps per-shard pools in
+/// the thousands).
 #[inline]
 pub(crate) fn slab_u32(n: usize) -> u32 {
     assert!(u32::try_from(n).is_ok(), "slab index {n} exceeds u32");
@@ -85,6 +86,49 @@ pub(crate) fn size_u16(bytes: u32) -> u16 {
     bytes as u16
 }
 
+/// A link's drop-tail limit, in packets, narrowed to the `u32` its record
+/// keeps.
+///
+/// Invariant: a queue holds fewer than 2^32 packets (at 12 bytes each,
+/// 48 GiB of buffer); `Simulator::add_link` and `ShrinkQueue` reject a
+/// larger limit in every build.
+#[inline]
+pub(crate) fn queue_u32(pkts: usize) -> u32 {
+    assert!(u32::try_from(pkts).is_ok(), "queue limit {pkts} exceeds u32");
+    pkts as u32
+}
+
+/// A CBR source's on/off generation narrowed to the `u32` its queued
+/// `CbrSend` events carry.
+///
+/// Invariant: a source toggles fewer than 2^32 times in one run (at the
+/// 10 ms mean on period of Fig. 9, that is over a year of simulated time).
+#[inline]
+pub(crate) fn gen_u32(gen: u64) -> u32 {
+    assert!(u32::try_from(gen).is_ok(), "CBR generation {gen} exceeds u32");
+    gen as u32
+}
+
+/// The low 32 bits of a subflow sequence number, as a [`crate::Packet`]
+/// carries it. Truncation is the point: [`widen_seq`] restores the rest.
+#[inline]
+pub(crate) fn seq_low32(seq: u64) -> u32 {
+    seq as u32
+}
+
+/// The subflow sequence number whose low 32 bits are `low` and which lies
+/// nearest `base`: the inverse of [`seq_low32`] for any sequence within
+/// 2^31 of `base`.
+///
+/// Invariant: the receiver widens against the sequence it expects next,
+/// and every packet of a subflow in flight lies within
+/// `scoreboard::MAX_CAP` (2^20) of it, far inside 2^31.
+#[inline]
+pub(crate) fn widen_seq(low: u32, base: u64) -> u64 {
+    let delta = low.wrapping_sub(base as u32) as i32;
+    base.wrapping_add_signed(i64::from(delta))
+}
+
 /// A warmed-capacity envelope (packets) collapsed to its power-of-two
 /// class index — `⌈log2⌉`, so envelopes 9..=16 share class 4. The arena
 /// keys its free window lists by this class so a recycled window is
@@ -117,6 +161,7 @@ mod tests {
     fn in_range_values_pass_through() {
         assert_eq!(slab_u32(0), 0);
         assert_eq!(slab_u32(70_000), 70_000);
+        assert_eq!(gen_u32(u64::from(u32::MAX)), u32::MAX);
         assert_eq!(path_u8(255), 255);
         assert_eq!(sub_u8(255), 255);
         assert_eq!(owner_u31((1 << 31) - 1), (1 << 31) - 1);
@@ -125,6 +170,23 @@ mod tests {
         assert_eq!(unpack_hop(hop_u32(3, 70_000)), (3, 70_000));
         assert_eq!(f64_to_u64(1024.9), 1024);
         assert_eq!(f64_to_u64(0.0), 0);
+    }
+
+    /// A sequence survives its trip through a packet's 32 bits when it
+    /// lies within ±2^20 (the longest flight) of the base it is widened
+    /// against, also where the low bits wrap at 2^32 and 2^33.
+    #[test]
+    fn a_sequence_widens_back_from_its_low_32_bits() {
+        const SPAN: i64 = 1 << 20;
+        for base in [0u64, 1 << 20, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 33) - 7, 1 << 33] {
+            let offsets = (-SPAN..=SPAN).step_by(4093).chain([-SPAN, -1, 0, 1, SPAN - 1, SPAN]);
+            for off in offsets {
+                let Some(seq) = base.checked_add_signed(off) else { continue };
+                assert_eq!(widen_seq(seq_low32(seq), base), seq, "seq {seq} against base {base}");
+            }
+        }
+        assert_eq!(widen_seq(5, 1 << 32), (1 << 32) + 5);
+        assert_eq!(widen_seq(u32::MAX, 1 << 32), (1 << 32) - 1);
     }
 
     #[test]
@@ -161,6 +223,12 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn slab_index_past_u32_is_caught_in_every_build() {
         let _ = slab_u32(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32")]
+    fn a_cbr_generation_past_u32_is_caught_in_every_build() {
+        let _ = gen_u32(1 << 32);
     }
 
     #[test]

@@ -766,7 +766,8 @@ impl Conns {
             data_acked: 0,
         });
         let id = self.conns.len() - 1;
-        net.schedule(spec.start.max(net.now()), EventKind::ConnStart { conn: id });
+        let start = EventKind::ConnStart { conn: crate::cast::slab_u32(id) };
+        net.schedule(spec.start.max(net.now()), start);
         id
     }
 
@@ -853,10 +854,14 @@ impl Conns {
     }
 
     /// The delivery half of an `Arrive`: subflow `sub` of `conn` received
-    /// `seq`; account it at the data level and send the ACK back.
-    pub(crate) fn on_deliver(&mut self, net: &mut Net, conn: ConnId, sub: usize, seq: u64) {
+    /// the packet whose sequence number has low 32 bits `seq_low`; account
+    /// it at the data level and send the ACK back.
+    pub(crate) fn on_deliver(&mut self, net: &mut Net, conn: ConnId, sub: usize, seq_low: u32) {
         let Some(f) = self.event_flow(net, conn) else { return };
         net.progress();
+        // Every packet of the subflow in flight lies within `MAX_CAP` of
+        // the sequence the receiver expects next.
+        let seq = crate::cast::widen_seq(seq_low, f.rx[sub].delivered());
         // Exactly-once data-level accounting. A first-time subflow arrival
         // implies the packet is not yet cum-acked there, so its dsn
         // metadata still exists.
@@ -885,6 +890,7 @@ impl Conns {
         let (cum, _dup, sacks) = f.rx[sub].on_data(seq);
         let back = net.now() + f.cold[sub].ack_delay + net.ack_jitter();
         let ack = self.alloc_ack(AckInfo { cum, sacks });
+        let (conn, sub) = (crate::cast::slab_u32(conn), crate::cast::slab_u32(sub));
         net.schedule(back, EventKind::AckArrive { conn, sub, ack });
     }
 
@@ -1233,7 +1239,7 @@ impl Flow<'_> {
         if d > now {
             // The deadline moved later (ACK progress): lazily re-queue.
             net.cancel();
-            net.schedule(d, EventKind::RtoFire { conn: self.id, sub });
+            net.schedule(d, self.rto_event(sub));
             self.rto_event_at[sub] = d;
             return;
         }
@@ -1300,6 +1306,11 @@ impl Flow<'_> {
         }
     }
 
+    /// The `RtoFire` event of subflow `sub`.
+    fn rto_event(&self, sub: usize) -> EventKind {
+        EventKind::RtoFire { conn: crate::cast::slab_u32(self.id), sub: crate::cast::slab_u32(sub) }
+    }
+
     /// (Re)arm the conceptual RTO at `now + RTO` and make sure an event is
     /// queued at or before that deadline. At most one pending event per
     /// subflow: an early firing re-queues itself (see [`Self::on_rto`]).
@@ -1313,13 +1324,14 @@ impl Flow<'_> {
         // `NEVER` (no event queued) is later than any deadline.
         if self.rto_event_at[sub] > deadline {
             self.rto_event_at[sub] = deadline;
-            net.schedule(deadline, EventKind::RtoFire { conn: self.id, sub });
+            net.schedule(deadline, self.rto_event(sub));
         }
     }
 
     /// Put subflow `sub`'s packet `seq` on the wire. Packets carry the
     /// world-level id so they survive crossing shard boundaries.
     fn send(&mut self, net: &mut Net, sub: usize, seq: u64) {
+        let seq = crate::cast::seq_low32(seq);
         let owner = PacketOwner::Subflow { conn: self.c.gid as ConnId, sub, seq };
         net.send(Packet::new(owner, self.c.packet_size));
     }
@@ -1459,7 +1471,8 @@ impl Flow<'_> {
                 // and ACK launched before completion drains first; the
                 // frozen snapshot then equals the end-of-run live stats,
                 // and the recycled window can never see a stale event.
-                net.schedule(net.now() + c.retire_grace, EventKind::ConnRetire { conn: self.id });
+                let retire = EventKind::ConnRetire { conn: crate::cast::slab_u32(self.id) };
+                net.schedule(net.now() + c.retire_grace, retire);
             }
         }
     }
@@ -1853,9 +1866,9 @@ mod tests {
         [sacked, lost, flows.rx[slot].ring_bits()]
     }
 
-    /// A short uncapped flow's three rings are sized to it, never above
-    /// the 1024 bits a bulk flow's rings get; a capped flow's sender rings
-    /// follow its cap.
+    /// A short uncapped flow's three rings are sized to it; a bulk or
+    /// longer flow's, and a capped flow's receiver ring, start at 256 bits
+    /// and grow on demand; a capped flow's sender rings follow its cap.
     #[test]
     fn rings_are_sized_to_a_short_flow_and_unchanged_otherwise() {
         let mut sim = Simulator::new(1);
@@ -1865,9 +1878,9 @@ mod tests {
             (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20), [256, 256, 256]),
             (ConnectionSpec::sized(AlgorithmKind::Mptcp, 100), [512, 512, 512]),
             (ConnectionSpec::sized(AlgorithmKind::Mptcp, 256), [1024, 1024, 1024]),
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 257), [1024, 1024, 1024]),
-            (ConnectionSpec::bulk(AlgorithmKind::Mptcp), [1024, 1024, 1024]),
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20).tcp(capped), [256, 256, 1024]),
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 257), [256, 256, 256]),
+            (ConnectionSpec::bulk(AlgorithmKind::Mptcp), [256, 256, 256]),
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20).tcp(capped), [256, 256, 256]),
         ];
         for (spec, want) in specs {
             let c = sim.add_connection(spec.path(vec![l]).path(vec![l]));
@@ -1910,6 +1923,40 @@ mod tests {
             assert_eq!(st.delivered_pkts(), size, "no subflow delivered a packet twice");
             let grew = (0..2).flat_map(|slot| ring_bits(&sim, slot)).any(|bits| bits > 256);
             assert_eq!(grew, size > 256, "size {size}: {:?}", [ring_bits(&sim, 0), ring_bits(&sim, 1)]);
+        }
+    }
+    /// A bulk subflow's rings start at 256 bits. Slow start overflows a
+    /// 300-packet queue with a flight above 256, so its sender and
+    /// receiver rings grow as far as the flight needs, and every packet is
+    /// still delivered and acknowledged exactly once: a 3000-packet flow
+    /// (sized like a bulk one) completes with no duplicate, and a bulk
+    /// flow delivers each data packet once.
+    #[test]
+    fn a_bulk_subflows_rings_grow_once_its_flight_passes_256() {
+        const SIZE: u64 = 3000;
+        let specs = [
+            (ConnectionSpec::sized(AlgorithmKind::Mptcp, SIZE), true),
+            (ConnectionSpec::bulk(AlgorithmKind::Mptcp), false),
+        ];
+        for (spec, sized) in specs {
+            let mut sim = Simulator::new(4);
+            let l1 = sim.add_link(LinkSpec::mbps(100.0, SimTime::from_micros(500), 300));
+            let l2 = sim.add_link(LinkSpec::mbps(80.0, SimTime::from_millis(1), 300));
+            let c = sim.add_connection(spec.path(vec![l1]).path(vec![l2]));
+            assert_eq!([ring_bits(&sim, 0), ring_bits(&sim, 1)], [[256; 3]; 2]);
+            sim.run_until(SimTime::from_secs(5));
+            let st = sim.connection_stats(c);
+            let rings = [ring_bits(&sim, 0), ring_bits(&sim, 1)];
+            assert!(rings.iter().flatten().any(|&bits| bits > 256), "{rings:?}");
+            assert!(st.data_delivered > 256 && st.dup_data_arrivals == 0, "{st:?}");
+            if sized {
+                assert!(st.finished_at.is_some(), "{st:?}");
+                assert_eq!((st.data_delivered, st.data_acked), (SIZE, SIZE));
+                assert_eq!(st.delivered_pkts(), SIZE, "no subflow delivered a packet twice");
+            } else {
+                assert!(st.data_acked <= st.data_delivered, "{st:?}");
+                assert!(st.delivered_pkts() <= st.data_delivered, "{st:?}");
+            }
         }
     }
 }

@@ -11,10 +11,7 @@
 //! (deadlines at every scale from one wheel tick to past the wheel span,
 //! RTO-shaped timers, pops that cross occupied slot boundaries).
 
-use crate::cbr::CbrId;
-use crate::link::LinkId;
 use crate::packet::Packet;
-use crate::sim::ConnId;
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
@@ -45,10 +42,15 @@ pub(crate) struct AckInfo {
 }
 
 /// Everything that can happen in the simulated world.
+///
+/// Ids are stored as `u32` — a [`crate::LinkId`], [`crate::ConnId`],
+/// subflow index, [`crate::CbrId`] or fault index narrowed through
+/// [`crate::cast::slab_u32`] — so that with a 12-byte, 4-aligned
+/// [`Packet`] every variant fits in 16 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
     /// A link finished serializing the packet in service.
-    TxDone { link: LinkId },
+    TxDone { link: u32 },
     /// A packet finished propagating and arrives at `pkt.hop` of its path
     /// (or at the destination if the path is exhausted).
     Arrive { pkt: Packet },
@@ -58,29 +60,30 @@ pub(crate) enum EventKind {
     /// 4-byte slot instead of the ~100-byte `AckInfo` inline keeps every
     /// queued `Event` small: the wheel's slab holds one node per pending
     /// event, and a node is as large as the largest variant here.
-    AckArrive { conn: ConnId, sub: usize, ack: u32 },
+    AckArrive { conn: u32, sub: u32, ack: u32 },
     /// A retransmission-timer event. Timers are lazy: at most one event is
     /// pending per subflow, and a firing that arrives before the current
     /// deadline simply re-schedules itself — this keeps the event queue at
     /// O(subflows) instead of one stale entry per ACK.
-    RtoFire { conn: ConnId, sub: usize },
+    RtoFire { conn: u32, sub: u32 },
     /// A connection begins transmitting.
-    ConnStart { conn: ConnId },
+    ConnStart { conn: u32 },
     /// A finished connection's hot arena window is recycled (flow
     /// lifecycle mode only — see [`crate::Simulator::set_flow_lifecycle`]).
     /// Scheduled one straggler-grace period after the transfer completed,
     /// so every in-flight packet, ACK and stale timer for the flow has
     /// drained before its slots are handed to another connection.
-    ConnRetire { conn: ConnId },
-    /// A CBR source emits its next packet.
-    CbrSend { src: CbrId, gen: u64 },
+    ConnRetire { conn: u32 },
+    /// A CBR source emits its next packet, unless it has toggled since
+    /// (`gen` is its on/off generation, see [`crate::cast::gen_u32`]).
+    CbrSend { src: u32, gen: u32 },
     /// A CBR source toggles between its on and off states.
-    CbrToggle { src: CbrId },
+    CbrToggle { src: u32 },
     /// A scripted fault fires: `idx` indexes the simulator's installed
     /// fault-action table (see [`crate::Simulator::install_fault_plan`]).
     /// Faults are ordinary events, so they execute at their exact time in
     /// deterministic order with everything else — never "between steps".
-    Fault { idx: usize },
+    Fault { idx: u32 },
     /// The telemetry probe samples the world and re-schedules itself (see
     /// [`crate::Simulator::enable_probe`]). Sampling draws no randomness
     /// and emits no packets, so the tick cannot perturb packet history.
@@ -425,21 +428,29 @@ mod tests {
         }
     }
 
-    /// Every pending event is a slab node of this size, so it sets the
-    /// queue's cache footprint. `AckArrive` must carry its pool slot, never
-    /// an inline `AckInfo` (which alone is bigger than this whole bound),
-    /// and `Arrive` a 16-byte packed `Packet`.
+    /// Every pending event is a slab node of the wheel, so its size sets
+    /// the queue's cache footprint. `AckArrive` must carry its pool slot,
+    /// never an inline `AckInfo` (which alone is bigger than this whole
+    /// bound), `Arrive` a 12-byte packed `Packet`, and every id a `u32`.
+    /// The bounds are the sizes on x86_64.
     #[test]
     fn queued_events_stay_small() {
-        assert!(std::mem::size_of::<AckInfo>() > 64, "payload belongs in the pool");
-        let sz = std::mem::size_of::<Event>();
-        assert!(sz <= 40, "Event grew to {sz} bytes; keep it lean");
+        use std::mem::size_of;
+        assert!(size_of::<AckInfo>() > 64, "payload belongs in the pool");
+        for (name, size, bound) in [
+            ("Packet", size_of::<Packet>(), 12),
+            ("EventKind", size_of::<EventKind>(), 20),
+            ("Event", size_of::<Event>(), 40),
+            ("wheel Node", crate::wheel::node_size(), 40),
+        ] {
+            assert!(size <= bound, "{name} grew to {size} bytes (bound {bound})");
+        }
     }
 
     /// The records that scale with flows: a hot slot holds one sender and
     /// one receiver (three rings between them), and every connection and
-    /// subflow ever admitted keeps its record and cold row. The bounds are
-    /// the sizes on x86_64.
+    /// subflow ever admitted keeps its record and cold row. A FatTree
+    /// holds a link record per port. The bounds are the sizes on x86_64.
     #[test]
     fn per_flow_records_stay_small() {
         use std::mem::size_of;
@@ -449,6 +460,7 @@ mod tests {
             ("BitRing", size_of::<crate::scoreboard::BitRing>(), 48),
             ("Connection", size_of::<crate::conn::Connection>(), 144),
             ("ColdSubflow", size_of::<crate::arena::ColdSubflow>(), 24),
+            ("Link", size_of::<crate::link::Link>(), 144),
         ] {
             assert!(size <= bound, "{name} grew to {size} bytes (bound {bound})");
         }

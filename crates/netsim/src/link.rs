@@ -180,61 +180,125 @@ pub(crate) struct GeState {
     pub bad: bool,
 }
 
-/// Runtime state of a link.
+/// The state only faults read or write, boxed on a link's first fault so
+/// that every other link pays one null pointer for it. While a link has
+/// none, it is up, has no Gilbert–Elliott chain, and its nominal rate and
+/// queue capacity are its current ones.
 #[derive(Debug)]
-pub(crate) struct Link {
-    /// Configuration; mutable so scenarios can change rate/loss mid-run
-    /// (mobility, Fig. 17).
-    pub spec: LinkSpec,
+pub(crate) struct LinkCold {
     /// The rate the link returns to when a brownout ends; updated by
     /// lasting rate changes ([`crate::FaultAction::SetRate`]).
     pub nominal_rate_bps: f64,
     /// The queue capacity restored when a queue squeeze ends.
-    pub nominal_queue_pkts: usize,
-    /// Waiting packets (the packet in service is *not* in this queue).
-    pub queue: VecDeque<Packet>,
-    /// Whether the transmitter is currently serializing a packet.
-    pub busy: bool,
-    /// The packet currently being serialized, if any.
-    pub in_service: Option<Packet>,
+    pub nominal_queue_pkts: u32,
     /// If `true`, packets are dropped at enqueue regardless of queue space —
     /// models total loss of connectivity (walking out of WiFi coverage).
     pub down: bool,
     /// Gilbert–Elliott chain, when a bursty-loss episode is active.
     pub ge: Option<GeState>,
+}
+
+/// Runtime state of a link: its [`LinkSpec`] stored field by field, the
+/// packets it holds and its counters. A FatTree world holds thousands, so
+/// the record is kept at 144 bytes on 64-bit targets.
+#[derive(Debug)]
+pub(crate) struct Link {
+    /// Transmission rate in bits per second; scenarios change it mid-run
+    /// (mobility, Fig. 17) through [`Self::set_rate_bps`].
+    rate_bps: f64,
+    /// One-way propagation delay.
+    pub delay: SimTime,
+    /// Bernoulli random-loss probability applied on enqueue.
+    pub loss_prob: f64,
+    /// Drop-tail limit: packets that may wait behind the one in service.
+    pub queue_pkts: u32,
+    /// The packet being serialized, if any: the link is busy while it is
+    /// `Some`. It stays in the record rather than at the front of `queue`
+    /// so that an idle link's first packet touches no other cache line.
+    pub in_service: Option<Packet>,
+    /// Waiting packets, at most `queue_pkts`. [`Self::reserve_slot`]
+    /// grows the buffer.
+    pub queue: VecDeque<Packet>,
+    /// Fault-only state, boxed on first use.
+    pub cold: Option<Box<LinkCold>>,
     /// Counters.
     pub stats: LinkStats,
-    /// The last serialization time computed, keyed by what it was computed
-    /// from — `(bytes, rate_bps.to_bits())` — so a rate change by any route
-    /// is a key miss and nothing has to invalidate it.
-    tx_memo: ((u32, u64), SimTime),
+    /// The packet size the last serialization time was computed for, and
+    /// that time at the current rate (refreshed by every rate change).
+    memo_bytes: u32,
+    memo_tx: SimTime,
 }
 
 impl Link {
     pub(crate) fn new(spec: LinkSpec) -> Self {
         let bytes = crate::packet::DEFAULT_PACKET_SIZE;
         Self {
-            tx_memo: ((bytes, spec.rate_bps.to_bits()), spec.tx_time(bytes)),
-            spec,
-            nominal_rate_bps: spec.rate_bps,
-            nominal_queue_pkts: spec.queue_pkts,
-            queue: VecDeque::new(),
-            busy: false,
+            rate_bps: spec.rate_bps,
+            delay: spec.delay,
+            loss_prob: spec.loss_prob,
+            queue_pkts: crate::cast::queue_u32(spec.queue_pkts),
             in_service: None,
-            down: false,
-            ge: None,
+            queue: VecDeque::new(),
+            cold: None,
             stats: LinkStats::default(),
+            memo_bytes: bytes,
+            memo_tx: spec.tx_time(bytes),
         }
     }
 
-    /// `spec.tx_time(bytes)`. A link serializes runs of equal-sized packets
-    /// at one rate, so the division and rounding are paid once per run.
-    pub(crate) fn tx_time(&mut self, bytes: u32) -> SimTime {
-        let key = (bytes, self.spec.rate_bps.to_bits());
-        if self.tx_memo.0 != key {
-            self.tx_memo = (key, self.spec.tx_time(bytes));
+    /// The link's current configuration.
+    pub(crate) fn spec(&self) -> LinkSpec {
+        LinkSpec {
+            rate_bps: self.rate_bps,
+            delay: self.delay,
+            queue_pkts: self.queue_pkts as usize,
+            loss_prob: self.loss_prob,
         }
-        self.tx_memo.1
+    }
+
+    /// Change the transmission rate.
+    pub(crate) fn set_rate_bps(&mut self, rate_bps: f64) {
+        self.rate_bps = rate_bps;
+        self.memo_tx = self.spec().tx_time(self.memo_bytes);
+    }
+
+    /// The fault-only state, boxed now if no fault has touched the link.
+    pub(crate) fn cold(&mut self) -> &mut LinkCold {
+        self.cold.get_or_insert_with(|| {
+            Box::new(LinkCold {
+                nominal_rate_bps: self.rate_bps,
+                nominal_queue_pkts: self.queue_pkts,
+                down: false,
+                ge: None,
+            })
+        })
+    }
+
+    /// Make room in the waiting buffer for one more packet when it is
+    /// full, doubling it (from 4) but never past the `queue_pkts` packets
+    /// the limit lets wait. Call only while fewer than `queue_pkts` wait.
+    pub(crate) fn reserve_slot(&mut self) {
+        let len = self.queue.len();
+        if len == self.queue.capacity() {
+            let want = (2 * len).max(4).min(self.queue_pkts as usize);
+            self.queue.reserve_exact(want - len);
+        }
+    }
+
+    /// `spec().tx_time(bytes)`. A link serializes runs of equal-sized
+    /// packets at one rate, so the division and rounding are paid once per
+    /// run.
+    pub(crate) fn tx_time(&mut self, bytes: u32) -> SimTime {
+        if self.memo_bytes != bytes {
+            self.memo_bytes = bytes;
+            self.memo_tx = self.spec().tx_time(bytes);
+        }
+        self.memo_tx
+    }
+
+    /// Heap bytes of the fault-only box, if any.
+    pub(crate) fn cold_bytes(&self) -> u64 {
+        self.cold.as_ref().map_or(0, |_| std::mem::size_of::<LinkCold>() as u64)
     }
 }
 
@@ -260,10 +324,10 @@ mod tests {
         let mut l = Link::new(LinkSpec::mbps(12.0, SimTime::ZERO, 100));
         let steps = [(1500, 12e6), (1500, 12e6), (40, 12e6), (1500, 3.3e6), (40, 3.3e6)];
         for (bytes, rate_bps) in steps {
-            // A mid-run rate change writes the spec directly, as
-            // `set_link_rate_bps`, `Brownout` and `RestoreRate` do.
-            l.spec.rate_bps = rate_bps;
-            assert_eq!(l.tx_time(bytes), l.spec.tx_time(bytes), "{bytes} B at {rate_bps} b/s");
+            // A mid-run rate change, as `set_link_rate_bps`, `Brownout`
+            // and `RestoreRate` make it.
+            l.set_rate_bps(rate_bps);
+            assert_eq!(l.tx_time(bytes), l.spec().tx_time(bytes), "{bytes} B at {rate_bps} b/s");
         }
     }
 

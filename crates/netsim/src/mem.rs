@@ -41,8 +41,10 @@ pub struct MemBytes {
     pub scratch: u64,
     /// Event-queue storage.
     pub event_queue: u64,
-    /// Link records and their packet queues.
-    pub links: u64,
+    /// Link records and their fault-only state.
+    pub link_records: u64,
+    /// Link packet queues: the packet in service and those waiting.
+    pub link_queues: u64,
     /// In-flight ACK payloads and their free list.
     pub ack_pool: u64,
     /// Ring storage parked for reuse.
@@ -55,7 +57,7 @@ pub struct MemBytes {
 
 impl MemBytes {
     /// Every category with its name, in declaration order.
-    pub fn categories(&self) -> [(&'static str, u64); 14] {
+    pub fn categories(&self) -> [(&'static str, u64); 15] {
         [
             ("hot", self.hot),
             ("rings", self.rings),
@@ -66,7 +68,8 @@ impl MemBytes {
             ("routes", self.routes),
             ("scratch", self.scratch),
             ("event_queue", self.event_queue),
-            ("links", self.links),
+            ("link_records", self.link_records),
+            ("link_queues", self.link_queues),
             ("ack_pool", self.ack_pool),
             ("ring_pool", self.ring_pool),
             ("outboxes", self.outboxes),
@@ -91,7 +94,8 @@ impl std::ops::AddAssign for MemBytes {
         self.routes += o.routes;
         self.scratch += o.scratch;
         self.event_queue += o.event_queue;
-        self.links += o.links;
+        self.link_records += o.link_records;
+        self.link_queues += o.link_queues;
         self.ack_pool += o.ack_pool;
         self.ring_pool += o.ring_pool;
         self.outboxes += o.outboxes;
@@ -118,6 +122,6 @@ mod tests {
         let mut m = MemBytes { hot: 3, world_map: 4, ..MemBytes::default() };
         m += MemBytes { rings: 5, hot: 1, ..MemBytes::default() };
         assert_eq!((m.hot, m.total()), (4, 13));
-        assert_eq!(m.categories().len(), 14);
+        assert_eq!(m.categories().len(), 15);
     }
 }

@@ -11,15 +11,17 @@ pub const DEFAULT_PACKET_SIZE: u32 = 1500;
 /// Who owns a packet in flight: a TCP subflow or a CBR source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketOwner {
-    /// A data packet of subflow `sub` of connection `conn`, carrying
-    /// subflow sequence number `seq` (in packets, starting at 0).
+    /// A data packet of subflow `sub` of connection `conn`, carrying the
+    /// low 32 bits of its subflow sequence number `seq` (in packets,
+    /// starting at 0). The receiver widens them back against the sequence
+    /// it expects next (see [`crate::cast::widen_seq`]).
     Subflow {
         /// Owning connection.
         conn: ConnId,
         /// Subflow index within the connection.
         sub: usize,
-        /// Subflow-level sequence number, in packets.
-        seq: u64,
+        /// Subflow-level sequence number, in packets, modulo 2^32.
+        seq: u32,
     },
     /// A packet from a constant-bit-rate source.
     Cbr {
@@ -31,15 +33,15 @@ pub enum PacketOwner {
 /// Bit of [`Packet::id`] that marks the id as a CBR source's.
 const CBR_BIT: u32 = 1 << 31;
 
-/// A packet in flight: 16 bytes, of which link queues, the event slab and
-/// shard mailboxes hold tens of thousands. The forward path is looked up
-/// from the owner, and [`PacketOwner`] is the unpacked view of `seq`, `id`
-/// and `sub`. The narrow fields bound what a world can hold —
-/// [`assert_packable`] rejects at admission a source that would not fit.
+/// A packet in flight: 12 bytes, 4-aligned, of which link queues, the
+/// event slab and shard mailboxes hold tens of thousands. The forward path
+/// is looked up from the owner, and [`PacketOwner`] is the unpacked view
+/// of `seq`, `id` and `sub`. The narrow fields bound what a world can hold
+/// — [`assert_packable`] rejects at admission a source that would not fit.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
-    /// Subflow sequence number (0 for CBR).
-    seq: u64,
+    /// Low 32 bits of the subflow sequence number (0 for CBR).
+    seq: u32,
     /// Connection id, or CBR source id with [`CBR_BIT`] set.
     id: u32,
     /// Size on the wire, bytes.
@@ -105,7 +107,8 @@ mod tests {
     #[test]
     fn packet_is_small() {
         // Per-packet state stays compact: the event queue holds many.
-        assert_eq!(std::mem::size_of::<Packet>(), 16);
+        assert_eq!(std::mem::size_of::<Packet>(), 12);
+        assert_eq!(std::mem::align_of::<Packet>(), 4);
     }
 
     #[test]
@@ -121,7 +124,7 @@ mod tests {
     #[test]
     fn packed_fields_round_trip_at_their_maxima() {
         for owner in [
-            PacketOwner::Subflow { conn: MAX_ID, sub: 255, seq: u64::MAX },
+            PacketOwner::Subflow { conn: MAX_ID, sub: 255, seq: u32::MAX },
             PacketOwner::Subflow { conn: 0, sub: 0, seq: 0 },
             PacketOwner::Cbr { src: MAX_ID },
             PacketOwner::Cbr { src: 0 },

@@ -11,7 +11,7 @@
 //! RACK-style re-mark, retransmission pops and the RTO collapse. After
 //! every call it compares every answer and the observable state. Its
 //! scripts carry flights in the hundreds over rings that start at 256 to
-//! 1024 bits, so they wrap the rings and grow them past the window hint;
+//! 1024 bits (256 for an uncapped window), so they wrap the rings and grow them past the window hint;
 //! `the_differential_reaches_the_ring` counts how often. The receiver
 //! differential feeds a `SubflowReceiver` and [`BTreeOoo`] reordered
 //! arrivals spanning more than four ring capacities.
@@ -214,10 +214,10 @@ fn call((op, a, b): (u8, u16, u8)) -> Call {
     }
 }
 
-/// Window hints: 256-bit rings for finite hints up to 64 packets, 512 bits
-/// for 128, 1024 uncapped.
+/// Window hints: 256-bit rings for finite hints up to 64 packets and for
+/// uncapped windows, 512 bits for 128, 1024 for 256.
 fn hints() -> impl Strategy<Value = f64> {
-    prop::sample::select(vec![1.0, 16.0, 64.0, 128.0, f64::INFINITY])
+    prop::sample::select(vec![1.0, 16.0, 64.0, 128.0, 256.0, f64::INFINITY])
 }
 
 fn scripts() -> impl Strategy<Value = Vec<Call>> {

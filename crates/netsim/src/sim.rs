@@ -22,6 +22,7 @@
     clippy::cast_possible_wrap
 )]
 
+use crate::cast;
 use crate::cbr::{CbrId, CbrSource, CbrSpec};
 use crate::conn::{ConnectionSpec, Conns, SubflowTiming};
 use crate::event::{Event, EventKind};
@@ -154,7 +155,9 @@ impl Simulator {
             + net.routes.iter().map(LinkPath::heap_bytes).sum::<u64>()
             + vec_bytes(&net.route_base);
         m.event_queue = net.queue.heap_bytes();
-        m.links = vec_bytes(&net.links) + net.links.iter().map(|l| deque_bytes(&l.queue)).sum::<u64>();
+        m.link_records =
+            vec_bytes(&net.links) + net.links.iter().map(Link::cold_bytes).sum::<u64>();
+        m.link_queues = net.links.iter().map(|l| deque_bytes(&l.queue)).sum();
         if let Some(ctx) = &net.shard {
             m.outboxes = size_of::<ShardCtx>() as u64
                 + vec_bytes(&ctx.outbox)
@@ -197,6 +200,9 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     /// Add a link; returns its id.
+    ///
+    /// # Panics
+    /// Panics on a queue limit of 2^32 packets or more.
     pub fn add_link(&mut self, spec: LinkSpec) -> LinkId {
         self.net.links.push(Link::new(spec));
         self.net.links.len() - 1
@@ -212,8 +218,8 @@ impl Simulator {
     /// holds: 2^31 connections, 256 subflows, 255 hops, 65 535 bytes.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
         let net = &mut self.net;
-        let delays = spec.timings(net.links.len(), |l| net.links[l].spec);
-        net.route_base.push(crate::cast::slab_u32(net.routes.len()));
+        let delays = spec.timings(net.links.len(), |l| net.links[l].spec());
+        net.route_base.push(cast::slab_u32(net.routes.len()));
         net.routes.extend(spec.subflows.iter().map(|sf| LinkPath::from(&sf.path[..])));
         let gid = self.connection_count();
         self.admit(spec, gid, &delays)
@@ -251,7 +257,7 @@ impl Simulator {
         crate::packet::assert_packable(id, 1, spec.path.len(), spec.packet_size);
         let start = spec.start.max(net.now);
         net.cbrs.push(CbrSource::new(spec));
-        net.queue.push(start, EventKind::CbrToggle { src: id });
+        net.queue.push(start, EventKind::CbrToggle { src: cast::slab_u32(id) });
         id
     }
 
@@ -266,15 +272,17 @@ impl Simulator {
     pub fn set_link_rate_bps(&mut self, link: LinkId, rate_bps: f64) {
         assert!(rate_bps > 0.0);
         let l = &mut self.net.links[link];
-        l.spec.rate_bps = rate_bps;
-        l.nominal_rate_bps = rate_bps;
+        l.set_rate_bps(rate_bps);
+        if let Some(cold) = l.cold.as_deref_mut() {
+            cold.nominal_rate_bps = rate_bps;
+        }
     }
 
     /// Change a link's random-loss probability. The closed range `[0, 1]`
     /// is accepted: `p = 1` models total loss on an otherwise-up link.
     pub fn set_link_loss(&mut self, link: LinkId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "loss probability must be in [0,1], got {p}");
-        self.net.links[link].spec.loss_prob = p;
+        self.net.links[link].loss_prob = p;
     }
 
     /// Take a link down (all arriving packets dropped, queue flushed) or
@@ -282,7 +290,7 @@ impl Simulator {
     /// count as [`LinkStats::dropped_down`], not queue overflow.
     pub fn set_link_down(&mut self, link: LinkId, down: bool) {
         let l = &mut self.net.links[link];
-        l.down = down;
+        l.cold().down = down;
         if down {
             l.stats.dropped_down += l.queue.len() as u64;
             l.queue.clear();
@@ -304,7 +312,7 @@ impl Simulator {
             assert!(action.link() < net.links.len(), "unknown link {}", action.link());
             let idx = net.fault_actions.len();
             net.fault_actions.push(action);
-            net.queue.push(at.max(net.now), EventKind::Fault { idx });
+            net.queue.push(at.max(net.now), EventKind::Fault { idx: cast::slab_u32(idx) });
         }
         net.quiesced_at = None;
     }
@@ -391,7 +399,7 @@ impl Simulator {
 
     /// A link's current spec (rate/delay/queue/loss).
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.net.links[link].spec
+        self.net.links[link].spec()
     }
 
     /// Number of links in the world.
@@ -457,19 +465,21 @@ impl Simulator {
         net.now = ev.at;
         net.events_processed += 1;
         match ev.kind {
-            EventKind::TxDone { link } => net.on_tx_done(link),
+            EventKind::TxDone { link } => net.on_tx_done(link as LinkId),
             EventKind::Arrive { pkt } => {
                 if let Some((conn, sub, seq)) = net.on_arrive(pkt) {
                     conns.on_deliver(net, conn, sub, seq);
                 }
             }
-            EventKind::AckArrive { conn, sub, ack } => conns.on_ack(net, conn, sub, ack),
-            EventKind::RtoFire { conn, sub } => conns.on_rto(net, conn, sub),
-            EventKind::ConnStart { conn } => conns.on_conn_start(net, conn),
-            EventKind::ConnRetire { conn } => conns.on_conn_retire(net, conn),
-            EventKind::CbrSend { src, gen } => net.on_cbr_send(src, gen),
-            EventKind::CbrToggle { src } => net.on_cbr_toggle(src),
-            EventKind::Fault { idx } => self.apply_fault(idx),
+            EventKind::AckArrive { conn, sub, ack } => {
+                conns.on_ack(net, conn as ConnId, sub as usize, ack);
+            }
+            EventKind::RtoFire { conn, sub } => conns.on_rto(net, conn as ConnId, sub as usize),
+            EventKind::ConnStart { conn } => conns.on_conn_start(net, conn as ConnId),
+            EventKind::ConnRetire { conn } => conns.on_conn_retire(net, conn as ConnId),
+            EventKind::CbrSend { src, gen } => net.on_cbr_send(src as CbrId, gen),
+            EventKind::CbrToggle { src } => net.on_cbr_toggle(src as CbrId),
+            EventKind::Fault { idx } => self.apply_fault(idx as usize),
             EventKind::ProbeTick => self.on_probe_tick(),
         }
     }
@@ -514,29 +524,35 @@ impl Simulator {
             FaultAction::SetRate { link, bps } => self.set_link_rate_bps(link, bps),
             FaultAction::Brownout { link, factor } => {
                 let l = &mut self.net.links[link];
-                l.spec.rate_bps = l.nominal_rate_bps * factor;
+                let nominal = l.cold().nominal_rate_bps;
+                l.set_rate_bps(nominal * factor);
             }
             FaultAction::RestoreRate { link } => {
                 let l = &mut self.net.links[link];
-                l.spec.rate_bps = l.nominal_rate_bps;
+                if let Some(nominal) = l.cold.as_deref().map(|c| c.nominal_rate_bps) {
+                    l.set_rate_bps(nominal);
+                }
             }
             FaultAction::SetLoss { link, p } => self.set_link_loss(link, p),
             FaultAction::ShrinkQueue { link, pkts } => {
                 let l = &mut self.net.links[link];
-                l.spec.queue_pkts = pkts;
+                // Box the cold record first: it keeps the nominal limit.
+                l.cold();
+                l.queue_pkts = cast::queue_u32(pkts);
                 // Drop-tail semantics: excess waiting packets are shed from
                 // the back of the queue immediately.
-                while l.queue.len() > pkts {
-                    l.queue.pop_back();
-                    l.stats.dropped_queue += 1;
-                }
+                l.stats.dropped_queue += l.queue.len().saturating_sub(pkts) as u64;
+                l.queue.truncate(pkts);
             }
             FaultAction::RestoreQueue { link } => {
                 let l = &mut self.net.links[link];
-                l.spec.queue_pkts = l.nominal_queue_pkts;
+                if let Some(cold) = l.cold.as_deref() {
+                    l.queue_pkts = cold.nominal_queue_pkts;
+                }
             }
             FaultAction::GilbertElliott { link, params } => {
-                self.net.links[link].ge = params.map(|params| GeState { params, bad: false });
+                let ge = params.map(|params| GeState { params, bad: false });
+                self.net.links[link].cold().ge = ge;
             }
             FaultAction::AddrRemove { conn, sub, .. } => {
                 self.admin_close_subflow(self.net.local_conn(conn), sub);
@@ -649,47 +665,42 @@ impl Net {
 impl Net {
     /// Offer a packet to link `link_id`, the one at `pkt.hop` of its path.
     fn offer(&mut self, pkt: Packet, link_id: LinkId) {
-        let (down, loss_prob) = {
-            let l = &self.links[link_id];
-            (l.down, l.spec.loss_prob)
-        };
-        self.links[link_id].stats.offered += 1;
-        if down {
-            self.links[link_id].stats.dropped_down += 1;
-            return;
-        }
-        // Gilbert–Elliott bursty loss, when a chain is installed: one
-        // transition attempt per offered packet, then a loss draw in the
-        // resulting state. Both draws come from the simulator RNG, in
-        // packet order — fully deterministic for a fixed seed.
-        if let Some(mut ge) = self.links[link_id].ge {
-            let flip = if ge.bad { ge.params.p_exit_bad } else { ge.params.p_enter_bad };
-            if flip > 0.0 && self.rng.gen::<f64>() < flip {
-                ge.bad = !ge.bad;
-                self.links[link_id].ge = Some(ge);
-            }
-            let p = if ge.bad { ge.params.loss_bad } else { ge.params.loss_good };
-            if p > 0.0 && self.rng.gen::<f64>() < p {
-                self.links[link_id].stats.dropped_random += 1;
+        let l = &mut self.links[link_id];
+        l.stats.offered += 1;
+        if let Some(cold) = l.cold.as_deref_mut() {
+            if cold.down {
+                l.stats.dropped_down += 1;
                 return;
             }
+            // Gilbert–Elliott bursty loss, when a chain is installed: one
+            // transition attempt per offered packet, then a loss draw in
+            // the resulting state. Both draws come from the simulator RNG,
+            // in packet order — fully deterministic for a fixed seed.
+            if let Some(ge) = &mut cold.ge {
+                let flip = if ge.bad { ge.params.p_exit_bad } else { ge.params.p_enter_bad };
+                if flip > 0.0 && self.rng.gen::<f64>() < flip {
+                    ge.bad = !ge.bad;
+                }
+                let p = if ge.bad { ge.params.loss_bad } else { ge.params.loss_good };
+                if p > 0.0 && self.rng.gen::<f64>() < p {
+                    l.stats.dropped_random += 1;
+                    return;
+                }
+            }
         }
-        if loss_prob > 0.0 && self.rng.gen::<f64>() < loss_prob {
-            self.links[link_id].stats.dropped_random += 1;
+        if l.loss_prob > 0.0 && self.rng.gen::<f64>() < l.loss_prob {
+            l.stats.dropped_random += 1;
             return;
         }
-        let l = &mut self.links[link_id];
-        if l.busy {
-            if l.queue.len() >= l.spec.queue_pkts {
-                l.stats.dropped_queue += 1;
-            } else {
-                l.queue.push_back(pkt);
-            }
-        } else {
-            l.busy = true;
+        if l.in_service.is_none() {
             l.in_service = Some(pkt);
             let done = self.now + l.tx_time(pkt.size());
-            self.queue.push(done, EventKind::TxDone { link: link_id });
+            self.queue.push(done, EventKind::TxDone { link: cast::slab_u32(link_id) });
+        } else if l.queue.len() < l.queue_pkts as usize {
+            l.reserve_slot();
+            l.queue.push_back(pkt);
+        } else {
+            l.stats.dropped_queue += 1;
         }
     }
 
@@ -735,11 +746,9 @@ impl Net {
             if let Some(next) = l.queue.pop_front() {
                 l.in_service = Some(next);
                 let done = self.now + l.tx_time(next.size());
-                self.queue.push(done, EventKind::TxDone { link });
-            } else {
-                l.busy = false;
+                self.queue.push(done, EventKind::TxDone { link: cast::slab_u32(link) });
             }
-            (pkt, l.spec.delay)
+            (pkt, l.delay)
         };
         pkt.advance();
         let at = self.now + delay;
@@ -770,8 +779,8 @@ impl Net {
     /// Move an arriving packet on: onto the next link of its path or, past
     /// the last one, to its destination. A CBR delivery is counted here; a
     /// subflow delivery is returned as its local `(conn, sub, seq)` for
-    /// the connection layer.
-    fn on_arrive(&mut self, pkt: Packet) -> Option<(ConnId, usize, u64)> {
+    /// the connection layer, with the low 32 bits of its sequence number.
+    fn on_arrive(&mut self, pkt: Packet) -> Option<(ConnId, usize, u32)> {
         if let Some(link) = self.next_link(&pkt) {
             self.offer(pkt, link);
             return None;
@@ -805,26 +814,28 @@ impl Net {
         s.gen += 1;
         let (on, gen) = (s.on, s.gen);
         if on {
+            let (src, gen) = (cast::slab_u32(src), cast::gen_u32(gen));
             self.queue.push(self.now, EventKind::CbrSend { src, gen });
         }
         if let Some((mean_on, mean_off)) = onoff {
             let next = self.now + self.exp_sample(if on { mean_on } else { mean_off });
-            self.queue.push(next, EventKind::CbrToggle { src });
+            self.queue.push(next, EventKind::CbrToggle { src: cast::slab_u32(src) });
         }
     }
 
-    fn on_cbr_send(&mut self, src: CbrId, gen: u64) {
+    fn on_cbr_send(&mut self, src: CbrId, gen: u32) {
         let (on, cur_gen, size, interval) = {
             let s = &self.cbrs[src];
             (s.on, s.gen, s.spec.packet_size, s.spec.packet_interval())
         };
-        if !on || cur_gen != gen {
+        if !on || cur_gen != u64::from(gen) {
             self.events_cancelled += 1;
             return;
         }
         self.cbrs[src].sent += 1;
         self.send(Packet::new(PacketOwner::Cbr { src }, size));
-        self.queue.push(self.now + interval, EventKind::CbrSend { src, gen });
+        let next = EventKind::CbrSend { src: cast::slab_u32(src), gen };
+        self.queue.push(self.now + interval, next);
     }
 }
 
@@ -992,7 +1003,7 @@ mod tests {
         sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]).tcp(tcp));
     }
 
-    /// What a 16-byte packet cannot carry is refused where the sender is
+    /// What a 12-byte packet cannot carry is refused where the sender is
     /// admitted, in release builds too — not when its first packet packs.
     #[test]
     #[should_panic(expected = "a packet can count 255")]
@@ -1033,5 +1044,57 @@ mod tests {
             warmed,
             "hot paths must not allocate after warmup"
         );
+    }
+    /// One link of drop-tail limit `limit` under a constant and a bursty
+    /// CBR source (1500- and 500-byte packets, 1.3× the link's rate while
+    /// both send), squeezed to `limit / 3` over 300–500 ms and down over
+    /// 800–900 ms, sampled by the probe every millisecond. Returns the
+    /// link's counters, an FNV-1a digest of the probe's queue depths, and
+    /// the largest waiting-buffer capacity seen.
+    fn squeezed_link_run(limit: usize) -> ([u64; 5], u64, usize) {
+        let (mut sim, l) = one_link_sim(12.0, 1, limit);
+        sim.add_cbr(CbrSpec::constant(vec![l], 9.6e6));
+        let mut bursty = CbrSpec::constant(vec![l], 6e6)
+            .onoff(SimTime::from_millis(20), SimTime::from_millis(30));
+        bursty.packet_size = 500;
+        sim.add_cbr(bursty);
+        let ms = SimTime::from_millis;
+        let plan = FaultPlan::new().queue_squeeze(l, ms(300), ms(500), limit / 3);
+        sim.install_fault_plan(&plan.outage(l, ms(800), ms(900)));
+        sim.enable_probe(ProbeSpec::every(ms(1)).links(vec![l]));
+        let mut cap = 0;
+        for step in 1..=1_200 {
+            sim.run_until(SimTime::from_micros(step * 1_000));
+            cap = cap.max(sim.net.links[l].queue.capacity());
+        }
+        let s = sim.link_stats(l);
+        let points = sim.probe_log().map_or(&[][..], |p| &p.link_points[..]);
+        let digest = points.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+            (h ^ p.queue_depth as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        ([s.offered, s.dropped_queue, s.dropped_down, s.transmitted, s.bytes], digest, cap)
+    }
+
+    /// A link holds at most `limit + 1` packets: the one in service, in
+    /// its record, and a waiting buffer that doubles only up to the
+    /// `limit` packets the drop-tail limit lets wait — also for limits
+    /// below the first doubling step of 4. Every counter and every probed
+    /// queue depth equals what the model with an uncapped buffer recorded
+    /// on this schedule (the constants below are that model's).
+    #[test]
+    fn link_buffers_stop_at_their_limit_and_count_as_before() {
+        // [offered, dropped_queue, dropped_down, transmitted, bytes] and
+        // the digest of the probed queue depths, per limit.
+        let pinned: [(usize, [u64; 5], u64); 4] = [
+            (0, [1856, 652, 170, 1033, 1_236_500], 0x61be_f1db_119e_0180),
+            (1, [1856, 418, 170, 1267, 1_404_500], 0xe3e6_ab04_57e5_4680),
+            (3, [1856, 276, 172, 1407, 1_499_500], 0x3d43_9e0e_00c0_546a),
+            (100, [1856, 34, 212, 1605, 1_640_500], 0x2baf_bc3d_ba8f_6557),
+        ];
+        for (limit, counters, digest) in pinned {
+            let got = squeezed_link_run(limit);
+            assert_eq!((got.0, got.1), (counters, digest), "limit {limit}");
+            assert!(got.2 <= limit, "limit {limit}: a waiting buffer of {} packets", got.2);
+        }
     }
 }

@@ -183,7 +183,8 @@ impl SubflowReceiver {
         out
     }
 
-    /// Packets delivered in order so far.
+    /// Packets delivered in order so far, which is also the next subflow
+    /// sequence number expected in order.
     pub fn delivered(&self) -> u64 {
         self.ooo.base()
     }

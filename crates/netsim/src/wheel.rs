@@ -74,6 +74,12 @@ const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// within the tick sit above them. 2^54 events is 57 years at 10 M/s.
 const SEQ_BITS: u32 = 64 - GRAN_BITS;
 
+/// Bytes of one slab node, for the size bound in `event.rs`'s tests.
+#[cfg(test)]
+pub(crate) fn node_size() -> usize {
+    std::mem::size_of::<Node>()
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     at: SimTime,
@@ -377,7 +383,7 @@ mod tests {
         let mut w = TimerWheel::new();
         let times = [5_000u64, 1_000, 3_000, 1_000, 7_919_999, 64 * 1024, 1_000_000_000];
         for (seq, &t) in times.iter().enumerate() {
-            w.push(SimTime(t), EventKind::ConnStart { conn: seq });
+            w.push(SimTime(t), EventKind::ConnStart { conn: crate::cast::slab_u32(seq) });
         }
         let got = drain(&mut w);
         let mut want: Vec<(u64, u64)> =
