@@ -75,7 +75,7 @@ fn run_one(sc: &Scenario, workers: usize) -> Digest {
                 ConnectionSpec::sized(AlgorithmKind::Mptcp, pkts)
                     .path(vec![l1])
                     .path(vec![l2])
-                    .tcp(TcpParams { max_rto: SimTime::from_secs(4), ..TcpParams::default() }),
+                    .tcp(TcpParams { max_rto: SimTime::from_secs(4) }),
             );
             let plan = FaultPlan::randomized(seed ^ 0xD0A1, &[l1, l2], horizon);
             sim.install_fault_plan(&plan);
@@ -105,7 +105,7 @@ fn run_one(sc: &Scenario, workers: usize) -> Digest {
                 ConnectionSpec::sized(AlgorithmKind::Mptcp, pkts)
                     .path(vec![s1, l1])
                     .path(vec![s2, l2])
-                    .tcp(TcpParams { max_rto: SimTime::from_secs(4), ..TcpParams::default() }),
+                    .tcp(TcpParams { max_rto: SimTime::from_secs(4) }),
             );
             let plan = FaultPlan::randomized(seed ^ 0xD0A1, &[l1, l2], horizon);
             sim.install_fault_plan(&plan);

@@ -9,12 +9,13 @@
 //! (never `std`'s seeded `RandomState`), so the digest itself is stable
 //! across processes, platforms and runs.
 //!
-//! Implementations come from [`impl_det_digest!`], which **destructures the
-//! struct exhaustively**: adding a field without deciding whether it is
-//! digest-relevant is a compile error, so new sim state cannot silently
-//! escape the determinism gate. Fields that are legitimately wall-clock
-//! dependent (e.g. `SimPerf::wall`) are listed in the macro's `skip` block,
-//! which still names them in the destructuring pattern.
+//! Implementations come from [`impl_det_digest!`](crate::impl_det_digest),
+//! which **destructures the struct exhaustively**: adding a field without
+//! deciding whether it is digest-relevant is a compile error, so new sim
+//! state cannot silently escape the determinism gate. Fields that are
+//! legitimately wall-clock dependent (e.g. `SimPerf::wall`) are listed in
+//! the macro's `skip` block, which still names them in the destructuring
+//! pattern.
 //!
 //! A line-level test in `xtask/tests/lint_fixtures.rs` closes the loop:
 //! every `pub struct` or `pub enum` in a file marked

@@ -48,7 +48,7 @@
 )]
 
 use crate::mem::{vec_bytes, MemBytes};
-use crate::scoreboard::{ring_hints, RingPool};
+use crate::scoreboard::RingPool;
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -175,8 +175,7 @@ impl FlowArena {
     /// `params`, and return `(hot_base, generation)`.
     /// `want_env` is the flow's expected per-lane flight envelope in
     /// packets (its transfer size for sized flows, `u64::MAX` for bulk).
-    /// It sizes fresh slots' rings (see [`ring_hints`]), and reuse
-    /// prefers, in order, a same-width window whose warmed envelope
+    /// Reuse prefers, in order, a same-width window whose warmed envelope
     /// already covers it, the *largest*-envelope same-width window below
     /// it (least growth for the new tenant to pay), then a wider window
     /// to split. Otherwise undersized free windows are cannibalized into
@@ -268,10 +267,9 @@ impl FlowArena {
         }
         let base = crate::cast::slab_u32(self.tx.len());
         let cap = self.tx.capacity();
-        let (tx_hint, rx_hint) = ring_hints(params.max_cwnd, want_env);
         for _ in 0..n {
-            self.tx.push(SubflowSender::new_pooled(params, tx_hint, &mut self.pool));
-            self.rx.push(SubflowReceiver::new_pooled(rx_hint, &mut self.pool));
+            self.tx.push(SubflowSender::new_pooled(params, &mut self.pool));
+            self.rx.push(SubflowReceiver::new_pooled(&mut self.pool));
             self.rto_deadline.push(NEVER);
             self.rto_event_at.push(NEVER);
             self.gen.push(0);

@@ -77,21 +77,12 @@ pub(crate) fn owner_u31(id: usize) -> u32 {
     id as u32
 }
 
-/// A packet size in bytes narrowed to `Packet`'s `u16`.
-///
-/// Invariant: `packet::assert_packable` admits no size above 65 535.
-#[inline]
-pub(crate) fn size_u16(bytes: u32) -> u16 {
-    assert!(u16::try_from(bytes).is_ok(), "packet size {bytes} exceeds u16");
-    bytes as u16
-}
-
 /// A link's drop-tail limit, in packets, narrowed to the `u32` its record
 /// keeps.
 ///
 /// Invariant: a queue holds fewer than 2^32 packets (at 12 bytes each,
-/// 48 GiB of buffer); `Simulator::add_link` and `ShrinkQueue` reject a
-/// larger limit in every build.
+/// 48 GiB of buffer); `Simulator::add_link` and `FaultPlan::push` reject
+/// a larger limit in every build.
 #[inline]
 pub(crate) fn queue_u32(pkts: usize) -> u32 {
     assert!(u32::try_from(pkts).is_ok(), "queue limit {pkts} exceeds u32");
@@ -143,16 +134,6 @@ pub(crate) fn env_class_u8(env: u64) -> u8 {
     c as u8
 }
 
-/// A finite, non-negative `f64` quantity (window sizes, scaled budgets)
-/// converted to `u64`, saturating at `u64::MAX` like `as`.
-///
-/// Invariant: the source is finite and non-negative.
-#[inline]
-pub(crate) fn f64_to_u64(x: f64) -> u64 {
-    assert!(x.is_finite() && x >= 0.0, "f64→u64 cast of {x}");
-    x as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,11 +146,8 @@ mod tests {
         assert_eq!(path_u8(255), 255);
         assert_eq!(sub_u8(255), 255);
         assert_eq!(owner_u31((1 << 31) - 1), (1 << 31) - 1);
-        assert_eq!(size_u16(65_535), 65_535);
         assert_eq!(unpack_hop(hop_u32(255, (1 << 24) - 1)), (255, (1 << 24) - 1));
         assert_eq!(unpack_hop(hop_u32(3, 70_000)), (3, 70_000));
-        assert_eq!(f64_to_u64(1024.9), 1024);
-        assert_eq!(f64_to_u64(0.0), 0);
     }
 
     /// A sequence survives its trip through a packet's 32 bits when it
@@ -229,11 +207,5 @@ mod tests {
     #[should_panic(expected = "exceeds u32")]
     fn a_cbr_generation_past_u32_is_caught_in_every_build() {
         let _ = gen_u32(1 << 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "f64→u64 cast")]
-    fn non_finite_floats_are_caught_in_every_build() {
-        let _ = f64_to_u64(f64::NAN);
     }
 }

@@ -6,6 +6,7 @@
 //! exactly that: exponentially distributed on and off periods.
 
 use crate::link::{LinkId, LinkPath};
+use crate::packet::DEFAULT_PACKET_SIZE;
 use crate::time::SimTime;
 
 /// Identifier of a CBR source within one [`Simulator`](crate::Simulator).
@@ -18,8 +19,6 @@ pub struct CbrSpec {
     pub path: Vec<LinkId>,
     /// Sending rate while "on", bits per second.
     pub rate_bps: f64,
-    /// Packet size, bytes.
-    pub packet_size: u32,
     /// Mean on/off durations for the bursty (exponential) modulation;
     /// `None` means always on.
     pub onoff: Option<(SimTime, SimTime)>,
@@ -35,13 +34,7 @@ impl CbrSpec {
     pub fn constant(path: Vec<LinkId>, rate_bps: f64) -> Self {
         assert!(!path.is_empty(), "CBR path must traverse at least one link");
         assert!(rate_bps > 0.0, "CBR rate must be positive");
-        Self {
-            path,
-            rate_bps,
-            packet_size: crate::packet::DEFAULT_PACKET_SIZE,
-            onoff: None,
-            start: SimTime::ZERO,
-        }
+        Self { path, rate_bps, onoff: None, start: SimTime::ZERO }
     }
 
     /// Add Markov on/off modulation with the given mean durations (both
@@ -59,7 +52,7 @@ impl CbrSpec {
 
     /// Inter-packet gap while on.
     pub fn packet_interval(&self) -> SimTime {
-        SimTime::from_secs_f64(self.packet_size as f64 * 8.0 / self.rate_bps)
+        SimTime::from_secs_f64(f64::from(DEFAULT_PACKET_SIZE) * 8.0 / self.rate_bps)
     }
 }
 

@@ -25,7 +25,6 @@ use crate::link::{LinkId, LinkSpec};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
 use crate::packet::{Packet, PacketOwner, DEFAULT_PACKET_SIZE};
 use crate::probe::{CcPhase, ProbeState, SubflowPoint, TransitionKind};
-use crate::scoreboard::MAX_CAP;
 use crate::sim::{ConnId, Net, Simulator, ACK_JITTER};
 use crate::stats::{ConnectionStats, SubflowStats};
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
@@ -90,7 +89,6 @@ pub struct ConnectionSpec {
     pub(crate) start: SimTime,
     /// Number of data packets to transfer; `None` = unlimited (bulk).
     size_pkts: Option<u64>,
-    packet_size: u32,
     tcp: TcpParams,
 }
 
@@ -102,7 +100,6 @@ impl ConnectionSpec {
             subflows: Vec::new(),
             start: SimTime::ZERO,
             size_pkts: None,
-            packet_size: DEFAULT_PACKET_SIZE,
             tcp: TcpParams::default(),
         }
     }
@@ -154,12 +151,6 @@ impl ConnectionSpec {
         self
     }
 
-    /// Set the packet size in bytes.
-    pub fn packet_size(mut self, bytes: u32) -> Self {
-        self.packet_size = bytes;
-        self
-    }
-
     /// Override the TCP parameters.
     pub fn tcp(mut self, params: TcpParams) -> Self {
         self.tcp = params;
@@ -184,7 +175,7 @@ impl ConnectionSpec {
                     assert!(l < n_links, "unknown link {l}");
                     let spec = link(l);
                     fwd += spec.delay;
-                    let drain = spec.tx_time(self.packet_size).as_nanos();
+                    let drain = spec.tx_time().as_nanos();
                     residence += spec.delay
                         + SimTime(drain.saturating_mul(spec.queue_pkts as u64 + 1));
                 }
@@ -439,7 +430,6 @@ pub(crate) struct Connection {
     /// recycled: twice the worst subflow's straggler bound, so every
     /// in-flight packet/ACK and stale timer has drained first.
     retire_grace: SimTime,
-    packet_size: u32,
     /// Subflow the striping round starts at (below 256 subflows).
     rr_next: u8,
     started: bool,
@@ -698,14 +688,9 @@ impl Conns {
         gid: ConnId,
         delays: &[SubflowTiming],
     ) -> ConnId {
-        let cap = spec.tcp.max_cwnd;
-        assert!(
-            !(cap.is_finite() && cap > MAX_CAP as f64),
-            "max_cwnd {cap} exceeds the {MAX_CAP}-packet flight the scoreboard can track"
-        );
         let n = spec.subflows.len();
         let hops = spec.subflows.iter().map(|sf| sf.path.len()).max().unwrap_or(0);
-        crate::packet::assert_packable(gid, n, hops, spec.packet_size);
+        crate::packet::assert_packable(gid, n, hops);
         let cc = match spec.cc {
             CcChoice::Kind(kind) if self.force_adapter && !kind.is_stateful() => {
                 CcDriver::Stateful(Box::new(PureAdapter::new(kind.build(n))))
@@ -754,7 +739,6 @@ impl Conns {
             frozen: NOT_RETIRED,
             gid: crate::cast::owner_u31(gid),
             retire_grace,
-            packet_size: spec.packet_size,
             rr_next: 0,
             started: false,
             budget: spec.size_pkts.unwrap_or(UNBOUNDED),
@@ -1047,7 +1031,7 @@ impl Simulator {
         let failover = rare.map(|r| &r.failover);
         ConnectionStats {
             subflows,
-            packet_size: c.packet_size,
+            packet_size: DEFAULT_PACKET_SIZE,
             started_at: c.started_at,
             finished_at: c.finished().then_some(c.finished_at),
             data_sent: c.next_dsn,
@@ -1333,7 +1317,7 @@ impl Flow<'_> {
     fn send(&mut self, net: &mut Net, sub: usize, seq: u64) {
         let seq = crate::cast::seq_low32(seq);
         let owner = PacketOwner::Subflow { conn: self.c.gid as ConnId, sub, seq };
-        net.send(Packet::new(owner, self.c.packet_size));
+        net.send(Packet::new(owner));
     }
 
     /// Hand subflow `sub` data sequence number `dsn` as new data.
@@ -1866,26 +1850,20 @@ mod tests {
         [sacked, lost, flows.rx[slot].ring_bits()]
     }
 
-    /// A short uncapped flow's three rings are sized to it; a bulk or
-    /// longer flow's, and a capped flow's receiver ring, start at 256 bits
-    /// and grow on demand; a capped flow's sender rings follow its cap.
+    /// Every flow's three rings start at 256 bits, whatever its size, and
+    /// grow on demand.
     #[test]
-    fn rings_are_sized_to_a_short_flow_and_unchanged_otherwise() {
+    fn every_ring_starts_at_256_bits_whatever_the_flow_size() {
         let mut sim = Simulator::new(1);
         let l = sim.add_link(LinkSpec::mbps(10.0, SimTime::from_millis(10), 25));
-        let capped = TcpParams { max_cwnd: 16.0, ..TcpParams::default() };
-        let specs = [
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20), [256, 256, 256]),
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 100), [512, 512, 512]),
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 256), [1024, 1024, 1024]),
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 257), [256, 256, 256]),
-            (ConnectionSpec::bulk(AlgorithmKind::Mptcp), [256, 256, 256]),
-            (ConnectionSpec::sized(AlgorithmKind::Mptcp, 20).tcp(capped), [256, 256, 256]),
-        ];
-        for (spec, want) in specs {
+        let specs = [20, 100, 256, 257]
+            .map(|pkts| ConnectionSpec::sized(AlgorithmKind::Mptcp, pkts))
+            .into_iter()
+            .chain([ConnectionSpec::bulk(AlgorithmKind::Mptcp)]);
+        for spec in specs {
             let c = sim.add_connection(spec.path(vec![l]).path(vec![l]));
             for slot in sim.conns.conns[c].hots() {
-                assert_eq!(ring_bits(&sim, slot), want, "connection {c}");
+                assert_eq!(ring_bits(&sim, slot), [256; 3], "connection {c}");
             }
         }
     }

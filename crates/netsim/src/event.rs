@@ -455,10 +455,10 @@ mod tests {
     fn per_flow_records_stay_small() {
         use std::mem::size_of;
         for (name, size, bound) in [
-            ("SubflowSender", size_of::<crate::tcp::SubflowSender>(), 312),
+            ("SubflowSender", size_of::<crate::tcp::SubflowSender>(), 304),
             ("SubflowReceiver", size_of::<crate::tcp::SubflowReceiver>(), 48),
             ("BitRing", size_of::<crate::scoreboard::BitRing>(), 48),
-            ("Connection", size_of::<crate::conn::Connection>(), 144),
+            ("Connection", size_of::<crate::conn::Connection>(), 128),
             ("ColdSubflow", size_of::<crate::arena::ColdSubflow>(), 24),
             ("Link", size_of::<crate::link::Link>(), 144),
         ] {

@@ -255,15 +255,36 @@ impl FaultPlan {
     }
 
     /// Append an action at `at`.
+    ///
+    /// # Panics
+    /// Panics on an operand the action could not apply when it fires: a
+    /// rate that is not positive and finite, a loss probability outside
+    /// `[0, 1]`, a brownout factor outside `(0, 1]`, a queue limit of 2^32
+    /// packets or more, or invalid Gilbert–Elliott parameters.
     pub fn push(&mut self, at: SimTime, action: FaultAction) {
-        if let FaultAction::GilbertElliott { params: Some(p), .. } = &action {
-            p.validate();
-        }
-        if let FaultAction::SetLoss { p, .. } = action {
-            assert!((0.0..=1.0).contains(&p), "loss probability must be in [0,1], got {p}");
-        }
-        if let FaultAction::Brownout { factor, .. } = action {
-            assert!(factor > 0.0 && factor <= 1.0, "brownout factor must be in (0,1], got {factor}");
+        match action {
+            FaultAction::GilbertElliott { params: Some(p), .. } => p.validate(),
+            FaultAction::SetRate { bps, .. } => {
+                let ok = bps.is_finite() && bps > 0.0;
+                assert!(ok, "rate must be positive and finite, got {bps}");
+            }
+            FaultAction::SetLoss { p, .. } => {
+                assert!((0.0..=1.0).contains(&p), "loss probability must be in [0,1], got {p}");
+            }
+            FaultAction::Brownout { factor, .. } => {
+                let ok = factor > 0.0 && factor <= 1.0;
+                assert!(ok, "brownout factor must be in (0,1], got {factor}");
+            }
+            FaultAction::ShrinkQueue { pkts, .. } => {
+                assert!(u32::try_from(pkts).is_ok(), "queue limit {pkts} exceeds u32");
+            }
+            FaultAction::GilbertElliott { params: None, .. }
+            | FaultAction::Down { .. }
+            | FaultAction::Up { .. }
+            | FaultAction::RestoreRate { .. }
+            | FaultAction::RestoreQueue { .. }
+            | FaultAction::AddrRemove { .. }
+            | FaultAction::AddrAdd { .. } => {}
         }
         self.timed.push((at, action));
     }
@@ -443,5 +464,28 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.push(SimTime::ZERO, FaultAction::SetLoss { link: 0, p: 1.0 }); // fine
         plan.push(SimTime::ZERO, FaultAction::SetLoss { link: 0, p: 1.1 }); // panics
+    }
+
+    /// A rate or queue limit the link could not take is refused when the
+    /// plan is built, not when the action fires mid-run (in a sharded
+    /// world, inside a worker).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_unusable_rate_or_queue_limit_is_refused_at_push() {
+        fn refused(action: FaultAction) -> bool {
+            std::panic::catch_unwind(|| FaultPlan::new().push(SimTime::ZERO, action)).is_err()
+        }
+        for bps in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(refused(FaultAction::SetRate { link: 0, bps }), "{bps} b/s");
+        }
+        assert!(!refused(FaultAction::SetRate { link: 0, bps: 1.0 }));
+        assert!(refused(FaultAction::ShrinkQueue { link: 0, pkts: 1 << 32 }));
+        assert!(!refused(FaultAction::ShrinkQueue { link: 0, pkts: u32::MAX as usize }));
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive and finite")]
+    fn zero_rate_is_refused_at_push() {
+        FaultPlan::new().push(SimTime::ZERO, FaultAction::SetRate { link: 0, bps: 0.0 });
     }
 }

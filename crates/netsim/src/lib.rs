@@ -36,6 +36,11 @@
 //!
 //! ## Model scope
 //!
+//! As in the paper's simulator, every packet is [`DEFAULT_PACKET_SIZE`] =
+//! 1500 bytes, so each link's serialization time is one constant at its
+//! current rate, and no receive window caps a congestion window. A link
+//! changes mid-run only through a [`FaultPlan`].
+//!
 //! Data packets consume link capacity and queue space hop by hop; ACKs
 //! return to the sender after the path's reverse propagation delay without
 //! consuming queue capacity (the paper's experiments are all bottlenecked in

@@ -114,9 +114,10 @@ impl LinkSpec {
         self
     }
 
-    /// Serialization time of a packet of `bytes` bytes on this link.
-    pub fn tx_time(&self, bytes: u32) -> SimTime {
-        SimTime::from_secs_f64(bytes as f64 * 8.0 / self.rate_bps)
+    /// Serialization time of one packet on this link.
+    pub fn tx_time(&self) -> SimTime {
+        let bits = f64::from(crate::packet::DEFAULT_PACKET_SIZE) * 8.0;
+        SimTime::from_secs_f64(bits / self.rate_bps)
     }
 }
 
@@ -203,7 +204,7 @@ pub(crate) struct LinkCold {
 /// the record is kept at 144 bytes on 64-bit targets.
 #[derive(Debug)]
 pub(crate) struct Link {
-    /// Transmission rate in bits per second; scenarios change it mid-run
+    /// Transmission rate in bits per second; fault plans change it mid-run
     /// (mobility, Fig. 17) through [`Self::set_rate_bps`].
     rate_bps: f64,
     /// One-way propagation delay.
@@ -223,15 +224,13 @@ pub(crate) struct Link {
     pub cold: Option<Box<LinkCold>>,
     /// Counters.
     pub stats: LinkStats,
-    /// The packet size the last serialization time was computed for, and
-    /// that time at the current rate (refreshed by every rate change).
-    memo_bytes: u32,
-    memo_tx: SimTime,
+    /// [`LinkSpec::tx_time`] at the current rate, refreshed by every rate
+    /// change.
+    tx_time: SimTime,
 }
 
 impl Link {
     pub(crate) fn new(spec: LinkSpec) -> Self {
-        let bytes = crate::packet::DEFAULT_PACKET_SIZE;
         Self {
             rate_bps: spec.rate_bps,
             delay: spec.delay,
@@ -241,8 +240,7 @@ impl Link {
             queue: VecDeque::new(),
             cold: None,
             stats: LinkStats::default(),
-            memo_bytes: bytes,
-            memo_tx: spec.tx_time(bytes),
+            tx_time: spec.tx_time(),
         }
     }
 
@@ -259,7 +257,7 @@ impl Link {
     /// Change the transmission rate.
     pub(crate) fn set_rate_bps(&mut self, rate_bps: f64) {
         self.rate_bps = rate_bps;
-        self.memo_tx = self.spec().tx_time(self.memo_bytes);
+        self.tx_time = self.spec().tx_time();
     }
 
     /// The fault-only state, boxed now if no fault has touched the link.
@@ -285,15 +283,10 @@ impl Link {
         }
     }
 
-    /// `spec().tx_time(bytes)`. A link serializes runs of equal-sized
-    /// packets at one rate, so the division and rounding are paid once per
-    /// run.
-    pub(crate) fn tx_time(&mut self, bytes: u32) -> SimTime {
-        if self.memo_bytes != bytes {
-            self.memo_bytes = bytes;
-            self.memo_tx = self.spec().tx_time(bytes);
-        }
-        self.memo_tx
+    /// `spec().tx_time()`, with the division and rounding paid once per
+    /// rate rather than once per packet.
+    pub(crate) fn tx_time(&self) -> SimTime {
+        self.tx_time
     }
 
     /// Heap bytes of the fault-only box, if any.
@@ -316,18 +309,18 @@ mod tests {
     #[test]
     fn tx_time_of_1500_bytes_at_12mbps_is_1ms() {
         let l = LinkSpec::mbps(12.0, SimTime::ZERO, 100);
-        assert_eq!(l.tx_time(1500), SimTime::from_millis(1));
+        assert_eq!(l.tx_time(), SimTime::from_millis(1));
     }
 
     #[test]
-    fn remembered_tx_time_follows_rate_and_size_changes() {
+    fn remembered_tx_time_follows_rate_changes() {
         let mut l = Link::new(LinkSpec::mbps(12.0, SimTime::ZERO, 100));
-        let steps = [(1500, 12e6), (1500, 12e6), (40, 12e6), (1500, 3.3e6), (40, 3.3e6)];
-        for (bytes, rate_bps) in steps {
-            // A mid-run rate change, as `set_link_rate_bps`, `Brownout`
-            // and `RestoreRate` make it.
+        assert_eq!(l.tx_time(), SimTime::from_millis(1));
+        for rate_bps in [12e6, 3.3e6, 3.3e6, 100e6, 12e6] {
+            // A mid-run rate change, as `SetRate`, `Brownout` and
+            // `RestoreRate` make it.
             l.set_rate_bps(rate_bps);
-            assert_eq!(l.tx_time(bytes), l.spec().tx_time(bytes), "{bytes} B at {rate_bps} b/s");
+            assert_eq!(l.tx_time(), l.spec().tx_time(), "at {rate_bps} b/s");
         }
     }
 

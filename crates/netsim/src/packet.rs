@@ -4,8 +4,8 @@ use crate::cast;
 use crate::cbr::CbrId;
 use crate::sim::ConnId;
 
-/// Default packet size in bytes (the paper expresses link rates in both
-/// Mb/s and pkt/s; 1500-byte packets make 12 Mb/s ≈ 1000 pkt/s).
+/// The size of every packet, in bytes (the paper expresses link rates in
+/// both Mb/s and pkt/s; 1500-byte packets make 12 Mb/s ≈ 1000 pkt/s).
 pub const DEFAULT_PACKET_SIZE: u32 = 1500;
 
 /// Who owns a packet in flight: a TCP subflow or a CBR source.
@@ -44,8 +44,6 @@ pub struct Packet {
     seq: u32,
     /// Connection id, or CBR source id with [`CBR_BIT`] set.
     id: u32,
-    /// Size on the wire, bytes.
-    size: u16,
     /// Subflow index within the connection (0 for CBR).
     sub: u8,
     /// Index of the *next* hop in the owner's path the packet must enter
@@ -54,15 +52,15 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// A packet of `size` bytes about to enter the first link of its path.
-    pub fn new(owner: PacketOwner, size: u32) -> Self {
+    /// A packet about to enter the first link of its path.
+    pub fn new(owner: PacketOwner) -> Self {
         let (seq, id, sub) = match owner {
             PacketOwner::Subflow { conn, sub, seq } => {
                 (seq, cast::owner_u31(conn), cast::sub_u8(sub))
             }
             PacketOwner::Cbr { src } => (0, cast::owner_u31(src) | CBR_BIT, 0),
         };
-        Packet { seq, id, size: cast::size_u16(size), sub, hop: 0 }
+        Packet { seq, id, sub, hop: 0 }
     }
 
     /// Originating sender.
@@ -72,11 +70,6 @@ impl Packet {
         } else {
             PacketOwner::Subflow { conn: self.id as usize, sub: self.sub as usize, seq: self.seq }
         }
-    }
-
-    /// Size on the wire, bytes.
-    pub fn size(&self) -> u32 {
-        self.size as u32
     }
 
     /// Index of the next hop of the owner's path the packet must enter.
@@ -93,11 +86,10 @@ impl Packet {
 /// Reject — once, where a connection or CBR source is admitted, in release
 /// builds too — a sender whose packets [`Packet`] cannot carry: `id` is the
 /// connection's world-level id or the CBR source's, `hops` its longest path.
-pub(crate) fn assert_packable(id: usize, subflows: usize, hops: usize, size: u32) {
+pub(crate) fn assert_packable(id: usize, subflows: usize, hops: usize) {
     assert!(id < CBR_BIT as usize, "sender id {id} does not fit a packet's 31 bits");
     assert!(subflows <= 1 << 8, "{subflows} subflows: a packet can name 256");
     assert!(hops <= u8::MAX as usize, "a path of {hops} hops: a packet can count 255");
-    assert!(size <= u16::MAX as u32, "packet size {size} exceeds 65535 bytes");
 }
 
 #[cfg(test)]
@@ -129,15 +121,15 @@ mod tests {
             PacketOwner::Cbr { src: MAX_ID },
             PacketOwner::Cbr { src: 0 },
         ] {
-            let mut pkt = Packet::new(owner, 65_535);
-            assert_eq!((pkt.owner(), pkt.size(), pkt.hop()), (owner, 65_535, 0));
+            let mut pkt = Packet::new(owner);
+            assert_eq!((pkt.owner(), pkt.hop()), (owner, 0));
             for hop in 1..=255 {
                 pkt.advance();
                 assert_eq!(pkt.hop(), hop);
             }
-            assert_eq!((pkt.owner(), pkt.size()), (owner, 65_535));
+            assert_eq!(pkt.owner(), owner);
         }
-        assert_packable(MAX_ID, 256, 255, 65_535);
+        assert_packable(MAX_ID, 256, 255);
     }
 
     /// One past each maximum panics, in release builds too, both where the
@@ -147,21 +139,19 @@ mod tests {
         fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
             std::panic::catch_unwind(f).is_err()
         }
-        for (owner, size) in [
-            (PacketOwner::Subflow { conn: MAX_ID + 1, sub: 0, seq: 0 }, 1500),
-            (PacketOwner::Subflow { conn: 0, sub: 256, seq: 0 }, 1500),
-            (PacketOwner::Cbr { src: MAX_ID + 1 }, 1500),
-            (PacketOwner::Cbr { src: 0 }, 65_536),
+        for owner in [
+            PacketOwner::Subflow { conn: MAX_ID + 1, sub: 0, seq: 0 },
+            PacketOwner::Subflow { conn: 0, sub: 256, seq: 0 },
+            PacketOwner::Cbr { src: MAX_ID + 1 },
         ] {
-            assert!(panics(|| _ = Packet::new(owner, size)), "{owner:?}, {size} bytes");
+            assert!(panics(|| _ = Packet::new(owner)), "{owner:?}");
         }
         assert!(panics(|| {
-            let mut pkt = Packet::new(PacketOwner::Cbr { src: 0 }, 1500);
+            let mut pkt = Packet::new(PacketOwner::Cbr { src: 0 });
             (0..256).for_each(|_| pkt.advance());
         }));
-        assert!(panics(|| assert_packable(MAX_ID + 1, 1, 1, 1500)));
-        assert!(panics(|| assert_packable(0, 257, 1, 1500)));
-        assert!(panics(|| assert_packable(0, 1, 256, 1500)));
-        assert!(panics(|| assert_packable(0, 1, 1, 65_536)));
+        assert!(panics(|| assert_packable(MAX_ID + 1, 1, 1)));
+        assert!(panics(|| assert_packable(0, 257, 1)));
+        assert!(panics(|| assert_packable(0, 1, 256)));
     }
 }

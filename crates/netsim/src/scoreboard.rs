@@ -2,8 +2,8 @@
 //!
 //! The SACK scoreboard (`sacked` / `lost` / retransmitted-out) and the
 //! receiver's out-of-order buffer are *windowed* sets: every member lies in
-//! `[una, una + w)` for a window `w` bounded by the congestion-window cap,
-//! and the window only ever slides forward. A `BTreeSet<u64>` pays an
+//! `[una, una + w)` for a window `w` bounded by the flight, and the window
+//! only ever slides forward. A `BTreeSet<u64>` pays an
 //! allocation plus O(log w) pointer-chasing per operation for ordering
 //! guarantees the access pattern never needs; a rotating bitmap indexed by
 //! `seq & mask` gives O(1) insert/remove/contains with zero steady-state
@@ -11,11 +11,10 @@
 //! (pop-lowest-lost, DupThresh-th-highest-sacked, first-k SACK runs) are
 //! short masked word scans bounded by lo/hi hints.
 //!
-//! A sequence landing above the ring capacity grows the ring (doubling, up
-//! to [`MAX_CAP`] bits), so correctness never depends on the sizing
-//! heuristic. [`MAX_CAP`] is a hard limit: the sender keeps its flight
-//! below it (`SubflowSender::can_send_new`), `Simulator::add_connection`
-//! rejects a window cap above it, and an insert past it panics in every
+//! Every ring starts at [`DEFAULT_CAP`] bits, and a sequence landing above
+//! the ring capacity grows the ring (doubling, up to [`MAX_CAP`] bits).
+//! [`MAX_CAP`] is a hard limit: the sender keeps its flight below it
+//! (`SubflowSender::can_send_new`), and an insert past it panics in every
 //! build. Growth is counted as an allocation event and surfaces in
 //! [`crate::SimPerf::hot_allocs`], which is how the zero-alloc
 //! steady-state claim is asserted rather than assumed.
@@ -41,40 +40,20 @@
     clippy::cast_possible_wrap
 )]
 
-/// Ring capacity in bits when no (finite) window hint is available: a bulk
-/// subflow's three rings start here and double only when its flight
-/// outruns them, so the many subflows of a datacenter world whose windows
-/// stay small pay for no headroom they never use.
+/// Ring capacity in bits every ring starts at: a subflow's three rings
+/// double only when its flight outruns them, so the many subflows of a
+/// datacenter world whose windows stay small pay for no headroom they
+/// never use.
 const DEFAULT_CAP: u64 = 1 << 8;
 
 /// Rings never grow beyond this many bits (128 KiB of words): the most
 /// packets a subflow may have in flight.
 pub(crate) const MAX_CAP: u64 = 1 << 20;
 
-/// Flows of at most this many packets get rings sized to the flow.
-const SIZED_FLOW_PKTS: u64 = 256;
-
-/// The window hints a fresh slot's rings are sized for, as
-/// `(sender, receiver)`. In general the sender's rings follow the window
-/// cap and the receiver's get [`DEFAULT_CAP`]. A subflow of an uncapped
-/// flow of `size_pkts ≤ 256` packets carries at most `size_pkts` new
-/// sequences plus reinjected copies, so all three rings get
-/// `max(256, 4·size_pkts)` bits (at most 1024). Either way a ring still
-/// grows if a flow outruns it. `size_pkts` is `u64::MAX` for bulk flows.
-pub(crate) fn ring_hints(max_cwnd: f64, size_pkts: u64) -> (f64, f64) {
-    if max_cwnd.is_infinite() && size_pkts <= SIZED_FLOW_PKTS {
-        let size = size_pkts as f64;
-        (size, size)
-    } else {
-        (max_cwnd, f64::INFINITY)
-    }
-}
-
 /// Pool of retired ring word-buffers: flow close → open recycles bitmap
 /// storage here instead of round-tripping the global allocator. Buffers
 /// keep their (power-of-two-bit) capacity; `take` hands out the smallest
-/// one that satisfies the request, and the requester adopts the buffer's
-/// actual capacity — sizing is a hint, never a limit.
+/// one of at least [`DEFAULT_CAP`] bits, and the ring adopts its capacity.
 #[derive(Debug, Default)]
 pub(crate) struct RingPool {
     bufs: Vec<Box<[u64]>>,
@@ -90,11 +69,11 @@ impl RingPool {
         }
     }
 
-    /// Take the best-fitting buffer with at least `cap_bits` capacity,
-    /// zeroed and ready for use. `None` (a pool miss) means the caller
-    /// allocates fresh.
-    pub fn take(&mut self, cap_bits: u64) -> Option<Box<[u64]>> {
-        let want_words = (cap_bits.clamp(64, MAX_CAP).next_power_of_two() / 64) as usize;
+    /// Take the smallest buffer of at least [`DEFAULT_CAP`] bits, zeroed
+    /// and ready for use. `None` (a pool miss) means the caller allocates
+    /// fresh.
+    pub fn take(&mut self) -> Option<Box<[u64]>> {
+        let want_words = (DEFAULT_CAP / 64) as usize;
         let mut best: Option<(usize, usize)> = None;
         for (i, buf) in self.bufs.iter().enumerate() {
             let n = buf.len();
@@ -188,17 +167,11 @@ impl BitRing {
         Self { base: 0, words, len: 0, lo: 0, hi: 0, allocs: 0 }
     }
 
-    /// A ring for a window hint: 4× headroom over the cap (loss episodes
-    /// keep sacked+lost sequences beyond the instantaneous cwnd), clamped
-    /// to a sane range; infinite hints get [`DEFAULT_CAP`]. A parked buffer
-    /// from `pool` is reused when one fits, and its capacity adopted.
-    pub fn for_window_hint(max_window: f64, pool: &mut RingPool) -> Self {
-        let cap_bits = if max_window.is_finite() && max_window >= 1.0 {
-            crate::cast::f64_to_u64(max_window * 4.0).clamp(256, 1 << 16)
-        } else {
-            DEFAULT_CAP
-        };
-        pool.take(cap_bits).map_or_else(|| Self::with_capacity(cap_bits), Self::from_words)
+    /// An empty ring of at least [`DEFAULT_CAP`] bits: the smallest
+    /// parked buffer of `pool` that holds as many, capacity and all, or a
+    /// fresh one.
+    pub fn pooled(pool: &mut RingPool) -> Self {
+        pool.take().map_or_else(Self::default, Self::from_words)
     }
 
     /// Return to the freshly-constructed empty state without dropping the
@@ -645,13 +618,12 @@ impl BitmapScoreboard {
         [self.sacked.cap(), self.lost.cap()]
     }
 
-    /// Fresh scoreboard sized for windows up to `max_window` packets
-    /// (`f64::INFINITY` when uncapped — sizing is a hint, never a limit),
-    /// drawing ring storage from `pool` when a retired buffer fits.
-    pub(crate) fn new(max_window: f64, pool: &mut RingPool) -> Self {
+    /// Fresh scoreboard, drawing ring storage from `pool` when a retired
+    /// buffer fits.
+    pub(crate) fn new(pool: &mut RingPool) -> Self {
         Self {
-            sacked: BitRing::for_window_hint(max_window, pool),
-            lost: BitRing::for_window_hint(max_window, pool),
+            sacked: BitRing::pooled(pool),
+            lost: BitRing::pooled(pool),
             retx: Vec::new(),
             retx_allocs: 0,
         }
@@ -806,7 +778,7 @@ pub enum ScoreboardKind {
 pub fn scoreboard_churn(kind: ScoreboardKind, window: u64, ops: u64) -> std::time::Duration {
     let ScoreboardKind::Bitmap = kind;
     let window = window.max(8);
-    let mut board = BitmapScoreboard::new(window as f64, &mut RingPool::default());
+    let mut board = BitmapScoreboard::new(&mut RingPool::default());
     let mut una = 0u64;
     let mut sack_events = 0u64;
     let mut done = 0u64;
@@ -960,15 +932,15 @@ mod tests {
         r.insert(17);
         r.gut_into(&mut pool);
         assert_eq!(pool.len(), 1);
-        // A request that fits is served from the pool, zeroed.
-        let reused = BitRing::for_window_hint(64.0, &mut pool);
+        // A parked buffer is reused, zeroed.
+        let reused = BitRing::pooled(&mut pool);
         assert_eq!(pool.len(), 0);
         assert_eq!(reused.cap(), 512, "adopts the parked buffer's capacity");
         assert!(reused.is_empty());
         assert!(!reused.contains(17), "recycled storage arrives clean");
         assert_eq!(pool.stats(), (1, 0));
-        // An oversized request misses and allocates fresh.
-        let fresh = BitRing::for_window_hint(f64::INFINITY, &mut pool);
+        // An empty pool misses and allocates fresh.
+        let fresh = BitRing::pooled(&mut pool);
         assert_eq!(fresh.cap(), DEFAULT_CAP);
         assert_eq!(pool.stats(), (1, 1));
     }
@@ -976,18 +948,19 @@ mod tests {
     #[test]
     fn ring_pool_take_prefers_the_smallest_fitting_buffer() {
         let mut pool = RingPool::default();
-        for cap in [4096, 256, 1024] {
+        for cap in [4096, 128, 1024] {
             BitRing::with_capacity(cap).gut_into(&mut pool);
         }
-        let got = pool.take(300).map(|b| b.len() as u64 * 64);
-        assert_eq!(got, Some(1024), "best fit, not first fit");
-        assert_eq!(pool.take(1 << 19), None, "nothing big enough");
-        assert_eq!(pool.len(), 2);
+        let mut bits = || pool.take().map(|b| b.len() as u64 * 64);
+        assert_eq!(bits(), Some(1024), "best fit, not first fit");
+        assert_eq!(bits(), Some(4096));
+        assert_eq!(bits(), None, "128 bits are below the 256 a ring starts at");
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]
     fn scoreboard_reset_clears_all_three_sets_in_place() {
-        let mut b = BitmapScoreboard::new(32.0, &mut RingPool::default());
+        let mut b = BitmapScoreboard::new(&mut RingPool::default());
         for s in 1..5 {
             b.sack_one(s);
         }
@@ -1005,7 +978,7 @@ mod tests {
 
     #[test]
     fn scoreboard_basic_recovery_cycle() {
-        let mut b = BitmapScoreboard::new(f64::INFINITY, &mut RingPool::default());
+        let mut b = BitmapScoreboard::new(&mut RingPool::default());
         // 0..6 outstanding; 1..5 sacked, hole at 0.
         for s in 1..5 {
             assert!(b.sack_one(s));

@@ -9,10 +9,10 @@
 //! [`BTreeScoreboard`] in lock-step: SACKs inside `[una, next_seq)`, a
 //! monotone cumulative ACK, hole marking up to the DupThresh cutoff, the
 //! RACK-style re-mark, retransmission pops and the RTO collapse. After
-//! every call it compares every answer and the observable state. Its
-//! scripts carry flights in the hundreds over rings that start at 256 to
-//! 1024 bits (256 for an uncapped window), so they wrap the rings and grow them past the window hint;
-//! `the_differential_reaches_the_ring` counts how often. The receiver
+//! every call it compares every answer and the observable state. Each case
+//! draws the most packets its script keeps in flight, 64 to 1536, over
+//! rings that start at 256 bits, so the larger flights wrap the rings and
+//! grow them; `the_differential_reaches_the_ring` counts how often. The receiver
 //! differential feeds a `SubflowReceiver` and [`BTreeOoo`] reordered
 //! arrivals spanning more than four ring capacities.
 //!
@@ -168,10 +168,6 @@ impl BTreeOoo {
 
 // ---- sender differential ----
 
-/// Most packets the differential keeps in flight. The sender's own bound
-/// is `MAX_CAP`; this one keeps a debug-build case fast.
-const FLIGHT_CAP: u64 = 1536;
-
 /// Cases per sender-differential run.
 const CASES: u32 = 128;
 
@@ -179,8 +175,9 @@ const CASES: u32 = 128;
 /// maps into the live window `[una, next_seq)`.
 #[derive(Debug, Clone, Copy)]
 enum Call {
-    /// Put `n` more packets in flight, up to [`FLIGHT_CAP`] (the board is
-    /// not told: it learns of a sequence when it is SACKed or lost).
+    /// Put `n` more packets in flight, up to the case's flight bound (the
+    /// board is not told: it learns of a sequence when it is SACKed or
+    /// lost).
     Send(u64),
     /// `sack_one` on every `stride`-th sequence of the run of `len` that
     /// starts at `una + off % flight`, clipped to `next_seq`.
@@ -214,10 +211,11 @@ fn call((op, a, b): (u8, u16, u8)) -> Call {
     }
 }
 
-/// Window hints: 256-bit rings for finite hints up to 64 packets and for
-/// uncapped windows, 512 bits for 128, 1024 for 256.
-fn hints() -> impl Strategy<Value = f64> {
-    prop::sample::select(vec![1.0, 16.0, 64.0, 128.0, 256.0, f64::INFINITY])
+/// The most packets a case keeps in flight: within the 256-bit rings,
+/// just past them, or far past them. The sender's own bound is `MAX_CAP`;
+/// 1536 keeps a debug-build case fast.
+fn flights() -> impl Strategy<Value = u64> {
+    prop::sample::select(vec![64, 300, 1536])
 }
 
 fn scripts() -> impl Strategy<Value = Vec<Call>> {
@@ -231,7 +229,7 @@ struct Reach {
     max_flight: u64,
     /// A ring held members on both sides of its slot-0 boundary.
     wrapped: bool,
-    /// A ring grew past the capacity the window hint gave it.
+    /// A ring grew past the 256 bits it started at.
     grew: bool,
 }
 
@@ -244,18 +242,19 @@ fn straddles(set: &BTreeSet<u64>, cap: u64) -> bool {
     }
 }
 
-/// Make the calls of `script` on a bitmap scoreboard sized for `hint` and
-/// on the B-tree model, asserting identical answers and state after each.
-fn run(hint: f64, script: &[Call]) -> Reach {
-    let mut bitmap = BitmapScoreboard::new(hint, &mut RingPool::default());
+/// Make the calls of `script`, with at most `flight_cap` packets in
+/// flight, on a bitmap scoreboard and on the B-tree model, asserting
+/// identical answers and state after each.
+fn run(flight_cap: u64, script: &[Call]) -> Reach {
+    let mut bitmap = BitmapScoreboard::new(&mut RingPool::default());
     let mut btree = BTreeScoreboard::default();
-    let hinted_bits = bitmap.ring_bits();
+    let initial_bits = bitmap.ring_bits();
     let (mut una, mut next_seq, mut sack_events) = (0u64, 0u64, 0u64);
     let mut reach = Reach::default();
     for (step, &call) in script.iter().enumerate() {
         let flight = next_seq - una;
         match call {
-            Call::Send(n) => next_seq += n.min(FLIGHT_CAP - flight),
+            Call::Send(n) => next_seq += n.min(flight_cap - flight),
             Call::Sack { off, len, stride } => {
                 let from = una + off % flight.max(1);
                 for seq in (from..next_seq.min(from + len)).step_by(stride) {
@@ -334,7 +333,7 @@ fn run(hint: f64, script: &[Call]) -> Reach {
         let [sacked_bits, lost_bits] = bitmap.ring_bits();
         reach.max_flight = reach.max_flight.max(next_seq - una);
         reach.wrapped |= straddles(&btree.sacked, sacked_bits) || straddles(&btree.lost, lost_bits);
-        reach.grew |= [sacked_bits, lost_bits] != hinted_bits;
+        reach.grew |= [sacked_bits, lost_bits] != initial_bits;
     }
     reach
 }
@@ -343,8 +342,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
-    fn scoreboards_agree_call_by_call(hint in hints(), script in scripts()) {
-        run(hint, &script);
+    fn scoreboards_agree_call_by_call(flight_cap in flights(), script in scripts()) {
+        run(flight_cap, &script);
     }
 }
 
@@ -358,8 +357,8 @@ fn the_differential_reaches_the_ring() {
     for case in 0..CASES {
         let mut rng =
             TestRng::deterministic(concat!(module_path!(), "::scoreboards_agree_call_by_call"), case);
-        let hint = hints().new_value(&mut rng);
-        let reach = run(hint, &scripts().new_value(&mut rng));
+        let flight_cap = flights().new_value(&mut rng);
+        let reach = run(flight_cap, &scripts().new_value(&mut rng));
         big += u32::from(reach.max_flight >= 256);
         wrapped += u32::from(reach.wrapped);
         grew += u32::from(reach.grew);
@@ -371,7 +370,7 @@ fn the_differential_reaches_the_ring() {
 }
 
 /// One fixed script reaches every hard case: 600-packet sends SACKed at
-/// every other packet on rings sized for 64 packets (256 bits), losses
+/// every other packet on 256-bit rings, losses
 /// detected, retransmitted and some retransmissions SACKed, the window
 /// slid by half a flight at a time, then a timeout.
 #[test]
@@ -387,7 +386,7 @@ fn a_pinned_script_wraps_and_grows_the_ring() {
         script.push(Call::Advance { eighths: 4 });
     }
     script.extend([Call::Rto, Call::Retransmit(u64::MAX), Call::Advance { eighths: 8 }]);
-    let reach = run(64.0, &script);
+    let reach = run(1536, &script);
     assert!(reach.max_flight >= 600 && reach.wrapped && reach.grew, "{reach:?}");
 }
 
@@ -402,7 +401,7 @@ proptest! {
         // sixteen arrives a second time, later still. The ring starts at
         // 256 bits, so the sequences span more than four of it, and a
         // late packet holds up to 320 above the in-order edge.
-        let mut rx = SubflowReceiver::new_pooled(16.0, &mut RingPool::default());
+        let mut rx = SubflowReceiver::new_pooled(&mut RingPool::default());
         let n = arrivals.len() as u64;
         assert!(n > 4 * rx.ring_bits(), "{n} sequences over a {}-bit ring", rx.ring_bits());
         let mut order = Vec::new();

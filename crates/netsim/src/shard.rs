@@ -166,7 +166,7 @@ impl WorldMap {
 
 /// A single simulated world partitioned across shards, each with its own
 /// event queue, advanced in lockstep epochs of one conservative lookahead
-/// (see the [module docs](self)). The thread count is a pure execution
+/// (conservative lookahead, DESIGN.md §3.2f). The thread count is a pure execution
 /// detail: results are bit-identical for any `jobs`.
 pub struct ShardedSimulator {
     shards: Vec<Simulator>,

@@ -29,7 +29,7 @@ use crate::event::{Event, EventKind};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{GeState, Link, LinkId, LinkPath, LinkSpec, LinkStats};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
-use crate::packet::{Packet, PacketOwner};
+use crate::packet::{Packet, PacketOwner, DEFAULT_PACKET_SIZE};
 use crate::perf::SimPerf;
 use crate::probe::{LinkPoint, ProbeLog, ProbeSpec, ProbeState, Transition, TransitionKind};
 use crate::time::SimTime;
@@ -212,10 +212,9 @@ impl Simulator {
     /// start time.
     ///
     /// # Panics
-    /// Panics if the spec has no subflows, references unknown links,
-    /// sets a finite `TcpParams::max_cwnd` above the 2^20-packet flight
-    /// the SACK scoreboard can track, or exceeds what a packet header
-    /// holds: 2^31 connections, 256 subflows, 255 hops, 65 535 bytes.
+    /// Panics if the spec has no subflows, references unknown links, or
+    /// exceeds what a packet header holds: 2^31 connections, 256
+    /// subflows, 255 hops.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
         let net = &mut self.net;
         let delays = spec.timings(net.links.len(), |l| net.links[l].spec());
@@ -247,14 +246,14 @@ impl Simulator {
     ///
     /// # Panics
     /// Panics if the spec references unknown links, or exceeds what a
-    /// packet header holds: 2^31 sources, 255 hops, 65 535 bytes.
+    /// packet header holds: 2^31 sources, 255 hops.
     pub fn add_cbr(&mut self, spec: CbrSpec) -> CbrId {
         let net = &mut self.net;
         for &l in &spec.path {
             assert!(l < net.links.len(), "unknown link {l}");
         }
         let id = net.cbrs.len();
-        crate::packet::assert_packable(id, 1, spec.path.len(), spec.packet_size);
+        crate::packet::assert_packable(id, 1, spec.path.len());
         let start = spec.start.max(net.now);
         net.cbrs.push(CbrSource::new(spec));
         net.queue.push(start, EventKind::CbrToggle { src: cast::slab_u32(id) });
@@ -264,38 +263,6 @@ impl Simulator {
     // ------------------------------------------------------------------
     // Scenario scripting (call between `run_until` steps)
     // ------------------------------------------------------------------
-
-    /// Change a link's rate (bits per second), e.g. for mobility traces.
-    /// This is a lasting change: it also becomes the link's new nominal
-    /// rate (the rate a [`FaultAction::Brownout`] scales and
-    /// [`FaultAction::RestoreRate`] returns to).
-    pub fn set_link_rate_bps(&mut self, link: LinkId, rate_bps: f64) {
-        assert!(rate_bps > 0.0);
-        let l = &mut self.net.links[link];
-        l.set_rate_bps(rate_bps);
-        if let Some(cold) = l.cold.as_deref_mut() {
-            cold.nominal_rate_bps = rate_bps;
-        }
-    }
-
-    /// Change a link's random-loss probability. The closed range `[0, 1]`
-    /// is accepted: `p = 1` models total loss on an otherwise-up link.
-    pub fn set_link_loss(&mut self, link: LinkId, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability must be in [0,1], got {p}");
-        self.net.links[link].loss_prob = p;
-    }
-
-    /// Take a link down (all arriving packets dropped, queue flushed) or
-    /// bring it back up. Both the flushed queue and subsequent arrivals
-    /// count as [`LinkStats::dropped_down`], not queue overflow.
-    pub fn set_link_down(&mut self, link: LinkId, down: bool) {
-        let l = &mut self.net.links[link];
-        l.cold().down = down;
-        if down {
-            l.stats.dropped_down += l.queue.len() as u64;
-            l.queue.clear();
-        }
-    }
 
     /// Install a fault plan: every `(time, action)` pair becomes an event
     /// on the simulator's own queue, so faults execute at their exact
@@ -513,15 +480,30 @@ impl Simulator {
         net.queue.push(next, EventKind::ProbeTick);
     }
 
-    /// Execute one installed fault action. Reuses the public scripting
-    /// mutators so scripted and event-driven faults behave identically.
+    /// Execute one installed fault action: the only way a link changes
+    /// mid-run. [`FaultPlan::push`] validated its operands.
     fn apply_fault(&mut self, idx: usize) {
         let action = self.net.fault_actions[idx];
         self.net.faults_applied += 1;
         match action {
-            FaultAction::Down { link } => self.set_link_down(link, true),
-            FaultAction::Up { link } => self.set_link_down(link, false),
-            FaultAction::SetRate { link, bps } => self.set_link_rate_bps(link, bps),
+            FaultAction::Down { link } | FaultAction::Up { link } => {
+                // Both the flushed queue and later arrivals count as
+                // `dropped_down`, not queue overflow.
+                let down = matches!(action, FaultAction::Down { .. });
+                let l = &mut self.net.links[link];
+                l.cold().down = down;
+                if down {
+                    l.stats.dropped_down += l.queue.len() as u64;
+                    l.queue.clear();
+                }
+            }
+            FaultAction::SetRate { link, bps } => {
+                let l = &mut self.net.links[link];
+                l.set_rate_bps(bps);
+                if let Some(cold) = l.cold.as_deref_mut() {
+                    cold.nominal_rate_bps = bps;
+                }
+            }
             FaultAction::Brownout { link, factor } => {
                 let l = &mut self.net.links[link];
                 let nominal = l.cold().nominal_rate_bps;
@@ -533,7 +515,7 @@ impl Simulator {
                     l.set_rate_bps(nominal);
                 }
             }
-            FaultAction::SetLoss { link, p } => self.set_link_loss(link, p),
+            FaultAction::SetLoss { link, p } => self.net.links[link].loss_prob = p,
             FaultAction::ShrinkQueue { link, pkts } => {
                 let l = &mut self.net.links[link];
                 // Box the cold record first: it keeps the nominal limit.
@@ -694,7 +676,7 @@ impl Net {
         }
         if l.in_service.is_none() {
             l.in_service = Some(pkt);
-            let done = self.now + l.tx_time(pkt.size());
+            let done = self.now + l.tx_time();
             self.queue.push(done, EventKind::TxDone { link: cast::slab_u32(link_id) });
         } else if l.queue.len() < l.queue_pkts as usize {
             l.reserve_slot();
@@ -742,10 +724,10 @@ impl Net {
             )]
             let pkt = l.in_service.take().expect("TxDone with no packet in service");
             l.stats.transmitted += 1;
-            l.stats.bytes += pkt.size() as u64;
+            l.stats.bytes += u64::from(DEFAULT_PACKET_SIZE);
             if let Some(next) = l.queue.pop_front() {
                 l.in_service = Some(next);
-                let done = self.now + l.tx_time(next.size());
+                let done = self.now + l.tx_time();
                 self.queue.push(done, EventKind::TxDone { link: cast::slab_u32(link) });
             }
             (pkt, l.delay)
@@ -824,16 +806,16 @@ impl Net {
     }
 
     fn on_cbr_send(&mut self, src: CbrId, gen: u32) {
-        let (on, cur_gen, size, interval) = {
+        let (on, cur_gen, interval) = {
             let s = &self.cbrs[src];
-            (s.on, s.gen, s.spec.packet_size, s.spec.packet_interval())
+            (s.on, s.gen, s.spec.packet_interval())
         };
         if !on || cur_gen != u64::from(gen) {
             self.events_cancelled += 1;
             return;
         }
         self.cbrs[src].sent += 1;
-        self.send(Packet::new(PacketOwner::Cbr { src }, size));
+        self.send(Packet::new(PacketOwner::Cbr { src }));
         let next = EventKind::CbrSend { src: cast::slab_u32(src), gen };
         self.queue.push(self.now + interval, next);
     }
@@ -842,7 +824,6 @@ impl Net {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TcpParams;
     use mptcp_cc::AlgorithmKind;
 
     fn one_link_sim(mbps: f64, delay_ms: u64, queue: usize) -> (Simulator, LinkId) {
@@ -969,11 +950,11 @@ mod tests {
         let c = sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Uncoupled).path(vec![l]));
         sim.run_until(SimTime::from_secs(10));
         let before = sim.connection_stats(c).delivered_pkts();
-        sim.set_link_down(l, true);
+        let s = SimTime::from_secs;
+        sim.install_fault_plan(&FaultPlan::new().outage(l, s(10), s(20)));
         sim.run_until(SimTime::from_secs(20));
         let during = sim.connection_stats(c).delivered_pkts();
         assert!(during - before < 30, "almost nothing delivered while down");
-        sim.set_link_down(l, false);
         sim.run_until(SimTime::from_secs(40));
         let after = sim.connection_stats(c).delivered_pkts();
         assert!(after > during + 1000, "traffic should resume after link comes back");
@@ -995,14 +976,6 @@ mod tests {
         sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp));
     }
 
-    #[test]
-    #[should_panic(expected = "exceeds the 1048576-packet flight")]
-    fn window_cap_beyond_the_scoreboard_span_rejected() {
-        let (mut sim, l) = one_link_sim(10.0, 10, 25);
-        let tcp = TcpParams { max_cwnd: 2e6, ..TcpParams::default() };
-        sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]).tcp(tcp));
-    }
-
     /// What a 12-byte packet cannot carry is refused where the sender is
     /// admitted, in release builds too — not when its first packet packs.
     #[test]
@@ -1010,13 +983,6 @@ mod tests {
     fn path_longer_than_a_packet_can_count_rejected() {
         let (mut sim, l) = one_link_sim(10.0, 10, 25);
         sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l; 256]));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 65535 bytes")]
-    fn cbr_packet_size_beyond_u16_rejected() {
-        let (mut sim, l) = one_link_sim(10.0, 10, 25);
-        sim.add_cbr(CbrSpec { packet_size: 65_536, ..CbrSpec::constant(vec![l], 1e6) });
     }
 
     /// The headline zero-alloc claim: once scratch buffers, the metadata
@@ -1046,17 +1012,15 @@ mod tests {
         );
     }
     /// One link of drop-tail limit `limit` under a constant and a bursty
-    /// CBR source (1500- and 500-byte packets, 1.3× the link's rate while
-    /// both send), squeezed to `limit / 3` over 300–500 ms and down over
+    /// CBR source (1.3× the link's rate while both send), squeezed to `limit / 3` over 300–500 ms and down over
     /// 800–900 ms, sampled by the probe every millisecond. Returns the
     /// link's counters, an FNV-1a digest of the probe's queue depths, and
     /// the largest waiting-buffer capacity seen.
     fn squeezed_link_run(limit: usize) -> ([u64; 5], u64, usize) {
         let (mut sim, l) = one_link_sim(12.0, 1, limit);
         sim.add_cbr(CbrSpec::constant(vec![l], 9.6e6));
-        let mut bursty = CbrSpec::constant(vec![l], 6e6)
+        let bursty = CbrSpec::constant(vec![l], 6e6)
             .onoff(SimTime::from_millis(20), SimTime::from_millis(30));
-        bursty.packet_size = 500;
         sim.add_cbr(bursty);
         let ms = SimTime::from_millis;
         let plan = FaultPlan::new().queue_squeeze(l, ms(300), ms(500), limit / 3);
@@ -1079,17 +1043,18 @@ mod tests {
     /// its record, and a waiting buffer that doubles only up to the
     /// `limit` packets the drop-tail limit lets wait — also for limits
     /// below the first doubling step of 4. Every counter and every probed
-    /// queue depth equals what the model with an uncapped buffer recorded
-    /// on this schedule (the constants below are that model's).
+    /// queue depth equals the constants below: the ones the simulator
+    /// recorded on this schedule while packets still carried a size field,
+    /// and whose counts had matched the model with an uncapped buffer.
     #[test]
     fn link_buffers_stop_at_their_limit_and_count_as_before() {
         // [offered, dropped_queue, dropped_down, transmitted, bytes] and
         // the digest of the probed queue depths, per limit.
         let pinned: [(usize, [u64; 5], u64); 4] = [
-            (0, [1856, 652, 170, 1033, 1_236_500], 0x61be_f1db_119e_0180),
-            (1, [1856, 418, 170, 1267, 1_404_500], 0xe3e6_ab04_57e5_4680),
-            (3, [1856, 276, 172, 1407, 1_499_500], 0x3d43_9e0e_00c0_546a),
-            (100, [1856, 34, 212, 1605, 1_640_500], 0x2baf_bc3d_ba8f_6557),
+            (0, [1268, 275, 112, 880, 1_320_000], 0x03ea_0f27_0906_b3f4),
+            (1, [1268, 194, 112, 961, 1_441_500], 0xa67f_ef92_8559_2751),
+            (3, [1268, 134, 114, 1019, 1_528_500], 0xe20e_9951_137c_2d9c),
+            (100, [1268, 8, 162, 1093, 1_639_500], 0x4b54_ae64_e097_d606),
         ];
         for (limit, counters, digest) in pinned {
             let got = squeezed_link_run(limit);

@@ -71,7 +71,7 @@ impl_det_digest!(SubflowStats {
 pub struct ConnectionStats {
     /// Per-subflow counters.
     pub subflows: Vec<SubflowStats>,
-    /// Packet size used by this connection, bytes.
+    /// Packet size, bytes: always [`crate::DEFAULT_PACKET_SIZE`].
     pub packet_size: u32,
     /// When the connection started sending.
     pub started_at: SimTime,

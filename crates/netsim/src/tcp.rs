@@ -50,6 +50,8 @@ pub(crate) type SackRanges = [Option<(u64, u64)>; MAX_SACK_RANGES];
 
 /// Initial congestion window, packets.
 const INITIAL_CWND: f64 = 2.0;
+/// Initial slow-start threshold, packets: slow start until the first loss.
+const INITIAL_SSTHRESH: f64 = f64::INFINITY;
 /// Minimum retransmission timeout, seconds (Linux uses 200 ms).
 const MIN_RTO: f64 = 0.2;
 /// RTO before any RTT sample exists, seconds (RFC 6298 says 1 s).
@@ -58,24 +60,18 @@ const INITIAL_RTO: f64 = 1.0;
 /// (DupThresh).
 const DUPACK_THRESHOLD: u64 = 3;
 
-/// Tunable TCP parameters shared by every subflow of a connection.
+/// Tunable TCP parameters shared by every subflow of a connection. The
+/// window is never capped: as in the paper's simulator, no receive window
+/// limits it.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpParams {
-    /// Initial slow-start threshold, packets (∞ → slow start until first loss).
-    pub initial_ssthresh: f64,
     /// Maximum retransmission timeout.
     pub max_rto: SimTime,
-    /// Cap on the congestion window (models the receive window), packets.
-    pub max_cwnd: f64,
 }
 
 impl Default for TcpParams {
     fn default() -> Self {
-        Self {
-            initial_ssthresh: f64::INFINITY,
-            max_rto: SimTime::from_secs(60),
-            max_cwnd: f64::INFINITY,
-        }
+        Self { max_rto: SimTime::from_secs(60) }
     }
 }
 
@@ -205,11 +201,10 @@ impl SubflowReceiver {
         self.ooo.heap_bytes()
     }
 
-    /// Fresh receiver whose reassembly ring is sized for `max_window`
-    /// (see [`crate::scoreboard::ring_hints`]), drawing storage from
+    /// Fresh receiver whose reassembly ring draws its storage from
     /// `pool`.
-    pub fn new_pooled(max_window: f64, pool: &mut RingPool) -> Self {
-        Self { ooo: BitRing::for_window_hint(max_window, pool) }
+    pub fn new_pooled(pool: &mut RingPool) -> Self {
+        Self { ooo: BitRing::pooled(pool) }
     }
 
     /// Reset to the initial state in place: the reassembly ring keeps its
@@ -262,10 +257,9 @@ pub(crate) struct SenderCounters {
 /// rearranging it): the scalars every ACK reads and writes — window,
 /// sequence edges, retransmission timer — sit first, packed into the
 /// leading cache lines; the scoreboard and send metadata follow;
-/// rarely-touched counters trail at the end. Of [`TcpParams`] the sender
-/// keeps only `max_cwnd`, the one field it reads after construction; the
-/// rest seed the window and timer, and the connection keeps them for
-/// re-arming.
+/// rarely-touched counters trail at the end. [`TcpParams`] only seed the
+/// timer, so the connection keeps them for re-arming and the sender does
+/// not.
 #[derive(Debug)]
 #[repr(C)]
 pub(crate) struct SubflowSender {
@@ -274,8 +268,6 @@ pub(crate) struct SubflowSender {
     pub cwnd: f64,
     /// Slow-start threshold, packets.
     pub ssthresh: f64,
-    /// Cap on the congestion window ([`TcpParams::max_cwnd`]).
-    max_cwnd: f64,
     /// Next new sequence number to send.
     pub next_seq: u64,
     /// Oldest unacknowledged sequence number.
@@ -312,9 +304,7 @@ pub(crate) struct SubflowSender {
 /// A ssthresh below one MSS is meaningless — `cwnd < ssthresh` could then
 /// never hold, permanently disabling slow start — and RFC 5681 §3.1 floors
 /// the post-loss threshold at 2 segments. [`SubflowSender::set_ssthresh`]
-/// has always clamped here; the *initial* threshold historically did not,
-/// so a user-supplied sub-MSS [`TcpParams::initial_ssthresh`] survived
-/// verbatim until the first loss.
+/// clamps here.
 pub const MIN_SSTHRESH_PKTS: f64 = 2.0;
 
 /// The retransmission timer of a subflow that has sent nothing yet.
@@ -323,20 +313,17 @@ fn fresh_timer(params: &TcpParams) -> RtoEstimator {
 }
 
 impl SubflowSender {
-    /// A sender whose scoreboard rings are sized for the window cap.
+    /// A fresh sender.
     pub fn new(params: &TcpParams) -> Self {
-        Self::new_pooled(params, params.max_cwnd, &mut RingPool::default())
+        Self::new_pooled(params, &mut RingPool::default())
     }
 
-    /// Like [`SubflowSender::new`], with scoreboard rings sized for
-    /// `max_window` (see [`crate::scoreboard::ring_hints`]) and drawn from
-    /// `pool`.
-    pub fn new_pooled(params: &TcpParams, max_window: f64, pool: &mut RingPool) -> Self {
+    /// Like [`SubflowSender::new`], with scoreboard ring storage drawn
+    /// from `pool`.
+    pub fn new_pooled(params: &TcpParams, pool: &mut RingPool) -> Self {
         Self {
             cwnd: INITIAL_CWND,
-            // NaN-safe: `f64::max` propagates the floor, not the NaN.
-            ssthresh: params.initial_ssthresh.max(MIN_SSTHRESH_PKTS),
-            max_cwnd: params.max_cwnd,
+            ssthresh: INITIAL_SSTHRESH,
             next_seq: 0,
             una: 0,
             timer: fresh_timer(params),
@@ -346,7 +333,7 @@ impl SubflowSender {
             rto_armed: false,
             recovery_point: 0,
             meta: VecDeque::new(),
-            board: BitmapScoreboard::new(max_window, pool),
+            board: BitmapScoreboard::new(pool),
             meta_allocs: 0,
             stats: SenderCounters::default(),
         }
@@ -360,8 +347,7 @@ impl SubflowSender {
     /// counting across flows. Per-flow stats reset to zero.
     pub fn reset_for_reuse(&mut self, params: &TcpParams) {
         self.cwnd = INITIAL_CWND;
-        self.ssthresh = params.initial_ssthresh.max(MIN_SSTHRESH_PKTS);
-        self.max_cwnd = params.max_cwnd;
+        self.ssthresh = INITIAL_SSTHRESH;
         self.next_seq = 0;
         self.una = 0;
         self.timer = fresh_timer(params);
@@ -399,14 +385,14 @@ impl SubflowSender {
     /// scoreboard rings can represent.
     pub fn can_send_new(&self) -> bool {
         self.board.lost_is_empty()
-            && self.pipe() + 1.0 <= self.cwnd.min(self.max_cwnd) + 1e-9
+            && self.pipe() + 1.0 <= self.cwnd + 1e-9
             && self.next_seq - self.una < MAX_CAP
     }
 
     /// The next lost sequence to retransmit, if the window allows it.
     /// Moves the sequence into the retransmitted set.
     pub fn next_retransmit(&mut self) -> Option<u64> {
-        if self.pipe() + 1.0 > self.cwnd.min(self.max_cwnd) + 1e-9 {
+        if self.pipe() + 1.0 > self.cwnd + 1e-9 {
             return None;
         }
         self.board.pop_lost_for_retx(self.sack_events)
@@ -644,9 +630,9 @@ impl SubflowSender {
     }
 
     /// Grow the window by `amount` packets (already computed by the caller
-    /// from the slow-start rule or the coupled algorithm), honoring the cap.
+    /// from the slow-start rule or the coupled algorithm).
     pub fn grow(&mut self, amount: f64) {
-        self.cwnd = (self.cwnd + amount).min(self.max_cwnd);
+        self.cwnd += amount;
     }
 
     /// Shrink the window to `level` (a loss decrease), honoring `floor`.
@@ -703,24 +689,6 @@ mod tests {
             out[i] = Some(r);
         }
         out
-    }
-
-    /// Pre-fix failure: `SubflowSender::new` used to store
-    /// `initial_ssthresh` verbatim, so a sub-MSS configured threshold
-    /// survived until the first loss — with `cwnd < ssthresh` never true,
-    /// slow start was permanently disabled for the subflow.
-    #[test]
-    fn initial_ssthresh_is_clamped_like_post_loss_ssthresh() {
-        let params = TcpParams { initial_ssthresh: 0.5, ..TcpParams::default() };
-        let tx: SubflowSender = SubflowSender::new(&params);
-        assert!(
-            tx.ssthresh >= MIN_SSTHRESH_PKTS,
-            "initial ssthresh must honor the same floor as set_ssthresh, got {}",
-            tx.ssthresh
-        );
-        let params = TcpParams { initial_ssthresh: f64::NAN, ..TcpParams::default() };
-        let tx: SubflowSender = SubflowSender::new(&params);
-        assert_eq!(tx.ssthresh.to_bits(), MIN_SSTHRESH_PKTS.to_bits());
     }
 
     /// The floor is an invariant, not a one-shot: no sequence of decreases
@@ -1226,12 +1194,11 @@ mod tests {
 
     #[test]
     fn scoreboard_survives_many_ring_wraps_at_max_window() {
-        // Deterministic long-run: a window pinned at the cap (ring capacity
-        // 256 bits) driven far past the ring size, with a loss pattern in
+        // Deterministic long-run: a 64-packet flight (ring capacity 256
+        // bits) driven far past the ring size, with a loss pattern in
         // every third congestion epoch. Each loss is repaired exactly, and
         // once warm, wrapping the ring allocates nothing.
-        let params = TcpParams { max_cwnd: 64.0, ..TcpParams::default() };
-        let mut tx: SubflowSender = SubflowSender::new(&params);
+        let mut tx = sender();
         tx.cwnd = 64.0;
         let mut now = SimTime::ZERO;
         let mut warmed_allocs = 0;
@@ -1240,8 +1207,8 @@ mod tests {
                 warmed_allocs = tx.alloc_events();
             }
             now += SimTime::from_millis(10);
-            // Fill the window.
-            while tx.can_send_new() {
+            // Fill the window, at most 64 packets.
+            while tx.can_send_new() && tx.next_seq - tx.una < 64 {
                 let dsn = tx.next_seq;
                 tx.on_send_new(now, dsn);
             }
@@ -1266,7 +1233,7 @@ mod tests {
             assert!(tx.fully_acked() && !tx.in_recovery, "epoch {epoch}");
         }
         assert!(tx.next_seq > 8_000, "ran far past the 256-bit ring: {}", tx.next_seq);
-        assert_eq!(tx.ring_bits(), [256; 2], "a flight within the hint never grows the ring");
+        assert_eq!(tx.ring_bits(), [256; 2], "a 64-packet flight never grows the ring");
         assert_eq!(
             tx.alloc_events(),
             warmed_allocs,

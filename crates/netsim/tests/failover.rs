@@ -27,7 +27,7 @@ fn backup_stays_cold_fails_over_and_stands_down() {
             .path(vec![wifi])
             .path(vec![cell])
             .backup()
-            .tcp(TcpParams { max_rto: SimTime::from_secs(2), ..TcpParams::default() }),
+            .tcp(TcpParams { max_rto: SimTime::from_secs(2) }),
     );
     sim.enable_probe(ProbeSpec::every(ms(100)));
     // Outage of the only primary from 10 s to 25 s.
@@ -205,7 +205,7 @@ fn addr_churn_is_jobs_invariant() {
                 .path(vec![a0, b0])
                 .path(vec![a1, b1])
                 .backup()
-                .tcp(TcpParams { max_rto: SimTime::from_secs(2), ..TcpParams::default() }),
+                .tcp(TcpParams { max_rto: SimTime::from_secs(2) }),
         );
         let c1 = sim.add_connection(
             ConnectionSpec::sized(AlgorithmKind::Mptcp, 3_000).path(vec![b0, a0]).path(vec![b1, a1]),

@@ -63,7 +63,7 @@ fn run_chaos(c: &Chaos) -> (Simulator, usize, Vec<usize>, FaultPlan) {
             .path(vec![l2])
             // Cap RTO backoff so recovery after a long blackout fits well
             // inside the fault-free tail of the horizon.
-            .tcp(TcpParams { max_rto: SimTime::from_secs(4), ..TcpParams::default() }),
+            .tcp(TcpParams { max_rto: SimTime::from_secs(4) }),
     );
     let plan = FaultPlan::randomized(c.fault_seed, &[l1, l2], HORIZON);
     sim.install_fault_plan(&plan);
@@ -136,14 +136,15 @@ proptest! {
     }
 }
 
-/// Regression: `set_link_loss` used to assert the half-open range
+/// Regression: the runtime loss setter used to assert the half-open range
 /// `[0, 1)`, rejecting `p = 1.0` — which is exactly what a blackout
 /// scenario wants for total loss on an otherwise-up link.
 #[test]
 fn total_loss_is_settable_at_runtime() {
     let mut sim = Simulator::new(1);
     let l = sim.add_link(LinkSpec::mbps(10.0, SimTime::from_millis(5), 10));
-    sim.set_link_loss(l, 1.0);
+    let total_loss = FaultAction::SetLoss { link: l, p: 1.0 };
+    sim.install_fault_plan(&FaultPlan::new().at(SimTime::ZERO, total_loss));
     let conn = sim.add_connection(ConnectionSpec::sized(AlgorithmKind::Mptcp, 50).path(vec![l]));
     sim.run_until(SimTime::from_secs(2));
     let st = sim.link_stats(l);

@@ -3,7 +3,7 @@
 
 use mptcp_cc::AlgorithmKind;
 use mptcp_netsim::{
-    ConnectionSpec, LinkSpec, ProbeSpec, SimTime, Simulator, TransitionKind,
+    ConnectionSpec, FaultPlan, LinkSpec, ProbeSpec, SimTime, Simulator, TransitionKind,
 };
 
 /// A dual-homed MPTCP connection suffers a 7 s blackout on one path. The
@@ -20,6 +20,9 @@ fn rto_backs_off_during_blackout_and_recovers_to_sampled_range() {
         ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![a]).path(vec![b]),
     );
     sim.enable_probe(ProbeSpec::every(SimTime::from_millis(100)));
+    // Path b is down over [5 s, 12 s).
+    let s = SimTime::from_secs;
+    sim.install_fault_plan(&FaultPlan::new().outage(b, s(5), s(12)));
 
     sim.run_until(SimTime::from_secs(5));
     let min_rto = sim.connection_stats(c).subflows[1].rto;
@@ -28,7 +31,6 @@ fn rto_backs_off_during_blackout_and_recovers_to_sampled_range() {
         "clean 40 ms path: effective rto sits at min_rto, got {min_rto}"
     );
 
-    sim.set_link_down(b, true);
     sim.run_until(SimTime::from_secs(12));
     let during = sim.connection_stats(c).subflows[1];
     assert!(during.timeouts >= 3, "blackout must fire repeated RTOs: {}", during.timeouts);
@@ -40,7 +42,6 @@ fn rto_backs_off_during_blackout_and_recovers_to_sampled_range() {
     );
     assert!(during.potentially_failed, "path is potentially failed mid-outage");
 
-    sim.set_link_down(b, false);
     sim.run_until(SimTime::from_secs(25));
     let after = sim.connection_stats(c).subflows[1];
     assert_eq!(after.rto_backoffs, 0, "forward progress clears the backoff run");

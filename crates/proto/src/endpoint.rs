@@ -63,8 +63,6 @@ pub struct EndpointConfig {
     pub recv_mode: RecvBufferMode,
     /// Congestion-control algorithm for the subflow windows.
     pub algorithm: AlgorithmKind,
-    /// Reinject timed-out data on other subflows.
-    pub reinject: bool,
     /// Minimum retransmission timeout, µs.
     pub min_rto: Micros,
 }
@@ -77,7 +75,6 @@ impl Default for EndpointConfig {
             recv_buf: 64 * 1024,
             recv_mode: RecvBufferMode::Shared,
             algorithm: AlgorithmKind::Mptcp,
-            reinject: true,
             min_rto: 200_000,
         }
     }
@@ -385,17 +382,25 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Create a client endpoint with `n_subflows` paths.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ n_subflows ≤ 256`: a subflow's address id is
+    /// one byte on the wire.
     pub fn client(cfg: EndpointConfig, n_subflows: usize, key: u64) -> Self {
         Self::new(cfg, Role::Client, n_subflows, key)
     }
 
     /// Create a server endpoint able to accept `n_subflows` paths.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ n_subflows ≤ 256`.
     pub fn server(cfg: EndpointConfig, n_subflows: usize, key: u64) -> Self {
         Self::new(cfg, Role::Server, n_subflows, key)
     }
 
     fn new(cfg: EndpointConfig, role: Role, n_subflows: usize, key: u64) -> Self {
         assert!(n_subflows >= 1, "need at least one subflow");
+        assert!(n_subflows <= 256, "{n_subflows} subflows: an address id names 256");
         assert!(cfg.mss > 0 && cfg.send_buf >= cfg.mss && cfg.recv_buf >= cfg.mss);
         let cc = cfg.algorithm.build_cc(n_subflows);
         Self {
@@ -622,6 +627,7 @@ impl Endpoint {
     /// [`Endpoint::withdraw_addr`] with the subflow's address id).
     pub fn close_subflow(&mut self, sub: usize) {
         assert!(sub < self.subs.len(), "unknown subflow {sub}");
+        // Below 256: `new` admits no more subflows than one byte names.
         self.withdraw_addr(sub as u8); // wakes the endpoint
     }
 
@@ -1406,7 +1412,7 @@ impl Endpoint {
             // Only meaningful with MPTCP in use: in fallback mode there is
             // no DSS mapping, so a reinjected copy (with a fresh subflow
             // sequence number) would corrupt the stream.
-            if self.cfg.reinject && self.mp_enabled == Some(true) && self.subs.len() > 1 {
+            if self.mp_enabled == Some(true) && self.subs.len() > 1 {
                 let pending: Vec<(u64, Vec<u8>, bool)> = self.subs[sub]
                     .inflight
                     .iter()
@@ -2240,6 +2246,14 @@ mod tests {
         c.write(b"late");
     }
 
+    /// Address ids are one byte, so subflow 256 could not be withdrawn by
+    /// its own id: `close_subflow(256)` would close subflow 0's address.
+    #[test]
+    #[should_panic(expected = "an address id names 256")]
+    fn more_subflows_than_address_ids_are_refused() {
+        let _ = Endpoint::client(EndpointConfig::default(), 257, 1);
+    }
+
     #[test]
     #[should_panic]
     fn unknown_subflow_index_panics() {
@@ -2324,10 +2338,9 @@ mod lazy_poll_differential {
             prop::sample::select(vec![RecvBufferMode::Shared, RecvBufferMode::PerSubflow]),
             any::<bool>(),
             prop::sample::select(AlgorithmKind::all().to_vec()),
-            any::<bool>(),
             prop::sample::select(vec![20_000, 200_000]),
         )
-            .prop_map(|(recv_mode, small, algorithm, reinject, min_rto)| {
+            .prop_map(|(recv_mode, small, algorithm, min_rto)| {
                 // 3 000-byte buffers hold two and a half segments: the
                 // windows close, reopen on reads, and need the persist
                 // timer when a window update is lost.
@@ -2337,7 +2350,6 @@ mod lazy_poll_differential {
                     recv_buf: buf,
                     recv_mode,
                     algorithm,
-                    reinject,
                     min_rto,
                     ..EndpointConfig::default()
                 }

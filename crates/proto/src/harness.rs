@@ -283,7 +283,6 @@ mod tests {
             let cfg = EndpointConfig {
                 recv_mode: mode,
                 recv_buf: 8 * 1024, // small buffer to hit the corner fast
-                reinject: true,
                 ..EndpointConfig::default()
             };
             let wires = vec![

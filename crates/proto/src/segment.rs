@@ -64,7 +64,7 @@ pub enum MptcpOption {
         echo: bool,
     },
     /// Path-manager withdrawal: the address is gone; the peer must tear
-    /// down any subflow using it. Carries an echo/ack bit like [`AddAddr`]
+    /// down any subflow using it. Carries an echo/ack bit like [`AddAddr`](Self::AddAddr)
     /// so withdrawals are also retransmitted until acknowledged (a
     /// determinism-friendly extension of RFC 8684, which leaves
     /// `REMOVE_ADDR` unacknowledged).

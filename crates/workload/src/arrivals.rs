@@ -1,7 +1,7 @@
 //! Poisson flow arrivals with Pareto-distributed sizes (§3's second server
 //! load-balancing experiment).
 
-use mptcp_netsim::SimTime;
+use mptcp_netsim::{SimTime, DEFAULT_PACKET_SIZE};
 use rand::Rng;
 
 /// One generated flow arrival.
@@ -13,22 +13,22 @@ pub struct FlowArrival {
     pub size_pkts: u64,
 }
 
+/// Samples are truncated here, in bytes, so a single elephant cannot
+/// dominate an entire finite run.
+const MAX_BYTES: f64 = 50e6;
+
 /// Pareto file-size distribution. The paper: "file sizes drawn from a
 /// Pareto distribution with mean 200 kB". We use shape α = 1.5 (a common
 /// heavy-tail choice for flow sizes; the paper does not state α) and set
-/// the scale so the mean matches: mean = α·x_m/(α−1) ⇒ x_m = mean/3·(α−1)·…
-/// concretely x_m = mean·(α−1)/α. Samples are truncated at `max_bytes` so a
-/// single elephant cannot dominate an entire finite run.
+/// the scale so the mean matches: mean = α·x_m/(α−1) ⇒ x_m = mean·(α−1)/α.
+/// Samples are truncated at 50 MB and counted in the simulator's
+/// [`DEFAULT_PACKET_SIZE`]-byte packets.
 #[derive(Debug, Clone, Copy)]
 pub struct ParetoSizes {
     /// Shape parameter α > 1.
     pub alpha: f64,
     /// Scale (minimum value), bytes.
     pub x_m: f64,
-    /// Truncation, bytes.
-    pub max_bytes: f64,
-    /// Packet size used to convert bytes to packets.
-    pub packet_size: u32,
 }
 
 impl ParetoSizes {
@@ -44,19 +44,14 @@ impl ParetoSizes {
     pub fn with_mean(mean_bytes: f64, alpha: f64) -> Self {
         assert!(alpha > 1.0, "Pareto mean requires α > 1");
         assert!(mean_bytes > 0.0);
-        Self {
-            alpha,
-            x_m: mean_bytes * (alpha - 1.0) / alpha,
-            max_bytes: 50e6,
-            packet_size: 1500,
-        }
+        Self { alpha, x_m: mean_bytes * (alpha - 1.0) / alpha }
     }
 
     /// Draw one size, in packets (≥ 1).
     pub fn sample_pkts<R: Rng>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let bytes = (self.x_m / u.powf(1.0 / self.alpha)).min(self.max_bytes);
-        ((bytes / self.packet_size as f64).ceil() as u64).max(1)
+        let bytes = (self.x_m / u.powf(1.0 / self.alpha)).min(MAX_BYTES);
+        ((bytes / f64::from(DEFAULT_PACKET_SIZE)).ceil() as u64).max(1)
     }
 }
 

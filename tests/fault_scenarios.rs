@@ -43,7 +43,7 @@ fn run_wifi_blackout(seed: u64) -> Outcome {
             .path(vec![w.link2])
             // A mobile client retries briskly; the default 60 s RTO cap
             // would otherwise dominate recovery after a 15 s blackout.
-            .tcp(TcpParams { max_rto: SimTime::from_secs(4), ..TcpParams::default() }),
+            .tcp(TcpParams { max_rto: SimTime::from_secs(4) }),
     );
     sim.install_fault_plan(&FaultPlan::new().outage(w.link1, OUTAGE_FROM, OUTAGE_UNTIL));
 
