@@ -87,7 +87,7 @@ fn olia_increase(r: usize, subs: &[SubflowSnapshot], l: impl Fn(usize) -> f64) -
 /// loss; the estimate used is `max(l1, l2)` so a path that stopped losing
 /// keeps looking better as it proves itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OliaPathState {
+pub(crate) struct OliaPathState {
     /// Packets ACKed between the previous two loss events.
     pub l1: f64,
     /// Packets ACKed since the most recent loss event.

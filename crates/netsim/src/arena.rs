@@ -11,21 +11,21 @@
 //!   scoreboard), [`SubflowReceiver`], and the lazy RTO timer pair — live
 //!   in parallel `Vec`s indexed by a *hot* slot index. A connection's
 //!   subflows occupy a contiguous window `[hot_base, hot_base + n)`.
-//!   Windows are generation-indexed and **recycled**: when a connection
-//!   retires, its window goes on a size-keyed free list and a later
-//!   connection of the same shape reuses the slots in place via
-//!   `reset_for_reuse` — no allocator traffic, counters stay monotone.
+//!   Windows are generation-indexed and **recycled** under one rule: a
+//!   retiring connection's window goes on a free list keyed by its width
+//!   and envelope class, and a later connection of exactly that width
+//!   re-tenants it in place via `reset_for_reuse` — the smallest class
+//!   whose envelope covers the new flow, else the largest class below
+//!   it. No allocator traffic, and counters stay monotone. Free windows
+//!   never change width and no
+//!   storage moves between them; a flow with no free window of its width
+//!   appends fresh slots.
 //! * **Cold rows** — [`ColdSubflow`]: only what a subflow without a hot
 //!   window needs: ACK-return delay, backup/closed flags and
 //!   the per-subflow send counter. Cold rows are append-only and their
 //!   indices are *stable for the lifetime of the world*. The TCP params
 //!   that re-arm a recycled sender are the connection's, passed to
 //!   [`FlowArena::acquire_hot`].
-//! * **A pooled ring allocator** — when no free window of a compatible
-//!   shape exists, smaller free windows are cannibalized: their
-//!   scoreboard/reassembly bitmap storage is gutted into a [`RingPool`]
-//!   and the replacement slots draw those word-buffers back out instead
-//!   of allocating fresh ones.
 //!
 //! The arena is purely a storage layout: simulation *behavior* is
 //! unchanged, which `conn.rs`'s lifecycle differential proptest and the
@@ -48,7 +48,6 @@
 )]
 
 use crate::mem::{vec_bytes, MemBytes};
-use crate::scoreboard::RingPool;
 use crate::tcp::{SubflowReceiver, SubflowSender, TcpParams};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -118,9 +117,6 @@ pub(crate) struct FlowArena {
     /// flow never re-tenants — and then regrows — a window a congested
     /// tiny-flight flow left behind.
     free: BTreeMap<(u32, u8), Vec<u32>>,
-    /// Word-buffer pool fed by cannibalized windows (see
-    /// [`Self::acquire_hot`]).
-    pool: RingPool,
     /// Capacity-growth events of the hot columns (folded into
     /// `SimPerf::hot_allocs`; flat once churn reuses windows).
     grows: u64,
@@ -129,7 +125,7 @@ pub(crate) struct FlowArena {
 }
 
 impl FlowArena {
-    /// Number of hot slots (resident + free + leaked husks).
+    /// Number of hot slots (resident + free).
     pub(crate) fn hot_len(&self) -> usize {
         self.tx.len()
     }
@@ -149,7 +145,7 @@ impl FlowArena {
     }
 
     /// Add the arena's bytes to `m`: hot columns and free lists, the rings
-    /// and send metadata behind them, cold rows and the ring pool.
+    /// and send metadata behind them, and cold rows.
     pub(crate) fn mem_bytes(&self, m: &mut MemBytes) {
         m.hot += vec_bytes(&self.tx)
             + vec_bytes(&self.rx)
@@ -168,22 +164,19 @@ impl FlowArena {
         }
         m.rings += self.rx.iter().map(SubflowReceiver::heap_bytes).sum::<u64>();
         m.cold += vec_bytes(&self.cold);
-        m.ring_pool += self.pool.heap_bytes();
     }
 
     /// Acquire a hot window of `n` slots armed with the connection's
     /// `params`, and return `(hot_base, generation)`.
     /// `want_env` is the flow's expected per-lane flight envelope in
     /// packets (its transfer size for sized flows, `u64::MAX` for bulk).
-    /// Reuse prefers, in order, a same-width window whose warmed envelope
-    /// already covers it, the *largest*-envelope same-width window below
-    /// it (least growth for the new tenant to pay), then a wider window
-    /// to split. Otherwise undersized free windows are cannibalized into
-    /// the ring pool and fresh slots appended. `count_growth` controls
-    /// whether fresh column growth is charged to `alloc_events` —
-    /// admission-time fills pass `false` (constructor allocations are
-    /// uncounted by convention), lifecycle-churn acquisitions pass
-    /// `true`.
+    /// One rule: take a free window of exactly `n` slots — of the smallest
+    /// envelope class that covers `want_env`, else of the largest class
+    /// below it (least growth for the new tenant to pay) — or, if none is
+    /// free, append fresh slots. `count_growth` controls whether fresh
+    /// column growth is charged to `alloc_events` — admission-time fills
+    /// pass `false` (constructor allocations are uncounted by
+    /// convention), lifecycle-churn acquisitions pass `true`.
     pub(crate) fn acquire_hot(
         &mut self,
         n: usize,
@@ -198,20 +191,8 @@ impl FlowArena {
             .free
             .range((want, want_class)..=(want, u8::MAX))
             .next()
-            .map(|(&k, _)| k)
-            .or_else(|| {
-                self.free.range((want, 0)..(want, want_class)).next_back().map(|(&k, _)| k)
-            })
-            .or_else(|| {
-                // A wider window can be split; prefer one whose envelope
-                // suffices (the key space is tiny — a handful of
-                // width/class pairs — so the scan is cheap).
-                self.free
-                    .range((want + 1, 0)..)
-                    .find(|&(&(_, class), _)| class >= want_class)
-                    .map(|(&k, _)| k)
-            })
-            .or_else(|| self.free.range((want + 1, 0)..).next().map(|(&k, _)| k));
+            .or_else(|| self.free.range((want, 0)..(want, want_class)).next_back())
+            .map(|(&k, _)| k);
         if let Some(key) = key {
             #[expect(
                 clippy::expect_used,
@@ -226,50 +207,15 @@ impl FlowArena {
             if stack.is_empty() {
                 self.free.remove(&key);
             }
-            let (size, class) = key;
-            if size > want {
-                // Split: the tail stays free, inheriting the class (the
-                // envelope bound holds per lane, so any sub-window keeps
-                // it).
-                self.free.entry((size - want, class)).or_default().push(base + want);
-            }
             self.reuses += 1;
             let gen = self.reset_window(base as usize, n, params);
             return (base, gen);
         }
-        // Nothing fits. Cannibalize undersized free windows: gut their
-        // ring storage into the pool so the fresh slots below draw
-        // recycled word-buffers instead of allocating. The gutted husk
-        // slots are retired for good (a gutted ring has no storage, and an
-        // insert into one panics rather than re-allocate).
-        let mut gutted = 0usize;
-        while gutted < n {
-            let Some((&key, _)) = self.free.range(..(want, 0)).next_back() else { break };
-            let (size, _) = key;
-            #[expect(
-                clippy::expect_used,
-                reason = "the key was just yielded by the range scan above; empty stacks are removed eagerly on pop"
-            )]
-            let stack = self.free.get_mut(&key).expect("free-list key just seen");
-            #[expect(
-                clippy::expect_used,
-                reason = "empty stacks are removed eagerly below, so a present key always holds at least one base"
-            )]
-            let base = stack.pop().expect("free-list stacks are never left empty");
-            if stack.is_empty() {
-                self.free.remove(&key);
-            }
-            for i in base as usize..(base + size) as usize {
-                self.tx[i].gut_into(&mut self.pool);
-                self.rx[i].gut_into(&mut self.pool);
-            }
-            gutted += size as usize;
-        }
         let base = crate::cast::slab_u32(self.tx.len());
         let cap = self.tx.capacity();
         for _ in 0..n {
-            self.tx.push(SubflowSender::new_pooled(params, &mut self.pool));
-            self.rx.push(SubflowReceiver::new_pooled(&mut self.pool));
+            self.tx.push(SubflowSender::new(params));
+            self.rx.push(SubflowReceiver::default());
             self.rto_deadline.push(NEVER);
             self.rto_event_at.push(NEVER);
             self.gen.push(0);
@@ -346,31 +292,25 @@ mod tests {
     }
 
     #[test]
-    fn larger_free_windows_are_split_not_skipped() {
+    fn free_windows_serve_only_flows_of_their_own_width() {
         let mut a = FlowArena::default();
-        let (b0, g0) = a.acquire_hot(4, true, 8, &TcpParams::default());
-        a.release_hot(b0, 4, g0, 8);
-        let (b1, _) = a.acquire_hot(1, true, 8, &TcpParams::default());
-        assert_eq!(b1, b0, "the head of the 4-window serves the 1-slot request");
-        let (b2, _) = a.acquire_hot(3, true, 8, &TcpParams::default());
-        assert_eq!(b2, b0 + 1, "the split tail serves the next request");
-        assert_eq!(a.hot_len(), 4, "both served from recycled storage");
-        assert_eq!(a.reuses(), 2);
-    }
-
-    #[test]
-    fn shape_mismatch_cannibalizes_small_windows_into_the_ring_pool() {
-        let mut a = FlowArena::default();
-        let (b0, g0) = a.acquire_hot(1, true, 8, &TcpParams::default());
+        let (b4, g4) = a.acquire_hot(4, true, 8, &TcpParams::default());
         let (b1, g1) = a.acquire_hot(1, true, 8, &TcpParams::default());
-        a.release_hot(b0, 1, g0, 8);
+        a.release_hot(b4, 4, g4, 8);
         a.release_hot(b1, 1, g1, 8);
-        // A 3-wide request cannot reuse the two 1-wide windows: they are
-        // gutted into the pool and the fresh slots draw from it.
-        let (b2, _) = a.acquire_hot(3, true, 8, &TcpParams::default());
-        assert_eq!(b2 as usize, 2, "fresh slots are appended past the husks");
-        let (hits, _misses) = a.pool.stats();
-        assert!(hits > 0, "fresh slots must draw cannibalized ring storage from the pool");
+        // A 2-wide flow fits neither free window: it appends fresh slots
+        // and leaves both where they were, at their own widths.
+        let (b2, _) = a.acquire_hot(2, true, 8, &TcpParams::default());
+        assert_eq!(b2, 5, "no free window of width 2: fresh slots are appended");
+        assert_eq!(a.reuses(), 0);
+        // A wider acquisition leaves the narrower free window on its list
+        // for the next flow of that width.
+        let (b4_again, _) = a.acquire_hot(4, true, 8, &TcpParams::default());
+        assert_eq!(b4_again, b4, "the 4-wide flow re-tenants the 4-wide window whole");
+        let (b1_again, _) = a.acquire_hot(1, true, 8, &TcpParams::default());
+        assert_eq!(b1_again, b1, "the 1-wide window waited for a 1-wide flow");
+        assert_eq!(a.hot_len(), 7, "both reuses served from recycled storage");
+        assert_eq!(a.reuses(), 2);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub(crate) struct CbrSource {
 }
 
 impl CbrSource {
-    pub fn new(spec: CbrSpec) -> Self {
+    pub(crate) fn new(spec: CbrSpec) -> Self {
         let path = LinkPath::from(&spec.path[..]);
         Self { spec, path, on: false, gen: 0, sent: 0, delivered: 0 }
     }

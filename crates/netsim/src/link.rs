@@ -49,7 +49,7 @@ impl From<&[LinkId]> for LinkPath {
 }
 
 impl LinkPath {
-    pub fn as_slice(&self) -> &[LinkId] {
+    pub(crate) fn as_slice(&self) -> &[LinkId] {
         match self {
             LinkPath::Inline { len, ids } => &ids[..*len as usize],
             LinkPath::Heap(v) => v,
@@ -57,7 +57,7 @@ impl LinkPath {
     }
 
     /// Heap bytes of a spilled route (none when inline).
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         match self {
             LinkPath::Inline { .. } => 0,
             LinkPath::Heap(v) => crate::mem::vec_bytes(v),
@@ -136,8 +136,6 @@ pub struct LinkStats {
     pub dropped_down: u64,
     /// Packets fully transmitted.
     pub transmitted: u64,
-    /// Bytes fully transmitted.
-    pub bytes: u64,
 }
 
 impl LinkStats {
@@ -161,13 +159,15 @@ impl LinkStats {
         }
     }
 
-    /// Mean utilization over `elapsed`, as delivered bits / capacity.
+    /// Mean utilization over `elapsed`, as delivered bits / capacity
+    /// (every packet is [`crate::DEFAULT_PACKET_SIZE`] bytes).
     pub fn utilization(&self, rate_bps: f64, elapsed: SimTime) -> f64 {
         let secs = elapsed.as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
-            (self.bytes as f64 * 8.0) / (rate_bps * secs)
+            let bits = self.transmitted as f64 * f64::from(crate::packet::DEFAULT_PACKET_SIZE) * 8.0;
+            bits / (rate_bps * secs)
         }
     }
 }
@@ -332,7 +332,6 @@ mod tests {
             dropped_random: 3,
             dropped_down: 2,
             transmitted: 90,
-            bytes: 0,
         };
         assert_eq!(s.dropped(), 10);
         assert!((s.loss_rate() - 0.1).abs() < 1e-12);

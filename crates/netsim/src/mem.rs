@@ -47,8 +47,6 @@ pub struct MemBytes {
     pub link_queues: u64,
     /// In-flight ACK payloads and their free list.
     pub ack_pool: u64,
-    /// Ring storage parked for reuse.
-    pub ring_pool: u64,
     /// Cross-shard outboxes.
     pub outboxes: u64,
     /// Placement and routes of a sharded world.
@@ -57,7 +55,7 @@ pub struct MemBytes {
 
 impl MemBytes {
     /// Every category with its name, in declaration order.
-    pub fn categories(&self) -> [(&'static str, u64); 15] {
+    pub fn categories(&self) -> [(&'static str, u64); 14] {
         [
             ("hot", self.hot),
             ("rings", self.rings),
@@ -71,7 +69,6 @@ impl MemBytes {
             ("link_records", self.link_records),
             ("link_queues", self.link_queues),
             ("ack_pool", self.ack_pool),
-            ("ring_pool", self.ring_pool),
             ("outboxes", self.outboxes),
             ("world_map", self.world_map),
         ]
@@ -97,7 +94,6 @@ impl std::ops::AddAssign for MemBytes {
         self.link_records += o.link_records;
         self.link_queues += o.link_queues;
         self.ack_pool += o.ack_pool;
-        self.ring_pool += o.ring_pool;
         self.outboxes += o.outboxes;
         self.world_map += o.world_map;
     }
@@ -122,6 +118,6 @@ mod tests {
         let mut m = MemBytes { hot: 3, world_map: 4, ..MemBytes::default() };
         m += MemBytes { rings: 5, hot: 1, ..MemBytes::default() };
         assert_eq!((m.hot, m.total()), (4, 13));
-        assert_eq!(m.categories().len(), 15);
+        assert_eq!(m.categories().len(), 14);
     }
 }

@@ -10,7 +10,7 @@ pub const DEFAULT_PACKET_SIZE: u32 = 1500;
 
 /// Who owns a packet in flight: a TCP subflow or a CBR source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketOwner {
+pub(crate) enum PacketOwner {
     /// A data packet of subflow `sub` of connection `conn`, carrying the
     /// low 32 bits of its subflow sequence number `seq` (in packets,
     /// starting at 0). The receiver widens them back against the sequence
@@ -39,7 +39,7 @@ const CBR_BIT: u32 = 1 << 31;
 /// of `seq`, `id` and `sub`. The narrow fields bound what a world can hold
 /// — [`assert_packable`] rejects at admission a source that would not fit.
 #[derive(Debug, Clone, Copy)]
-pub struct Packet {
+pub(crate) struct Packet {
     /// Low 32 bits of the subflow sequence number (0 for CBR).
     seq: u32,
     /// Connection id, or CBR source id with [`CBR_BIT`] set.
@@ -53,7 +53,7 @@ pub struct Packet {
 
 impl Packet {
     /// A packet about to enter the first link of its path.
-    pub fn new(owner: PacketOwner) -> Self {
+    pub(crate) fn new(owner: PacketOwner) -> Self {
         let (seq, id, sub) = match owner {
             PacketOwner::Subflow { conn, sub, seq } => {
                 (seq, cast::owner_u31(conn), cast::sub_u8(sub))
@@ -64,7 +64,7 @@ impl Packet {
     }
 
     /// Originating sender.
-    pub fn owner(&self) -> PacketOwner {
+    pub(crate) fn owner(&self) -> PacketOwner {
         if self.id & CBR_BIT != 0 {
             PacketOwner::Cbr { src: (self.id & !CBR_BIT) as usize }
         } else {
@@ -73,12 +73,12 @@ impl Packet {
     }
 
     /// Index of the next hop of the owner's path the packet must enter.
-    pub fn hop(&self) -> usize {
+    pub(crate) fn hop(&self) -> usize {
         self.hop as usize
     }
 
     /// The packet left the link at [`Self::hop`].
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         self.hop = cast::path_u8(self.hop() + 1);
     }
 }

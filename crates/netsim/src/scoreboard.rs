@@ -50,70 +50,6 @@ const DEFAULT_CAP: u64 = 1 << 8;
 /// packets a subflow may have in flight.
 pub(crate) const MAX_CAP: u64 = 1 << 20;
 
-/// Pool of retired ring word-buffers: flow close → open recycles bitmap
-/// storage here instead of round-tripping the global allocator. Buffers
-/// keep their (power-of-two-bit) capacity; `take` hands out the smallest
-/// one of at least [`DEFAULT_CAP`] bits, and the ring adopts its capacity.
-#[derive(Debug, Default)]
-pub(crate) struct RingPool {
-    bufs: Vec<Box<[u64]>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl RingPool {
-    /// Park a retired word-buffer for reuse (empty buffers are dropped).
-    pub fn put(&mut self, buf: Box<[u64]>) {
-        if !buf.is_empty() {
-            self.bufs.push(buf);
-        }
-    }
-
-    /// Take the smallest buffer of at least [`DEFAULT_CAP`] bits, zeroed
-    /// and ready for use. `None` (a pool miss) means the caller allocates
-    /// fresh.
-    pub fn take(&mut self) -> Option<Box<[u64]>> {
-        let want_words = (DEFAULT_CAP / 64) as usize;
-        let mut best: Option<(usize, usize)> = None;
-        for (i, buf) in self.bufs.iter().enumerate() {
-            let n = buf.len();
-            if n >= want_words && best.is_none_or(|(_, b)| n < b) {
-                best = Some((i, n));
-            }
-        }
-        match best {
-            Some((i, _)) => {
-                self.hits += 1;
-                let mut buf = self.bufs.swap_remove(i);
-                buf.fill(0);
-                Some(buf)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Heap bytes of the parked buffers and the list holding them.
-    pub fn heap_bytes(&self) -> u64 {
-        let words: usize = self.bufs.iter().map(|b| b.len()).sum();
-        (words * 8) as u64 + crate::mem::vec_bytes(&self.bufs)
-    }
-
-    /// Buffers currently parked.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// `(hits, misses)` over the pool's lifetime.
-    #[cfg(test)]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 /// A set of `u64` sequence numbers stored as a rotating bitmap: a power-of-
 /// two ring of bits indexed by `seq & mask`, valid for members in
 /// `[base, base + capacity)`. `base` only moves forward
@@ -128,7 +64,7 @@ pub(crate) struct BitRing {
     /// Lowest sequence the ring can represent; members are ≥ `base`.
     base: u64,
     /// The bits: a power-of-two count of words, so the capacity
-    /// `words.len() * 64` is a power of two ≥ 64 bits (0 once gutted).
+    /// `words.len() * 64` is a power of two ≥ 64 bits.
     words: Box<[u64]>,
     /// Lower bound on the smallest bitmap member (`≥ base` once clamped).
     lo: u64,
@@ -148,7 +84,7 @@ impl Default for BitRing {
 }
 
 impl BitRing {
-    pub fn with_capacity(cap_bits: u64) -> Self {
+    pub(crate) fn with_capacity(cap_bits: u64) -> Self {
         let cap = cap_bits.clamp(64, MAX_CAP).next_power_of_two();
         // Allocated, then zeroed, rather than `vec![0; n]`, which becomes a
         // `calloc`: glibc serves `calloc` past its per-thread cache, and
@@ -156,28 +92,16 @@ impl BitRing {
         // (20%) slower. `black_box` keeps the fill from being folded back
         // into a `calloc`.
         let n = (cap / 64) as usize;
+        debug_assert!(n.is_power_of_two());
         let mut words = Vec::with_capacity(n);
         words.resize(n, std::hint::black_box(0u64));
-        Self::from_words(words.into_boxed_slice())
-    }
-
-    /// An empty ring over zeroed `words` (a power-of-two count).
-    fn from_words(words: Box<[u64]>) -> Self {
-        debug_assert!(words.len().is_power_of_two());
-        Self { base: 0, words, len: 0, lo: 0, hi: 0, allocs: 0 }
-    }
-
-    /// An empty ring of at least [`DEFAULT_CAP`] bits: the smallest
-    /// parked buffer of `pool` that holds as many, capacity and all, or a
-    /// fresh one.
-    pub fn pooled(pool: &mut RingPool) -> Self {
-        pool.take().map_or_else(Self::default, Self::from_words)
+        Self { base: 0, words: words.into_boxed_slice(), len: 0, lo: 0, hi: 0, allocs: 0 }
     }
 
     /// Return to the freshly-constructed empty state without dropping the
     /// word storage; the monotone `allocs` counter is preserved so
     /// steady-state flatness assertions keep holding across slot reuse.
-    pub fn reset_for_reuse(&mut self) {
+    pub(crate) fn reset_for_reuse(&mut self) {
         if self.len > 0 {
             self.words.fill(0);
         }
@@ -187,47 +111,35 @@ impl BitRing {
         self.hi = 0;
     }
 
-    /// Gut this ring: move its word storage into `pool` and leave behind a
-    /// zero-capacity husk that must never be used again (the caller is
-    /// tombstoning the containing slot).
-    pub fn gut_into(&mut self, pool: &mut RingPool) {
-        let words = std::mem::replace(&mut self.words, Vec::new().into_boxed_slice());
-        pool.put(words);
-        self.base = 0;
-        self.len = 0;
-        self.lo = 0;
-        self.hi = 0;
-    }
-
     #[inline]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         u64::from(self.len)
     }
 
     /// Lowest sequence the ring can represent: [`Self::advance_to`]'s last
     /// argument, or 0.
     #[inline]
-    pub fn base(&self) -> u64 {
+    pub(crate) fn base(&self) -> u64 {
         self.base
     }
 
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    pub fn alloc_events(&self) -> u64 {
+    pub(crate) fn alloc_events(&self) -> u64 {
         u64::from(self.allocs)
     }
 
     /// Heap bytes of the ring's words.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.words.len() as u64 * 8
     }
 
-    /// Ring capacity, in bits (0 once gutted).
+    /// Ring capacity, in bits.
     #[inline]
-    pub fn cap(&self) -> u64 {
+    pub(crate) fn cap(&self) -> u64 {
         self.words.len() as u64 * 64
     }
 
@@ -264,7 +176,7 @@ impl BitRing {
     }
 
     #[inline]
-    pub fn contains(&self, seq: u64) -> bool {
+    pub(crate) fn contains(&self, seq: u64) -> bool {
         if seq < self.base || seq - self.base >= self.cap() {
             return false;
         }
@@ -276,15 +188,15 @@ impl BitRing {
     ///
     /// # Panics
     /// Panics, in release builds too, if `seq` is outside
-    /// `[base, base + MAX_CAP)` or the ring was gutted: dropping the
-    /// member silently would corrupt loss recovery.
-    pub fn insert(&mut self, seq: u64) -> bool {
+    /// `[base, base + MAX_CAP)`: dropping the member silently would
+    /// corrupt loss recovery.
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
         // A `seq` below `base` wraps to a huge offset and fails the same
         // check.
         let off = seq.wrapping_sub(self.base);
         if off >= self.cap() {
             assert!(
-                off < MAX_CAP && !self.words.is_empty(),
+                off < MAX_CAP,
                 "scoreboard insert of {seq} outside the ring at base {} ({} words)",
                 self.base,
                 self.words.len()
@@ -308,7 +220,7 @@ impl BitRing {
     }
 
     /// Remove `seq`; returns whether it was held.
-    pub fn remove(&mut self, seq: u64) -> bool {
+    pub(crate) fn remove(&mut self, seq: u64) -> bool {
         if seq < self.base || seq - self.base >= self.cap() {
             return false;
         }
@@ -328,7 +240,7 @@ impl BitRing {
     /// Slide the window: drop every member below `new_base` and make
     /// `new_base` the new floor. O(1) when empty (the steady-state case),
     /// otherwise a masked word-range clear.
-    pub fn advance_to(&mut self, new_base: u64) {
+    pub(crate) fn advance_to(&mut self, new_base: u64) {
         if new_base <= self.base {
             return;
         }
@@ -352,7 +264,7 @@ impl BitRing {
     }
 
     /// Pop the smallest member.
-    pub fn pop_first(&mut self) -> Option<u64> {
+    pub(crate) fn pop_first(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -370,7 +282,7 @@ impl BitRing {
     }
 
     /// The `n`-th highest member (0 = highest).
-    pub fn nth_back(&self, n: usize) -> Option<u64> {
+    pub(crate) fn nth_back(&self, n: usize) -> Option<u64> {
         let n = n as u64;
         if n >= self.len() {
             return None;
@@ -379,7 +291,7 @@ impl BitRing {
     }
 
     /// Visit members in ascending order; stop early when `f` returns false.
-    pub fn for_each_ascending(&self, mut f: impl FnMut(u64) -> bool) {
+    pub(crate) fn for_each_ascending(&self, mut f: impl FnMut(u64) -> bool) {
         if self.len == 0 {
             return;
         }
@@ -618,15 +530,9 @@ impl BitmapScoreboard {
         [self.sacked.cap(), self.lost.cap()]
     }
 
-    /// Fresh scoreboard, drawing ring storage from `pool` when a retired
-    /// buffer fits.
-    pub(crate) fn new(pool: &mut RingPool) -> Self {
-        Self {
-            sacked: BitRing::pooled(pool),
-            lost: BitRing::pooled(pool),
-            retx: Vec::new(),
-            retx_allocs: 0,
-        }
+    /// Fresh scoreboard.
+    pub(crate) fn new() -> Self {
+        Self { sacked: BitRing::default(), lost: BitRing::default(), retx: Vec::new(), retx_allocs: 0 }
     }
 
     /// Return to the freshly-constructed empty state *in place*: storage
@@ -637,14 +543,6 @@ impl BitmapScoreboard {
         self.sacked.reset_for_reuse();
         self.lost.reset_for_reuse();
         self.retx.clear();
-    }
-
-    /// Surrender the ring storage into `pool`, leaving a gutted (empty,
-    /// never-used-again) husk behind.
-    pub(crate) fn gut_into(&mut self, pool: &mut RingPool) {
-        self.sacked.gut_into(pool);
-        self.lost.gut_into(pool);
-        self.retx = Vec::new();
     }
 
     /// Number of sequences the receiver reported holding (≥ `una`).
@@ -778,7 +676,7 @@ pub enum ScoreboardKind {
 pub fn scoreboard_churn(kind: ScoreboardKind, window: u64, ops: u64) -> std::time::Duration {
     let ScoreboardKind::Bitmap = kind;
     let window = window.max(8);
-    let mut board = BitmapScoreboard::new(&mut RingPool::default());
+    let mut board = BitmapScoreboard::new();
     let mut una = 0u64;
     let mut sack_events = 0u64;
     let mut done = 0u64;
@@ -897,14 +795,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside the ring")]
-    fn insert_into_a_gutted_ring_panics_instead_of_regrowing() {
-        let mut r = BitRing::with_capacity(64);
-        r.gut_into(&mut RingPool::default());
-        r.insert(5);
-    }
-
-    #[test]
     fn reset_for_reuse_restores_fresh_semantics_without_dropping_storage() {
         let mut r = BitRing::with_capacity(256);
         for s in [3, 7, 200] {
@@ -926,41 +816,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_pool_recycles_gutted_storage() {
-        let mut pool = RingPool::default();
-        let mut r = BitRing::with_capacity(512);
-        r.insert(17);
-        r.gut_into(&mut pool);
-        assert_eq!(pool.len(), 1);
-        // A parked buffer is reused, zeroed.
-        let reused = BitRing::pooled(&mut pool);
-        assert_eq!(pool.len(), 0);
-        assert_eq!(reused.cap(), 512, "adopts the parked buffer's capacity");
-        assert!(reused.is_empty());
-        assert!(!reused.contains(17), "recycled storage arrives clean");
-        assert_eq!(pool.stats(), (1, 0));
-        // An empty pool misses and allocates fresh.
-        let fresh = BitRing::pooled(&mut pool);
-        assert_eq!(fresh.cap(), DEFAULT_CAP);
-        assert_eq!(pool.stats(), (1, 1));
-    }
-
-    #[test]
-    fn ring_pool_take_prefers_the_smallest_fitting_buffer() {
-        let mut pool = RingPool::default();
-        for cap in [4096, 128, 1024] {
-            BitRing::with_capacity(cap).gut_into(&mut pool);
-        }
-        let mut bits = || pool.take().map(|b| b.len() as u64 * 64);
-        assert_eq!(bits(), Some(1024), "best fit, not first fit");
-        assert_eq!(bits(), Some(4096));
-        assert_eq!(bits(), None, "128 bits are below the 256 a ring starts at");
-        assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
     fn scoreboard_reset_clears_all_three_sets_in_place() {
-        let mut b = BitmapScoreboard::new(&mut RingPool::default());
+        let mut b = BitmapScoreboard::new();
         for s in 1..5 {
             b.sack_one(s);
         }
@@ -978,7 +835,7 @@ mod tests {
 
     #[test]
     fn scoreboard_basic_recovery_cycle() {
-        let mut b = BitmapScoreboard::new(&mut RingPool::default());
+        let mut b = BitmapScoreboard::new();
         // 0..6 outstanding; 1..5 sacked, hole at 0.
         for s in 1..5 {
             assert!(b.sack_one(s));

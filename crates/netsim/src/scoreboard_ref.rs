@@ -19,7 +19,7 @@
 //! B-tree containers are its whole point; the simulator's own per-ACK path
 //! is held allocation-free by `tests/mem_account.rs`.
 
-use crate::scoreboard::{BitmapScoreboard, RingPool};
+use crate::scoreboard::BitmapScoreboard;
 use crate::tcp::{SackRanges, SubflowReceiver, MAX_SACK_RANGES};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -246,7 +246,7 @@ fn straddles(set: &BTreeSet<u64>, cap: u64) -> bool {
 /// flight, on a bitmap scoreboard and on the B-tree model, asserting
 /// identical answers and state after each.
 fn run(flight_cap: u64, script: &[Call]) -> Reach {
-    let mut bitmap = BitmapScoreboard::new(&mut RingPool::default());
+    let mut bitmap = BitmapScoreboard::new();
     let mut btree = BTreeScoreboard::default();
     let initial_bits = bitmap.ring_bits();
     let (mut una, mut next_seq, mut sack_events) = (0u64, 0u64, 0u64);
@@ -401,7 +401,7 @@ proptest! {
         // sixteen arrives a second time, later still. The ring starts at
         // 256 bits, so the sequences span more than four of it, and a
         // late packet holds up to 320 above the in-order edge.
-        let mut rx = SubflowReceiver::new_pooled(&mut RingPool::default());
+        let mut rx = SubflowReceiver::default();
         let n = arrivals.len() as u64;
         assert!(n > 4 * rx.ring_bits(), "{n} sequences over a {}-bit ring", rx.ring_bits());
         let mut order = Vec::new();

@@ -29,7 +29,7 @@ use crate::event::{Event, EventKind};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{GeState, Link, LinkId, LinkPath, LinkSpec, LinkStats};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
-use crate::packet::{Packet, PacketOwner, DEFAULT_PACKET_SIZE};
+use crate::packet::{Packet, PacketOwner};
 use crate::perf::SimPerf;
 use crate::probe::{LinkPoint, ProbeLog, ProbeSpec, ProbeState, Transition, TransitionKind};
 use crate::time::SimTime;
@@ -724,7 +724,6 @@ impl Net {
             )]
             let pkt = l.in_service.take().expect("TxDone with no packet in service");
             l.stats.transmitted += 1;
-            l.stats.bytes += u64::from(DEFAULT_PACKET_SIZE);
             if let Some(next) = l.queue.pop_front() {
                 l.in_service = Some(next);
                 let done = self.now + l.tx_time();
@@ -1016,7 +1015,7 @@ mod tests {
     /// 800–900 ms, sampled by the probe every millisecond. Returns the
     /// link's counters, an FNV-1a digest of the probe's queue depths, and
     /// the largest waiting-buffer capacity seen.
-    fn squeezed_link_run(limit: usize) -> ([u64; 5], u64, usize) {
+    fn squeezed_link_run(limit: usize) -> ([u64; 4], u64, usize) {
         let (mut sim, l) = one_link_sim(12.0, 1, limit);
         sim.add_cbr(CbrSpec::constant(vec![l], 9.6e6));
         let bursty = CbrSpec::constant(vec![l], 6e6)
@@ -1036,7 +1035,7 @@ mod tests {
         let digest = points.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
             (h ^ p.queue_depth as u64).wrapping_mul(0x100_0000_01b3)
         });
-        ([s.offered, s.dropped_queue, s.dropped_down, s.transmitted, s.bytes], digest, cap)
+        ([s.offered, s.dropped_queue, s.dropped_down, s.transmitted], digest, cap)
     }
 
     /// A link holds at most `limit + 1` packets: the one in service, in
@@ -1048,13 +1047,13 @@ mod tests {
     /// and whose counts had matched the model with an uncapped buffer.
     #[test]
     fn link_buffers_stop_at_their_limit_and_count_as_before() {
-        // [offered, dropped_queue, dropped_down, transmitted, bytes] and
-        // the digest of the probed queue depths, per limit.
-        let pinned: [(usize, [u64; 5], u64); 4] = [
-            (0, [1268, 275, 112, 880, 1_320_000], 0x03ea_0f27_0906_b3f4),
-            (1, [1268, 194, 112, 961, 1_441_500], 0xa67f_ef92_8559_2751),
-            (3, [1268, 134, 114, 1019, 1_528_500], 0xe20e_9951_137c_2d9c),
-            (100, [1268, 8, 162, 1093, 1_639_500], 0x4b54_ae64_e097_d606),
+        // [offered, dropped_queue, dropped_down, transmitted] and the
+        // digest of the probed queue depths, per limit.
+        let pinned: [(usize, [u64; 4], u64); 4] = [
+            (0, [1268, 275, 112, 880], 0x03ea_0f27_0906_b3f4),
+            (1, [1268, 194, 112, 961], 0xa67f_ef92_8559_2751),
+            (3, [1268, 134, 114, 1019], 0xe20e_9951_137c_2d9c),
+            (100, [1268, 8, 162, 1093], 0x4b54_ae64_e097_d606),
         ];
         for (limit, counters, digest) in pinned {
             let got = squeezed_link_run(limit);

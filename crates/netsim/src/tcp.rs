@@ -36,7 +36,7 @@
     clippy::cast_possible_wrap
 )]
 
-use crate::scoreboard::{BitRing, BitmapScoreboard, RingPool, MAX_CAP};
+use crate::scoreboard::{BitRing, BitmapScoreboard, MAX_CAP};
 use crate::time::SimTime;
 use mptcp_cc::RtoEstimator;
 use std::collections::VecDeque;
@@ -127,7 +127,7 @@ pub(crate) struct SubflowReceiver {
 impl SubflowReceiver {
     /// Process an arriving data packet; returns the ACK to send:
     /// `(cumulative_ack, is_duplicate, sack_ranges)`.
-    pub fn on_data(&mut self, seq: u64) -> (u64, bool, SackRanges) {
+    pub(crate) fn on_data(&mut self, seq: u64) -> (u64, bool, SackRanges) {
         let dup;
         let next_expected = self.ooo.base();
         if seq == next_expected {
@@ -181,42 +181,31 @@ impl SubflowReceiver {
 
     /// Packets delivered in order so far, which is also the next subflow
     /// sequence number expected in order.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.ooo.base()
     }
 
     /// Whether the receiver already holds `seq` (in order or buffered).
-    pub fn contains(&self, seq: u64) -> bool {
+    pub(crate) fn contains(&self, seq: u64) -> bool {
         seq < self.ooo.base() || self.ooo.contains(seq)
     }
 
     /// Allocation events in the reassembly buffer (ring growth); feeds
     /// [`crate::SimPerf::hot_allocs`].
-    pub fn alloc_events(&self) -> u64 {
+    pub(crate) fn alloc_events(&self) -> u64 {
         self.ooo.alloc_events()
     }
 
     /// Heap bytes of the reassembly ring (see [`crate::MemBytes::rings`]).
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.ooo.heap_bytes()
-    }
-
-    /// Fresh receiver whose reassembly ring draws its storage from
-    /// `pool`.
-    pub fn new_pooled(pool: &mut RingPool) -> Self {
-        Self { ooo: BitRing::pooled(pool) }
     }
 
     /// Reset to the initial state in place: the reassembly ring keeps its
     /// storage and its monotone allocation counter, so a recycled arena
     /// slot starts a new flow without allocating.
-    pub fn reset_for_reuse(&mut self) {
+    pub(crate) fn reset_for_reuse(&mut self) {
         self.ooo.reset_for_reuse();
-    }
-
-    /// Surrender ring storage into `pool`; the husk must not be reused.
-    pub fn gut_into(&mut self, pool: &mut RingPool) {
-        self.ooo.gut_into(pool);
     }
 
     /// Capacity of the reassembly ring, in bits.
@@ -305,7 +294,7 @@ pub(crate) struct SubflowSender {
 /// never hold, permanently disabling slow start — and RFC 5681 §3.1 floors
 /// the post-loss threshold at 2 segments. [`SubflowSender::set_ssthresh`]
 /// clamps here.
-pub const MIN_SSTHRESH_PKTS: f64 = 2.0;
+pub(crate) const MIN_SSTHRESH_PKTS: f64 = 2.0;
 
 /// The retransmission timer of a subflow that has sent nothing yet.
 fn fresh_timer(params: &TcpParams) -> RtoEstimator {
@@ -314,13 +303,7 @@ fn fresh_timer(params: &TcpParams) -> RtoEstimator {
 
 impl SubflowSender {
     /// A fresh sender.
-    pub fn new(params: &TcpParams) -> Self {
-        Self::new_pooled(params, &mut RingPool::default())
-    }
-
-    /// Like [`SubflowSender::new`], with scoreboard ring storage drawn
-    /// from `pool`.
-    pub fn new_pooled(params: &TcpParams, pool: &mut RingPool) -> Self {
+    pub(crate) fn new(params: &TcpParams) -> Self {
         Self {
             cwnd: INITIAL_CWND,
             ssthresh: INITIAL_SSTHRESH,
@@ -333,7 +316,7 @@ impl SubflowSender {
             rto_armed: false,
             recovery_point: 0,
             meta: VecDeque::new(),
-            board: BitmapScoreboard::new(pool),
+            board: BitmapScoreboard::new(),
             meta_allocs: 0,
             stats: SenderCounters::default(),
         }
@@ -345,7 +328,7 @@ impl SubflowSender {
     /// new flow in a recycled arena slot is allocation-free; the monotone
     /// allocation counters (`meta_allocs`, scoreboard growth) keep
     /// counting across flows. Per-flow stats reset to zero.
-    pub fn reset_for_reuse(&mut self, params: &TcpParams) {
+    pub(crate) fn reset_for_reuse(&mut self, params: &TcpParams) {
         self.cwnd = INITIAL_CWND;
         self.ssthresh = INITIAL_SSTHRESH;
         self.next_seq = 0;
@@ -361,20 +344,11 @@ impl SubflowSender {
         self.stats = SenderCounters::default();
     }
 
-    /// Surrender scoreboard storage into `pool`; the husk must not send
-    /// again (the containing arena slot is being tombstoned).
-    pub fn gut_into(&mut self, pool: &mut RingPool) {
-        self.meta = VecDeque::new();
-        self.next_seq = 0;
-        self.una = 0;
-        self.board.gut_into(pool);
-    }
-
     /// RFC 6675-style pipe: packets believed to be in the network.
     /// Everything sent and unacked, minus what the receiver holds (sacked)
     /// and what the scoreboard wrote off as lost; retransmissions put their
     /// sequence back in the pipe by moving it out of `lost`.
-    pub fn pipe(&self) -> f64 {
+    pub(crate) fn pipe(&self) -> f64 {
         let outstanding = self.next_seq - self.una;
         (outstanding - self.board.sacked_len() - self.board.lost_len()) as f64
     }
@@ -383,7 +357,7 @@ impl SubflowSender {
     /// always retransmitted first; see [`SubflowSender::next_retransmit`]).
     /// The flight is also bounded at [`MAX_CAP`] packets, the span the
     /// scoreboard rings can represent.
-    pub fn can_send_new(&self) -> bool {
+    pub(crate) fn can_send_new(&self) -> bool {
         self.board.lost_is_empty()
             && self.pipe() + 1.0 <= self.cwnd + 1e-9
             && self.next_seq - self.una < MAX_CAP
@@ -391,7 +365,7 @@ impl SubflowSender {
 
     /// The next lost sequence to retransmit, if the window allows it.
     /// Moves the sequence into the retransmitted set.
-    pub fn next_retransmit(&mut self) -> Option<u64> {
+    pub(crate) fn next_retransmit(&mut self) -> Option<u64> {
         if self.pipe() + 1.0 > self.cwnd + 1e-9 {
             return None;
         }
@@ -402,7 +376,7 @@ impl SubflowSender {
     /// connection-level data sequence `dsn`, was sent at `now`; returns
     /// the sequence number used and whether this send armed the
     /// retransmission timer (so the caller can schedule the event).
-    pub fn on_send_new(&mut self, now: SimTime, dsn: u64) -> (u64, bool) {
+    pub(crate) fn on_send_new(&mut self, now: SimTime, dsn: u64) -> (u64, bool) {
         let seq = self.next_seq;
         self.next_seq += 1;
         debug_assert_eq!(self.una + self.meta.len() as u64, seq);
@@ -420,7 +394,7 @@ impl SubflowSender {
     /// The data sequence number carried by outstanding packet `seq`
     /// (`None` once the packet is cumulatively acknowledged or for
     /// never-sent sequences).
-    pub fn dsn_of(&self, seq: u64) -> Option<u64> {
+    pub(crate) fn dsn_of(&self, seq: u64) -> Option<u64> {
         let idx = usize::try_from(seq.checked_sub(self.una)?).ok()?;
         self.meta.get(idx).map(|m| m.dsn())
     }
@@ -430,7 +404,7 @@ impl SubflowSender {
     /// reinjection when the subflow is declared potentially failed. Takes
     /// caller-owned scratch (cleared first) so the rare failure transition
     /// stays allocation-free once the scratch has warmed up.
-    pub fn stranded(&self, out: &mut Vec<(u64, u64)>) {
+    pub(crate) fn stranded(&self, out: &mut Vec<(u64, u64)>) {
         out.clear();
         for s in self.una..self.next_seq {
             if self.board.sacked_contains(s) {
@@ -447,7 +421,7 @@ impl SubflowSender {
     }
 
     /// Record a retransmission of `seq` at `now` (Karn bookkeeping).
-    pub fn on_retransmit(&mut self, seq: u64, now: SimTime) {
+    pub(crate) fn on_retransmit(&mut self, seq: u64, now: SimTime) {
         self.stats.retransmits += 1;
         if seq >= self.una {
             if let Some(m) =
@@ -468,7 +442,7 @@ impl SubflowSender {
     }
 
     /// Current (clamped) RTO as simulation time.
-    pub fn rto_interval(&self) -> SimTime {
+    pub(crate) fn rto_interval(&self) -> SimTime {
         SimTime::from_secs_f64(self.timer.rto())
     }
 
@@ -478,7 +452,7 @@ impl SubflowSender {
     /// (cumulatively or via SACK) is appended to `newly_acked_dsns`, so
     /// the connection layer can keep exactly-once data-level accounting
     /// across subflows and reinjections.
-    pub fn on_ack(
+    pub(crate) fn on_ack(
         &mut self,
         cum: u64,
         sacks: &SackRanges,
@@ -589,7 +563,7 @@ impl SubflowSender {
     /// Handle an RTO firing (the caller verified generation freshness).
     /// Returns whether anything was outstanding (i.e. the timeout is real);
     /// the caller then applies the decrease and pumps retransmissions.
-    pub fn on_rto(&mut self, floor: f64) -> bool {
+    pub(crate) fn on_rto(&mut self, floor: f64) -> bool {
         if self.una >= self.next_seq {
             self.disarm_rto();
             return false;
@@ -612,7 +586,7 @@ impl SubflowSender {
 
     /// Set the slow-start threshold after a loss event (the congestion
     /// controller decides the level; the subflow just records it).
-    pub fn set_ssthresh(&mut self, ssthresh: f64) {
+    pub(crate) fn set_ssthresh(&mut self, ssthresh: f64) {
         // NaN-safe: `f64::max` propagates the floor, not the NaN.
         self.ssthresh = ssthresh.max(MIN_SSTHRESH_PKTS);
     }
@@ -620,36 +594,36 @@ impl SubflowSender {
     /// Whether congestion-window growth applies right now: always outside
     /// recovery, and during RTO recovery (which slow-starts back); frozen
     /// during fast recovery.
-    pub fn growth_allowed(&self) -> bool {
+    pub(crate) fn growth_allowed(&self) -> bool {
         !self.in_recovery || self.rto_recovery
     }
 
     /// True while in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
     /// Grow the window by `amount` packets (already computed by the caller
     /// from the slow-start rule or the coupled algorithm).
-    pub fn grow(&mut self, amount: f64) {
+    pub(crate) fn grow(&mut self, amount: f64) {
         self.cwnd += amount;
     }
 
     /// Shrink the window to `level` (a loss decrease), honoring `floor`.
-    pub fn shrink_to(&mut self, level: f64, floor: f64) {
+    pub(crate) fn shrink_to(&mut self, level: f64, floor: f64) {
         self.cwnd = level.max(floor);
         self.set_ssthresh(self.cwnd);
     }
 
     /// Allocation events since creation: send-metadata growth plus
     /// scoreboard growth/spills. Feeds [`crate::SimPerf::hot_allocs`].
-    pub fn alloc_events(&self) -> u64 {
+    pub(crate) fn alloc_events(&self) -> u64 {
         self.meta_allocs + self.board.alloc_events()
     }
 
     /// Heap bytes held: `(scoreboard rings, send metadata)` (see
     /// [`crate::MemBytes`]).
-    pub fn heap_bytes(&self) -> (u64, u64) {
+    pub(crate) fn heap_bytes(&self) -> (u64, u64) {
         (self.board.heap_bytes(), crate::mem::deque_bytes(&self.meta))
     }
 
@@ -662,7 +636,7 @@ impl SubflowSender {
 
     /// All data handed to this subflow has been acknowledged.
     #[cfg(test)]
-    pub fn fully_acked(&self) -> bool {
+    pub(crate) fn fully_acked(&self) -> bool {
         self.una == self.next_seq
     }
 

@@ -128,7 +128,7 @@ fn key_of(at: SimTime, seq: u64) -> u64 {
 }
 
 impl TimerWheel {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimerWheel {
             slots: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
@@ -144,30 +144,30 @@ impl TimerWheel {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Total events ever scheduled.
-    pub fn scheduled(&self) -> u64 {
+    pub(crate) fn scheduled(&self) -> u64 {
         self.scheduled
     }
 
     /// High-water mark of simultaneously pending events.
-    pub fn peak_pending(&self) -> usize {
+    pub(crate) fn peak_pending(&self) -> usize {
         self.peak_pending
     }
 
     /// Events moved down a level by a cascade so far. Each event descends
     /// at most `LEVELS - 1` times, so this is O(pushes) however the pops
     /// are spaced.
-    pub fn reinserts(&self) -> u64 {
+    pub(crate) fn reinserts(&self) -> u64 {
         self.reinserts
     }
 
     /// Bytes the wheel holds: itself (it lives in a box), its node slab,
     /// drain bucket and overflow list.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         use crate::mem::vec_bytes;
         std::mem::size_of::<Self>() as u64
             + vec_bytes(&self.nodes)
@@ -177,7 +177,7 @@ impl TimerWheel {
 
     /// Schedule `kind` at `at`, after every event already pushed for the
     /// same instant.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
+    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.scheduled;
         assert!(seq >> SEQ_BITS == 0, "event seq {seq} does not fit the drain bucket's key");
         debug_assert!(tick_of(at) >= self.origin, "event scheduled before the wheel cursor");
@@ -206,7 +206,7 @@ impl TimerWheel {
     }
 
     /// Pop the earliest event if it fires at or before `horizon`.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<Event> {
+    pub(crate) fn pop_before(&mut self, horizon: SimTime) -> Option<Event> {
         loop {
             if let Some(&(_, idx)) = self.cur.last() {
                 let Node { at, seq, kind, .. } = self.nodes[idx as usize];
@@ -229,7 +229,7 @@ impl TimerWheel {
     /// the back of the drain bucket exactly, else the first tick of the
     /// first occupied slot of the lowest level (invariant 3), else the
     /// overflow minimum.
-    pub fn earliest_bound(&self) -> Option<SimTime> {
+    pub(crate) fn earliest_bound(&self) -> Option<SimTime> {
         if let Some(&(_, idx)) = self.cur.last() {
             return Some(self.nodes[idx as usize].at);
         }
@@ -325,7 +325,7 @@ impl TimerWheel {
     /// lists, the bucket is sorted by its nodes' keys, and every slab node
     /// is held exactly once — by a slot, the bucket, the overflow list or
     /// the free list — with `len` counting the first three.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         // Each slab node must be reached by exactly one holder.
         let mut holders = vec![0u8; self.nodes.len()];
         let mut in_slots = 0;

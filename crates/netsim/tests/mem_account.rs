@@ -1,10 +1,10 @@
 //! `mem_bytes()` against the allocator, on a scaled churn world: FatTree
 //! K=8 in eight pod shards, 4000 two-subflow flows of 4–20 packets (a
 //! burst resident at once, then a trickle that re-tenants what it left),
-//! with budgets for a hot slot at the burst's high-water and for a
-//! retired flow. And the steady-state ACK path against the allocator:
-//! once warm, bulk transfer over clean and lossy links makes no
-//! allocation at all.
+//! with budgets for a hot slot at the burst's high-water, for a retired
+//! flow and for the allocator calls the trickle makes. And the
+//! steady-state ACK path against the allocator: once warm, bulk transfer
+//! over clean and lossy links makes no allocation at all.
 //!
 //! This file is its own crate, so its counting allocator does not touch
 //! the library's `#![forbid(unsafe_code)]`. The count is per thread: the
@@ -224,6 +224,29 @@ fn a_resident_hot_slot_holds_its_budget_at_the_burst_high_water() {
     let per_slot = (m.hot + m.rings + m.sent_meta) / sim.arena_hot_slots() as u64;
     assert!(per_slot <= HOT_SLOT_BYTES, "a hot slot holds {per_slot} bytes: {m:?}");
 }
+
+/// The trickle re-tenants the windows the burst left behind: every
+/// trickle flow reuses one, and the real allocator calls it makes —
+/// connection records, event-queue and link-queue growth — stay within
+/// budget. A recycler that appends fresh slots instead, or that moves
+/// ring storage between windows, makes several ring and metadata
+/// allocations per flow and fails this.
+#[test]
+fn the_trickle_reuses_windows_within_its_allocation_budget() {
+    let (mut sim, _sizes) = churn_world();
+    sim.run_until(SimTime(SimTime::from_millis(200).as_nanos() - 1));
+    let (before, reuses) = (calls(), sim.arena_hot_reuses());
+    sim.run_until(SimTime::from_millis(600));
+    let (allocs, reused) = (calls() - before, sim.arena_hot_reuses() - reuses);
+    assert_eq!(reused, TRICKLE as u64, "every trickle flow re-tenants a window");
+    assert!(
+        allocs <= TRICKLE_ALLOC_CALLS,
+        "the trickle's {TRICKLE} flows made {allocs} allocation calls"
+    );
+}
+
+/// Allocation calls the trickle makes: 364 measured, plus 10%.
+const TRICKLE_ALLOC_CALLS: u64 = 400;
 
 /// Bytes a retired flow of this world holds: 455 measured, plus 10%.
 const RETIRED_FLOW_BYTES: u64 = 501;
