@@ -117,8 +117,8 @@ fn run_one(sc: &Scenario, workers: usize) -> Digest {
 }
 
 fn digest(label: String, sim: &Simulator, conns: &[usize]) -> Digest {
-    // `events_processed() == perf().events_fired`, so serial and sharded
-    // digests share one constructor.
+    // Serial and sharded digests share one constructor: both fold
+    // `perf()`.
     let stats: Vec<_> = conns.iter().map(|&c| sim.connection_stats(c)).collect();
     digest_parts(label, stats, sim.perf())
 }

@@ -21,7 +21,7 @@
 
 use crate::arena::{ColdSubflow, FlowArena, NEVER, NOT_RESIDENT};
 use crate::event::{AckInfo, EventKind};
-use crate::link::{LinkId, LinkSpec};
+use crate::link::{Link, LinkId};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
 use crate::packet::{Packet, PacketOwner, DEFAULT_PACKET_SIZE};
 use crate::probe::{CcPhase, ProbeState, SubflowPoint, TransitionKind};
@@ -158,12 +158,16 @@ impl ConnectionSpec {
     }
 
     /// One [`SubflowTiming`] per subflow, computed against a link table of
-    /// `n_links` links whose specs `link` returns.
+    /// `n_links` links, which `link` looks up.
     ///
     /// # Panics
     /// Panics if the spec has no subflows, a subflow has an empty path, or
     /// a path names a link outside the table.
-    pub(crate) fn timings(&self, n_links: usize, link: impl Fn(LinkId) -> LinkSpec) -> Vec<SubflowTiming> {
+    pub(crate) fn timings<'a>(
+        &self,
+        n_links: usize,
+        link: impl Fn(LinkId) -> &'a Link,
+    ) -> Vec<SubflowTiming> {
         assert!(!self.subflows.is_empty(), "connection needs at least one subflow");
         self.subflows
             .iter()
@@ -173,11 +177,11 @@ impl ConnectionSpec {
                 let mut residence = SimTime::ZERO;
                 for &l in &sf.path {
                     assert!(l < n_links, "unknown link {l}");
-                    let spec = link(l);
-                    fwd += spec.delay;
-                    let drain = spec.tx_time().as_nanos();
-                    residence += spec.delay
-                        + SimTime(drain.saturating_mul(spec.queue_pkts as u64 + 1));
+                    let hop = link(l);
+                    fwd += hop.delay;
+                    let drain = hop.tx_time().as_nanos();
+                    residence += hop.delay
+                        + SimTime(drain.saturating_mul(u64::from(hop.queue_pkts) + 1));
                 }
                 SubflowTiming { ack_delay: fwd, straggler: residence + fwd }
             })
@@ -274,72 +278,18 @@ struct PathSignals {
     subflows_closed: u64,
 }
 
-/// One subflow's statistics, frozen when its flow retires: the live
-/// [`SubflowStats`] minus what the cold row keeps (`sent_pkts`, `backup`,
-/// `closed`), which nothing changes once the flow has retired.
-#[derive(Debug, Clone, Copy)]
-struct FrozenSubflow {
-    delivered_pkts: u64,
-    retransmits: u64,
-    timeouts: u64,
-    fast_recoveries: u64,
-    cwnd: f64,
-    ssthresh: f64,
-    srtt: f64,
-    rto: f64,
-    in_flight: f64,
-    rto_backoffs: u32,
-    potentially_failed: bool,
-}
-
-impl FrozenSubflow {
-    fn freeze(st: &SubflowStats) -> Self {
-        Self {
-            delivered_pkts: st.delivered_pkts,
-            retransmits: st.retransmits,
-            timeouts: st.timeouts,
-            fast_recoveries: st.fast_recoveries,
-            cwnd: st.cwnd,
-            ssthresh: st.ssthresh,
-            srtt: st.srtt,
-            rto: st.rto,
-            in_flight: st.in_flight,
-            rto_backoffs: st.rto_backoffs,
-            potentially_failed: st.potentially_failed,
-        }
-    }
-
-    /// The [`SubflowStats`] this record and its cold row describe.
-    fn thaw(&self, cold: &ColdSubflow) -> SubflowStats {
-        SubflowStats {
-            delivered_pkts: self.delivered_pkts,
-            sent_pkts: cold.sent_pkts,
-            retransmits: self.retransmits,
-            timeouts: self.timeouts,
-            fast_recoveries: self.fast_recoveries,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            srtt: self.srtt,
-            rto: self.rto,
-            in_flight: self.in_flight,
-            rto_backoffs: self.rto_backoffs,
-            potentially_failed: self.potentially_failed,
-            backup: cold.backup,
-            closed: cold.closed,
-        }
-    }
-}
-
 /// Records per [`FrozenStats`] chunk.
 const FROZEN_CHUNK: usize = 512;
 
-/// Every retired flow's [`FrozenSubflow`] records, in retirement order.
+/// Every retired flow's [`SubflowStats`], in retirement order: `backup`
+/// and `closed` cannot change once a flow has retired, because
+/// [`Conns::flow`] refuses it, so each record is complete.
 /// Storage grows by whole chunks, so growth never copies a record and
 /// never leaves a freed buffer behind; a flow that has not retired holds
 /// nothing here.
 #[derive(Debug, Default)]
 struct FrozenStats {
-    chunks: Vec<Vec<FrozenSubflow>>,
+    chunks: Vec<Vec<SubflowStats>>,
 }
 
 impl FrozenStats {
@@ -348,7 +298,7 @@ impl FrozenStats {
         self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * FROZEN_CHUNK + last.len())
     }
 
-    fn push(&mut self, record: FrozenSubflow) {
+    fn push(&mut self, record: SubflowStats) {
         match self.chunks.last_mut() {
             Some(last) if last.len() < FROZEN_CHUNK => last.push(record),
             _ => {
@@ -359,7 +309,7 @@ impl FrozenStats {
         }
     }
 
-    fn get(&self, i: usize) -> &FrozenSubflow {
+    fn get(&self, i: usize) -> &SubflowStats {
         &self.chunks[i / FROZEN_CHUNK][i % FROZEN_CHUNK]
     }
 
@@ -510,7 +460,7 @@ fn snapshot_of(tx: &SubflowSender, cold: &ColdSubflow) -> SubflowSnapshot {
 fn subflow_stats(tx: &SubflowSender, rx: &SubflowReceiver, cold: &ColdSubflow) -> SubflowStats {
     SubflowStats {
         delivered_pkts: rx.delivered(),
-        sent_pkts: cold.sent_pkts,
+        sent_pkts: tx.next_seq,
         retransmits: tx.stats.retransmits,
         timeouts: tx.stats.timeouts,
         fast_recoveries: tx.stats.fast_recoveries,
@@ -672,9 +622,16 @@ impl Conns {
         f
     }
 
+    /// # Panics
+    /// Panics unless connection `conn` has a subflow `sub`.
+    pub(crate) fn assert_subflow(&self, conn: ConnId, sub: usize) {
+        assert!(conn < self.conns.len(), "unknown connection {conn}");
+        assert!(sub < self.conns[conn].subs().len(), "unknown subflow {sub} of connection {conn}");
+    }
+
     /// The flow an address signal for subflow `sub` of `conn` acts on.
     fn admin_flow(&mut self, conn: ConnId, sub: usize) -> Option<Flow<'_>> {
-        assert!(sub < self.conns[conn].subs().len(), "unknown subflow {sub}");
+        self.assert_subflow(conn, sub);
         self.flow(conn)
     }
 
@@ -703,12 +660,8 @@ impl Conns {
         let mut worst_straggler = SimTime::ZERO;
         for (sf, t) in spec.subflows.into_iter().zip(delays) {
             worst_straggler = worst_straggler.max(t.straggler);
-            self.flows.cold.push(ColdSubflow {
-                ack_delay: t.ack_delay,
-                sent_pkts: 0,
-                backup: sf.backup,
-                closed: false,
-            });
+            let (ack_delay, backup) = (t.ack_delay, sf.backup);
+            self.flows.cold.push(ColdSubflow { ack_delay, backup, closed: false });
         }
         // Flow lifecycle: hot state materializes at start (ConnStart) so
         // slots freed by earlier retirements can be recycled; otherwise
@@ -826,9 +779,9 @@ impl Conns {
         debug_assert!(c.finished(), "retire scheduled only at finish");
         let hots = c.hots();
         c.frozen = crate::cast::slab_u32(self.frozen.len());
+        let FlowArena { tx, rx, cold, .. } = &self.flows;
         for (h, s) in hots.clone().zip(c.subs()) {
-            let st = subflow_stats(&self.flows.tx[h], &self.flows.rx[h], &self.flows.cold[s]);
-            self.frozen.push(FrozenSubflow::freeze(&st));
+            self.frozen.push(subflow_stats(&tx[h], &rx[h], &cold[s]));
         }
         // The window's warmed envelope: the *smallest* per-lane send-
         // metadata capacity, so the class promises what every lane holds.
@@ -1007,10 +960,7 @@ impl Simulator {
         let c = &conns[conn];
         let subflows: Vec<SubflowStats> = if c.retired() {
             let first = c.frozen as usize;
-            c.subs()
-                .enumerate()
-                .map(|(i, s)| frozen.get(first + i).thaw(&flows.cold[s]))
-                .collect()
+            (first..first + c.subs().len()).map(|i| *frozen.get(i)).collect()
         } else if c.resident() {
             c.hots()
                 .zip(c.subs())
@@ -1322,7 +1272,6 @@ impl Flow<'_> {
 
     /// Hand subflow `sub` data sequence number `dsn` as new data.
     fn send_new(&mut self, net: &mut Net, sub: usize, dsn: u64) {
-        self.cold[sub].sent_pkts += 1;
         let (seq, newly_armed) = self.tx[sub].on_send_new(net.now(), dsn);
         if newly_armed {
             self.schedule_rto(net, sub);
@@ -1466,6 +1415,7 @@ impl Flow<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::link::LinkSpec;
     use mptcp_cc::DetDigest;
 
     /// The connection's live EWTCP increase rule on path 0, together with
@@ -1784,11 +1734,10 @@ mod tests {
     }
 
     /// A retired flow reports, field by field, the [`SubflowStats`] it
-    /// reported live just before `ConnRetire`: the frozen record and the
-    /// cold row rebuild every field. The flow retransmits on a lossy
-    /// primary, times out through that primary's outage, fails over to its
-    /// backup subflow, and loses its third subflow's address. Serial and
-    /// sharded engines.
+    /// reported live just before `ConnRetire`: the frozen record keeps
+    /// every field. The flow retransmits on a lossy primary, times out
+    /// through that primary's outage, fails over to its backup subflow,
+    /// and loses its third subflow's address. Serial and sharded engines.
     #[test]
     fn frozen_stats_equal_the_live_stats_before_retirement() {
         const SIZE: u64 = 600;
@@ -1821,7 +1770,7 @@ mod tests {
         };
         let faults = |l: [LinkId; 3], conn: ConnId| {
             FaultPlan::new()
-                .addr_remove(SimTime::from_millis(300), l[2], conn, 2)
+                .addr_remove(SimTime::from_millis(300), conn, 2)
                 .outage(l[0], SimTime::from_millis(500), SimTime::from_millis(2500))
         };
 

@@ -459,7 +459,7 @@ mod tests {
             ("SubflowReceiver", size_of::<crate::tcp::SubflowReceiver>(), 48),
             ("BitRing", size_of::<crate::scoreboard::BitRing>(), 48),
             ("Connection", size_of::<crate::conn::Connection>(), 128),
-            ("ColdSubflow", size_of::<crate::arena::ColdSubflow>(), 24),
+            ("ColdSubflow", size_of::<crate::arena::ColdSubflow>(), 16),
             ("Link", size_of::<crate::link::Link>(), 144),
         ] {
             assert!(size <= bound, "{name} grew to {size} bytes (bound {bound})");

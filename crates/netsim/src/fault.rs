@@ -163,11 +163,6 @@ pub enum FaultAction {
     /// subflows. The link stays untouched — this models the *endpoint*
     /// withdrawing the path, not the path failing.
     AddrRemove {
-        /// First link of the target subflow's path. Not mutated; carried
-        /// so the action can be validated and routed to the shard that
-        /// owns the connection (a connection's subflows all leave from
-        /// their first link's shard).
-        link: LinkId,
         /// Target connection.
         conn: ConnId,
         /// Subflow index within the connection.
@@ -176,9 +171,6 @@ pub enum FaultAction {
     /// (Re)advertise an address (`ADD_ADDR`-style signaling): reopen
     /// subflow `sub` of connection `conn` so it may carry traffic again.
     AddrAdd {
-        /// First link of the target subflow's path (see
-        /// [`FaultAction::AddrRemove`]).
-        link: LinkId,
         /// Target connection.
         conn: ConnId,
         /// Subflow index within the connection.
@@ -186,9 +178,18 @@ pub enum FaultAction {
     },
 }
 
+/// What a [`FaultAction`] acts on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Target {
+    /// A link.
+    Link(LinkId),
+    /// Subflow `.1` of connection `.0`: an address signal.
+    Subflow(ConnId, usize),
+}
+
 impl FaultAction {
-    /// The link this action targets.
-    pub fn link(&self) -> LinkId {
+    /// The link or the subflow this action acts on.
+    pub(crate) fn target(&self) -> Target {
         match *self {
             FaultAction::Down { link }
             | FaultAction::Up { link }
@@ -198,28 +199,29 @@ impl FaultAction {
             | FaultAction::SetLoss { link, .. }
             | FaultAction::ShrinkQueue { link, .. }
             | FaultAction::RestoreQueue { link }
-            | FaultAction::GilbertElliott { link, .. }
-            | FaultAction::AddrRemove { link, .. }
-            | FaultAction::AddrAdd { link, .. } => link,
+            | FaultAction::GilbertElliott { link, .. } => Target::Link(link),
+            FaultAction::AddrRemove { conn, sub } | FaultAction::AddrAdd { conn, sub } => {
+                Target::Subflow(conn, sub)
+            }
         }
     }
 
-    /// The same action retargeted at `link` — used by the sharded
-    /// simulator to translate world-level link ids into shard-local ones
-    /// when splitting a plan across shards.
-    pub(crate) fn with_link(mut self, link: LinkId) -> FaultAction {
+    /// The same action with its link, or an address signal's connection,
+    /// renumbered to `id` — used by the sharded simulator to translate
+    /// world-level ids into the ids of the shard an action is installed in.
+    pub(crate) fn with_target_id(mut self, id: usize) -> FaultAction {
         match &mut self {
-            FaultAction::Down { link: l }
-            | FaultAction::Up { link: l }
-            | FaultAction::SetRate { link: l, .. }
-            | FaultAction::Brownout { link: l, .. }
-            | FaultAction::RestoreRate { link: l }
-            | FaultAction::SetLoss { link: l, .. }
-            | FaultAction::ShrinkQueue { link: l, .. }
-            | FaultAction::RestoreQueue { link: l }
-            | FaultAction::GilbertElliott { link: l, .. }
-            | FaultAction::AddrRemove { link: l, .. }
-            | FaultAction::AddrAdd { link: l, .. } => *l = link,
+            FaultAction::Down { link: t }
+            | FaultAction::Up { link: t }
+            | FaultAction::SetRate { link: t, .. }
+            | FaultAction::Brownout { link: t, .. }
+            | FaultAction::RestoreRate { link: t }
+            | FaultAction::SetLoss { link: t, .. }
+            | FaultAction::ShrinkQueue { link: t, .. }
+            | FaultAction::RestoreQueue { link: t }
+            | FaultAction::GilbertElliott { link: t, .. }
+            | FaultAction::AddrRemove { conn: t, .. }
+            | FaultAction::AddrAdd { conn: t, .. } => *t = id,
         }
         self
     }
@@ -323,15 +325,13 @@ impl FaultPlan {
     }
 
     /// Withdraw subflow `sub` of `conn` at `at` (`REMOVE_ADDR`-style).
-    /// `link` must be the first link of the subflow's path.
-    pub fn addr_remove(self, at: SimTime, link: LinkId, conn: ConnId, sub: usize) -> Self {
-        self.at(at, FaultAction::AddrRemove { link, conn, sub })
+    pub fn addr_remove(self, at: SimTime, conn: ConnId, sub: usize) -> Self {
+        self.at(at, FaultAction::AddrRemove { conn, sub })
     }
 
     /// (Re)advertise subflow `sub` of `conn` at `at` (`ADD_ADDR`-style).
-    /// `link` must be the first link of the subflow's path.
-    pub fn addr_add(self, at: SimTime, link: LinkId, conn: ConnId, sub: usize) -> Self {
-        self.at(at, FaultAction::AddrAdd { link, conn, sub })
+    pub fn addr_add(self, at: SimTime, conn: ConnId, sub: usize) -> Self {
+        self.at(at, FaultAction::AddrAdd { conn, sub })
     }
 
     /// Concatenate another plan's actions onto this one.

@@ -26,7 +26,7 @@
 //!   probe is enabled; the stall watchdog is unaffected (ticks do not count
 //!   as progress). Disable the probe before relying on quiesce detection.
 
-use crate::link::LinkId;
+use crate::link::{LinkId, LinkStats};
 use crate::sim::ConnId;
 use crate::time::SimTime;
 
@@ -120,8 +120,8 @@ pub struct SubflowPoint {
     pub phase: CcPhase,
 }
 
-/// One periodic sample of one link's state. The drop counters are
-/// cumulative (diff successive points for per-interval rates).
+/// One periodic sample of one link's state. The counters are cumulative
+/// (diff successive points for per-interval rates).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkPoint {
     /// Sample time.
@@ -130,16 +130,8 @@ pub struct LinkPoint {
     pub link: LinkId,
     /// Packets waiting or in service on the link right now.
     pub queue_depth: usize,
-    /// Cumulative packets offered to the link.
-    pub offered: u64,
-    /// Cumulative drop-tail (queue overflow) drops.
-    pub dropped_queue: u64,
-    /// Cumulative random (Bernoulli / Gilbert–Elliott) drops.
-    pub dropped_random: u64,
-    /// Cumulative drops while the link was administratively down.
-    pub dropped_down: u64,
-    /// Cumulative packets fully serialized.
-    pub transmitted: u64,
+    /// The link's counters at the sample time.
+    pub stats: LinkStats,
 }
 
 /// A congestion-control state transition, recorded at the event that caused

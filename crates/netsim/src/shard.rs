@@ -41,8 +41,8 @@
 //! `shard_determinism` proptest.
 
 use crate::conn::{ConnectionSpec, SubflowSpec};
-use crate::fault::FaultPlan;
-use crate::link::{LinkId, LinkSpec, LinkStats};
+use crate::fault::{FaultPlan, Target};
+use crate::link::{Link, LinkId, LinkSpec, LinkStats};
 use crate::mem::{vec_bytes, MemBytes};
 use crate::packet::Packet;
 use crate::perf::SimPerf;
@@ -100,12 +100,20 @@ impl WorldMap {
     /// (or final delivery) in a different shard; the crossing takes hop
     /// `i`'s propagation delay, so the minimum over all such links bounds
     /// how far any cross-shard arrival can lag the event that produced it.
-    fn push_conn(&mut self, subflows: &[SubflowSpec], owner: u32, local: u32, specs: &[LinkSpec]) {
+    /// `delay` reads the propagation delay of a `(shard, local link id)`.
+    fn push_conn(
+        &mut self,
+        subflows: &[SubflowSpec],
+        owner: u32,
+        local: u32,
+        delay: impl Fn((u32, u32)) -> SimTime,
+    ) {
         for path in subflows.iter().map(|sf| &sf.path) {
             for (i, &gl) in path.iter().enumerate() {
                 let next = path.get(i + 1).map_or(owner, |&nl| self.home(nl).0);
-                if self.home(gl).0 != next {
-                    self.lookahead = self.lookahead.min(specs[gl].delay);
+                let here = self.home(gl);
+                if here.0 != next {
+                    self.lookahead = self.lookahead.min(delay(here));
                 }
                 self.hops.push(self.link_home[gl]);
             }
@@ -169,16 +177,14 @@ impl WorldMap {
 /// (conservative lookahead, DESIGN.md §3.2f). The thread count is a pure execution
 /// detail: results are bit-identical for any `jobs`.
 pub struct ShardedSimulator {
+    /// The shards. Every shard's clock reads the world's time: a run
+    /// ends by setting each one to its horizon.
     shards: Vec<Simulator>,
-    /// Per global link id: the spec it was created with (delays feed ACK
-    /// timing and the lookahead computation).
-    link_specs: Vec<LinkSpec>,
     /// Placement, routes and lookahead. Shards hold clones of this `Arc`
     /// from their first run on, so growing the world after a run copies
     /// the map once (`Arc::make_mut`) and the next run hands the copy out.
     map: Arc<WorldMap>,
     jobs: usize,
-    now: SimTime,
     wall_nanos: u64,
     /// Epochs executed over every run so far.
     epochs: u64,
@@ -199,10 +205,8 @@ impl ShardedSimulator {
             .collect();
         Self {
             shards,
-            link_specs: Vec::new(),
             map: Arc::new(WorldMap::new()),
             jobs: 1,
-            now: SimTime::ZERO,
             wall_nanos: 0,
             epochs: 0,
             #[cfg(test)]
@@ -251,14 +255,14 @@ impl ShardedSimulator {
     }
 
     /// Bytes the world holds, by category: every shard's
-    /// [`Simulator::mem_bytes`] plus the world map and link specs, counted
-    /// once however many shards share the map.
+    /// [`Simulator::mem_bytes`] plus the world map, counted once however
+    /// many shards share it.
     pub fn mem_bytes(&self) -> MemBytes {
         let mut m = MemBytes::default();
         for shard in &self.shards {
             m += shard.mem_bytes();
         }
-        m.world_map += self.map.heap_bytes() + vec_bytes(&self.link_specs);
+        m.world_map += self.map.heap_bytes();
         m
     }
 
@@ -271,7 +275,7 @@ impl ShardedSimulator {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.shards[0].now()
     }
 
     /// Epochs executed by every [`Self::run_until`] so far. Epochs in
@@ -289,7 +293,6 @@ impl ShardedSimulator {
         let local = self.shards[shard].add_link(spec);
         let map = Arc::make_mut(&mut self.map);
         map.link_home.push(crate::cast::hop_u32(shard, local));
-        self.link_specs.push(spec);
         map.link_home.len() - 1
     }
 
@@ -302,7 +305,7 @@ impl ShardedSimulator {
     /// has a subflow whose first link lives outside the owner shard (all
     /// subflows of one connection leave from the same host).
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
-        let delays = spec.timings(self.link_specs.len(), |l| self.link_specs[l]);
+        let delays = spec.timings(self.link_count(), |l| self.link(l));
         let owner = self.map.home(spec.subflows[0].path[0]).0;
         for (i, sf) in spec.subflows.iter().enumerate() {
             assert_eq!(
@@ -313,32 +316,42 @@ impl ShardedSimulator {
             );
         }
         let gid = self.map.conn_owner.len();
-        let shard = &mut self.shards[owner as usize];
-        let local = shard.connection_count();
+        let local = self.shards[owner as usize].connection_count();
+        let shards = &self.shards;
         Arc::make_mut(&mut self.map).push_conn(
             &spec.subflows,
             owner,
             crate::cast::slab_u32(local),
-            &self.link_specs,
+            |(shard, link)| shards[shard as usize].link(link as LinkId).delay,
         );
-        let added = shard.admit(spec, gid, &delays);
+        let added = self.shards[owner as usize].admit(spec, gid, &delays);
         debug_assert_eq!(added, local);
         gid
     }
 
-    /// Install a fault plan given in world-level link ids: each action is
-    /// translated and installed into the shard owning its link, where it
-    /// becomes an ordinary deterministic event.
+    /// Install a fault plan given in world-level ids: each action is
+    /// translated and installed into the shard owning its link, or, for an
+    /// address signal, its connection, where it becomes an ordinary
+    /// deterministic event.
     ///
     /// # Panics
-    /// Panics if any action references an unknown link.
+    /// Panics if any action names an unknown link, connection or subflow.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         let mut per_shard: Vec<FaultPlan> = vec![FaultPlan::new(); self.shards.len()];
         for &(at, action) in plan.actions() {
-            let gl = action.link();
-            assert!(gl < self.link_count(), "unknown link {gl}");
-            let (shard, local) = self.map.home(gl);
-            per_shard[shard as usize].push(at, action.with_link(local as LinkId));
+            let (shard, local) = match action.target() {
+                Target::Link(link) => {
+                    assert!(link < self.link_count(), "unknown link {link}");
+                    self.map.home(link)
+                }
+                Target::Subflow(conn, sub) => {
+                    assert!(conn < self.connection_count(), "unknown connection {conn}");
+                    let known = sub < self.map.gsub(conn + 1, 0) - self.map.gsub(conn, 0);
+                    assert!(known, "unknown subflow {sub} of connection {conn}");
+                    (self.map.owner_of(conn), self.map.conn_local[conn])
+                }
+            };
+            per_shard[shard as usize].push(at, action.with_target_id(local as usize));
         }
         for (shard, plan) in self.shards.iter_mut().zip(&per_shard) {
             if !plan.is_empty() {
@@ -347,16 +360,20 @@ impl ShardedSimulator {
         }
     }
 
+    /// The record of a link (world-level id) in the shard that owns it.
+    fn link(&self, link: LinkId) -> &Link {
+        let (shard, local) = self.map.home(link);
+        self.shards[shard as usize].link(local as LinkId)
+    }
+
     /// A link's accumulated counters (world-level id).
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        let (shard, local) = self.map.home(link);
-        self.shards[shard as usize].link_stats(local as LinkId)
+        self.link(link).stats
     }
 
     /// A link's current spec (world-level id).
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        let (shard, local) = self.map.home(link);
-        self.shards[shard as usize].link_spec(local as LinkId)
+        self.link(link).spec()
     }
 
     /// Number of links in the world.
@@ -387,7 +404,7 @@ impl ShardedSimulator {
     /// facilities and stay `None` here.
     pub fn perf(&self) -> SimPerf {
         let mut merged = SimPerf {
-            sim_elapsed: self.now,
+            sim_elapsed: self.now(),
             wall: std::time::Duration::from_nanos(self.wall_nanos),
             ..SimPerf::default()
         };
@@ -427,7 +444,7 @@ impl ShardedSimulator {
     /// exactly `horizon`; the run ends early only if every shard's queue
     /// drains.
     pub fn run_until(&mut self, horizon: SimTime) {
-        assert!(horizon >= self.now, "time cannot run backwards");
+        assert!(horizon >= self.now(), "time cannot run backwards");
         let started = crate::perf::wall_clock();
         let n = self.shards.len();
         // Every outbox was emptied by the last drain of the previous run.
@@ -441,7 +458,7 @@ impl ShardedSimulator {
         let chunk = n.div_ceil(self.jobs.min(n));
         let workers = n.div_ceil(chunk);
         let run = EpochLoop {
-            start: self.now.0,
+            start: self.now().0,
             lookahead: self.map.lookahead.0.max(1),
             // Exclusive end of the run: `run_until(h)` processes events at
             // exactly `h`, matching the single-simulator contract.
@@ -464,7 +481,6 @@ impl ShardedSimulator {
         for shard in &mut self.shards {
             shard.finish_epochs_at(horizon);
         }
-        self.now = horizon;
         self.wall_nanos += started.elapsed().as_nanos() as u64;
     }
 }

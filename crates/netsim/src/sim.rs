@@ -26,7 +26,7 @@ use crate::cast;
 use crate::cbr::{CbrId, CbrSource, CbrSpec};
 use crate::conn::{ConnectionSpec, Conns, SubflowTiming};
 use crate::event::{Event, EventKind};
-use crate::fault::{FaultAction, FaultPlan};
+use crate::fault::{FaultAction, FaultPlan, Target};
 use crate::link::{GeState, Link, LinkId, LinkPath, LinkSpec, LinkStats};
 use crate::mem::{deque_bytes, vec_bytes, MemBytes};
 use crate::packet::{Packet, PacketOwner};
@@ -171,11 +171,6 @@ impl Simulator {
         self.net.now
     }
 
-    /// Total events processed so far (a cheap progress/perf metric).
-    pub fn events_processed(&self) -> u64 {
-        self.net.events_processed
-    }
-
     /// Snapshot of the event core's performance counters.
     pub fn perf(&self) -> SimPerf {
         let net = &self.net;
@@ -217,7 +212,7 @@ impl Simulator {
     /// subflows, 255 hops.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> ConnId {
         let net = &mut self.net;
-        let delays = spec.timings(net.links.len(), |l| net.links[l].spec());
+        let delays = spec.timings(net.links.len(), |l| &net.links[l]);
         net.route_base.push(cast::slab_u32(net.routes.len()));
         net.routes.extend(spec.subflows.iter().map(|sf| LinkPath::from(&sf.path[..])));
         let gid = self.connection_count();
@@ -272,11 +267,14 @@ impl Simulator {
     /// incrementally; actions from all installed plans coexist.
     ///
     /// # Panics
-    /// Panics if any action references an unknown link.
+    /// Panics if any action names an unknown link, connection or subflow.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         let net = &mut self.net;
         for &(at, action) in plan.actions() {
-            assert!(action.link() < net.links.len(), "unknown link {}", action.link());
+            match action.target() {
+                Target::Link(link) => assert!(link < net.links.len(), "unknown link {link}"),
+                Target::Subflow(conn, sub) => self.conns.assert_subflow(conn, sub),
+            }
             let idx = net.fault_actions.len();
             net.fault_actions.push(action);
             net.queue.push(at.max(net.now), EventKind::Fault { idx: cast::slab_u32(idx) });
@@ -359,14 +357,19 @@ impl Simulator {
     // Measurement
     // ------------------------------------------------------------------
 
+    /// A link's record.
+    pub(crate) fn link(&self, link: LinkId) -> &Link {
+        &self.net.links[link]
+    }
+
     /// A link's accumulated counters.
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        self.net.links[link].stats
+        self.link(link).stats
     }
 
     /// A link's current spec (rate/delay/queue/loss).
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.net.links[link].spec()
+        self.link(link).spec()
     }
 
     /// Number of links in the world.
@@ -469,11 +472,7 @@ impl Simulator {
                 at,
                 link,
                 queue_depth: l.queue.len() + usize::from(l.in_service.is_some()),
-                offered: l.stats.offered,
-                dropped_queue: l.stats.dropped_queue,
-                dropped_random: l.stats.dropped_random,
-                dropped_down: l.stats.dropped_down,
-                transmitted: l.stats.transmitted,
+                stats: l.stats,
             });
         }
         let next = at + probe.spec.interval;
@@ -536,12 +535,8 @@ impl Simulator {
                 let ge = params.map(|params| GeState { params, bad: false });
                 self.net.links[link].cold().ge = ge;
             }
-            FaultAction::AddrRemove { conn, sub, .. } => {
-                self.admin_close_subflow(self.net.local_conn(conn), sub);
-            }
-            FaultAction::AddrAdd { conn, sub, .. } => {
-                self.admin_open_subflow(self.net.local_conn(conn), sub);
-            }
+            FaultAction::AddrRemove { conn, sub } => self.admin_close_subflow(conn, sub),
+            FaultAction::AddrAdd { conn, sub } => self.admin_open_subflow(conn, sub),
         }
     }
 
@@ -894,7 +889,7 @@ mod tests {
             let l = sim.add_link(LinkSpec::mbps(5.0, SimTime::from_millis(20), 20).with_loss(0.01));
             let c = sim.add_connection(ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]));
             sim.run_until(SimTime::from_secs(10));
-            (sim.connection_stats(c).delivered_pkts(), sim.events_processed())
+            (sim.connection_stats(c).delivered_pkts(), sim.perf().events_fired)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).0, 0);

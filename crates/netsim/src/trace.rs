@@ -53,11 +53,11 @@ impl<W: Write> TraceWriter<W> {
                 json_f64(p.at.as_secs_f64()),
                 p.link,
                 p.queue_depth,
-                p.offered,
-                p.dropped_queue,
-                p.dropped_random,
-                p.dropped_down,
-                p.transmitted,
+                p.stats.offered,
+                p.stats.dropped_queue,
+                p.stats.dropped_random,
+                p.stats.dropped_down,
+                p.stats.transmitted,
             )?;
         }
         for t in &log.transitions {
@@ -88,8 +88,8 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{ProbeSpec, TransitionKind};
-    use crate::{ConnectionSpec, LinkSpec, SimTime, Simulator};
+    use crate::probe::{LinkPoint, ProbeSpec, TransitionKind};
+    use crate::{ConnectionSpec, LinkSpec, LinkStats, SimTime, Simulator};
     use mptcp_cc::AlgorithmKind;
 
     #[test]
@@ -116,8 +116,8 @@ mod tests {
         assert!(max > min + 1.0, "sawtooth should be visible: {min}..{max}");
         // Link series: cumulative counters are monotone, queue bounded.
         for pair in log.link_points.windows(2) {
-            assert!(pair[1].offered >= pair[0].offered);
-            assert!(pair[1].dropped_queue >= pair[0].dropped_queue);
+            assert!(pair[1].stats.offered >= pair[0].stats.offered);
+            assert!(pair[1].stats.dropped_queue >= pair[0].stats.dropped_queue);
         }
         assert!(log.link_points.iter().all(|p| p.queue_depth <= 6));
         // Means are available for the oracle.
@@ -160,6 +160,27 @@ mod tests {
         assert!(sim.probe_log().is_none());
         sim.run_until(SimTime::from_secs(10));
         assert!(sim.disable_probe().is_none(), "no further log accumulates");
+    }
+
+    /// A link sample's line, byte for byte: the field names and their
+    /// order are what plotting scripts read.
+    #[test]
+    fn a_link_sample_writes_its_counters_in_order() {
+        let stats = LinkStats {
+            offered: 15,
+            dropped_queue: 1,
+            dropped_random: 2,
+            dropped_down: 3,
+            transmitted: 4,
+        };
+        let point = LinkPoint { at: SimTime::from_millis(1500), link: 2, queue_depth: 5, stats };
+        let log = ProbeLog { link_points: vec![point], ..ProbeLog::default() };
+        let bytes = TraceWriter::new(Vec::new()).write_log(&log).unwrap();
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            "{\"kind\":\"link\",\"at\":1.5,\"link\":2,\"queue_depth\":5,\"offered\":15,\
+             \"dropped_queue\":1,\"dropped_random\":2,\"dropped_down\":3,\"transmitted\":4}\n"
+        );
     }
 
     #[test]

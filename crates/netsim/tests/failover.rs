@@ -87,8 +87,8 @@ fn addr_remove_then_add_rejoins_the_subflow() {
     );
     sim.install_fault_plan(
         &FaultPlan::new()
-            .addr_remove(SimTime::from_secs(3), l1, conn, 0)
-            .addr_add(SimTime::from_secs(8), l1, conn, 0),
+            .addr_remove(SimTime::from_secs(3), conn, 0)
+            .addr_add(SimTime::from_secs(8), conn, 0),
     );
 
     sim.run_until(SimTime::from_secs(5));
@@ -155,14 +155,14 @@ fn addr_signals_to_a_flow_without_a_hot_window() {
     let (pre, late) = (ms(500), SimTime::from_secs(30));
     sim.install_fault_plan(
         &FaultPlan::new()
-            .addr_remove(pre, l2, a, 1)
-            .addr_add(pre, l1, a, 0)
-            .addr_remove(pre, l2, b, 1)
-            .addr_add(pre, l2, b, 1)
-            .addr_remove(late, l1, a, 0)
-            .addr_add(late, l2, a, 1)
-            .addr_remove(late, l2, b, 1)
-            .addr_add(late, l2, b, 1),
+            .addr_remove(pre, a, 1)
+            .addr_add(pre, a, 0)
+            .addr_remove(pre, b, 1)
+            .addr_add(pre, b, 1)
+            .addr_remove(late, a, 0)
+            .addr_add(late, a, 1)
+            .addr_remove(late, b, 1)
+            .addr_add(late, b, 1),
     );
     sim.run_until(SimTime::from_secs(10));
     let (a_done, b_done) = (sim.connection_stats(a), sim.connection_stats(b));
@@ -210,12 +210,11 @@ fn addr_churn_is_jobs_invariant() {
         let c1 = sim.add_connection(
             ConnectionSpec::sized(AlgorithmKind::Mptcp, 3_000).path(vec![b0, a0]).path(vec![b1, a1]),
         );
-        // Addr actions route to the connection's owner shard via the target
-        // subflow's first link; the outage engages c0's backup.
+        // The outage engages c0's backup.
         sim.install_fault_plan(
             &FaultPlan::new()
-                .addr_remove(SimTime::from_secs(2), b1, c1, 1)
-                .addr_add(SimTime::from_secs(6), b1, c1, 1)
+                .addr_remove(SimTime::from_secs(2), c1, 1)
+                .addr_add(SimTime::from_secs(6), c1, 1)
                 .outage(a0, SimTime::from_secs(3), SimTime::from_secs(9)),
         );
         sim
@@ -238,4 +237,68 @@ fn addr_churn_is_jobs_invariant() {
         std::env::var("MPTCP_SHARD_JOBS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
     let top = top.max(2);
     assert_eq!(d1, run(top).0, "jobs={top} diverged from jobs=1");
+}
+
+/// A withdrawal closes a subflow of the connection it names, whichever
+/// shards that subflow's path crosses. Connection `a` leaves from shard 0
+/// and crosses into shard 1, which owns `b`; each is connection 0 of its
+/// own shard.
+#[test]
+fn a_withdrawal_closes_only_the_named_connections_subflow() {
+    for jobs in [1, 2] {
+        let mut sim = ShardedSimulator::new(29, 2);
+        let a0 = sim.add_link(0, LinkSpec::mbps(10.0, ms(10), 25));
+        let b0 = sim.add_link(1, LinkSpec::mbps(10.0, ms(10), 25));
+        let sized = |path| ConnectionSpec::sized(AlgorithmKind::Mptcp, 2_000).path(path);
+        let a = sim.add_connection(sized(vec![a0, b0]));
+        let b = sim.add_connection(sized(vec![b0, a0]));
+        sim.install_fault_plan(&FaultPlan::new().addr_remove(SimTime::from_secs(1), a, 0));
+        sim.set_jobs(jobs);
+        sim.run_until(SimTime::from_secs(3));
+        let (sa, sb) = (sim.connection_stats(a), sim.connection_stats(b));
+        assert!(sa.subflows[0].closed && sa.subflows_closed == 1, "jobs={jobs}: {sa:?}");
+        assert!(!sb.subflows[0].closed && sb.subflows_closed == 0, "jobs={jobs}: {sb:?}");
+    }
+}
+
+/// Two one-subflow connections on each engine. In the sharded world the
+/// second lives in shard 1, where its local id is 0.
+fn two_connections() -> (Simulator, ShardedSimulator) {
+    let spec = |l| ConnectionSpec::bulk(AlgorithmKind::Mptcp).path(vec![l]);
+    let mut serial = Simulator::new(1);
+    let l = serial.add_link(LinkSpec::mbps(10.0, ms(10), 25));
+    serial.add_connection(spec(l));
+    serial.add_connection(spec(l));
+    let mut sharded = ShardedSimulator::new(1, 2);
+    for shard in 0..2 {
+        let l = sharded.add_link(shard, LinkSpec::mbps(10.0, ms(10), 25));
+        sharded.add_connection(spec(l));
+    }
+    (serial, sharded)
+}
+
+/// An address signal naming a connection or a subflow the world does not
+/// have is refused when the plan is installed, not when it fires mid-run.
+#[test]
+#[should_panic(expected = "unknown connection 2")]
+fn the_serial_engine_refuses_a_signal_to_an_unknown_connection() {
+    two_connections().0.install_fault_plan(&FaultPlan::new().addr_remove(ms(10), 2, 0));
+}
+
+#[test]
+#[should_panic(expected = "unknown subflow 1 of connection 1")]
+fn the_serial_engine_refuses_a_signal_to_an_unknown_subflow() {
+    two_connections().0.install_fault_plan(&FaultPlan::new().addr_add(ms(10), 1, 1));
+}
+
+#[test]
+#[should_panic(expected = "unknown connection 2")]
+fn the_sharded_engine_refuses_a_signal_to_an_unknown_connection() {
+    two_connections().1.install_fault_plan(&FaultPlan::new().addr_add(ms(10), 2, 0));
+}
+
+#[test]
+#[should_panic(expected = "unknown subflow 1 of connection 1")]
+fn the_sharded_engine_refuses_a_signal_to_an_unknown_subflow() {
+    two_connections().1.install_fault_plan(&FaultPlan::new().addr_remove(ms(10), 1, 1));
 }

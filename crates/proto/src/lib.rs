@@ -54,13 +54,12 @@
 
 pub mod endpoint;
 pub mod harness;
-pub mod path;
+mod path;
 pub mod scenarios;
 pub mod segment;
 pub mod wire;
 
 pub use endpoint::{Endpoint, EndpointConfig, EndpointStats, RecvBufferMode, SubflowStats};
-pub use path::{PathEvent, PathManager, ADVERT_RTO};
 pub use harness::Harness;
 pub use segment::{DecodeError, MptcpOption, SegFlags, Segment};
 pub use wire::{Wire, WireFault};

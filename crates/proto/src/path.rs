@@ -28,7 +28,7 @@ use crate::Micros;
 
 /// Retransmission interval for unacknowledged `ADD_ADDR`/`REMOVE_ADDR`
 /// advertisements (same fixed timer as the handshake's SYN retransmit).
-pub const ADVERT_RTO: Micros = 500_000;
+pub(crate) const ADVERT_RTO: Micros = 500_000;
 
 /// What kind of advertisement is pending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ struct Advert {
 
 /// Action a received path-manager option implies for the owning endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathEvent {
+pub(crate) enum PathEvent {
     /// Peer advertised `addr_id`: join a subflow there (subject to the
     /// local subflow limit and role).
     Join {
@@ -68,7 +68,7 @@ pub enum PathEvent {
 /// Per-connection path-management state: the subflow limit and the
 /// advertisement retransmission machinery.
 #[derive(Debug)]
-pub struct PathManager {
+pub(crate) struct PathManager {
     subflow_limit: usize,
     adverts: Vec<Advert>,
     /// Echoes owed to the peer, sent on the next outgoing opportunity.
@@ -79,7 +79,7 @@ pub struct PathManager {
 
 impl PathManager {
     /// A manager allowing up to `subflow_limit` concurrent subflows.
-    pub fn new(subflow_limit: usize) -> Self {
+    pub(crate) fn new(subflow_limit: usize) -> Self {
         assert!(subflow_limit >= 1, "need at least one subflow");
         Self {
             subflow_limit,
@@ -90,18 +90,18 @@ impl PathManager {
     }
 
     /// Maximum concurrent subflows this connection may run.
-    pub fn subflow_limit(&self) -> usize {
+    pub(crate) fn subflow_limit(&self) -> usize {
         self.subflow_limit
     }
 
     /// Distinct `ADD_ADDR` advertisements transmitted at least once.
-    pub fn addr_advertised(&self) -> u64 {
+    pub(crate) fn addr_advertised(&self) -> u64 {
         self.addr_advertised
     }
 
     /// Queue an `ADD_ADDR` advertisement for `addr_id`. Supersedes any
     /// pending withdrawal of the same address.
-    pub fn advertise(&mut self, addr_id: u8, backup: bool) {
+    pub(crate) fn advertise(&mut self, addr_id: u8, backup: bool) {
         self.adverts.retain(|a| a.addr_id != addr_id);
         self.adverts.push(Advert {
             addr_id,
@@ -113,21 +113,21 @@ impl PathManager {
 
     /// Queue a `REMOVE_ADDR` withdrawal for `addr_id`. Supersedes any
     /// pending advertisement of the same address.
-    pub fn withdraw(&mut self, addr_id: u8) {
+    pub(crate) fn withdraw(&mut self, addr_id: u8) {
         self.adverts.retain(|a| a.addr_id != addr_id);
         self.adverts.push(Advert { addr_id, kind: AdvertKind::Remove, sent_at: None, echoed: false });
     }
 
     /// Whether any advertisement or echo still needs to go out (or be
     /// retransmitted).
-    pub fn has_pending(&self) -> bool {
+    pub(crate) fn has_pending(&self) -> bool {
         !self.pending_echo.is_empty() || self.adverts.iter().any(|a| !a.echoed)
     }
 
     /// Earliest time an unacknowledged advertisement becomes due again
     /// (`None` when nothing is pending; `Some(0)` when something is due
     /// immediately).
-    pub fn next_deadline(&self) -> Option<Micros> {
+    pub(crate) fn next_deadline(&self) -> Option<Micros> {
         if !self.pending_echo.is_empty() {
             return Some(0);
         }
@@ -142,7 +142,7 @@ impl PathManager {
     /// unacknowledged advertisement never sent or silent for
     /// [`ADVERT_RTO`]. Transmission times are stamped here, so only call
     /// when the options will actually be put on a wire.
-    pub fn due_options(&mut self, now: Micros) -> Vec<MptcpOption> {
+    pub(crate) fn due_options(&mut self, now: Micros) -> Vec<MptcpOption> {
         let mut out = std::mem::take(&mut self.pending_echo);
         for a in &mut self.adverts {
             if a.echoed {
@@ -171,7 +171,7 @@ impl PathManager {
     /// Ingest one received option. Non-echo advertisements queue the owed
     /// echo and return the implied action; echoes retire the matching
     /// pending advertisement.
-    pub fn on_option(&mut self, opt: &MptcpOption) -> Option<PathEvent> {
+    pub(crate) fn on_option(&mut self, opt: &MptcpOption) -> Option<PathEvent> {
         match *opt {
             MptcpOption::AddAddr { addr_id, backup, echo: false } => {
                 self.pending_echo.push(MptcpOption::AddAddr { addr_id, backup, echo: true });

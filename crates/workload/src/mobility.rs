@@ -103,9 +103,8 @@ impl MobilityTrace {
     /// `conn`: the same physical link changes as
     /// [`to_fault_plan`](Self::to_fault_plan) — identical rates, losses and
     /// up/down timeline — plus ADD_ADDR/REMOVE_ADDR at every coverage edge
-    /// of a link listed in `subflow_of` (pairs of `(link, subflow index)`;
-    /// each link must be the first hop of its subflow's path, which is what
-    /// routes the signal in a sharded world).
+    /// of a link listed in `subflow_of`, naming the subflow paired with it
+    /// (pairs of `(link, subflow index)`).
     ///
     /// This is the mobile host *telling* the scheduler about the handover
     /// instead of leaving it to discover the outage by retransmission
@@ -126,13 +125,13 @@ impl MobilityTrace {
             if let Some(down) = ev.condition.down {
                 if down {
                     if let Some(s) = sub(ev.link) {
-                        plan.push(ev.at, FaultAction::AddrRemove { link: ev.link, conn, sub: s });
+                        plan.push(ev.at, FaultAction::AddrRemove { conn, sub: s });
                     }
                     plan.push(ev.at, FaultAction::Down { link: ev.link });
                 } else {
                     plan.push(ev.at, FaultAction::Up { link: ev.link });
                     if let Some(s) = sub(ev.link) {
-                        plan.push(ev.at, FaultAction::AddrAdd { link: ev.link, conn, sub: s });
+                        plan.push(ev.at, FaultAction::AddrAdd { conn, sub: s });
                     }
                 }
             }
@@ -295,8 +294,8 @@ mod tests {
             .collect();
         assert_eq!(signals.len(), 2, "one withdrawal, one re-advertisement: {signals:?}");
         let m = |min: f64| SimTime::from_secs_f64(min * 60.0);
-        assert!(matches!(signals[0], (at, FaultAction::AddrRemove { conn: 0, sub: 0, .. }) if at == m(9.0)));
-        assert!(matches!(signals[1], (at, FaultAction::AddrAdd { conn: 0, sub: 0, .. }) if at == m(10.5)));
+        assert!(matches!(signals[0], (at, FaultAction::AddrRemove { conn: 0, sub: 0 }) if at == m(9.0)));
+        assert!(matches!(signals[1], (at, FaultAction::AddrAdd { conn: 0, sub: 0 }) if at == m(10.5)));
     }
 
     #[test]

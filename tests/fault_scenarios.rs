@@ -60,7 +60,7 @@ fn run_wifi_blackout(seed: u64) -> Outcome {
     let st = sim.connection_stats(conn);
     let outage_secs = OUTAGE_UNTIL.saturating_sub(OUTAGE_FROM).as_secs_f64();
     Outcome {
-        events: sim.events_processed(),
+        events: sim.perf().events_fired,
         finished_at: st.finished_at,
         data_delivered: st.data_delivered,
         data_acked: st.data_acked,
