@@ -1330,7 +1330,7 @@ impl Flow<'_> {
                 continue;
             }
             while let Some(seq) = self.tx[idx].next_retransmit() {
-                self.tx[idx].on_retransmit(seq, net.now());
+                self.tx[idx].on_retransmit(seq);
                 self.send(net, idx, seq);
             }
         }

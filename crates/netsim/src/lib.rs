@@ -87,6 +87,8 @@ mod probe;
 mod scoreboard;
 #[cfg(test)]
 mod scoreboard_ref;
+#[cfg(test)]
+mod sent_meta_ref;
 mod shard;
 mod sim;
 mod stats;

@@ -201,7 +201,7 @@ pub(crate) struct LinkCold {
 
 /// Runtime state of a link: its [`LinkSpec`] stored field by field, the
 /// packets it holds and its counters. A FatTree world holds thousands, so
-/// the record is kept at 144 bytes on 64-bit targets.
+/// the record is kept at 136 bytes on 64-bit targets.
 #[derive(Debug)]
 pub(crate) struct Link {
     /// Transmission rate in bits per second; fault plans change it mid-run

@@ -18,7 +18,8 @@
 //! [`crate::scoreboard`]: a [`BitmapScoreboard`] in the sender and a
 //! [`BitRing`] reassembly buffer in the receiver. The B-tree bookkeeping
 //! they replaced is test code, the reference model a differential holds
-//! them to call by call. The retransmission timer is
+//! them to call by call; so is the 16-byte send-metadata record that
+//! [`SentMeta`] packs into 8 (`sent_meta_ref.rs`). The retransmission timer is
 //! [`mptcp_cc::RtoEstimator`], the copy the protocol endpoint runs too.
 
 // Per-ACK hot path and per-shard state (DESIGN.md §3.2d): a panic here
@@ -78,15 +79,17 @@ impl Default for TcpParams {
 /// Metadata the sender keeps per in-flight packet: RTT sampling (Karn's
 /// rule: never sample a retransmitted packet) plus the connection-level
 /// data sequence number the packet carries, so stranded data on a failed
-/// subflow can be identified and reinjected elsewhere. 16 bytes: the two
-/// flags ride in the top bits of the dsn word.
+/// subflow can be identified and reinjected elsewhere.
+///
+/// One 8-byte word: the low 32 bits are the send time in nanoseconds past
+/// the sender's `time_base`, the next 30 the dsn past its `dsn_base`, and
+/// the top two the flags. The time field is read only while the packet is
+/// clean. An entry whose dsn or clean send time does not fit against the
+/// bases is *spilled*: its dsn field reads [`Self::SPILLED`] and the
+/// sender's spill list keeps its full values (see
+/// [`SubflowSender::rebase`]).
 #[derive(Debug, Clone, Copy)]
-struct SentMeta {
-    sent_at: SimTime,
-    /// Connection-level data sequence number carried by this packet, with
-    /// [`Self::RETRANSMITTED`] and [`Self::DATA_ACKED`] above it.
-    dsn_flags: u64,
-}
+pub(crate) struct SentMeta(u64);
 
 impl SentMeta {
     /// The packet was retransmitted: its RTT sample is unreliable.
@@ -95,23 +98,54 @@ impl SentMeta {
     /// SACKed) — used to report each dsn's first acknowledgment exactly
     /// once per subflow.
     const DATA_ACKED: u64 = 1 << 62;
+    /// The widest send-time offset a packed entry holds, in nanoseconds
+    /// (4.29 s).
+    const TIME_SPAN: u64 = (1 << 32) - 1;
+    /// The widest dsn offset a packed entry holds.
+    const DSN_SPAN: u64 = (1 << 30) - 2;
+    /// The dsn field of a spilled entry.
+    const SPILLED: u64 = (1 << 30) - 1;
 
-    fn new(sent_at: SimTime, dsn: u64) -> Self {
-        assert!(dsn < Self::DATA_ACKED, "dsn {dsn} collides with the send-metadata flags");
-        Self { sent_at, dsn_flags: dsn }
+    /// A clean entry; both offsets are within their spans.
+    fn new(time_off: u64, dsn_off: u64) -> Self {
+        debug_assert!(time_off <= Self::TIME_SPAN && dsn_off <= Self::DSN_SPAN);
+        Self(dsn_off << 32 | time_off)
     }
 
-    fn dsn(self) -> u64 {
-        self.dsn_flags & (Self::DATA_ACKED - 1)
+    fn time_off(self) -> u64 {
+        self.0 & Self::TIME_SPAN
+    }
+
+    fn dsn_off(self) -> u64 {
+        self.0 >> 32 & Self::SPILLED
+    }
+
+    /// The same flags with new offsets (`dsn_off` may be [`Self::SPILLED`]).
+    fn with_offsets(self, time_off: u64, dsn_off: u64) -> Self {
+        Self(self.0 & (Self::RETRANSMITTED | Self::DATA_ACKED) | dsn_off << 32 | time_off)
+    }
+
+    fn spilled(self) -> bool {
+        self.dsn_off() == Self::SPILLED
     }
 
     fn retransmitted(self) -> bool {
-        self.dsn_flags & Self::RETRANSMITTED != 0
+        self.0 & Self::RETRANSMITTED != 0
     }
 
     fn data_acked(self) -> bool {
-        self.dsn_flags & Self::DATA_ACKED != 0
+        self.0 & Self::DATA_ACKED != 0
     }
+}
+
+/// The full values of a spilled [`SentMeta`]: a packet whose dsn lay too
+/// far from the sender's dsn base, or a clean packet still in flight more
+/// than 4.29 s after it was sent.
+#[derive(Debug, Clone, Copy)]
+struct Spilled {
+    seq: u64,
+    dsn: u64,
+    sent_at: SimTime,
 }
 
 /// Receiver-side reassembly state of one subflow (kept with the sender for
@@ -275,15 +309,27 @@ pub(crate) struct SubflowSender {
     /// Whether a timer is conceptually armed (the simulator tracks the
     /// actual deadline and uses lazy re-scheduling).
     pub rto_armed: bool,
+    /// Growth events of `meta` and `spill` (allocation accounting). Every
+    /// growth at least doubles a capacity, so a `u32` never wraps.
+    meta_allocs: u32,
     /// Recovery ends when `una` reaches this point.
     pub recovery_point: u64,
     /// Per-packet send metadata, indexed by `seq - una`.
     meta: VecDeque<SentMeta>,
+    /// The send time that packed entries' time offsets count from.
+    time_base: SimTime,
+    /// The dsn that packed entries' dsn offsets count from.
+    dsn_base: u64,
     /// SACK scoreboard: sacked / lost / retransmitted-out sets.
     board: BitmapScoreboard,
-    // --- cold: stats and configuration ---
-    /// Growth events of `meta` (allocation accounting).
-    meta_allocs: u64,
+    // --- cold: stats, configuration and the rare spill list ---
+    /// Full values of the spilled entries of `meta`, by ascending `seq`;
+    /// `None` until the first spill.
+    #[expect(
+        clippy::box_collection,
+        reason = "nearly every sender never spills: a thin pointer keeps the per-slot record 16 bytes smaller than an inline Vec"
+    )]
+    spill: Option<Box<Vec<Spilled>>>,
     /// Retransmit / timeout / recovery counters (stats reads only).
     pub stats: SenderCounters,
 }
@@ -314,10 +360,13 @@ impl SubflowSender {
             in_recovery: false,
             rto_recovery: false,
             rto_armed: false,
+            meta_allocs: 0,
             recovery_point: 0,
             meta: VecDeque::new(),
+            time_base: SimTime::ZERO,
+            dsn_base: 0,
             board: BitmapScoreboard::new(),
-            meta_allocs: 0,
+            spill: None,
             stats: SenderCounters::default(),
         }
     }
@@ -340,6 +389,11 @@ impl SubflowSender {
         self.rto_armed = false;
         self.recovery_point = 0;
         self.meta.clear();
+        self.time_base = SimTime::ZERO;
+        self.dsn_base = 0;
+        if let Some(spill) = &mut self.spill {
+            spill.clear();
+        }
         self.board.reset_for_reuse();
         self.stats = SenderCounters::default();
     }
@@ -377,13 +431,21 @@ impl SubflowSender {
     /// the sequence number used and whether this send armed the
     /// retransmission timer (so the caller can schedule the event).
     pub(crate) fn on_send_new(&mut self, now: SimTime, dsn: u64) -> (u64, bool) {
+        debug_assert_eq!(self.una + self.meta.len() as u64, self.next_seq);
+        let offsets = |tx: &Self| {
+            (now.as_nanos().wrapping_sub(tx.time_base.as_nanos()), dsn.wrapping_sub(tx.dsn_base))
+        };
+        let (mut time_off, mut dsn_off) = offsets(self);
+        if time_off > SentMeta::TIME_SPAN || dsn_off > SentMeta::DSN_SPAN {
+            self.rebase(now, dsn);
+            (time_off, dsn_off) = offsets(self);
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        debug_assert_eq!(self.una + self.meta.len() as u64, seq);
         if self.meta.len() == self.meta.capacity() {
             self.meta_allocs += 1;
         }
-        self.meta.push_back(SentMeta::new(now, dsn));
+        self.meta.push_back(SentMeta::new(time_off, dsn_off));
         let newly_armed = !self.rto_armed;
         if newly_armed {
             self.arm_rto();
@@ -396,7 +458,97 @@ impl SubflowSender {
     /// never-sent sequences).
     pub(crate) fn dsn_of(&self, seq: u64) -> Option<u64> {
         let idx = usize::try_from(seq.checked_sub(self.una)?).ok()?;
-        self.meta.get(idx).map(|m| m.dsn())
+        self.meta.get(idx).map(|&m| self.dsn(seq, m))
+    }
+
+    /// The full record of spilled entry `seq`.
+    fn spilled(&self, seq: u64) -> Option<&Spilled> {
+        let spill = self.spill.as_deref()?;
+        spill.binary_search_by_key(&seq, |s| s.seq).ok().and_then(|i| spill.get(i))
+    }
+
+    /// The dsn of entry `m`, the metadata of packet `seq`.
+    fn dsn(&self, seq: u64, m: SentMeta) -> u64 {
+        if !m.spilled() {
+            return self.dsn_base + m.dsn_off();
+        }
+        let spilled = self.spilled(seq);
+        debug_assert!(spilled.is_some(), "spilled entry {seq} has no record");
+        spilled.map_or(0, |s| s.dsn)
+    }
+
+    /// The send time of entry `m`, the metadata of packet `seq`; only a
+    /// clean entry's is kept.
+    fn clean_sent_at(&self, seq: u64, m: SentMeta) -> Option<SimTime> {
+        if m.retransmitted() {
+            return None;
+        }
+        if !m.spilled() {
+            return Some(self.time_base + SimTime(m.time_off()));
+        }
+        let spilled = self.spilled(seq);
+        debug_assert!(spilled.is_some(), "spilled entry {seq} has no record");
+        spilled.map(|s| s.sent_at)
+    }
+
+    /// Move the bases so that a packet sent at `now` carrying `dsn` fits
+    /// the packed fields, and rewrite every entry against them. The time
+    /// base becomes the oldest clean send time in flight and the dsn base
+    /// the lowest dsn in flight, each moved up only as far as the new
+    /// packet needs. An entry that then does not fit — a clean packet
+    /// sent more than 4.29 s before `now`, or a dsn more than 2^30 away
+    /// from the new one — joins the spill list with its full values.
+    /// Spilled entries stay spilled until they are cumulatively acked.
+    ///
+    /// A long-lived flow rebases about every 4.29 s, one pass over its
+    /// flight; a packet spills only when its flight is that old or that
+    /// wide.
+    fn rebase(&mut self, now: SimTime, dsn: u64) {
+        let (old_time_base, old_dsn_base) = (self.time_base, self.dsn_base);
+        let (mut time_base, mut dsn_base) = (now, dsn);
+        for m in self.meta.iter().filter(|m| !m.spilled()) {
+            if !m.retransmitted() {
+                time_base = time_base.min(old_time_base + SimTime(m.time_off()));
+            }
+            dsn_base = dsn_base.min(old_dsn_base + m.dsn_off());
+        }
+        let time_base = time_base.max(now.saturating_sub(SimTime(SentMeta::TIME_SPAN)));
+        let dsn_base = dsn_base.max(dsn.saturating_sub(SentMeta::DSN_SPAN));
+        (self.time_base, self.dsn_base) = (time_base, dsn_base);
+        let mut spilled = Vec::new();
+        for (seq, m) in (self.una..).zip(self.meta.iter_mut()) {
+            if m.spilled() {
+                continue;
+            }
+            let (sent_at, dsn) =
+                (old_time_base + SimTime(m.time_off()), old_dsn_base + m.dsn_off());
+            let time_off = if m.retransmitted() {
+                Some(0)
+            } else {
+                sent_at.as_nanos().checked_sub(time_base.as_nanos())
+            };
+            let time_off = time_off.filter(|&t| t <= SentMeta::TIME_SPAN);
+            let dsn_off = dsn.checked_sub(dsn_base).filter(|&d| d <= SentMeta::DSN_SPAN);
+            if let (Some(time_off), Some(dsn_off)) = (time_off, dsn_off) {
+                *m = m.with_offsets(time_off, dsn_off);
+            } else {
+                *m = m.with_offsets(0, SentMeta::SPILLED);
+                spilled.push(Spilled { seq, dsn, sent_at });
+            }
+        }
+        if spilled.is_empty() {
+            return;
+        }
+        let spill = self.spill.get_or_insert_with(|| {
+            self.meta_allocs += 1;
+            Box::default()
+        });
+        let cap = spill.capacity();
+        spill.extend(spilled);
+        spill.sort_unstable_by_key(|s| s.seq);
+        if spill.capacity() != cap {
+            self.meta_allocs += 1;
+        }
     }
 
     /// Collect into `out` the outstanding `(seq, dsn)` pairs whose data has
@@ -410,25 +562,25 @@ impl SubflowSender {
             if self.board.sacked_contains(s) {
                 continue;
             }
-            let Some(m) = usize::try_from(s - self.una).ok().and_then(|i| self.meta.get(i))
+            let Some(&m) = usize::try_from(s - self.una).ok().and_then(|i| self.meta.get(i))
             else {
                 continue;
             };
             if !m.data_acked() {
-                out.push((s, m.dsn()));
+                out.push((s, self.dsn(s, m)));
             }
         }
     }
 
-    /// Record a retransmission of `seq` at `now` (Karn bookkeeping).
-    pub(crate) fn on_retransmit(&mut self, seq: u64, now: SimTime) {
+    /// Record a retransmission of `seq` (Karn bookkeeping: its send time
+    /// is never read again).
+    pub(crate) fn on_retransmit(&mut self, seq: u64) {
         self.stats.retransmits += 1;
         if seq >= self.una {
             if let Some(m) =
                 usize::try_from(seq - self.una).ok().and_then(|i| self.meta.get_mut(i))
             {
-                m.sent_at = now;
-                m.dsn_flags |= SentMeta::RETRANSMITTED;
+                m.0 |= SentMeta::RETRANSMITTED;
             }
         }
     }
@@ -464,23 +616,20 @@ impl SubflowSender {
         if cum > self.una {
             out.newly_acked = cum - self.una;
             progressed = true;
-            // RTT sample from the newest packet this ACK covers, if clean.
-            let idx = usize::try_from(cum - 1 - self.una).ok();
-            if let Some(m) = idx.and_then(|i| self.meta.get(i)) {
-                if !m.retransmitted() {
-                    let sample = (now.saturating_sub(m.sent_at)).as_secs_f64();
-                    if sample > 0.0 {
-                        self.timer.on_sample(sample);
+            if let Some(sample) = self.rtt_sample(cum, now) {
+                self.timer.on_sample(sample);
+            }
+            // The metadata deque starts at `una`: drop what `cum` covers.
+            for seq in self.una..cum {
+                if let Some(m) = self.meta.pop_front() {
+                    if !m.data_acked() {
+                        newly_acked_dsns.push(self.dsn(seq, m));
                     }
                 }
             }
-            // The metadata deque starts at `una`: drop what `cum` covers.
-            for _ in self.una..cum {
-                if let Some(m) = self.meta.pop_front() {
-                    if !m.data_acked() {
-                        newly_acked_dsns.push(m.dsn());
-                    }
-                }
+            if let Some(spill) = self.spill.as_deref_mut() {
+                let acked = spill.partition_point(|s| s.seq < cum);
+                spill.drain(..acked);
             }
             self.una = cum;
             // Drop scoreboard state below the new cumulative point.
@@ -501,8 +650,9 @@ impl SubflowSender {
                     let idx = usize::try_from(seq - self.una).ok();
                     if let Some(m) = idx.and_then(|i| self.meta.get_mut(i)) {
                         if !m.data_acked() {
-                            m.dsn_flags |= SentMeta::DATA_ACKED;
-                            newly_acked_dsns.push(m.dsn());
+                            m.0 |= SentMeta::DATA_ACKED;
+                            let m = *m;
+                            newly_acked_dsns.push(self.dsn(seq, m));
                         }
                     }
                 }
@@ -532,6 +682,16 @@ impl SubflowSender {
             out.rearm_rto = Some(false);
         }
         out
+    }
+
+    /// The RTT sample a cumulative ACK up to `cum` arriving at `now` takes:
+    /// the time since the newest packet it covers was sent, if that packet
+    /// is clean (Karn's rule) and the time is positive.
+    pub(crate) fn rtt_sample(&self, cum: u64, now: SimTime) -> Option<f64> {
+        let seq = cum.checked_sub(1)?;
+        let idx = usize::try_from(seq.checked_sub(self.una)?).ok()?;
+        let sent_at = self.clean_sent_at(seq, *self.meta.get(idx)?)?;
+        Some(now.saturating_sub(sent_at).as_secs_f64()).filter(|&s| s > 0.0)
     }
 
     /// Mark holes with ≥ DupThresh SACKed packets above them as lost.
@@ -578,7 +738,7 @@ impl SubflowSender {
         self.cwnd = floor.max(1.0);
         // Karn: every outstanding packet's RTT sample is now unreliable.
         for m in &mut self.meta {
-            m.dsn_flags |= SentMeta::RETRANSMITTED;
+            m.0 |= SentMeta::RETRANSMITTED;
         }
         self.arm_rto();
         true
@@ -618,13 +778,17 @@ impl SubflowSender {
     /// Allocation events since creation: send-metadata growth plus
     /// scoreboard growth/spills. Feeds [`crate::SimPerf::hot_allocs`].
     pub(crate) fn alloc_events(&self) -> u64 {
-        self.meta_allocs + self.board.alloc_events()
+        u64::from(self.meta_allocs) + self.board.alloc_events()
     }
 
     /// Heap bytes held: `(scoreboard rings, send metadata)` (see
     /// [`crate::MemBytes`]).
     pub(crate) fn heap_bytes(&self) -> (u64, u64) {
-        (self.board.heap_bytes(), crate::mem::deque_bytes(&self.meta))
+        let spill = self
+            .spill
+            .as_deref()
+            .map_or(0, |s| std::mem::size_of::<Vec<Spilled>>() as u64 + crate::mem::vec_bytes(s));
+        (self.board.heap_bytes(), crate::mem::deque_bytes(&self.meta) + spill)
     }
 
     /// Warmed capacity of the send-metadata ring, in packets. The arena
@@ -644,6 +808,18 @@ impl SubflowSender {
     #[cfg(test)]
     pub(crate) fn ring_bits(&self) -> [u64; 2] {
         self.board.ring_bits()
+    }
+
+    /// Entries of the flight held in the spill list.
+    #[cfg(test)]
+    pub(crate) fn spilled_len(&self) -> usize {
+        self.spill.as_deref().map_or(0, Vec::len)
+    }
+
+    /// Whether packet `seq`'s metadata is in the spill list.
+    #[cfg(test)]
+    pub(crate) fn is_spilled(&self, seq: u64) -> bool {
+        self.spilled(seq).is_some()
     }
 }
 
@@ -855,7 +1031,7 @@ mod tests {
     fn karns_rule_skips_retransmitted_samples() {
         let mut tx = sender();
         tx.on_send_new(SimTime::ZERO, 0);
-        tx.on_retransmit(0, SimTime::from_millis(10));
+        tx.on_retransmit(0);
         tx.on_ack(1, &NO_SACKS, SimTime::from_millis(15), &mut Vec::new());
         assert!(tx.timer.srtt().is_none(), "no sample from a retransmitted packet");
     }
@@ -969,7 +1145,7 @@ mod tests {
         // Hole at 0, SACKs 1..4 mark it lost; retransmit it.
         tx.on_ack(0, &sacks(&[(1, 4)]), SimTime::from_millis(10), &mut Vec::new());
         assert_eq!(tx.next_retransmit(), Some(0));
-        tx.on_retransmit(0, SimTime::from_millis(11));
+        tx.on_retransmit(0);
         let pipe_after_retx = tx.pipe();
         // Three more *new* SACKs (4..7): the retransmission is declared
         // lost again and queued once more.
@@ -1083,7 +1259,7 @@ mod tests {
                 _ => {
                     reused.on_rto(1.0);
                     while let Some(seq) = reused.next_retransmit() {
-                        reused.on_retransmit(seq, now);
+                        reused.on_retransmit(seq);
                     }
                 }
             }
@@ -1126,8 +1302,8 @@ mod tests {
                     let (ra, rb) = (reused.next_retransmit(), fresh.next_retransmit());
                     assert_eq!(ra, rb, "step {step}");
                     let Some(seq) = ra else { break };
-                    reused.on_retransmit(seq, now);
-                    fresh.on_retransmit(seq, now);
+                    reused.on_retransmit(seq);
+                    fresh.on_retransmit(seq);
                 },
             }
             assert_eq!(
@@ -1196,7 +1372,7 @@ mod tests {
                 assert!(tx.in_recovery, "epoch {epoch}");
                 let mut retx = Vec::new();
                 while let Some(seq) = tx.next_retransmit() {
-                    tx.on_retransmit(seq, now);
+                    tx.on_retransmit(seq);
                     retx.push(seq);
                 }
                 assert_eq!(retx, [una, una + 1], "epoch {epoch}: exactly the two holes");

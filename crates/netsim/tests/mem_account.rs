@@ -248,12 +248,12 @@ fn the_trickle_reuses_windows_within_its_allocation_budget() {
 /// Allocation calls the trickle makes: 364 measured, plus 10%.
 const TRICKLE_ALLOC_CALLS: u64 = 400;
 
-/// Bytes a retired flow of this world holds: 455 measured, plus 10%.
-const RETIRED_FLOW_BYTES: u64 = 501;
+/// Bytes a retired flow of this world holds: 431 measured, plus 10%.
+const RETIRED_FLOW_BYTES: u64 = 474;
 
 /// Bytes of hot columns, rings and send metadata per hot slot at the
-/// burst high-water, column capacity included: 695 measured, plus 10%.
-const HOT_SLOT_BYTES: u64 = 765;
+/// burst high-water, column capacity included: 666 measured, plus 10%.
+const HOT_SLOT_BYTES: u64 = 733;
 
 /// The per-ACK path allocates nothing once warm: scoreboards and
 /// reassembly rings are sized, the event wheel's slots and the links'
